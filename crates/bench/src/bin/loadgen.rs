@@ -42,8 +42,6 @@
 //!
 //! Exits non-zero if any response mismatched the local truth.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -52,6 +50,7 @@ use bikron_bench::serve_load::{
     field_str, field_u64, field_u64_last, slow_trace_lines, split_json_array, track_slow,
     LoadgenSummary, Zipf,
 };
+use bikron_cli::client::{self, ClientError, Conn};
 use bikron_cli::{parse_factor, parse_mode};
 use bikron_core::truth::squares_edge::edge_squares_at;
 use bikron_core::truth::squares_vertex::vertex_squares_at;
@@ -201,14 +200,14 @@ impl Truth {
     }
 }
 
-/// Minimal keep-alive HTTP/1.1 client. Every request carries a fresh
-/// client-minted W3C `traceparent`; the server must echo the trace id in
-/// its `x-bikron-trace-id` response header (id propagation is part of
-/// the contract the load test verifies, so echo failures count as
-/// mismatches via [`Client::echo_failures`]).
+/// Keep-alive client over the shared `bikron_cli::client`. Every request
+/// carries a fresh client-minted W3C `traceparent`; the server must echo
+/// the trace id in its `x-bikron-trace-id` response header (id
+/// propagation is part of the contract the load test verifies, so echo
+/// failures count as mismatches via [`Client::echo_failures`]).
 struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    http: client::Client,
+    conn: Option<Conn>,
     /// xorshift64* state for trace-id minting.
     rng: u64,
     /// Trace id (32 hex chars) sent with the in-flight/last request.
@@ -218,14 +217,12 @@ struct Client {
 }
 
 impl Client {
-    fn connect(addr: &str, seed: u64) -> std::io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-        stream.set_nodelay(true)?;
-        let writer = stream.try_clone()?;
+    fn connect(addr: &str, seed: u64) -> Result<Client, ClientError> {
+        let timeout = Duration::from_secs(30);
+        let http = client::Client::new(addr, timeout, timeout);
         Ok(Client {
-            reader: BufReader::new(stream),
-            writer,
+            conn: Some(http.dial()?),
+            http,
             // Golden-ratio mix before the nonzero clamp: adjacent seeds
             // (thread t vs t+1) must not collapse to one xorshift stream.
             rng: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
@@ -256,53 +253,22 @@ impl Client {
         &self.sent_trace_id
     }
 
-    fn get(&mut self, path: &str) -> std::io::Result<(u16, String)> {
-        let traceparent = self.next_traceparent();
-        write!(
-            self.writer,
-            "GET {path} HTTP/1.1\r\nHost: lg\r\ntraceparent: {traceparent}\r\n\r\n"
-        )?;
-        self.read_response()
+    fn get(&mut self, path: &str) -> Result<(u16, String), ClientError> {
+        self.request("GET", path, None)
     }
 
-    fn post(&mut self, path: &str, body: &str) -> std::io::Result<(u16, String)> {
+    fn request(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+    ) -> Result<(u16, String), ClientError> {
         let traceparent = self.next_traceparent();
-        write!(
-            self.writer,
-            "POST {path} HTTP/1.1\r\nHost: lg\r\ntraceparent: {traceparent}\r\n\
-             Content-Length: {}\r\n\r\n{body}",
-            body.len(),
-        )?;
-        self.read_response()
-    }
-
-    fn read_response(&mut self) -> std::io::Result<(u16, String)> {
-        let mut line = String::new();
-        self.reader.read_line(&mut line)?;
-        let status: u16 = line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| std::io::Error::other(format!("bad status line {line:?}")))?;
-        let mut content_length = 0usize;
-        let mut echoed = String::new();
-        loop {
-            let mut h = String::new();
-            self.reader.read_line(&mut h)?;
-            let h = h.trim_end();
-            if h.is_empty() {
-                break;
-            }
-            let lower = h.to_ascii_lowercase();
-            if let Some(v) = lower.strip_prefix("content-length:") {
-                content_length = v
-                    .trim()
-                    .parse()
-                    .map_err(|e| std::io::Error::other(format!("bad content-length: {e}")))?;
-            } else if let Some(v) = lower.strip_prefix("x-bikron-trace-id:") {
-                echoed = v.trim().to_string();
-            }
-        }
+        let (resp, conn) =
+            self.http
+                .request(self.conn.take(), method, path, body, Some(&traceparent))?;
+        self.conn = conn;
+        let echoed = resp.trace_id.as_deref().unwrap_or_default();
         if echoed != self.sent_trace_id {
             self.echo_failures += 1;
             eprintln!(
@@ -310,12 +276,7 @@ impl Client {
                 self.sent_trace_id
             );
         }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body)?;
-        Ok((
-            status,
-            String::from_utf8(body).map_err(|e| std::io::Error::other(e.to_string()))?,
-        ))
+        Ok((resp.status, resp.body))
     }
 }
 
@@ -551,7 +512,9 @@ fn batch_worker(
             .concat();
 
         let started = Instant::now();
-        let (status, response) = client.post("/v1/batch", &body).expect("batch request");
+        let (status, response) = client
+            .request("POST", "/v1/batch", Some(&body))
+            .expect("batch request");
         let ns = started.elapsed().as_nanos() as u64;
         latencies.push(ns);
         track_slow(&mut slowest, ns, client.trace_id(), 3);

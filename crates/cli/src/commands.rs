@@ -26,14 +26,14 @@ pub struct SnapshotOptions {
     pub lenient: bool,
 }
 
-/// Read and validate a snapshot file against the requested spec.
+/// Read the `--snapshot-in` file, if any, and validate it against the
+/// requested spec.
 fn load_snapshot(
-    path: &str,
+    snapshot: &SnapshotOptions,
     validate: impl FnOnce(&Snapshot) -> Result<(), SnapshotError>,
-) -> Result<Snapshot, SnapshotError> {
-    let snap = Snapshot::read_from(path)?;
-    validate(&snap)?;
-    Ok(snap)
+) -> Option<Result<Snapshot, SnapshotError>> {
+    let path = snapshot.snapshot_in.as_deref()?;
+    Some(Snapshot::read_from(path).and_then(|snap| validate(&snap).map(|()| snap)))
 }
 
 /// Announce a warm boot before the listening banner, so operators (and
@@ -278,46 +278,9 @@ pub fn serve(
     snapshot: SnapshotOptions,
     out: &mut dyn Write,
 ) -> CmdResult {
-    let cache_entries = options.cache_entries;
-    let state = match &snapshot.snapshot_in {
-        Some(path) => match load_snapshot(path, |s| s.validate_pair(&a, &b, mode)) {
-            Ok(snap) => {
-                let (st, info) = ServeState::build_from_snapshot(snap, options)?;
-                warm_banner(out, path, st.expr(), &info)?;
-                std::sync::Arc::new(st)
-            }
-            Err(e) if snapshot.lenient => {
-                writeln!(
-                    out,
-                    "snapshot {path} rejected ({e}); booting cold (--snapshot-lenient)"
-                )?;
-                std::sync::Arc::new(ServeState::build_with(a, b, mode, options)?)
-            }
-            Err(e) => return Err(format!("--snapshot-in {path}: {e}").into()),
-        },
-        None => std::sync::Arc::new(ServeState::build_with(a, b, mode, options)?),
-    };
-    bikron_serve::signal::install();
-    let server = Server::bind(config.clone(), std::sync::Arc::clone(&state))?;
-    writeln!(
-        out,
-        "listening on http://{} ({} worker(s), queue {}, cache {}, batch ≤ {}{}) — stop with ctrl-c",
-        server.local_addr()?,
-        config.threads.max(1),
-        config.queue_capacity.max(1),
-        if cache_entries > 0 {
-            format!("{cache_entries} entries")
-        } else {
-            "off".to_string()
-        },
-        state.batch_max(),
-        shard_banner(&state),
-    )?;
-    out.flush()?;
-    server.run()?;
-    write_snapshot_on_shutdown(&snapshot, &state, out)?;
-    writeln!(out, "shutdown complete")?;
-    Ok(())
+    let loaded = load_snapshot(&snapshot, |s| s.validate_pair(&a, &b, mode));
+    let cold = |o| ServeState::build_with(a, b, mode, o);
+    boot_and_serve(config, options, snapshot, loaded, cold, false, out)
 }
 
 /// `bikron serve --expr EXPR NAME=SPEC...` — run the query service over
@@ -353,31 +316,52 @@ pub fn serve_expr(
         })
         .collect::<Vec<_>>()
         .join("⊗");
+    let loaded = load_snapshot(&snapshot, |s| s.validate_expr(&canonical, &bindings));
+    let cold = |o| ServeState::build_expr(bindings, &levels, o);
+    boot_and_serve(config, options, snapshot, loaded, cold, true, out)
+}
+
+/// The boot path of `serve` and `serve --expr`: warm start from the
+/// `loaded` snapshot (or `cold`), bind, print the banner scripts parse
+/// `http://ADDR` from, serve until shutdown, write `--snapshot-out`.
+fn boot_and_serve(
+    config: ServerConfig,
+    options: ServeOptions,
+    snapshot: SnapshotOptions,
+    loaded: Option<Result<Snapshot, SnapshotError>>,
+    cold: impl FnOnce(ServeOptions) -> Result<ServeState, Box<dyn std::error::Error>>,
+    expr_banner: bool,
+    out: &mut dyn Write,
+) -> CmdResult {
     let cache_entries = options.cache_entries;
-    let state = match &snapshot.snapshot_in {
-        Some(path) => match load_snapshot(path, |s| s.validate_expr(&canonical, &bindings)) {
-            Ok(snap) => {
-                let (st, info) = ServeState::build_from_snapshot(snap, options)?;
-                warm_banner(out, path, st.expr(), &info)?;
-                std::sync::Arc::new(st)
-            }
-            Err(e) if snapshot.lenient => {
-                writeln!(
-                    out,
-                    "snapshot {path} rejected ({e}); booting cold (--snapshot-lenient)"
-                )?;
-                std::sync::Arc::new(ServeState::build_expr(bindings, &levels, options)?)
-            }
-            Err(e) => return Err(format!("--snapshot-in {path}: {e}").into()),
-        },
-        None => std::sync::Arc::new(ServeState::build_expr(bindings, &levels, options)?),
+    let path = snapshot.snapshot_in.as_deref().unwrap_or_default();
+    let state = match loaded {
+        Some(Ok(snap)) => {
+            let (st, info) = ServeState::build_from_snapshot(snap, options)?;
+            warm_banner(out, path, st.expr(), &info)?;
+            st
+        }
+        Some(Err(e)) if snapshot.lenient => {
+            writeln!(
+                out,
+                "snapshot {path} rejected ({e}); booting cold (--snapshot-lenient)"
+            )?;
+            cold(options)?
+        }
+        Some(Err(e)) => return Err(format!("--snapshot-in {path}: {e}").into()),
+        None => cold(options)?,
     };
+    let state = std::sync::Arc::new(state);
     bikron_serve::signal::install();
     let server = Server::bind(config.clone(), std::sync::Arc::clone(&state))?;
+    let listening = if expr_banner {
+        format!("serving {} on", state.expr())
+    } else {
+        "listening on".to_string()
+    };
     writeln!(
         out,
-        "serving {} on http://{} ({} worker(s), queue {}, cache {}, batch ≤ {}{}) — stop with ctrl-c",
-        state.expr(),
+        "{listening} http://{} ({} worker(s), queue {}, cache {}, batch ≤ {}{}) — stop with ctrl-c",
         server.local_addr()?,
         config.threads.max(1),
         config.queue_capacity.max(1),
@@ -414,13 +398,13 @@ fn shard_banner(state: &ServeState) -> String {
 /// factors) before binding the client-facing listener.
 pub fn router(
     shards: &[String],
-    config: bikron_router::RouterConfig,
+    config: ServerConfig,
     options: bikron_router::RouterOptions,
     out: &mut dyn Write,
 ) -> CmdResult {
     let state = std::sync::Arc::new(bikron_router::RouterState::connect(shards, options)?);
     bikron_serve::signal::install();
-    let server = bikron_router::RouterServer::bind(config.clone(), std::sync::Arc::clone(&state))?;
+    let server = Server::bind(config.clone(), std::sync::Arc::clone(&state))?;
     writeln!(
         out,
         "router listening on http://{} fronting {} shard(s) over {} vertices ({} worker(s), queue {}) — stop with ctrl-c",

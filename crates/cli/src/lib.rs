@@ -38,6 +38,9 @@ pub mod replay;
 pub mod spec;
 pub mod trace;
 
+/// The shared keep-alive HTTP/1.1 client, re-exported for the bench
+/// binaries (which reach `bikron-serve` only through this crate).
+pub use bikron_serve::client;
 pub use flags::{split_global_flags, GlobalOpts};
 pub use monitor::MonitorConfig;
 pub use observability::{write_observability, Outcome};

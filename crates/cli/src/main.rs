@@ -337,15 +337,15 @@ fn parse_router_config(
 ) -> Result<
     (
         Vec<String>,
-        bikron_router::RouterConfig,
+        bikron_serve::ServerConfig,
         bikron_router::RouterOptions,
     ),
     Box<dyn std::error::Error>,
 > {
     let mut shards: Vec<String> = Vec::new();
-    let mut config = bikron_router::RouterConfig {
+    let mut config = bikron_serve::ServerConfig {
         addr: "127.0.0.1:7070".to_string(),
-        ..bikron_router::RouterConfig::default()
+        ..bikron_serve::ServerConfig::default()
     };
     let mut options = bikron_router::RouterOptions::default();
     let mut i = 0;

@@ -22,11 +22,10 @@
 //! `render_once`), so the formatting and diffing logic is unit-testable
 //! without a server.
 
-use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
 use std::time::Duration;
 
 use bikron_obs::Report;
+use bikron_serve::client::Client;
 
 /// Default seconds between dashboard refreshes.
 pub const DEFAULT_INTERVAL_SECS: u64 = 2;
@@ -34,6 +33,9 @@ pub const DEFAULT_INTERVAL_SECS: u64 = 2;
 pub const DEFAULT_TOP: usize = 5;
 /// Consecutive fetch failures tolerated before the loop gives up.
 const MAX_CONSECUTIVE_FAILURES: u32 = 3;
+/// Connect timeout, and how long a one-shot fetch waits for a server
+/// that answers immediately.
+pub(crate) const FETCH_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Parsed `bikron monitor` invocation.
 #[derive(Clone, Debug)]
@@ -120,37 +122,109 @@ pub(crate) fn parse_host_port(url: &str) -> Result<(String, u16), String> {
     }
 }
 
-/// One `GET {path}` over a fresh connection (std-only HTTP/1.1 client,
-/// shared with `bikron trace`); returns `(status, body)`.
-pub(crate) fn http_get(host: &str, port: u16, path: &str) -> Result<(u16, String), String> {
+/// One `GET {path}` over a fresh connection of the shared client (used
+/// by `monitor`, `trace`, `profile` and `replay`), waiting at most
+/// `wait` on each read; returns `(status, body)`.
+pub(crate) fn http_get(
+    host: &str,
+    port: u16,
+    path: &str,
+    wait: Duration,
+) -> Result<(u16, String), String> {
     let addr = format!("{host}:{port}");
-    let mut stream = TcpStream::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .map_err(|e| e.to_string())?;
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: {host}\r\nConnection: close\r\n\r\n"
-    )
-    .map_err(|e| format!("send request: {e}"))?;
-    let mut raw = String::new();
-    stream
-        .read_to_string(&mut raw)
-        .map_err(|e| format!("read response: {e}"))?;
-    let (head, body) = raw
-        .split_once("\r\n\r\n")
-        .ok_or("malformed HTTP response")?;
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or("missing status code")?;
-    Ok((status, body.to_string()))
+    let client = Client::new(addr.as_str(), FETCH_TIMEOUT, wait);
+    let (resp, _) = client
+        .request(None, "GET", path, None, None)
+        .map_err(|e| format!("GET http://{addr}{path}: {e}"))?;
+    Ok((resp.status, resp.body))
+}
+
+/// The parsed `URL [FLAG N] [--top K] [--token TOKEN]` invocation shared
+/// by `bikron trace` and `bikron profile`.
+pub(crate) struct AdminArgs {
+    pub host: String,
+    pub port: u16,
+    /// The value of the command's own numeric `FLAG` (0 when absent).
+    pub value: u64,
+    pub top: usize,
+    pub token: Option<String>,
+}
+
+impl AdminArgs {
+    pub(crate) fn parse(
+        cmd: &str,
+        flag: &str,
+        top: usize,
+        args: &[String],
+    ) -> Result<Self, String> {
+        let (mut url, mut value, mut top, mut token) = (None, 0, top, None);
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if url.is_none() && !arg.starts_with("--") {
+                url = Some(arg);
+                continue;
+            }
+            if arg != flag && arg != "--top" && arg != "--token" {
+                return Err(format!("{cmd}: unknown argument {arg:?}"));
+            }
+            let v = args
+                .next()
+                .ok_or_else(|| format!("{cmd}: {arg} requires a value"))?;
+            if arg == "--token" {
+                token = Some(v.clone());
+                continue;
+            }
+            let n: u64 = v
+                .parse()
+                .map_err(|e| format!("{cmd}: bad {arg} {v:?}: {e}"))?;
+            match arg.as_str() {
+                "--top" => top = n as usize,
+                _ => value = n,
+            }
+        }
+        let url =
+            url.ok_or_else(|| format!("{cmd} requires a server URL (e.g. http://127.0.0.1:7474)"))?;
+        let (host, port) = parse_host_port(url)?;
+        Ok(AdminArgs {
+            host,
+            port,
+            value,
+            top,
+            token,
+        })
+    }
+}
+
+/// `GET` a token-gated admin endpoint (`path` already carries its own
+/// query). `Ok(None)` after telling the user the server refused the
+/// token.
+pub(crate) fn admin_get(
+    cmd: &str,
+    host: &str,
+    port: u16,
+    path: &str,
+    token: Option<&str>,
+    wait: Duration,
+    out: &mut impl std::io::Write,
+) -> Result<Option<(u16, String)>, Box<dyn std::error::Error>> {
+    let path = match token {
+        Some(token) => format!("{path}&token={token}"),
+        None => path.to_string(),
+    };
+    let (status, body) = http_get(host, port, &path, wait)?;
+    if status == 401 || status == 403 {
+        writeln!(
+            out,
+            "{cmd}: server refused the admin endpoint ({status}) — pass --token TOKEN"
+        )?;
+        return Ok(None);
+    }
+    Ok(Some((status, body)))
 }
 
 /// One `GET /metrics` over a fresh connection; returns the parsed report.
 fn fetch_report(host: &str, port: u16) -> Result<Report, String> {
-    let (status, body) = http_get(host, port, "/metrics")?;
+    let (status, body) = http_get(host, port, "/metrics", FETCH_TIMEOUT)?;
     if status != 200 {
         return Err(format!("GET /metrics returned {status}"));
     }

@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use bikron_obs::parse_json;
 use bikron_obs::profile::{frame_totals, PROFILE_SCHEMA};
 
-use crate::monitor::{http_get, parse_host_port};
+use crate::monitor::{admin_get, AdminArgs, FETCH_TIMEOUT};
 
 /// Default number of frames rendered.
 pub const DEFAULT_TOP: usize = 20;
@@ -39,47 +39,13 @@ pub struct ProfileConfig {
 impl ProfileConfig {
     /// Parse `URL [--seconds N] [--top K] [--token TOKEN]`.
     pub fn parse(args: &[String]) -> Result<ProfileConfig, String> {
-        let mut url: Option<String> = None;
-        let mut seconds = 0u64;
-        let mut top = DEFAULT_TOP;
-        let mut token = None;
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--seconds" | "--top" | "--token" => {
-                    let v = args
-                        .get(i + 1)
-                        .ok_or_else(|| format!("profile: {} requires a value", args[i]))?;
-                    match args[i].as_str() {
-                        "--token" => token = Some(v.clone()),
-                        flag => {
-                            let n: u64 = v
-                                .parse()
-                                .map_err(|e| format!("profile: bad {flag} {v:?}: {e}"))?;
-                            if flag == "--seconds" {
-                                seconds = n;
-                            } else {
-                                top = n as usize;
-                            }
-                        }
-                    }
-                    i += 2;
-                }
-                other if url.is_none() && !other.starts_with("--") => {
-                    url = Some(other.to_string());
-                    i += 1;
-                }
-                other => return Err(format!("profile: unknown argument {other:?}")),
-            }
-        }
-        let url = url.ok_or("profile requires a server URL (e.g. http://127.0.0.1:7474)")?;
-        let (host, port) = parse_host_port(&url)?;
+        let a = AdminArgs::parse("profile", "--seconds", DEFAULT_TOP, args)?;
         Ok(ProfileConfig {
-            host,
-            port,
-            seconds,
-            top,
-            token,
+            host: a.host,
+            port: a.port,
+            seconds: a.value,
+            top: a.top,
+            token: a.token,
         })
     }
 }
@@ -203,19 +169,14 @@ pub fn run(
     config: &ProfileConfig,
     out: &mut impl std::io::Write,
 ) -> Result<bool, Box<dyn std::error::Error>> {
-    let mut path = format!("/v1/admin/profile?seconds={}", config.seconds);
-    if let Some(token) = &config.token {
-        path.push_str("&token=");
-        path.push_str(token);
-    }
-    let (status, body) = http_get(&config.host, config.port, &path)?;
-    if status == 401 || status == 403 {
-        writeln!(
-            out,
-            "profile: server refused the admin endpoint ({status}) — pass --token TOKEN"
-        )?;
+    let path = format!("/v1/admin/profile?seconds={}", config.seconds);
+    let token = config.token.as_deref();
+    let (host, port) = (&config.host, config.port);
+    // The server samples for the whole window before it answers.
+    let wait = FETCH_TIMEOUT + std::time::Duration::from_secs(config.seconds);
+    let Some((status, body)) = admin_get("profile", host, port, &path, token, wait, out)? else {
         return Ok(false);
-    }
+    };
     if status == 409 {
         writeln!(
             out,

@@ -13,7 +13,7 @@
 
 use bikron_obs::{parse_json, JsonValue};
 
-use crate::monitor::{fmt_ns, http_get, parse_host_port};
+use crate::monitor::{admin_get, fmt_ns, AdminArgs, FETCH_TIMEOUT};
 
 /// Default number of traces rendered.
 pub const DEFAULT_TOP: usize = 5;
@@ -38,47 +38,13 @@ pub struct TraceConfig {
 impl TraceConfig {
     /// Parse `URL [--min-ms N] [--top K] [--token TOKEN]`.
     pub fn parse(args: &[String]) -> Result<TraceConfig, String> {
-        let mut url: Option<String> = None;
-        let mut min_ms = 0u64;
-        let mut top = DEFAULT_TOP;
-        let mut token = None;
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--min-ms" | "--top" | "--token" => {
-                    let v = args
-                        .get(i + 1)
-                        .ok_or_else(|| format!("trace: {} requires a value", args[i]))?;
-                    match args[i].as_str() {
-                        "--token" => token = Some(v.clone()),
-                        flag => {
-                            let n: u64 = v
-                                .parse()
-                                .map_err(|e| format!("trace: bad {flag} {v:?}: {e}"))?;
-                            if flag == "--min-ms" {
-                                min_ms = n;
-                            } else {
-                                top = n as usize;
-                            }
-                        }
-                    }
-                    i += 2;
-                }
-                other if url.is_none() && !other.starts_with("--") => {
-                    url = Some(other.to_string());
-                    i += 1;
-                }
-                other => return Err(format!("trace: unknown argument {other:?}")),
-            }
-        }
-        let url = url.ok_or("trace requires a server URL (e.g. http://127.0.0.1:7474)")?;
-        let (host, port) = parse_host_port(&url)?;
+        let a = AdminArgs::parse("trace", "--min-ms", DEFAULT_TOP, args)?;
         Ok(TraceConfig {
-            host,
-            port,
-            min_ms,
-            top,
-            token,
+            host: a.host,
+            port: a.port,
+            min_ms: a.value,
+            top: a.top,
+            token: a.token,
         })
     }
 }
@@ -305,19 +271,13 @@ pub fn run(
     config: &TraceConfig,
     out: &mut impl std::io::Write,
 ) -> Result<bool, Box<dyn std::error::Error>> {
-    let mut path = format!("/v1/admin/traces?min_ms={}", config.min_ms);
-    if let Some(token) = &config.token {
-        path.push_str("&token=");
-        path.push_str(token);
-    }
-    let (status, body) = http_get(&config.host, config.port, &path)?;
-    if status == 401 || status == 403 {
-        writeln!(
-            out,
-            "trace: server refused the admin endpoint ({status}) — pass --token TOKEN"
-        )?;
+    let path = format!("/v1/admin/traces?min_ms={}", config.min_ms);
+    let token = config.token.as_deref();
+    let (host, port) = (&config.host, config.port);
+    let Some((status, body)) = admin_get("trace", host, port, &path, token, FETCH_TIMEOUT, out)?
+    else {
         return Ok(false);
-    }
+    };
     if status != 200 {
         return Err(format!("GET /v1/admin/traces returned {status}: {body}").into());
     }

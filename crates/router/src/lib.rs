@@ -26,6 +26,11 @@
 //! - **`/v1/health`** probes all shards; the cluster verdict is the
 //!   worst shard verdict, with a per-shard detail array.
 //!
+//! The router runs on the shard's own transport loop: [`RouterState`]
+//! implements [`bikron_serve::Handler`], so `bikron_serve::Server`
+//! serves it, and its upstreams use the shared
+//! [`bikron_serve::client`].
+//!
 //! Failure policy (DESIGN.md §13): one retry on a freshly opened
 //! connection, then a 503 scoped to the dead shard's key range — keys
 //! owned by live shards keep answering. `traceparent` is adopted from
@@ -33,11 +38,9 @@
 //! router→shard span parentage.
 
 pub mod aggregate;
-pub mod server;
 pub mod state;
 pub mod upstream;
 
 pub use aggregate::{shard_labelled_exposition, split_batch_items};
-pub use server::{RouterConfig, RouterServer};
 pub use state::{parse_shard_url, RouterMetrics, RouterOptions, RouterState, ShardHealth};
-pub use upstream::{Upstream, UpstreamResponse};
+pub use upstream::Upstream;

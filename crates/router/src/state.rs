@@ -6,9 +6,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bikron_obs::window::{WindowRegistry, WindowedCounter, WindowedHistogram};
-use bikron_obs::{Counter, Gauge, Histogram, JsonWriter, Registry, Report};
+use bikron_obs::{Counter, Gauge, Histogram, JsonWriter, Registry, Report, TraceContext};
 use bikron_serve::batch::{parse_batch, BatchQuery};
 use bikron_serve::http::{Request, Response};
+use bikron_serve::Handler;
 
 use crate::aggregate::{shard_labelled_exposition, split_batch_items};
 use crate::upstream::Upstream;
@@ -22,7 +23,7 @@ const CONNECT_RETRY_PAUSE: Duration = Duration::from_millis(250);
 
 /// Behavioural knobs for [`RouterState::connect`]. Transport-level
 /// knobs (bind address, pool size, queue) live in
-/// [`RouterConfig`](crate::RouterConfig).
+/// [`ServerConfig`](bikron_serve::ServerConfig).
 #[derive(Clone, Debug)]
 pub struct RouterOptions {
     /// Serve `/v1/stats` from the copy fetched at startup instead of
@@ -108,6 +109,7 @@ pub struct RouterMetrics {
     inflight: Arc<Gauge>,
     connections: Arc<Counter>,
     shed: Arc<Counter>,
+    timeouts: Arc<Counter>,
     status: Vec<(u16, Arc<Counter>)>,
 }
 
@@ -139,43 +141,11 @@ impl RouterMetrics {
             inflight: registry.gauge("router.inflight"),
             connections: registry.counter("router.connections"),
             shed: registry.counter("router.shed"),
+            timeouts: registry.counter("router.timeouts"),
             status,
             registry,
             windows,
         }
-    }
-
-    /// Record one completed client-facing request.
-    pub fn record(&self, status: u16, bytes: u64, ns: u64) {
-        self.requests.inc();
-        self.bytes_out.add(bytes);
-        self.request_ns.record(ns);
-        if status >= 500 {
-            self.errors.inc();
-        }
-        if let Some((_, c)) = self.status.iter().find(|(s, _)| *s == status) {
-            c.inc();
-        } else {
-            self.registry
-                .counter(&format!("router.status.{status}"))
-                .inc();
-        }
-    }
-
-    /// Record a connection shed with 503 at the accept gate.
-    pub fn record_shed(&self, bytes: u64) {
-        self.shed.inc();
-        self.record(503, bytes, 0);
-    }
-
-    /// Count an accepted connection.
-    pub fn connection_opened(&self) {
-        self.connections.inc();
-    }
-
-    /// The in-flight request gauge (peak = observed concurrency).
-    pub fn inflight(&self) -> &Gauge {
-        &self.inflight
     }
 
     /// One upstream round-trip to `shard` took `ns`.
@@ -325,11 +295,6 @@ impl RouterState {
     /// The router's own metric handles.
     pub fn metrics(&self) -> &RouterMetrics {
         &self.metrics
-    }
-
-    /// Whether shutdown has been requested (signal or programmatic).
-    pub fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst) || bikron_serve::signal::ctrl_c_received()
     }
 
     /// Request shutdown programmatically (tests, orderly teardown).
@@ -509,38 +474,22 @@ impl RouterState {
         // Scatter: one thread per involved shard, each over that
         // shard's pooled keep-alive connections.
         let mut items: Vec<Option<String>> = vec![None; queries.len()];
-        let results: Vec<(usize, Result<Vec<String>, String>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = involved
-                .iter()
-                .map(|&shard| {
-                    let sub_body = groups[shard].1.as_str();
-                    let expect = groups[shard].0.len();
-                    scope.spawn(move || {
-                        let started = Instant::now();
-                        let result = self.shards[shard].request(
-                            "POST",
-                            "/v1/batch",
-                            Some(sub_body),
-                            traceparent,
-                        );
-                        self.metrics
-                            .record_upstream(shard, started.elapsed().as_nanos() as u64);
-                        let outcome = match result {
-                            Ok(up) if up.status == 200 => match split_batch_items(&up.body) {
-                                Some(parts) if parts.len() == expect => Ok(parts),
-                                _ => Err("malformed upstream batch body".to_string()),
-                            },
-                            Ok(up) => Err(format!("upstream answered {}", up.status)),
-                            Err(e) => Err(e.to_string()),
-                        };
-                        (shard, outcome)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("batch fan-out thread"))
-                .collect()
+        let results = scatter(&involved, |&shard| {
+            let (slots, sub_body) = &groups[shard];
+            let started = Instant::now();
+            let result =
+                self.shards[shard].request("POST", "/v1/batch", Some(sub_body), traceparent);
+            self.metrics
+                .record_upstream(shard, started.elapsed().as_nanos() as u64);
+            let outcome = match result {
+                Ok(up) if up.status == 200 => match split_batch_items(&up.body) {
+                    Some(parts) if parts.len() == slots.len() => Ok(parts),
+                    _ => Err("malformed upstream batch body".to_string()),
+                },
+                Ok(up) => Err(format!("upstream answered {}", up.status)),
+                Err(e) => Err(e.to_string()),
+            };
+            (shard, outcome)
         });
 
         // Gather: place each shard's items back at their original line
@@ -579,37 +528,12 @@ impl RouterState {
         Response::json(200, out)
     }
 
-    /// Probe every shard's `/v1/health` concurrently.
-    fn probe_health(&self, traceparent: Option<&str>) -> Vec<ShardHealth> {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| {
-                    scope.spawn(move || {
-                        match shard.request("GET", "/v1/health", None, traceparent) {
-                            Ok(up) => match json_string_field(&up.body, "status").as_deref() {
-                                Some("ok") => ShardHealth::Ok,
-                                _ => ShardHealth::Degraded,
-                            },
-                            Err(_) => ShardHealth::Down,
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("health probe thread"))
-                .collect()
-        })
-    }
-
     /// `GET /v1/health`: cluster verdict = worst shard verdict, with a
     /// per-shard detail array naming each shard's address, owned key
     /// range, and verdict — a dead shard is identified, not averaged
     /// away.
     fn health_response(&self, traceparent: Option<&str>) -> Response {
-        let verdicts = self.probe_health(traceparent);
+        let verdicts = scatter(&self.shards, |shard| shard_health(shard, traceparent));
         for (gauge, verdict) in self.metrics.shard_health.iter().zip(&verdicts) {
             gauge.set(verdict.as_gauge());
         }
@@ -646,31 +570,12 @@ impl RouterState {
     /// Prometheus exposition. One scrape reads the whole cluster.
     fn metrics_response(&self, req: &Request, traceparent: Option<&str>) -> Response {
         // Scrape every shard's JSON report and health concurrently.
-        let scrapes: Vec<(Option<Report>, ShardHealth)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| {
-                    scope.spawn(move || {
-                        let report = match shard.request("GET", "/metrics", None, traceparent) {
-                            Ok(up) if up.status == 200 => Report::from_json(&up.body).ok(),
-                            _ => None,
-                        };
-                        let health = match shard.request("GET", "/v1/health", None, traceparent) {
-                            Ok(up) => match json_string_field(&up.body, "status").as_deref() {
-                                Some("ok") => ShardHealth::Ok,
-                                _ => ShardHealth::Degraded,
-                            },
-                            Err(_) => ShardHealth::Down,
-                        };
-                        (report, health)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("metrics scrape thread"))
-                .collect()
+        let scrapes = scatter(&self.shards, |shard| {
+            let report = match shard.request("GET", "/metrics", None, traceparent) {
+                Ok(up) if up.status == 200 => Report::from_json(&up.body).ok(),
+                _ => None,
+            };
+            (report, shard_health(shard, traceparent))
         });
         for ((gauge, (_, health)), _) in self.metrics.shard_health.iter().zip(&scrapes).zip(0..) {
             gauge.set(health.as_gauge());
@@ -723,6 +628,74 @@ impl RouterState {
                 &format!("unknown metrics format {other:?} (json|prometheus)"),
             ),
         }
+    }
+}
+
+impl Handler for RouterState {
+    /// Route under the request's own context: its rendered
+    /// `traceparent` travels upstream so shard spans join the trace.
+    fn respond(&self, req: &Request, ctx: &TraceContext) -> Response {
+        self.handle(req, Some(&ctx.to_traceparent()))
+    }
+
+    fn shutdown_requested(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst) || bikron_serve::signal::ctrl_c_received()
+    }
+
+    /// A 408 is the transport's request deadline firing, so it also
+    /// counts a timeout.
+    fn record(&self, status: u16, bytes: u64, ns: u64) {
+        let m = &self.metrics;
+        m.requests.inc();
+        m.bytes_out.add(bytes);
+        m.request_ns.record(ns);
+        if status >= 500 {
+            m.errors.inc();
+        }
+        if status == 408 {
+            m.timeouts.inc();
+        }
+        if let Some((_, c)) = m.status.iter().find(|(s, _)| *s == status) {
+            c.inc();
+        } else {
+            m.registry.counter(&format!("router.status.{status}")).inc();
+        }
+    }
+
+    fn record_shed(&self, bytes: u64) {
+        self.metrics.shed.inc();
+        self.record(503, bytes, 0);
+    }
+
+    fn connection_opened(&self) {
+        self.metrics.connections.inc();
+    }
+
+    fn inflight(&self) -> &Gauge {
+        &self.metrics.inflight
+    }
+}
+
+/// Run `f` on every item concurrently, one scoped thread each; results
+/// come back in item order.
+fn scatter<I: Sync, T: Send>(items: &[I], f: impl Fn(&I) -> T + Sync) -> Vec<T> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items.iter().map(|i| scope.spawn(|| f(i))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("fan-out thread"))
+            .collect()
+    })
+}
+
+/// One shard's `/v1/health` verdict.
+fn shard_health(shard: &Upstream, traceparent: Option<&str>) -> ShardHealth {
+    match shard.request("GET", "/v1/health", None, traceparent) {
+        Ok(up) => match json_string_field(&up.body, "status").as_deref() {
+            Some("ok") => ShardHealth::Ok,
+            _ => ShardHealth::Degraded,
+        },
+        Err(_) => ShardHealth::Down,
     }
 }
 

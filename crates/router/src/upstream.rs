@@ -1,56 +1,25 @@
-//! Pooled keep-alive HTTP/1.1 client for one shard.
+//! One shard's upstream: its address plus a small pool of idle
+//! keep-alive connections around the shared [`bikron_serve::client`].
 //!
-//! The router keeps a small pool of idle connections per shard and
-//! reuses them across requests, so steady-state fan-out costs zero
-//! connection setups. Failure policy (DESIGN.md §13): one attempt on a
-//! (possibly pooled, possibly stale) connection, then exactly **one
-//! retry against a freshly re-opened connection** — a pooled socket the
-//! shard closed behind our back must not surface as an outage, but a
-//! genuinely dead shard must fail fast so the router can scope a 503 to
-//! that shard's key range. All served queries are pure reads, so the
-//! retry is safe for `POST /v1/batch` too.
+//! Reusing pooled connections makes steady-state fan-out cost zero
+//! connection setups. The client's retry policy (DESIGN.md §13) makes a
+//! pooled socket the shard closed behind our back cost one fresh dial,
+//! not an outage, while a genuinely dead shard fails fast so the router
+//! can scope a 503 to that shard's key range.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Mutex;
 use std::time::Duration;
+
+use bikron_serve::client::{Client, ClientError, Conn, Response};
 
 /// Idle connections pooled per shard; more concurrent checkouts than
 /// this simply dial extra sockets that are dropped on check-in.
 const POOL_CAP: usize = 16;
 
-/// Bound on an upstream response head line (status or header).
-const MAX_HEAD_LINE: usize = 8192;
-
-/// Bound on an upstream response body. Far above anything a shard emits
-/// (the largest bodies are `/metrics` JSON and full batch arrays); the
-/// cap exists so a corrupt `Content-Length` cannot make the router
-/// allocate unboundedly.
-const MAX_RESPONSE_BODY: usize = 64 << 20;
-
-/// One upstream response: status, content type, and the body verbatim —
-/// the router relays these bytes untouched.
-#[derive(Debug, Clone)]
-pub struct UpstreamResponse {
-    /// HTTP status code.
-    pub status: u16,
-    /// `Content-Type` header value (defaults to `application/json`).
-    pub content_type: String,
-    /// Response body, exactly as the shard sent it.
-    pub body: String,
-}
-
-/// A pooled connection: buffered reads, writes through the same socket.
-struct Conn {
-    reader: BufReader<TcpStream>,
-}
-
-/// One shard's address plus its connection pool.
+/// One shard's client plus its connection pool.
 pub struct Upstream {
-    addr: String,
+    client: Client,
     pool: Mutex<Vec<Conn>>,
-    connect_timeout: Duration,
-    io_timeout: Duration,
 }
 
 impl Upstream {
@@ -58,283 +27,35 @@ impl Upstream {
     /// the first request.
     pub fn new(addr: String, connect_timeout: Duration, io_timeout: Duration) -> Upstream {
         Upstream {
-            addr,
+            client: Client::new(addr, connect_timeout, io_timeout),
             pool: Mutex::new(Vec::new()),
-            connect_timeout,
-            io_timeout,
         }
     }
 
     /// The shard's `host:port`.
     pub fn addr(&self) -> &str {
-        &self.addr
+        self.client.addr()
     }
 
-    /// Open a fresh connection.
-    fn dial(&self) -> io::Result<Conn> {
-        let sock = self.addr.to_socket_addrs()?.next().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::NotFound, "address resolves to nothing")
-        })?;
-        let stream = TcpStream::connect_timeout(&sock, self.connect_timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(self.io_timeout))?;
-        stream.set_write_timeout(Some(self.io_timeout))?;
-        Ok(Conn {
-            reader: BufReader::new(stream),
-        })
-    }
-
-    /// Issue one request, reusing a pooled connection when available,
-    /// with the one-retry-on-fresh-connection policy described above.
+    /// Issue one request on a pooled connection when one is idle; the
+    /// connection returns to the pool unless the shard asked to close.
     pub fn request(
         &self,
         method: &str,
         target: &str,
         body: Option<&str>,
         traceparent: Option<&str>,
-    ) -> io::Result<UpstreamResponse> {
-        let first = match self.pool.lock().unwrap().pop() {
-            Some(conn) => Ok(conn),
-            None => self.dial(),
-        };
-        match first.and_then(|conn| self.round_trip(conn, method, target, body, traceparent)) {
-            Ok(resp) => Ok(resp),
-            Err(_) => {
-                let conn = self.dial()?;
-                self.round_trip(conn, method, target, body, traceparent)
-            }
-        }
-    }
-
-    /// Write one request and read its response; on success the
-    /// connection returns to the pool (unless the shard asked to close).
-    fn round_trip(
-        &self,
-        mut conn: Conn,
-        method: &str,
-        target: &str,
-        body: Option<&str>,
-        traceparent: Option<&str>,
-    ) -> io::Result<UpstreamResponse> {
-        let mut head = format!("{method} {target} HTTP/1.1\r\nHost: {}\r\n", self.addr);
-        if let Some(tp) = traceparent {
-            head.push_str("traceparent: ");
-            head.push_str(tp);
-            head.push_str("\r\n");
-        }
-        if let Some(b) = body {
-            head.push_str(&format!("Content-Length: {}\r\n", b.len()));
-        }
-        head.push_str("\r\n");
-        {
-            let mut w = conn.reader.get_ref();
-            w.write_all(head.as_bytes())?;
-            if let Some(b) = body {
-                w.write_all(b.as_bytes())?;
-            }
-            w.flush()?;
-        }
-
-        let status_line = read_head_line(&mut conn.reader)?;
-        let status = parse_status_line(&status_line)?;
-        let mut content_length: Option<usize> = None;
-        let mut content_type = "application/json".to_string();
-        let mut close = false;
-        loop {
-            let line = read_head_line(&mut conn.reader)?;
-            if line.is_empty() {
-                break;
-            }
-            let Some((name, value)) = line.split_once(':') else {
-                return Err(bad_response("malformed header line"));
-            };
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim();
-            match name.as_str() {
-                "content-length" => {
-                    let len: usize = value.parse().map_err(|_| bad_response("bad length"))?;
-                    if len > MAX_RESPONSE_BODY {
-                        return Err(bad_response("response body exceeds bound"));
-                    }
-                    content_length = Some(len);
-                }
-                "content-type" => content_type = value.to_string(),
-                "connection" => close = value.eq_ignore_ascii_case("close"),
-                _ => {}
-            }
-        }
-        let len = content_length.ok_or_else(|| bad_response("missing content-length"))?;
-        let mut buf = vec![0u8; len];
-        conn.reader.read_exact(&mut buf)?;
-        let body =
-            String::from_utf8(buf).map_err(|_| bad_response("response body is not UTF-8"))?;
-        if !close {
-            let mut pool = self.pool.lock().unwrap();
+    ) -> Result<Response, ClientError> {
+        let pooled = self.pool.lock().expect("pool lock poisoned").pop();
+        let (resp, conn) = self
+            .client
+            .request(pooled, method, target, body, traceparent)?;
+        if let Some(conn) = conn {
+            let mut pool = self.pool.lock().expect("pool lock poisoned");
             if pool.len() < POOL_CAP {
                 pool.push(conn);
             }
         }
-        Ok(UpstreamResponse {
-            status,
-            content_type,
-            body,
-        })
-    }
-}
-
-fn bad_response(detail: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, detail.to_string())
-}
-
-/// Read one CRLF-terminated head line, bounded; EOF mid-head is an
-/// error (the connection was torn down or reused after a server close).
-fn read_head_line(r: &mut BufReader<TcpStream>) -> io::Result<String> {
-    let mut buf: Vec<u8> = Vec::with_capacity(64);
-    loop {
-        let chunk = r.fill_buf()?;
-        if chunk.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-response",
-            ));
-        }
-        let nl = chunk.iter().position(|&b| b == b'\n');
-        let take = nl.map_or(chunk.len(), |i| i + 1);
-        if buf.len() + take > MAX_HEAD_LINE + 2 {
-            return Err(bad_response("response head line exceeds bound"));
-        }
-        buf.extend_from_slice(&chunk[..take]);
-        r.consume(take);
-        if nl.is_some() {
-            break;
-        }
-    }
-    while matches!(buf.last(), Some(b'\n') | Some(b'\r')) {
-        buf.pop();
-    }
-    String::from_utf8(buf).map_err(|_| bad_response("response head is not UTF-8"))
-}
-
-fn parse_status_line(line: &str) -> io::Result<u16> {
-    let mut parts = line.split_whitespace();
-    match parts.next() {
-        Some(v) if v.starts_with("HTTP/1.") => {}
-        _ => return Err(bad_response("not an HTTP/1.x status line")),
-    }
-    parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad_response("missing status code"))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::net::TcpListener;
-
-    /// A one-connection fake shard: answers every request on one
-    /// keep-alive socket with canned bodies, counting requests.
-    fn fake_shard(responses: Vec<String>) -> (String, std::thread::JoinHandle<usize>) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let handle = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut served = 0usize;
-            for body in responses {
-                // Drain one request head (ignore any body: GETs only).
-                let mut line = String::new();
-                loop {
-                    line.clear();
-                    if reader.read_line(&mut line).unwrap() == 0 {
-                        return served;
-                    }
-                    if line == "\r\n" || line == "\n" {
-                        break;
-                    }
-                }
-                let mut w = stream.try_clone().unwrap();
-                write!(
-                    w,
-                    "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n{}",
-                    body.len(),
-                    body
-                )
-                .unwrap();
-                w.flush().unwrap();
-                served += 1;
-            }
-            served
-        });
-        (addr, handle)
-    }
-
-    #[test]
-    fn reuses_pooled_connection() {
-        let (addr, handle) = fake_shard(vec!["{\"a\":1}".into(), "{\"a\":2}".into()]);
-        let up = Upstream::new(addr, Duration::from_secs(1), Duration::from_secs(1));
-        let r1 = up.request("GET", "/x", None, None).unwrap();
-        assert_eq!(r1.status, 200);
-        assert_eq!(r1.body, "{\"a\":1}");
-        let r2 = up.request("GET", "/x", None, None).unwrap();
-        assert_eq!(r2.body, "{\"a\":2}");
-        drop(up);
-        // Both requests travelled over the single accepted connection.
-        assert_eq!(handle.join().unwrap(), 2);
-    }
-
-    #[test]
-    fn retries_once_on_stale_pooled_connection() {
-        // First server serves one request then EOFs the socket; the
-        // pooled (now dead) connection must be retried on a fresh dial
-        // against the second accept.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let handle = std::thread::spawn(move || {
-            for body in ["first", "second"] {
-                let (stream, _) = listener.accept().unwrap();
-                let mut reader = BufReader::new(stream.try_clone().unwrap());
-                let mut line = String::new();
-                loop {
-                    line.clear();
-                    if reader.read_line(&mut line).unwrap() == 0 {
-                        break;
-                    }
-                    if line == "\r\n" || line == "\n" {
-                        break;
-                    }
-                }
-                let mut w = stream.try_clone().unwrap();
-                write!(
-                    w,
-                    "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n{}",
-                    body.len(),
-                    body
-                )
-                .unwrap();
-                w.flush().unwrap();
-                // Dropping `stream` here closes the connection: the
-                // pooled socket is stale by the next request.
-            }
-        });
-        let up = Upstream::new(addr, Duration::from_secs(1), Duration::from_secs(1));
-        assert_eq!(up.request("GET", "/a", None, None).unwrap().body, "first");
-        assert_eq!(up.request("GET", "/b", None, None).unwrap().body, "second");
-        handle.join().unwrap();
-    }
-
-    #[test]
-    fn dead_upstream_is_an_error() {
-        // Bind then drop to find a port with nothing listening.
-        let port = {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap().port()
-        };
-        let up = Upstream::new(
-            format!("127.0.0.1:{port}"),
-            Duration::from_millis(200),
-            Duration::from_millis(200),
-        );
-        assert!(up.request("GET", "/x", None, None).is_err());
+        Ok(resp)
     }
 }

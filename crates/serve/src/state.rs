@@ -35,11 +35,12 @@ use bikron_obs::span::DEFAULT_TRACE_CAPACITY;
 use bikron_obs::window::{WindowedCounter, WindowedHistogram};
 use bikron_obs::{
     Counter, EventLogger, Gauge, Histogram, JsonWriter, LogEvent, SpanRecorder, SpanSink,
-    SpanToken, WindowRegistry, WindowSnapshot,
+    SpanToken, TraceContext, WindowRegistry, WindowSnapshot,
 };
 
 use crate::cache::{CacheKey, ShardedCache};
 use crate::http::{Request, Response};
+use crate::pool::Handler;
 
 /// Default page size for `/v1/neighbors` and `/v1/edges`.
 pub const DEFAULT_LIMIT: usize = 100;
@@ -152,6 +153,7 @@ pub struct ServeMetrics {
     inflight: Arc<Gauge>,
     connections: Arc<Counter>,
     shed: Arc<Counter>,
+    timeouts: Arc<Counter>,
     batch_size: Arc<Histogram>,
     batch_items: Arc<Counter>,
     /// `(code, counter)` for every status the server can emit.
@@ -176,6 +178,7 @@ impl ServeMetrics {
             inflight: obs.gauge("serve.inflight"),
             connections: obs.counter("serve.connections"),
             shed: obs.counter("serve.shed"),
+            timeouts: obs.counter("serve.timeouts"),
             batch_size: obs.histogram("serve.batch_size"),
             batch_items: obs.counter("serve.batch.items"),
             status,
@@ -189,11 +192,15 @@ impl ServeMetrics {
         self.batch_items.add(items);
     }
 
-    /// Record one completed request.
+    /// Record one completed request. A 408 is the transport's
+    /// whole-request deadline firing, so it also counts a timeout.
     pub fn record(&self, status: u16, bytes: u64, ns: u64) {
         self.requests.inc();
         if status >= 500 {
             self.errors_5xx.inc();
+        }
+        if status == 408 {
+            self.timeouts.inc();
         }
         self.bytes_out.add(bytes);
         self.request_ns.record(ns);
@@ -224,22 +231,6 @@ impl ServeMetrics {
     /// Windowed request-latency distribution (1m/5m).
     pub fn latency_window(&self) -> WindowSnapshot {
         self.request_ns.snapshot()
-    }
-
-    /// Record a connection shed with 503 at the accept gate.
-    pub fn record_shed(&self, bytes: u64) {
-        self.shed.inc();
-        self.record(503, bytes, 0);
-    }
-
-    /// Count an accepted connection.
-    pub fn connection_opened(&self) {
-        self.connections.inc();
-    }
-
-    /// The in-flight request gauge (peak = observed concurrency).
-    pub fn inflight(&self) -> &Gauge {
-        &self.inflight
     }
 }
 
@@ -685,11 +676,6 @@ impl ServeState {
     /// The result cache, if enabled (`cache_entries > 0`).
     pub fn cache(&self) -> Option<&ShardedCache> {
         self.cache.as_ref()
-    }
-
-    /// The span sink capturing slow/sampled request traces.
-    pub fn spans(&self) -> &SpanSink {
-        &self.spans
     }
 
     /// The configured per-batch query cap.
@@ -1485,45 +1471,6 @@ impl ServeState {
         profile_response(req)
     }
 
-    /// Emit one access-log event for a completed request (no-op without
-    /// `--access-log`). `cache` is the thread-local outcome captured by
-    /// the connection loop; `trace_id` is the request's 32-hex-char
-    /// trace id (always present on the serving path, `None` only from
-    /// contexts with no trace identity), making every access line
-    /// joinable against captured span trees and upstream traces.
-    #[allow(clippy::too_many_arguments)]
-    pub fn log_access(
-        &self,
-        method: &str,
-        path_shape: &str,
-        status: u16,
-        latency_ns: u64,
-        bytes: u64,
-        cache: Option<bool>,
-        trace_id: Option<&str>,
-    ) {
-        let Some(logger) = &self.logger else {
-            return;
-        };
-        logger.publish(
-            LogEvent::new("access")
-                .field("method", method)
-                .field("path", path_shape)
-                .field("status", status as u64)
-                .field("latency_ns", latency_ns)
-                .field("bytes", bytes)
-                .field(
-                    "cache",
-                    match cache {
-                        Some(true) => "hit",
-                        Some(false) => "miss",
-                        None => "-",
-                    },
-                )
-                .field("trace_id", trace_id.unwrap_or("-")),
-        );
-    }
-
     /// Block until all published access-log events are on disk (tests
     /// and orderly shutdown).
     pub fn flush_logs(&self) {
@@ -1834,6 +1781,74 @@ pub fn profile_response(req: &Request) -> Response {
         Some(other) => {
             Response::error(400, &format!("unknown profile format {other:?} (json|folded)"))
         }
+    }
+}
+
+/// The shard side of the transport loop: span trees, access log and
+/// cache outcomes are serve-only bookkeeping.
+impl Handler for ServeState {
+    fn respond(&self, req: &Request, _ctx: &TraceContext) -> Response {
+        self.handle(req)
+    }
+
+    fn shutdown_requested(&self) -> bool {
+        ServeState::shutdown_requested(self)
+    }
+
+    fn spans(&self) -> Option<&SpanSink> {
+        Some(&self.spans)
+    }
+
+    /// One access-log event per request (no-op without `--access-log`).
+    /// The trace id makes every access line joinable against captured
+    /// span trees and upstream traces.
+    fn log_access(
+        &self,
+        method: &str,
+        path_shape: &str,
+        status: u16,
+        latency_ns: u64,
+        bytes: u64,
+        cache: Option<bool>,
+        trace_id: Option<&str>,
+    ) {
+        let Some(logger) = &self.logger else {
+            return;
+        };
+        logger.publish(
+            LogEvent::new("access")
+                .field("method", method)
+                .field("path", path_shape)
+                .field("status", status as u64)
+                .field("latency_ns", latency_ns)
+                .field("bytes", bytes)
+                .field(
+                    "cache",
+                    match cache {
+                        Some(true) => "hit",
+                        Some(false) => "miss",
+                        None => "-",
+                    },
+                )
+                .field("trace_id", trace_id.unwrap_or("-")),
+        );
+    }
+
+    fn record(&self, status: u16, bytes: u64, ns: u64) {
+        self.metrics.record(status, bytes, ns);
+    }
+
+    fn record_shed(&self, bytes: u64) {
+        self.metrics.shed.inc();
+        self.metrics.record(503, bytes, 0);
+    }
+
+    fn connection_opened(&self) {
+        self.metrics.connections.inc();
+    }
+
+    fn inflight(&self) -> &Gauge {
+        &self.metrics.inflight
     }
 }
 

@@ -23,9 +23,10 @@ use std::time::Duration;
 
 use bikron_core::SelfLoopMode;
 use bikron_generators::{complete_bipartite, cycle};
-use bikron_router::{RouterConfig, RouterOptions, RouterServer, RouterState};
+use bikron_router::{RouterOptions, RouterState};
 use bikron_serve::http::parse_request;
 use bikron_serve::pool::{Server, ServerConfig};
+use bikron_serve::pool::{Server as RouterServer, ServerConfig as RouterConfig};
 use bikron_serve::{ServeOptions, ServeState};
 
 const N: usize = 25; // cycle(5) ⊗ K_{2,3}
