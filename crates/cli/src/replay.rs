@@ -27,7 +27,7 @@
 use std::io::Write;
 use std::time::{Duration, Instant};
 
-use bikron_serve::client::Client;
+use bikron_serve::client::{json_u64_field_last, Client};
 
 use crate::monitor::{http_get, parse_host_port, FETCH_TIMEOUT};
 
@@ -164,7 +164,7 @@ pub fn parse_access_log(text: &str) -> (Vec<AccessLine>, u64) {
         let is_access = json_str_field(raw, "target") == Some("access");
         let method = json_str_field(raw, "method");
         let path = json_str_field(raw, "path");
-        let ts_ms = json_u64_field(raw, "ts_ms");
+        let ts_ms = json_u64_field_last(raw, "ts_ms");
         match (is_access, method, path, ts_ms) {
             (true, Some("GET"), Some(p), Some(ts))
                 if !p.starts_with("/v1/shutdown") && !p.starts_with("/v1/admin") =>
@@ -187,17 +187,6 @@ fn json_str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let start = line.find(&needle)? + needle.len();
     let end = line[start..].find('"')? + start;
     Some(&line[start..end])
-}
-
-/// Extract a numeric field from one flat JSON log line.
-fn json_u64_field(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\": ");
-    let start = line.find(&needle)? + needle.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
 }
 
 /// xorshift64* — deterministic `{n}` sampling, seeded per run.
@@ -337,13 +326,13 @@ pub fn run(cfg: &ReplayConfig, out: &mut dyn Write) -> Result<bool, Box<dyn std:
         return Ok(true);
     }
 
-    // The target's vertex count bounds the `{n}` samples.
+    // The target's product vertex count bounds the `{n}` samples.
     let (status, stats) = http_get(&cfg.host, cfg.port, "/v1/stats", FETCH_TIMEOUT)
         .map_err(|e| format!("replay: GET /v1/stats: {e}"))?;
     if status != 200 {
         return Err(format!("replay: GET /v1/stats returned {status}").into());
     }
-    let n = json_u64_field(&stats, "vertices")
+    let n = json_u64_field_last(&stats, "vertices")
         .ok_or("replay: /v1/stats did not report a vertex count")?;
 
     let mut rng = Rng(cfg.seed);

@@ -34,8 +34,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use bikron_graph::Graph;
-use bikron_sparse::semiring::Times;
-use bikron_sparse::{ewise_add, kron, Csr, Ix, SparseError};
+use bikron_sparse::{Ix, SparseError};
 
 use crate::product::SelfLoopMode;
 use crate::truth::clustering::{factor_gamma, psi};
@@ -637,24 +636,20 @@ impl KronChain {
         u64::try_from(eight / 8).map_err(|_| ChainError::TooLarge)
     }
 
-    /// Materialise the product as a [`Graph`] by folding [`kron()`] over the
-    /// per-level effective adjacencies. Memory `O(nnz(C))` — validation
+    /// Materialise the product as a [`Graph`] by folding [`Graph::kron`]
+    /// over the per-level graphs (`+ I` levels via
+    /// [`Graph::with_full_self_loops`]). Memory `O(nnz(C))` — validation
     /// only, like [`KroneckerProduct::materialize`].
     pub fn materialize(&self) -> Graph {
-        let eff = |i: usize| -> Csr<u64> {
+        let level = |i: usize| -> Graph {
             let g = self.level_graph(i);
             if self.levels[i].plus_identity {
-                let eye = Csr::diagonal(g.num_vertices(), 1u64);
-                ewise_add(g.adjacency(), &eye, |x, y| x + y, |&v| v == 0).expect("same shape")
+                g.with_full_self_loops()
             } else {
-                g.adjacency().clone()
+                g.clone()
             }
         };
-        let mut acc = eff(0);
-        for i in 1..self.levels.len() {
-            acc = kron(&Times, &acc, &eff(i)).expect("factor shapes are compatible");
-        }
-        Graph::from_adjacency(acc).expect("kron of symmetric factors is symmetric")
+        (1..self.levels.len()).fold(level(0), |acc, i| acc.kron(&level(i)))
     }
 }
 

@@ -14,8 +14,7 @@
 //! [`crate::KroneckerProduct`] with a mixed factor pair instead.
 
 use bikron_graph::Graph;
-use bikron_sparse::semiring::Times;
-use bikron_sparse::{kron, Csr, SparseResult};
+use bikron_sparse::SparseResult;
 
 use crate::truth::walks::FactorStats;
 
@@ -75,14 +74,10 @@ impl KroneckerPower {
         Ok(acc)
     }
 
-    /// Materialise the adjacency (exponential in `k`; validation only).
-    pub fn materialize(&self) -> SparseResult<Graph> {
-        let a = self.seed.adjacency();
-        let mut acc: Csr<u64> = a.clone();
-        for _ in 1..self.k {
-            acc = kron(&Times, &acc, a)?;
-        }
-        Ok(Graph::from_adjacency(acc).expect("kron preserves symmetry"))
+    /// Materialise the adjacency by folding [`Graph::kron`] (exponential
+    /// in `k`; validation only).
+    pub fn materialize(&self) -> Graph {
+        (1..self.k).fold(self.seed.clone(), |acc, _| acc.kron(&self.seed))
     }
 }
 
@@ -97,7 +92,7 @@ mod tests {
         let p = KroneckerPower::new(path(3), 3).unwrap();
         assert_eq!(p.num_vertices(), 27);
         let stats = p.stats().unwrap();
-        let g = p.materialize().unwrap();
+        let g = p.materialize();
         assert_eq!(g.num_vertices(), 27);
         assert_eq!(g.num_edges() as u64, p.num_edges());
         let direct = butterflies_per_vertex(&g);
@@ -111,7 +106,7 @@ mod tests {
     fn square_of_odd_cycle() {
         let p = KroneckerPower::new(cycle(5), 2).unwrap();
         let stats = p.stats().unwrap();
-        let g = p.materialize().unwrap();
+        let g = p.materialize();
         assert_eq!(stats.global_squares() as u64, butterflies_global(&g));
         // C5 ⊗ C5 is 4-regular: degrees compose.
         assert!(stats.degrees.iter().all(|&d| d == 4));
@@ -123,7 +118,7 @@ mod tests {
         let stats = p.stats().unwrap();
         let direct = FactorStats::compute(&path(4)).unwrap();
         assert_eq!(stats.squares, direct.squares);
-        assert_eq!(p.materialize().unwrap(), path(4));
+        assert_eq!(p.materialize(), path(4));
     }
 
     #[test]

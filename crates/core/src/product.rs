@@ -17,8 +17,7 @@
 use std::fmt;
 
 use bikron_graph::Graph;
-use bikron_sparse::semiring::Times;
-use bikron_sparse::{ewise_add, kron, Csr, Ix};
+use bikron_sparse::{Csr, Ix};
 
 use crate::index::KronIndexer;
 
@@ -299,20 +298,19 @@ impl<'a> KroneckerProduct<'a> {
     pub fn effective_a(&self) -> Csr<u64> {
         match self.mode {
             SelfLoopMode::None => self.a.adjacency().clone(),
-            SelfLoopMode::FactorA => {
-                let eye = Csr::diagonal(self.a.num_vertices(), 1u64);
-                ewise_add(self.a.adjacency(), &eye, |x, y| x + y, |&v| v == 0).expect("same shape")
-            }
+            SelfLoopMode::FactorA => self.a.with_full_self_loops().adjacency().clone(),
         }
     }
 
-    /// Materialise `C` as a [`Graph`]. Memory: `O(nnz(C))` — intended for
-    /// validation at moderate scale, not for the massive-graph use case.
+    /// Materialise `C` as a [`Graph`] via [`Graph::kron`]. Memory:
+    /// `O(nnz(C))` — intended for validation at moderate scale, not for the
+    /// massive-graph use case.
     pub fn materialize(&self) -> Graph {
         let _phase = bikron_obs::global().phase("product.materialize");
-        let ea = self.effective_a();
-        let c = kron(&Times, &ea, self.b.adjacency()).expect("factor shapes are compatible");
-        Graph::from_adjacency(c).expect("kron of symmetric factors is symmetric")
+        match self.mode {
+            SelfLoopMode::None => self.a.kron(self.b),
+            SelfLoopMode::FactorA => self.a.with_full_self_loops().kron(self.b),
+        }
     }
 }
 

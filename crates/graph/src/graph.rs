@@ -12,6 +12,7 @@
 
 use std::fmt;
 
+use bikron_sparse::semiring::Times;
 use bikron_sparse::{Coo, Csr, Ix};
 
 /// Errors for graph construction and accessors.
@@ -94,8 +95,11 @@ impl Graph {
         Ok(Self::from_adjacency_unchecked(adj))
     }
 
-    /// Wrap an existing symmetric binary adjacency matrix.
-    pub fn from_adjacency(adj: Csr<u64>) -> Result<Self, GraphError> {
+    /// Wrap an existing adjacency matrix, checking that it is square and
+    /// pattern-symmetric; stored values are normalised to 1 in place. This
+    /// is the checked entry point for untrusted input, such as a decoded
+    /// snapshot.
+    pub fn from_adjacency(mut adj: Csr<u64>) -> Result<Self, GraphError> {
         if adj.nrows() != adj.ncols() {
             return Err(GraphError::NotSquare {
                 nrows: adj.nrows(),
@@ -105,9 +109,34 @@ impl Graph {
         if !adj.is_pattern_symmetric() {
             return Err(GraphError::NotSymmetric);
         }
-        // Normalise values to 1 (binary adjacency).
-        let adj = adj.map(|_| 1u64);
+        adj.values_mut().fill(1);
         Ok(Self::from_adjacency_unchecked(adj))
+    }
+
+    /// The Kronecker product `self ⊗ other` as a graph, built without
+    /// re-validation: the product of two symmetric binary matrices is
+    /// symmetric and binary, and its diagonal entry `(γ(i,k), γ(i,k))` is
+    /// `A_ii·B_kk`, so the product has exactly
+    /// `self.num_self_loops() · other.num_self_loops()` loops.
+    ///
+    /// ```
+    /// use bikron_graph::Graph;
+    ///
+    /// let c3 = Graph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]).unwrap();
+    /// let k2 = Graph::from_edges(2, &[(0, 1)]).unwrap();
+    /// let c6 = c3.kron(&k2); // C3 ⊗ K2 = C6
+    /// assert_eq!(c6.num_vertices(), 6);
+    /// assert_eq!(c6.num_edges(), 6);
+    /// assert_eq!(c3.with_full_self_loops().kron(&k2).num_self_loops(), 0);
+    /// ```
+    pub fn kron(&self, other: &Graph) -> Graph {
+        let adj = bikron_sparse::kron(&Times, &self.adj, &other.adj)
+            .expect("kron of two square CSRs is well formed");
+        debug_assert!(adj.is_pattern_symmetric());
+        Graph {
+            adj,
+            num_loops: self.num_loops * other.num_loops,
+        }
     }
 
     fn from_adjacency_unchecked(adj: Csr<u64>) -> Self {
@@ -204,15 +233,10 @@ impl Graph {
     /// A copy with all self loops added (`A + I_A`, used by Assump. 1(ii)).
     pub fn with_full_self_loops(&self) -> Graph {
         let n = self.num_vertices();
-        let mut coo = Coo::with_capacity(n, n, self.nnz() + n);
-        for (r, c, _) in self.adj.iter() {
-            coo.push(r, c, 1u64).expect("in-range");
-        }
-        for i in 0..n {
-            coo.push(i, i, 1u64).expect("in-range");
-        }
-        let adj = Csr::from_coo(coo, |_, _| 1, |v| v == 0);
-        Self::from_adjacency_unchecked(adj)
+        let eye = Csr::diagonal(n, 1u64);
+        let adj = bikron_sparse::ewise_add(&self.adj, &eye, |_, _| 1, |_| false)
+            .expect("adjacency and identity are both n x n");
+        Graph { adj, num_loops: n }
     }
 
     /// A copy with all self loops removed (`A − I ∘ A`).

@@ -8,6 +8,7 @@ use std::time::{Duration, Instant};
 use bikron_obs::window::{WindowRegistry, WindowedCounter, WindowedHistogram};
 use bikron_obs::{Counter, Gauge, Histogram, JsonWriter, Registry, Report, TraceContext};
 use bikron_serve::batch::{parse_batch, BatchQuery};
+use bikron_serve::client::json_u64_field_last;
 use bikron_serve::http::{Request, Response};
 use bikron_serve::Handler;
 
@@ -765,18 +766,6 @@ pub(crate) fn json_string_field(body: &str, key: &str) -> Option<String> {
     Some(body[start..start + end].to_string())
 }
 
-/// Last `"key": N` integer field in a JSON body (the product section of
-/// a stats body repeats factor field names, product values last).
-pub(crate) fn json_u64_field_last(body: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\": ");
-    let start = body.rfind(&needle)? + needle.len();
-    let digits: String = body[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -802,9 +791,6 @@ mod tests {
         assert_eq!(json_string_field(body, "status").as_deref(), Some("ok"));
         assert_eq!(json_string_field(body, "shard").as_deref(), Some("1/3"));
         assert_eq!(json_string_field(body, "missing"), None);
-        assert_eq!(json_u64_field_last(body, "vertices"), Some(25));
-        let stats = "{\"a\": {\"vertices\": 5}, \"vertices\": 125}";
-        assert_eq!(json_u64_field_last(stats, "vertices"), Some(125));
     }
 
     #[test]

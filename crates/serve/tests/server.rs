@@ -253,9 +253,17 @@ fn access_log_captures_requests_with_cache_outcomes() {
     client.get("/v1/vertex/4");
     client.get("/v1/vertex/4");
     client.get("/nope/404");
-    state.flush_logs();
-
-    let text = std::fs::read_to_string(&log_path).expect("access log exists");
+    // The worker logs each access after writing its response, so the last
+    // line can trail the client's read: flush and re-read, bounded.
+    let mut text = String::new();
+    for _ in 0..50 {
+        state.flush_logs();
+        text = std::fs::read_to_string(&log_path).expect("access log exists");
+        if text.lines().count() >= 3 {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(40));
+    }
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), 3, "{text}");
     assert!(lines[0].contains("\"path\": \"/v1/vertex/{n}\""), "{text}");

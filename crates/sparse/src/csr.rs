@@ -233,12 +233,31 @@ impl<T: SemiringValue> Csr<T> {
             && self.col_idx == other.col_idx
     }
 
-    /// Whether the sparsity pattern is symmetric (requires square shape).
+    /// Whether the sparsity pattern is symmetric (requires square shape),
+    /// in one O(nnz + n) pass.
+    ///
+    /// Rows are walked in ascending order with one cursor per row: entry
+    /// `(r, c)` must meet `(c, r)` as the next unmatched entry of row `c`,
+    /// because the entries of row `c` are exactly the rows that store
+    /// column `c`, visited here in ascending order. The pattern is
+    /// symmetric iff every entry finds its match: `nnz` matches, none past
+    /// the end of a row, consume every row exactly, so each stored `(c, r)`
+    /// was met by its `(r, c)` too.
     pub fn is_pattern_symmetric(&self) -> bool {
         if self.nrows != self.ncols {
             return false;
         }
-        self.iter().all(|(r, c, _)| self.get(c, r).is_some())
+        let mut cursor = self.row_ptr[..self.nrows].to_vec();
+        for r in 0..self.nrows {
+            for &c in &self.col_idx[self.row_ptr[r]..self.row_ptr[r + 1]] {
+                let at = cursor[c];
+                if at == self.row_ptr[c + 1] || self.col_idx[at] != r {
+                    return false;
+                }
+                cursor[c] = at + 1;
+            }
+        }
+        true
     }
 
     /// True if no diagonal entry is stored.

@@ -22,6 +22,49 @@ fn sparse_matrix(nrows: usize, ncols: usize) -> impl Strategy<Value = Csr<i64>> 
     )
 }
 
+/// Strategy: a square pattern built symmetric (diagonal entries and empty
+/// rows included), then toggled at up to `max_flips` single entries and
+/// along a directed cycle of up to `max_flips + 2` vertices. A fresh
+/// directed cycle keeps every row's and column's entry count, so only
+/// matching actual columns tells it from a symmetric pattern.
+fn near_symmetric_pattern(max_flips: usize) -> impl Strategy<Value = Csr<u64>> {
+    let max_cycle = if max_flips == 0 { 0 } else { max_flips + 2 };
+    (1usize..9).prop_flat_map(move |n| {
+        (
+            proptest::collection::vec((0..n, 0..n), 0..=2 * n),
+            proptest::collection::vec((0..n, 0..n), 0..=max_flips),
+            proptest::collection::vec(0..n, 0..=max_cycle),
+        )
+            .prop_map(move |(pairs, mut flips, cycle)| {
+                let mut dense = vec![false; n * n];
+                for (r, c) in pairs {
+                    dense[r * n + c] = true;
+                    dense[c * n + r] = true;
+                }
+                if cycle.len() > 1 {
+                    flips.extend(
+                        cycle
+                            .iter()
+                            .zip(cycle.iter().cycle().skip(1))
+                            .map(|(&r, &c)| (r, c)),
+                    );
+                }
+                for (r, c) in flips {
+                    dense[r * n + c] = !dense[r * n + c];
+                }
+                let triplets: Vec<_> = (0..n * n)
+                    .filter(|&i| dense[i])
+                    .map(|i| (i / n, i % n, 1u64))
+                    .collect();
+                Csr::from_coo(
+                    Coo::from_triplets(n, n, triplets).unwrap(),
+                    |a, _| a,
+                    |v| v == 0,
+                )
+            })
+    })
+}
+
 /// Dense equality modulo explicit zeros: compares materialised values, so
 /// a stored zero equals an absent entry.
 fn dense_eq(a: &Csr<i64>, b: &Csr<i64>) -> bool {
@@ -185,6 +228,19 @@ proptest! {
         let ab_c = spgemm(&s, &spgemm(&s, &a, &b).unwrap(), &c).unwrap();
         let a_bc = spgemm(&s, &a, &spgemm(&s, &b, &c).unwrap()).unwrap();
         prop_assert!(dense_eq(&ab_c, &a_bc));
+    }
+
+    // The one-pass cursor walk agrees with the per-entry definition
+    // "every (r, c) has a stored (c, r)" on symmetric patterns and on
+    // patterns a few toggled entries or one toggled cycle away from them.
+    #[test]
+    fn pattern_symmetry_matches_per_entry_definition(
+        sym in near_symmetric_pattern(0),
+        near in near_symmetric_pattern(2),
+    ) {
+        prop_assert!(sym.is_pattern_symmetric());
+        let per_entry = near.iter().all(|(r, c, _)| near.get(c, r).is_some());
+        prop_assert_eq!(near.is_pattern_symmetric(), per_entry);
     }
 
     // diag_matrix ∘ diag_vector round trip.

@@ -62,7 +62,7 @@ fn main() {
         p3.num_edges(),
         stats.global_squares()
     );
-    let direct_graph: Graph = p3.materialize().expect("small enough here");
+    let direct_graph: Graph = p3.materialize();
     assert_eq!(
         stats.global_squares() as u64,
         bikron::analytics::butterflies_global(&direct_graph)

@@ -11,17 +11,21 @@
 //!    server's hit rate beats a cold server's. (This is the CI
 //!    warm-start story: snapshot restores the hot set, replay recreates
 //!    it from a log when no snapshot exists.)
+//! 3. **Key range** — `{n}` holes are filled from the *product's* vertex
+//!    count, not the first factor's.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bikron_cli::replay::{parse_access_log, ReplayConfig};
 use bikron_core::SelfLoopMode;
 use bikron_generators::{complete_bipartite, cycle};
-use bikron_serve::{ServeOptions, ServeState, Server, ServerConfig};
+use bikron_obs::{Gauge, TraceContext};
+use bikron_serve::http::{Request, Response};
+use bikron_serve::{Handler, ServeOptions, ServeState, Server, ServerConfig};
 
 /// Minimal keep-alive HTTP client (same shape as the serve test suite's).
 struct Client {
@@ -277,4 +281,86 @@ fn replay_respects_count_and_exits_nonzero_on_errors() {
     assert!(bikron_cli::replay::run(&cfg, &mut out).is_err());
 
     let _ = std::fs::remove_file(&log);
+}
+
+/// A pair server that records every request path it answers.
+struct Recording {
+    state: ServeState,
+    paths: Mutex<Vec<String>>,
+}
+
+impl Handler for Recording {
+    fn respond(&self, req: &Request, _ctx: &TraceContext) -> Response {
+        self.paths.lock().unwrap().push(req.path.clone());
+        self.state.handle(req)
+    }
+    fn shutdown_requested(&self) -> bool {
+        self.state.shutdown_requested()
+    }
+    fn record(&self, status: u16, bytes: u64, ns: u64) {
+        Handler::record(&self.state, status, bytes, ns)
+    }
+    fn record_shed(&self, bytes: u64) {
+        Handler::record_shed(&self.state, bytes)
+    }
+    fn connection_opened(&self) {
+        Handler::connection_opened(&self.state)
+    }
+    fn inflight(&self) -> &Gauge {
+        Handler::inflight(&self.state)
+    }
+}
+
+#[test]
+fn replay_keys_span_the_product_not_the_first_factor() {
+    // C5 ⊗ K_{2,3} under loops-a: /v1/stats lists factor A's 5 vertices
+    // before the product's 25.
+    let (n_a, n_c) = (5u64, 25u64);
+    let state = ServeState::build_with(
+        cycle(5),
+        complete_bipartite(2, 3),
+        SelfLoopMode::FactorA,
+        ServeOptions::default(),
+    )
+    .expect("build state");
+    assert_eq!(state.num_vertices() as u64, n_c);
+    let handler = Arc::new(Recording {
+        state,
+        paths: Mutex::new(Vec::new()),
+    });
+    let server = Server::bind(ServerConfig::default(), Arc::clone(&handler)).expect("bind");
+    let addr = server.local_addr().expect("local addr");
+    std::thread::spawn(move || server.run().expect("server run"));
+
+    let log = temp_log("range");
+    let lines: String = (0..200)
+        .map(|i| {
+            format!(
+                "{{\"ts_ms\": {i}, \"target\": \"access\", \"method\": \"GET\", \
+                 \"path\": \"/v1/vertex/{{n}}\", \"status\": 200}}\n"
+            )
+        })
+        .collect();
+    std::fs::write(&log, lines).unwrap();
+    let mut out = Vec::new();
+    assert!(bikron_cli::replay::run(&replay_config(&log, addr, 11), &mut out).expect("replay"));
+    let _ = std::fs::remove_file(&log);
+
+    let keys: Vec<u64> = handler
+        .paths
+        .lock()
+        .unwrap()
+        .iter()
+        .filter_map(|p| p.strip_prefix("/v1/vertex/"))
+        .map(|k| k.parse().expect("numeric vertex key"))
+        .collect();
+    assert_eq!(keys.len(), 200);
+    assert!(
+        keys.iter().all(|&k| k < n_c),
+        "a key reached past n_C: {keys:?}"
+    );
+    assert!(
+        keys.iter().any(|&k| k >= n_a),
+        "every key stayed below n_A = {n_a}: {keys:?}"
+    );
 }
