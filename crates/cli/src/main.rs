@@ -325,8 +325,6 @@ fn parse_serve_config(
         }
         i += 2;
     }
-    // Batches fan out over the same worker budget the pool uses.
-    options.batch_threads = config.threads.max(1);
     Ok((config, options, snapshot))
 }
 

@@ -60,8 +60,7 @@ pub const MAX_HZ: u64 = 1_000;
 
 /// Number of publication slots — an upper bound on threads *concurrently*
 /// publishing phases. Slots are recycled through a free list when
-/// threads exit, so short-lived scoped threads (batch fan-out) do not
-/// leak slots.
+/// threads exit, so short-lived scoped threads do not leak slots.
 pub const MAX_SLOTS: usize = 512;
 
 /// Bound on distinct stacks the sample table retains. Beyond it, samples

@@ -11,8 +11,8 @@
 //!   external RNG crate is needed and generation costs a few arithmetic
 //!   ops per request.
 //! * [`SpanRecorder`] — one per *traced request*: a shareable recorder
-//!   (interior mutex, so `/v1/batch` fan-out threads can record their
-//!   per-item spans into the same tree) collecting [`SpanRecord`]s with
+//!   (interior mutex, so any thread working on the request can record
+//!   into the same tree) collecting [`SpanRecord`]s with
 //!   nanosecond offsets relative to the request start. Bounded at
 //!   [`MAX_SPANS_PER_REQUEST`]; overflow is dropped *and counted*.
 //! * [`SpanSink`] — a bounded ring of captured [`RequestTrace`]s with
@@ -309,7 +309,7 @@ impl RequestTrace {
 }
 
 /// Per-request span recorder. Created when a [`SpanSink`] is enabled;
-/// shareable across the batch fan-out threads (`&self` methods, interior
+/// shareable across threads (`&self` methods, interior
 /// mutex — contention is nil because a request records a handful of
 /// spans and batch items record exactly one each).
 pub struct SpanRecorder {

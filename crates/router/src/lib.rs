@@ -17,9 +17,10 @@
 //! - **Keyed reads** (`/v1/vertex/{p}`, `/v1/edge/{p}/{q}`,
 //!   `/v1/neighbors/{p}`, `/v1/clustering/{p}/{q}`) relay to the owner
 //!   of `p` over pooled keep-alive connections, bodies byte-identical.
-//! - **`POST /v1/batch`** is split per owning shard, fanned out
-//!   concurrently, and reassembled in original line order — the client
-//!   sees exactly the array a single-node server would have produced.
+//! - **`POST /v1/batch`** is split per owning shard, sent to every
+//!   owning shard before any answer is read, and reassembled in original
+//!   line order — the client sees exactly the array a single-node server
+//!   would have produced.
 //! - **`/metrics`** aggregates: the router's own series plus every
 //!   shard's report, prefixed `shard{i}.` in JSON and labelled
 //!   `shard="i"` in Prometheus exposition.

@@ -1,5 +1,9 @@
 //! Router state: the shard ownership map, per-request routing, batch
 //! scatter-gather, and the aggregated `/metrics` + `/v1/health` views.
+//!
+//! Every fan-out is one [`gather`](RouterState::gather) on the worker
+//! that read the request: send to every involved shard, then read each
+//! answer in shard order. No thread starts per request.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -8,7 +12,7 @@ use std::time::{Duration, Instant};
 use bikron_obs::window::{WindowRegistry, WindowedCounter, WindowedHistogram};
 use bikron_obs::{Counter, Gauge, Histogram, JsonWriter, Registry, Report, TraceContext};
 use bikron_serve::batch::{parse_batch, BatchQuery};
-use bikron_serve::client::json_u64_field_last;
+use bikron_serve::client::{self, json_u64_field_last, ClientError};
 use bikron_serve::http::{Request, Response};
 use bikron_serve::Handler;
 
@@ -149,7 +153,8 @@ impl RouterMetrics {
         }
     }
 
-    /// One upstream round-trip to `shard` took `ns`.
+    /// One upstream exchange with `shard` took `ns`, from its send to
+    /// the end of its finish.
     fn record_upstream(&self, shard: usize, ns: u64) {
         self.upstream_ns.record(ns);
         self.shard_requests[shard].inc();
@@ -432,7 +437,7 @@ impl RouterState {
     }
 
     /// `POST /v1/batch`: validate with the shard-shared grammar, split
-    /// lines per owning shard, fan out concurrently, and reassemble the
+    /// lines per owning shard, gather their answers, and reassemble the
     /// JSON array in original line order — byte-identical to a
     /// single-node server's answer (DESIGN.md §13).
     fn batch(&self, req: &Request, traceparent: Option<&str>) -> Response {
@@ -472,16 +477,22 @@ impl RouterState {
             .collect();
         self.metrics.fanout_size.record(involved.len() as u64);
 
-        // Scatter: one thread per involved shard, each over that
-        // shard's pooled keep-alive connections.
+        let replies = self.gather(
+            &involved,
+            "POST",
+            "/v1/batch",
+            |shard| Some(groups[shard].1.as_str()),
+            traceparent,
+        );
+
+        // Place each shard's items back at their original line positions;
+        // a failed shard's lines carry the scoped 503 error object (the
+        // overall array still answers — failure is confined to that
+        // shard's keys, like the single-endpoint path).
         let mut items: Vec<Option<String>> = vec![None; queries.len()];
-        let results = scatter(&involved, |&shard| {
-            let (slots, sub_body) = &groups[shard];
-            let started = Instant::now();
-            let result =
-                self.shards[shard].request("POST", "/v1/batch", Some(sub_body), traceparent);
-            self.metrics
-                .record_upstream(shard, started.elapsed().as_nanos() as u64);
+        for (&shard, (result, ns)) in involved.iter().zip(replies) {
+            self.metrics.record_upstream(shard, ns);
+            let slots = &groups[shard].0;
             let outcome = match result {
                 Ok(up) if up.status == 200 => match split_batch_items(&up.body) {
                     Some(parts) if parts.len() == slots.len() => Ok(parts),
@@ -490,15 +501,6 @@ impl RouterState {
                 Ok(up) => Err(format!("upstream answered {}", up.status)),
                 Err(e) => Err(e.to_string()),
             };
-            (shard, outcome)
-        });
-
-        // Gather: place each shard's items back at their original line
-        // positions; a failed shard's lines carry the scoped 503 error
-        // object (the overall array still answers — failure is confined
-        // to that shard's keys, like the single-endpoint path).
-        for (shard, outcome) in results {
-            let slots = &groups[shard].0;
             match outcome {
                 Ok(parts) => {
                     for (slot, item) in slots.iter().zip(parts) {
@@ -534,10 +536,7 @@ impl RouterState {
     /// range, and verdict — a dead shard is identified, not averaged
     /// away.
     fn health_response(&self, traceparent: Option<&str>) -> Response {
-        let verdicts = scatter(&self.shards, |shard| shard_health(shard, traceparent));
-        for (gauge, verdict) in self.metrics.shard_health.iter().zip(&verdicts) {
-            gauge.set(verdict.as_gauge());
-        }
+        let verdicts = self.shard_verdicts(traceparent);
         let degraded = verdicts.iter().any(|&v| v != ShardHealth::Ok);
         let mut w = JsonWriter::new();
         w.open_object();
@@ -570,17 +569,17 @@ impl RouterState {
     /// JSON schema, re-emitted with a `shard="i"` label in the
     /// Prometheus exposition. One scrape reads the whole cluster.
     fn metrics_response(&self, req: &Request, traceparent: Option<&str>) -> Response {
-        // Scrape every shard's JSON report and health concurrently.
-        let scrapes = scatter(&self.shards, |shard| {
-            let report = match shard.request("GET", "/metrics", None, traceparent) {
+        // Scrape every shard's JSON report, then its health.
+        let all: Vec<usize> = (0..self.shards.len()).collect();
+        let scrapes: Vec<Option<Report>> = self
+            .gather(&all, "GET", "/metrics", |_| None, traceparent)
+            .into_iter()
+            .map(|(result, _)| match result {
                 Ok(up) if up.status == 200 => Report::from_json(&up.body).ok(),
                 _ => None,
-            };
-            (report, shard_health(shard, traceparent))
-        });
-        for ((gauge, (_, health)), _) in self.metrics.shard_health.iter().zip(&scrapes).zip(0..) {
-            gauge.set(health.as_gauge());
-        }
+            })
+            .collect();
+        self.shard_verdicts(traceparent);
         self.metrics.refresh_imbalance();
         self.metrics
             .registry
@@ -603,7 +602,7 @@ impl RouterState {
         }
         match req.query_param("format") {
             None | Some("json") => {
-                for (index, (shard_report, _)) in scrapes.iter().enumerate() {
+                for (index, shard_report) in scrapes.iter().enumerate() {
                     if let Some(r) = shard_report {
                         report.merge_prefixed(&format!("shard{index}."), r);
                     }
@@ -615,7 +614,7 @@ impl RouterState {
                 let labelled: Vec<(usize, &Report)> = scrapes
                     .iter()
                     .enumerate()
-                    .filter_map(|(i, (r, _))| r.as_ref().map(|r| (i, r)))
+                    .filter_map(|(i, r)| r.as_ref().map(|r| (i, r)))
                     .collect();
                 out.push_str(&shard_labelled_exposition(&labelled));
                 Response {
@@ -629,6 +628,58 @@ impl RouterState {
                 &format!("unknown metrics format {other:?} (json|prometheus)"),
             ),
         }
+    }
+
+    /// Every shard's `/v1/health` verdict, in shard order, also set on
+    /// the `router.shard{i}.health` gauges.
+    fn shard_verdicts(&self, traceparent: Option<&str>) -> Vec<ShardHealth> {
+        let all: Vec<usize> = (0..self.shards.len()).collect();
+        let verdicts: Vec<ShardHealth> = self
+            .gather(&all, "GET", "/v1/health", |_| None, traceparent)
+            .into_iter()
+            .map(|(result, _)| match result {
+                Ok(up) if json_string_field(&up.body, "status").as_deref() == Some("ok") => {
+                    ShardHealth::Ok
+                }
+                Ok(_) => ShardHealth::Degraded,
+                Err(_) => ShardHealth::Down,
+            })
+            .collect();
+        for (gauge, verdict) in self.metrics.shard_health.iter().zip(&verdicts) {
+            gauge.set(verdict.as_gauge());
+        }
+        verdicts
+    }
+
+    /// The one fan-out (DESIGN.md §13): send to every shard in
+    /// `involved` before reading any answer, then finish each in shard
+    /// order. Every deadline starts before the first finish, so k hung
+    /// shards cost one `upstream_timeout`. Each result comes with its
+    /// time from send to the end of its finish.
+    fn gather<'b>(
+        &self,
+        involved: &[usize],
+        method: &str,
+        target: &str,
+        body: impl Fn(usize) -> Option<&'b str>,
+        traceparent: Option<&str>,
+    ) -> Vec<(Result<client::Response, ClientError>, u64)> {
+        let sent: Vec<_> = involved
+            .iter()
+            .map(|&shard| {
+                let started = Instant::now();
+                let pending = self.shards[shard].send(method, target, body(shard), traceparent);
+                (started, pending)
+            })
+            .collect();
+        involved
+            .iter()
+            .zip(sent)
+            .map(|(&shard, (started, pending))| {
+                let result = pending.and_then(|p| self.shards[shard].finish(p));
+                (result, started.elapsed().as_nanos() as u64)
+            })
+            .collect()
     }
 }
 
@@ -674,29 +725,6 @@ impl Handler for RouterState {
 
     fn inflight(&self) -> &Gauge {
         &self.metrics.inflight
-    }
-}
-
-/// Run `f` on every item concurrently, one scoped thread each; results
-/// come back in item order.
-fn scatter<I: Sync, T: Send>(items: &[I], f: impl Fn(&I) -> T + Sync) -> Vec<T> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items.iter().map(|i| scope.spawn(|| f(i))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fan-out thread"))
-            .collect()
-    })
-}
-
-/// One shard's `/v1/health` verdict.
-fn shard_health(shard: &Upstream, traceparent: Option<&str>) -> ShardHealth {
-    match shard.request("GET", "/v1/health", None, traceparent) {
-        Ok(up) => match json_string_field(&up.body, "status").as_deref() {
-            Some("ok") => ShardHealth::Ok,
-            _ => ShardHealth::Degraded,
-        },
-        Err(_) => ShardHealth::Down,
     }
 }
 

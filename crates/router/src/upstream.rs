@@ -10,7 +10,7 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
-use bikron_serve::client::{Client, ClientError, Conn, Response};
+use bikron_serve::client::{Client, ClientError, Conn, Pending, Response};
 
 /// Idle connections pooled per shard; more concurrent checkouts than
 /// this simply dial extra sockets that are dropped on check-in.
@@ -46,10 +46,27 @@ impl Upstream {
         body: Option<&str>,
         traceparent: Option<&str>,
     ) -> Result<Response, ClientError> {
+        let pending = self.send(method, target, body, traceparent)?;
+        self.finish(pending)
+    }
+
+    /// Write one request on a pooled connection when one is idle (else a
+    /// fresh dial) without reading the answer.
+    pub fn send(
+        &self,
+        method: &str,
+        target: &str,
+        body: Option<&str>,
+        traceparent: Option<&str>,
+    ) -> Result<Pending, ClientError> {
         let pooled = self.pool.lock().expect("pool lock poisoned").pop();
-        let (resp, conn) = self
-            .client
-            .request(pooled, method, target, body, traceparent)?;
+        self.client.send(pooled, method, target, body, traceparent)
+    }
+
+    /// Read the answer to a [`send`](Upstream::send); the connection
+    /// returns to the pool unless the shard asked to close.
+    pub fn finish(&self, pending: Pending) -> Result<Response, ClientError> {
+        let (resp, conn) = self.client.finish(pending)?;
         if let Some(conn) = conn {
             let mut pool = self.pool.lock().expect("pool lock poisoned");
             if pool.len() < POOL_CAP {

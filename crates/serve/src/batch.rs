@@ -1,5 +1,5 @@
-//! `POST /v1/batch`: newline-delimited query parsing and concurrent
-//! evaluation.
+//! `POST /v1/batch`: newline-delimited query parsing and in-order
+//! evaluation on the pool worker that read the request.
 //!
 //! A batch body is up to `batch_max` lines, each one query:
 //!
@@ -133,51 +133,27 @@ pub fn parse_batch(body: &str, batch_max: usize) -> Result<Vec<BatchQuery>, Batc
     Ok(queries)
 }
 
-/// Evaluate `queries` across up to `threads` scoped worker threads
-/// (answers are pure functions of shared immutable state, so the fan-out
-/// needs no synchronisation beyond the result slots) and assemble the
-/// single JSON-array response. Item order follows query order.
-pub fn eval_batch(state: &ServeState, queries: &[BatchQuery], threads: usize) -> Response {
-    let mut results: Vec<Option<Response>> = vec![None; queries.len()];
-    let threads = threads.clamp(1, queries.len().max(1));
-    let chunk = queries.len().div_ceil(threads);
-    // Captured on the request thread: the recorder is shared with worker
-    // threads (it's internally synchronised), giving each batch item a
-    // child span under the request's evaluate span even when items run
-    // on the fan-out pool.
+/// Evaluate `queries` in order on the calling pool worker and assemble
+/// the single JSON-array response. Batches are not split across threads:
+/// every answer is an O(1)–O(deg) lookup, the pool already runs requests
+/// from different connections in parallel, and starting threads per
+/// batch on cores whose workers are busy cost more than the items
+/// themselves (DESIGN.md §10.1).
+pub fn eval_batch(state: &ServeState, queries: &[BatchQuery]) -> Response {
     let trace = crate::state::current_recorder();
-    if threads == 1 {
-        for (i, (q, slot)) in queries.iter().zip(results.iter_mut()).enumerate() {
-            *slot = Some(eval_traced(state, q, i, &trace));
-        }
-    } else {
-        std::thread::scope(|s| {
-            for (c, (qs, slots)) in queries
-                .chunks(chunk)
-                .zip(results.chunks_mut(chunk))
-                .enumerate()
-            {
-                let trace = &trace;
-                s.spawn(move || {
-                    for (i, (q, slot)) in qs.iter().zip(slots.iter_mut()).enumerate() {
-                        *slot = Some(eval_traced(state, q, c * chunk + i, trace));
-                    }
-                });
-            }
-        });
-    }
-
-    let mut body = String::with_capacity(results.len() * 64);
+    let mut body = String::with_capacity(queries.len() * 64);
     body.push('[');
-    for (i, resp) in results.into_iter().enumerate() {
-        let resp = resp.expect("every batch slot is filled");
+    for (i, q) in queries.iter().enumerate() {
         if i > 0 {
             body.push(',');
         }
         body.push('\n');
-        body.push_str(resp.body.trim_end());
+        body.push_str(eval_traced(state, q, i, &trace).body.trim_end());
     }
     body.push_str("\n]\n");
+    // The batch request itself logs no single cache outcome; only its
+    // per-item spans carry one.
+    crate::state::reset_cache_outcome();
     Response::json(200, body)
 }
 
@@ -208,8 +184,8 @@ fn eval_traced(
         BatchQuery::Neighbors(..) => "neighbors",
     };
     let tok = rec.begin(&format!("batch[{i}] {verb}"), Some(*evaluate));
-    // Each item reads its own thread's cache outcome, so the annotation
-    // is per-item even when several items share a worker thread.
+    // Items share the worker's cache outcome; clearing it per item keeps
+    // each annotation to that item's own lookup.
     crate::state::reset_cache_outcome();
     let resp = eval_one(state, q);
     rec.set_cache(tok, crate::state::cache_outcome());

@@ -4,15 +4,22 @@
 //! read as it arrives rather than allocated from its `Content-Length`,
 //! and each violation is a named [`ClientError`].
 //!
-//! Retry policy (DESIGN.md §13): exactly one retry, on a fresh dial, and
-//! only when the first attempt failed in transport before any response
-//! byte (the server may have closed an idle connection behind our back).
-//! All bikron queries are pure reads, so `POST /v1/batch` may retry too.
+//! A request is a [`send`](Client::send) followed by a
+//! [`finish`](Client::finish); [`request`](Client::request) is the two
+//! back to back, and a fan-out sends to every server before finishing
+//! any. One deadline, `io_timeout` after the send, bounds the whole
+//! exchange, retry included.
+//!
+//! Retry policy (DESIGN.md §13): at most one retry per request, on a
+//! fresh dial, and only when the attempt failed in transport before any
+//! response byte (the server may have closed an idle connection behind
+//! our back) and before the deadline. All bikron queries are pure reads,
+//! so `POST /v1/batch` may retry too.
 
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Longest accepted response status or header line, bytes.
 pub const MAX_HEAD_LINE: usize = 8192;
@@ -90,9 +97,41 @@ pub struct Response {
     pub body: String,
 }
 
-/// One open connection.
+/// One open connection. Reads stop at the deadline of the request in
+/// flight on it.
 #[derive(Debug)]
-pub struct Conn(BufReader<TcpStream>);
+pub struct Conn(BufReader<DeadlineStream>);
+
+/// The socket, with every read's timeout cut to what remains before
+/// `deadline` (the pattern of the server's request deadline in `pool`).
+#[derive(Debug)]
+struct DeadlineStream {
+    stream: TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineStream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
+/// A request [`send`](Client::send) wrote and [`finish`](Client::finish)
+/// has yet to read the answer to.
+#[derive(Debug)]
+pub struct Pending {
+    conn: Conn,
+    req: String,
+    /// Set at send time: the whole exchange, retry included, ends by then.
+    deadline: Instant,
+    /// Whether the one retry has been spent.
+    retried: bool,
+}
 
 /// A client for one address. It holds no connections: callers pass their
 /// idle one to [`request`](Client::request) and get a reusable one back.
@@ -105,6 +144,8 @@ pub struct Client {
 
 impl Client {
     /// A client for `addr` (`host:port`); nothing is dialled yet.
+    /// `io_timeout` bounds each exchange from its send to the last body
+    /// byte, and each request write.
     pub fn new(addr: impl Into<String>, connect_timeout: Duration, io_timeout: Duration) -> Client {
         Client {
             addr: addr.into(),
@@ -126,13 +167,16 @@ impl Client {
         })?;
         let stream = TcpStream::connect_timeout(&sock, self.connect_timeout)?;
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(self.io_timeout))?;
         stream.set_write_timeout(Some(self.io_timeout))?;
-        Ok(Conn(BufReader::new(stream)))
+        Ok(Conn(BufReader::new(DeadlineStream {
+            stream,
+            deadline: Instant::now() + self.io_timeout,
+        })))
     }
 
     /// One request over `conn` (dialling when `None`) under the retry
     /// policy; returns the response and, unless closed, the connection.
+    /// Exactly [`send`](Client::send) then [`finish`](Client::finish).
     pub fn request(
         &self,
         conn: Option<Conn>,
@@ -141,6 +185,23 @@ impl Client {
         body: Option<&str>,
         traceparent: Option<&str>,
     ) -> Result<(Response, Option<Conn>), ClientError> {
+        let pending = self.send(conn, method, target, body, traceparent)?;
+        self.finish(pending)
+    }
+
+    /// Write one request over `conn` (dialling when `None`) and return
+    /// without reading the answer, so a caller can have requests to
+    /// several servers in flight at once. A failed write or dial is
+    /// retried once on a fresh dial.
+    pub fn send(
+        &self,
+        conn: Option<Conn>,
+        method: &str,
+        target: &str,
+        body: Option<&str>,
+        traceparent: Option<&str>,
+    ) -> Result<Pending, ClientError> {
+        let deadline = Instant::now() + self.io_timeout;
         let mut req = format!("{method} {target} HTTP/1.1\r\nHost: {}\r\n", self.addr);
         if let Some(tp) = traceparent {
             req.push_str(&format!("traceparent: {tp}\r\n"));
@@ -153,20 +214,67 @@ impl Client {
             Some(conn) => Ok(conn),
             None => self.dial(),
         };
-        match first.and_then(|conn| round_trip(conn, &req)) {
-            Err(ClientError::Io(_) | ClientError::Closed) => round_trip(self.dial()?, &req),
-            other => other,
+        let (conn, retried) = match first.and_then(|conn| write_request(conn, &req, deadline)) {
+            Ok(conn) => (conn, false),
+            Err(_) => (write_request(self.dial()?, &req, deadline)?, true),
+        };
+        Ok(Pending {
+            conn,
+            req,
+            deadline,
+            retried,
+        })
+    }
+
+    /// Read the answer to `pending`; returns the response and, unless
+    /// closed, the connection. When the connection fails before any
+    /// response byte arrives, and neither the retry nor the deadline is
+    /// spent, the request goes once more over a fresh dial. Once a byte
+    /// has arrived, every failure is final.
+    pub fn finish(&self, pending: Pending) -> Result<(Response, Option<Conn>), ClientError> {
+        let Pending {
+            mut conn,
+            req,
+            deadline,
+            retried,
+        } = pending;
+        if let Err(e) = first_byte(&mut conn) {
+            if retried || timed_out(&e) {
+                return Err(e);
+            }
+            conn = write_request(self.dial()?, &req, deadline)?;
         }
+        let resp = read_response(&mut conn.0)?;
+        let reuse = (!resp.close).then_some(conn);
+        Ok((resp, reuse))
     }
 }
 
 /// Write `req` in one piece (a separate body write would leave as its
-/// own segment) and read the response.
-fn round_trip(mut conn: Conn, req: &str) -> Result<(Response, Option<Conn>), ClientError> {
-    conn.0.get_mut().write_all(req.as_bytes())?;
-    let resp = read_response(&mut conn.0)?;
-    let reuse = (!resp.close).then_some(conn);
-    Ok((resp, reuse))
+/// own segment); reads of the answer end at `deadline`.
+fn write_request(mut conn: Conn, req: &str, deadline: Instant) -> Result<Conn, ClientError> {
+    let sock = conn.0.get_mut();
+    sock.deadline = deadline;
+    sock.stream.write_all(req.as_bytes())?;
+    Ok(conn)
+}
+
+/// Wait for the first response byte; [`ClientError::Closed`] on EOF.
+fn first_byte(conn: &mut Conn) -> Result<(), ClientError> {
+    if conn.0.fill_buf()?.is_empty() {
+        return Err(ClientError::Closed);
+    }
+    Ok(())
+}
+
+/// Whether `e` is the exchange's deadline (or a read timeout) running
+/// out: the server is slow, not gone, so a retry would only wait again.
+fn timed_out(e: &ClientError) -> bool {
+    let ClientError::Io(e) = e else { return false };
+    matches!(
+        e.kind(),
+        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
+    )
 }
 
 /// Read one `Content-Length`-framed response off `r`.

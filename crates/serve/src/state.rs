@@ -87,7 +87,9 @@ pub struct ServeOptions {
     pub cache_shards: usize,
     /// Maximum queries accepted per batch request.
     pub batch_max: usize,
-    /// Scoped worker threads used to evaluate one batch.
+    /// Ignored: every batch evaluates in order on the pool worker that
+    /// read it. Kept only so existing struct literals still compile; it
+    /// goes away in the next change that edits those literals.
     pub batch_threads: usize,
     /// Append one JSON-lines access event per request to this file
     /// (`--access-log`); `None` disables access logging.
@@ -265,7 +267,6 @@ pub struct ServeState {
     admin_token: Option<String>,
     cache: Option<ShardedCache>,
     batch_max: usize,
-    batch_threads: usize,
     /// `--shard I/N`: serve only the owned block of the product vertex
     /// space; `None` serves everything.
     shard: Option<(usize, usize)>,
@@ -286,9 +287,8 @@ std::thread_local! {
     /// request never consulted the cache. Requests are handled
     /// synchronously on one worker thread, so a thread-local carries the
     /// flag from [`ServeState::cached`] to the access-log emit without
-    /// widening every router signature. (Batch *items* evaluated on
-    /// scoped helper threads don't propagate here; the batch request
-    /// logs `"-"`.)
+    /// widening every router signature. (A batch request logs `"-"`;
+    /// its items' outcomes go on their per-item spans.)
     static CACHE_OUTCOME: Cell<Option<bool>> = const { Cell::new(None) };
 }
 
@@ -326,9 +326,7 @@ pub(crate) fn take_current_recorder() -> Option<(Arc<SpanRecorder>, SpanToken)> 
     CURRENT_RECORDER.with(|r| r.borrow_mut().take())
 }
 
-/// Clone of the current recorder pair, if this request is traced. The
-/// batch evaluator hands the clone to its scoped fan-out threads (which
-/// have their own, unset, thread-local).
+/// Clone of the current recorder pair, if this request is traced.
 pub(crate) fn current_recorder() -> Option<(Arc<SpanRecorder>, SpanToken)> {
     CURRENT_RECORDER.with(|r| r.borrow().clone())
 }
@@ -647,7 +645,6 @@ impl ServeState {
             admin_token: options.admin_token,
             cache,
             batch_max: options.batch_max.max(1),
-            batch_threads: options.batch_threads.max(1),
             shard: options.shard,
             shutdown: AtomicBool::new(false),
             metrics: ServeMetrics::new(),
@@ -786,7 +783,7 @@ impl ServeState {
             Err(e) => return e.response(),
         };
         self.metrics.record_batch(queries.len() as u64);
-        crate::batch::eval_batch(self, &queries, self.batch_threads)
+        crate::batch::eval_batch(self, &queries)
     }
 
     /// Cache-through evaluation: serve `key` from the result cache when

@@ -9,7 +9,7 @@ use std::cell::Cell;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bikron_serve::client::{Client, ClientError, MAX_HEAD_LINE};
 
@@ -284,4 +284,74 @@ fn post_bodies_are_framed_with_content_length() {
     assert_eq!(req.method, "POST");
     assert_eq!(req.path, "/v1/batch");
     assert_eq!(req.header("traceparent"), Some("00-tp"));
+}
+
+#[test]
+fn a_stall_after_the_status_line_is_not_retried() {
+    // The server answers a status line, then goes silent past the
+    // client's deadline. A byte has arrived, so the timeout is final: the
+    // listener stays open for a second and must see no second dial.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    listener.set_nonblocking(true).unwrap();
+    let handle = std::thread::spawn(move || {
+        let mut held = Vec::new();
+        let watch_until = Instant::now() + Duration::from_secs(1);
+        while Instant::now() < watch_until {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    stream.set_nonblocking(false).unwrap();
+                    drain_head(&mut BufReader::new(stream.try_clone().unwrap()));
+                    let mut w = stream.try_clone().unwrap();
+                    w.write_all(b"HTTP/1.1 200 OK\r\n").unwrap();
+                    held.push(stream);
+                }
+                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            }
+        }
+        held.len()
+    });
+    let c = Client::new(addr, Duration::from_secs(1), Duration::from_millis(200));
+    let started = Instant::now();
+    let err = c.request(None, "GET", "/", None, None).unwrap_err();
+    assert!(matches!(err, ClientError::Io(_)), "{err:?}");
+    assert!(started.elapsed() < Duration::from_millis(900));
+    assert_eq!(handle.join().unwrap(), 1, "accepted connections");
+}
+
+#[test]
+fn send_then_finish_overlaps_two_servers() {
+    // Both requests are written before either answer is read; each
+    // server answers only once the other has its request, so a client
+    // that read the first answer before sending the second would stall.
+    let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
+    let servers: Vec<_> = ["one", "two"]
+        .into_iter()
+        .map(|body| {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let barrier = barrier.clone();
+            let handle = std::thread::spawn(move || {
+                let (stream, _) = listener.accept().unwrap();
+                drain_head(&mut BufReader::new(stream.try_clone().unwrap()));
+                barrier.wait();
+                let mut w = stream;
+                w.write_all(ok_response(body, "").as_bytes()).unwrap();
+            });
+            (client(addr), handle)
+        })
+        .collect();
+    let pending: Vec<_> = servers
+        .iter()
+        .map(|(c, _)| c.send(None, "GET", "/x", None, None).unwrap())
+        .collect();
+    let bodies: Vec<String> = servers
+        .iter()
+        .zip(pending)
+        .map(|((c, _), p)| c.finish(p).unwrap().0.body)
+        .collect();
+    assert_eq!(bodies, ["one", "two"]);
+    for (_, h) in servers {
+        h.join().unwrap();
+    }
 }
