@@ -422,7 +422,7 @@ impl RouterState {
 
     /// The scoped 503 for a dead shard: names the shard, its address,
     /// and the half-open key range that is temporarily unserved.
-    /// `write_response_traced` adds `Retry-After: 1` to every 503.
+    /// `render_response` adds `Retry-After: 1` to every 503.
     fn shard_unavailable(&self, shard: usize, detail: &str) -> Response {
         let (lo, hi) =
             bikron_core::partition::block_range(self.num_vertices, self.shards.len(), shard);
@@ -717,6 +717,10 @@ impl Handler for RouterState {
     fn record_shed(&self, bytes: u64) {
         self.metrics.shed.inc();
         self.record(503, bytes, 0);
+    }
+
+    fn record_timeout(&self) {
+        self.metrics.timeouts.inc();
     }
 
     fn connection_opened(&self) {

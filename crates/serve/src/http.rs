@@ -374,49 +374,56 @@ pub fn status_text(code: u16) -> &'static str {
     }
 }
 
-/// Serialise `resp` to `w`. Returns the total bytes written. The
-/// `Connection` header reflects `keep_alive`; 503s additionally carry
-/// `Retry-After: 1` so well-behaved clients back off a shed, not a
-/// failure.
+/// Serialise `resp` to `w` in one `write_all`. Returns the total bytes
+/// written. The `Connection` header reflects `keep_alive`; 503s
+/// additionally carry `Retry-After: 1` so well-behaved clients back off
+/// a shed, not a failure.
 pub fn write_response<W: Write>(w: &mut W, resp: &Response, keep_alive: bool) -> io::Result<u64> {
-    write_response_traced(w, resp, keep_alive, None)
+    let mut out = Vec::with_capacity(resp.body.len() + 128);
+    let n = render_response(&mut out, resp, keep_alive, None);
+    w.write_all(&out)?;
+    w.flush()?;
+    Ok(n)
 }
 
-/// [`write_response`] plus an optional `x-bikron-trace-id` header — the
-/// serving path always has a trace id (propagated from an inbound
-/// `traceparent` or generated), so every live response is correlatable
-/// even when the span ring is disabled. The header is additive and the
-/// body untouched, preserving the byte-exact body contract the batch
-/// and differential suites assert on.
-pub fn write_response_traced<W: Write>(
-    w: &mut W,
+/// Append `resp`, head and body, to `out`, returning the bytes appended.
+/// Same bytes as [`write_response`], plus an optional
+/// `x-bikron-trace-id` header: the serving path always has a trace id
+/// (propagated from an inbound `traceparent` or generated), so every
+/// live response is correlatable even when the span ring is disabled.
+/// The header is additive and the body untouched, preserving the
+/// byte-exact body contract the batch and differential suites assert on.
+pub fn render_response(
+    out: &mut Vec<u8>,
     resp: &Response,
     keep_alive: bool,
     trace_id: Option<&str>,
-) -> io::Result<u64> {
-    let retry = if resp.status == 503 {
-        "Retry-After: 1\r\n"
-    } else {
-        ""
-    };
-    let trace = match trace_id {
-        Some(id) => format!("x-bikron-trace-id: {id}\r\n"),
-        None => String::new(),
-    };
-    let head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}{}Connection: {}\r\n\r\n",
+) -> u64 {
+    let start = out.len();
+    write!(
+        out,
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
         resp.status,
         status_text(resp.status),
         resp.content_type,
         resp.body.len(),
-        retry,
-        trace,
-        if keep_alive { "keep-alive" } else { "close" },
-    );
-    w.write_all(head.as_bytes())?;
-    w.write_all(resp.body.as_bytes())?;
-    w.flush()?;
-    Ok((head.len() + resp.body.len()) as u64)
+    )
+    .expect("writing to a Vec cannot fail");
+    if resp.status == 503 {
+        out.extend_from_slice(b"Retry-After: 1\r\n");
+    }
+    if let Some(id) = trace_id {
+        out.extend_from_slice(b"x-bikron-trace-id: ");
+        out.extend_from_slice(id.as_bytes());
+        out.extend_from_slice(b"\r\n");
+    }
+    out.extend_from_slice(if keep_alive {
+        b"Connection: keep-alive\r\n\r\n"
+    } else {
+        b"Connection: close\r\n\r\n"
+    });
+    out.extend_from_slice(resp.body.as_bytes());
+    (out.len() - start) as u64
 }
 
 #[cfg(test)]
@@ -595,13 +602,12 @@ mod tests {
     fn traced_response_carries_the_trace_id_header() {
         let resp = Response::json(200, "{}".into());
         let mut buf = Vec::new();
-        let n = write_response_traced(
+        let n = render_response(
             &mut buf,
             &resp,
             true,
             Some("0af7651916cd43dd8448eb211c80319c"),
-        )
-        .unwrap();
+        );
         let text = String::from_utf8(buf).unwrap();
         assert_eq!(n as usize, text.len());
         assert!(text.contains("x-bikron-trace-id: 0af7651916cd43dd8448eb211c80319c\r\n"));
@@ -613,5 +619,92 @@ mod tests {
         assert!(!String::from_utf8(plain)
             .unwrap()
             .contains("x-bikron-trace-id"));
+    }
+
+    /// The two-write serialiser the single-buffer renderer replaced,
+    /// kept as the byte-level reference.
+    fn head_then_body(resp: &Response, keep_alive: bool, trace_id: Option<&str>) -> Vec<u8> {
+        let retry = if resp.status == 503 {
+            "Retry-After: 1\r\n"
+        } else {
+            ""
+        };
+        let trace = match trace_id {
+            Some(id) => format!("x-bikron-trace-id: {id}\r\n"),
+            None => String::new(),
+        };
+        let head = format!(
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}{}Connection: {}\r\n\r\n",
+            resp.status,
+            status_text(resp.status),
+            resp.content_type,
+            resp.body.len(),
+            retry,
+            trace,
+            if keep_alive { "keep-alive" } else { "close" },
+        );
+        let mut out = head.into_bytes();
+        out.extend_from_slice(resp.body.as_bytes());
+        out
+    }
+
+    #[test]
+    fn renderer_matches_head_then_body_bytes() {
+        let responses = [
+            Response::json(200, "{\n  \"vertex\": 17\n}\n".into()),
+            Response::error(404, "vertex 99 out of range"),
+            Response::error(503, "shard 1 is unavailable"),
+        ];
+        for resp in &responses {
+            for trace_id in [None, Some("0af7651916cd43dd8448eb211c80319c")] {
+                for keep_alive in [true, false] {
+                    // Rendering appends: earlier bytes in the buffer stay.
+                    let mut out = b"earlier".to_vec();
+                    let n = render_response(&mut out, resp, keep_alive, trace_id);
+                    let want = head_then_body(resp, keep_alive, trace_id);
+                    assert_eq!(&out[..7], b"earlier");
+                    assert_eq!(out[7..], want[..], "{} {trace_id:?}", resp.status);
+                    assert_eq!(n as usize, want.len());
+                }
+            }
+        }
+        let mut shed = Vec::new();
+        render_response(&mut shed, &responses[2], false, None);
+        assert!(String::from_utf8(shed)
+            .unwrap()
+            .contains("Retry-After: 1\r\n"));
+    }
+
+    /// Counts `write` calls and the bytes they carry.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes += buf.len();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_response_makes_one_write_call() {
+        for resp in [
+            Response::json(200, "{}".into()),
+            Response::error(503, "shed"),
+        ] {
+            let mut w = CountingWriter::default();
+            let n = write_response(&mut w, &resp, true).unwrap();
+            assert_eq!(w.writes, 1);
+            assert_eq!(n as usize, w.bytes);
+            assert_eq!(w.bytes, head_then_body(&resp, true, None).len());
+        }
     }
 }

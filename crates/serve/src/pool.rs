@@ -11,7 +11,9 @@
 //! bounded by `threads + queue_capacity` sockets regardless of offered
 //! load, and time by [`REQUEST_DEADLINE`]: once a request's first byte
 //! arrives, its head and body must follow within that deadline or the
-//! worker answers `408` and closes the connection.
+//! worker answers `408` and closes the connection. Answers leave the
+//! same way: a flush that cannot finish within the deadline (a client
+//! that pipelines but never reads) closes the connection.
 
 use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -21,9 +23,7 @@ use std::time::{Duration, Instant};
 
 use bikron_obs::{Gauge, SpanRecorder, SpanSink, TraceContext};
 
-use crate::http::{
-    parse_request, write_response, write_response_traced, HttpError, Request, Response,
-};
+use crate::http::{parse_request, render_response, write_response, HttpError, Request, Response};
 use crate::state::{self, ServeState};
 
 /// How long the nonblocking acceptor sleeps between polls before
@@ -36,6 +36,11 @@ const POLL_INTERVAL: Duration = Duration::from_millis(25);
 /// before the first byte falls under [`ServerConfig::read_timeout`]
 /// instead.
 pub const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
+
+/// How many rendered bytes a connection may hold back while more
+/// pipelined requests wait in its read buffer; at this size they are
+/// flushed even mid-burst.
+const MAX_PENDING_OUTPUT: usize = 64 * 1024;
 
 /// Server configuration (transport-level knobs only; request behaviour
 /// lives in the [`Handler`]).
@@ -96,6 +101,9 @@ pub trait Handler: Send + Sync + 'static {
     fn record(&self, status: u16, bytes: u64, ns: u64);
     /// Record a connection shed with 503 at the accept gate.
     fn record_shed(&self, bytes: u64);
+    /// Count a connection closed because its answers could not be
+    /// written within [`REQUEST_DEADLINE`].
+    fn record_timeout(&self);
     /// Count an accepted connection.
     fn connection_opened(&self);
     /// The in-flight request gauge.
@@ -202,9 +210,10 @@ fn worker_loop(pending: &Mutex<Receiver<TcpStream>>, handler: &impl Handler, idl
     }
 }
 
-/// The socket's read side under [`REQUEST_DEADLINE`]: a read waits up
-/// to `idle` for a request's first byte, later ones no longer than the
-/// request's deadline.
+/// One connection's socket: reads under [`REQUEST_DEADLINE`] (a read
+/// waits up to `idle` for a request's first byte, later ones no longer
+/// than the request's deadline), and the answers rendered but not yet
+/// written, which go out before the next blocking read.
 struct DeadlineReader {
     stream: TcpStream,
     idle: Duration,
@@ -216,10 +225,53 @@ struct DeadlineReader {
     deadline: Option<Instant>,
     /// A read failed because the deadline ran out.
     expired: bool,
+    /// Rendered answers not yet written; cleared only by a flush that
+    /// wrote all of them, so bytes left here after an error mean the
+    /// write failed, not the read.
+    out: Vec<u8>,
+}
+
+impl DeadlineReader {
+    /// Write every pending answer in one `write(2)`, within
+    /// [`REQUEST_DEADLINE`]. The socket's write timeout is the deadline,
+    /// so only a write the peer's full buffers cut short (a client that
+    /// does not read) shortens it, and costs a `setsockopt`.
+    fn flush(&mut self) -> io::Result<()> {
+        let deadline = Instant::now() + REQUEST_DEADLINE;
+        let mut sent = 0;
+        let mut shortened = false;
+        while sent < self.out.len() {
+            match self.stream.write(&self.out[sent..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+            if sent < self.out.len() {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Err(io::ErrorKind::TimedOut.into());
+                }
+                self.stream.set_write_timeout(Some(left))?;
+                shortened = true;
+            }
+        }
+        if shortened {
+            self.stream.set_write_timeout(Some(REQUEST_DEADLINE))?;
+        }
+        self.out.clear();
+        Ok(())
+    }
 }
 
 impl Read for DeadlineReader {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        // No answer waits behind a read. This runs inside the `accept`
+        // frame, so the nested `write` frame keeps write time apart.
+        if !self.out.is_empty() {
+            let _write_frame = bikron_obs::profile::phase("write");
+            self.flush()?;
+        }
         let left = self
             .deadline
             .map(|d| d.saturating_duration_since(Instant::now()));
@@ -242,23 +294,40 @@ impl Read for DeadlineReader {
     }
 }
 
-/// One keep-alive session: parse → respond → write, recording metrics,
+/// A flush failed and the connection closes: count it as a timeout
+/// when the deadline ran out rather than the peer going away.
+fn flush_failed(handler: &impl Handler, e: &io::Error) {
+    if matches!(
+        e.kind(),
+        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
+    ) {
+        handler.record_timeout();
+    }
+}
+
+/// One keep-alive session: parse → respond → render, recording metrics,
 /// one access-log event, and (when the handler has an enabled span sink)
 /// one span tree per request, until close/error/timeout/shutdown.
+///
+/// A rendered answer is written at once when no further request bytes
+/// are buffered, when the connection is about to close, or when
+/// [`MAX_PENDING_OUTPUT`] bytes are pending; otherwise it waits for the
+/// answers to the rest of the pipelined burst, and all of them leave in
+/// one write before the next blocking read.
 fn serve_connection(stream: TcpStream, handler: &impl Handler, read_timeout: Duration) {
-    if stream.set_read_timeout(Some(read_timeout)).is_err() || stream.set_nodelay(true).is_err() {
+    if stream.set_read_timeout(Some(read_timeout)).is_err()
+        || stream.set_write_timeout(Some(REQUEST_DEADLINE)).is_err()
+        || stream.set_nodelay(true).is_err()
+    {
         return;
     }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
     let mut reader = BufReader::new(DeadlineReader {
         stream,
         idle: read_timeout,
         timeout: read_timeout,
         deadline: None,
         expired: false,
+        out: Vec::new(),
     });
     loop {
         // The recorder's clock is based here, before the read, so the
@@ -282,6 +351,10 @@ fn serve_connection(stream: TcpStream, handler: &impl Handler, read_timeout: Dur
         // trusted, and a client that missed the deadline gets no more.
         let parsed = match parsed {
             Ok(req) => Ok(req),
+            // The flush before a read failed: the answers cannot go out.
+            Err(HttpError::Io(e)) if !reader.get_ref().out.is_empty() => {
+                return flush_failed(handler, &e);
+            }
             Err(HttpError::Io(_)) if reader.get_ref().expired => Err(Response::error(
                 408,
                 &format!(
@@ -297,8 +370,8 @@ fn serve_connection(stream: TcpStream, handler: &impl Handler, read_timeout: Dur
         // windowed p99 the health endpoint alarms on (nor the slow-trace
         // capture decision, which uses the same total).
         let started = Instant::now();
-        // Held through handling AND the response write: the live gauge a
-        // dashboard polls must count requests still being flushed.
+        // Held through handling AND the response render or write: the
+        // live gauge a dashboard polls must count requests in flight.
         let _inflight = handler.inflight().enter();
         state::reset_cache_outcome();
         // Every request gets a trace identity, recorder or not: adopt
@@ -358,11 +431,21 @@ fn serve_connection(stream: TcpStream, handler: &impl Handler, read_timeout: Dur
             resp
         };
         let status = resp.status;
+        let last = !keep_alive || handler.shutdown_requested();
         let write = recorder.as_ref().and_then(|rec| rec.begin("write", None));
         let write_frame = bikron_obs::profile::phase("write");
-        let wrote = write_response_traced(&mut writer, &resp, keep_alive, Some(&trace_hex));
+        let out = &mut reader.get_mut().out;
+        let bytes = render_response(out, &resp, keep_alive, Some(&trace_hex));
+        let flush_now = last || out.len() >= MAX_PENDING_OUTPUT || reader.buffer().is_empty();
+        let flushed = if flush_now {
+            reader.get_mut().flush()
+        } else {
+            Ok(())
+        };
         drop(write_frame);
-        let Ok(bytes) = wrote else { return };
+        if let Err(e) = flushed {
+            return flush_failed(handler, &e);
+        }
         if let Some(rec) = &recorder {
             rec.end(write);
         }
@@ -382,7 +465,7 @@ fn serve_connection(stream: TcpStream, handler: &impl Handler, read_timeout: Dur
                 sink.offer(rec, method, &shape, status, bytes, ns);
             }
         }
-        if !keep_alive || handler.shutdown_requested() {
+        if last {
             return;
         }
     }

@@ -1840,6 +1840,10 @@ impl Handler for ServeState {
         self.metrics.record(503, bytes, 0);
     }
 
+    fn record_timeout(&self) {
+        self.metrics.timeouts.inc();
+    }
+
     fn connection_opened(&self) {
         self.metrics.connections.inc();
     }

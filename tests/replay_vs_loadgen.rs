@@ -303,6 +303,9 @@ impl Handler for Recording {
     fn record_shed(&self, bytes: u64) {
         Handler::record_shed(&self.state, bytes)
     }
+    fn record_timeout(&self) {
+        Handler::record_timeout(&self.state)
+    }
     fn connection_opened(&self) {
         Handler::connection_opened(&self.state)
     }
