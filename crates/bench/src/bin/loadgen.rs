@@ -11,11 +11,11 @@
 //! `--batch K` switches to `POST /v1/batch` with K newline-delimited
 //! queries per request; each item of the returned JSON array is verified
 //! individually (byte-exact for vertex items). `--zipf S` draws query
-//! keys from a Zipf(S) distribution instead of uniform, exercising the
-//! server's result cache. `--label L` namespaces the emitted metrics as
+//! keys from a Zipf(S) distribution instead of uniform, so a few hot
+//! keys dominate. `--label L` namespaces the emitted metrics as
 //! `loadgen.L.*` and `--append` folds the counters of an existing
-//! `--out` file into the new report, so sequential runs (single / batch /
-//! batch+cache) accumulate into one benchmark file.
+//! `--out` file into the new report, so sequential runs (single /
+//! batch) accumulate into one benchmark file.
 //!
 //! `--cluster` points the same workload at a `bikron router` front for a
 //! sharded cluster. The checks don't change — the router's contract is
@@ -1054,7 +1054,7 @@ fn finish(
 
     let obs = bikron_obs::global();
     // --append folds a previous run's counters into this report, so the
-    // single / batch / batch+cache rows of a benchmark sweep land in one
+    // single / batch rows of a benchmark sweep land in one
     // file (namespace the runs with distinct --label values; appended
     // histograms and gauges are not carried over).
     if args.append {

@@ -8,7 +8,7 @@ use bikron_core::stream::PartitionedStream;
 use bikron_core::truth::FactorStats;
 use bikron_core::{predict_structure, GroundTruth, KroneckerProduct, SelfLoopMode};
 use bikron_graph::{bipartition, connected_components, Graph};
-use bikron_serve::snapshot::{Snapshot, SnapshotError, DEFAULT_CACHE_TOP_K};
+use bikron_serve::snapshot::{Snapshot, SnapshotError};
 use bikron_serve::{ServeOptions, ServeState, Server, ServerConfig, WarmInfo};
 
 /// Generic error type for command plumbing.
@@ -41,9 +41,8 @@ fn load_snapshot(
 fn warm_banner(out: &mut dyn Write, path: &str, expr: &str, info: &WarmInfo) -> CmdResult {
     writeln!(
         out,
-        "warm start: restored '{expr}' from {path} in {:.1} ms ({} cache entries)",
+        "warm start: restored '{expr}' from {path} in {:.1} ms",
         info.load_ns as f64 / 1e6,
-        info.cache_entries_restored,
     )?;
     Ok(())
 }
@@ -55,13 +54,8 @@ fn write_snapshot_on_shutdown(
     out: &mut dyn Write,
 ) -> CmdResult {
     if let Some(path) = &snapshot.snapshot_out {
-        let snap = state.to_snapshot(DEFAULT_CACHE_TOP_K);
-        snap.write_to(path)?;
-        writeln!(
-            out,
-            "snapshot written to {path} ({} cache entries)",
-            snap.cache.len()
-        )?;
+        state.to_snapshot().write_to(path)?;
+        writeln!(out, "snapshot written to {path}")?;
     }
     Ok(())
 }
@@ -333,7 +327,6 @@ fn boot_and_serve(
     expr_banner: bool,
     out: &mut dyn Write,
 ) -> CmdResult {
-    let cache_entries = options.cache_entries;
     let path = snapshot.snapshot_in.as_deref().unwrap_or_default();
     let state = match loaded {
         Some(Ok(snap)) => {
@@ -361,15 +354,10 @@ fn boot_and_serve(
     };
     writeln!(
         out,
-        "{listening} http://{} ({} worker(s), queue {}, cache {}, batch ≤ {}{}) — stop with ctrl-c",
+        "{listening} http://{} ({} worker(s), queue {}, batch ≤ {}{}) — stop with ctrl-c",
         server.local_addr()?,
         config.threads.max(1),
         config.queue_capacity.max(1),
-        if cache_entries > 0 {
-            format!("{cache_entries} entries")
-        } else {
-            "off".to_string()
-        },
         state.batch_max(),
         shard_banner(&state),
     )?;

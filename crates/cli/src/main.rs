@@ -37,10 +37,9 @@ USAGE:
   bikron parts    A_SPEC B_SPEC MODE
   bikron verify-file FILE.tsv
   bikron serve    A_SPEC B_SPEC MODE [--addr HOST:PORT] [--threads N]
-                  [--queue N] [--admin-token TOKEN] [--cache-entries N]
-                  [--cache-shards N] [--batch-max K] [--access-log FILE]
-                  [--log-sample N] [--slo-p99-ms MS] [--slo-err-pct PCT]
-                  [--trace-slow-ms MS] [--trace-sample N]
+                  [--queue N] [--admin-token TOKEN] [--batch-max K]
+                  [--access-log FILE] [--log-sample N] [--slo-p99-ms MS]
+                  [--slo-err-pct PCT] [--trace-slow-ms MS] [--trace-sample N]
                   [--snapshot-in FILE] [--snapshot-out FILE]
                   [--snapshot-lenient]
   bikron serve    --expr \"EXPR\" NAME=SPEC... [same flags as serve]
@@ -82,9 +81,9 @@ SERVE:
   `vertex P` / `edge P Q` / `neighbors P [OFFSET [LIMIT]]` lines, up to
   --batch-max per request, answered as one JSON array), /v1/stats,
   /v1/edges/{part}/{parts}, /metrics, and /v1/shutdown (requires
-  --admin-token). A sharded LRU result cache (--cache-entries, default
-  65536; 0 disables) fronts the per-vertex/per-edge/neighbors answers —
-  they are immutable ground truth, so cached entries never go stale.
+  --admin-token). Every answer is evaluated from its closed form per
+  request; nothing is cached, because evaluating costs less than a
+  lookup would.
   /metrics serves JSON (add ?format=prometheus for text exposition);
   /v1/health reports ok|degraded from rolling 1m/5m SLO windows
   (--slo-p99-ms, --slo-err-pct). --access-log FILE appends one JSON
@@ -137,20 +136,18 @@ ROUTER:
 
 SNAPSHOTS (bikron-snap/1):
   --snapshot-out FILE writes a versioned binary snapshot (factor CSRs,
-  FactorStats, the /v1/stats body, and the hottest result-cache
-  entries, each section checksummed) after a graceful shutdown.
-  --snapshot-in FILE warm-starts from one: factor statistics are
-  decoded instead of recomputed and the cache boots primed; /v1/stats
-  reports \"snapshot\": \"warm\". A snapshot for a different expression,
+  FactorStats and the /v1/stats body, each section checksummed) after
+  a graceful shutdown. --snapshot-in FILE warm-starts from one: factor
+  statistics are decoded instead of recomputed; /v1/stats reports
+  \"snapshot\": \"warm\". A snapshot for a different expression,
   different factor graphs, a future schema version, or a corrupted
   file is rejected at boot — pass --snapshot-lenient to log the
-  rejection and boot cold instead. Works with --shard I/N (restored
-  cache entries are filtered to the shard's owned keys).
+  rejection and boot cold instead. Works with --shard I/N.
 
 REPLAY:
   Re-issues a recorded access log (the JSON-lines file --access-log
-  writes) against a live server — for cache warming after a deploy,
-  capacity planning, or realistic benchmarking. Numeric path segments
+  writes) against a live server — for capacity planning or realistic
+  benchmarking. Numeric path segments
   were normalised to {n} at record time; replay re-materialises them
   with seeded, deterministic vertex samples drawn from the target's
   /v1/stats vertex count. --speed X scales recorded inter-arrival
@@ -169,7 +166,7 @@ PROMCHECK:
 MONITOR:
   Polls URL/metrics every --interval seconds (default 2) and redraws a
   live dashboard: windowed + cumulative request rates, p50/p90/p99
-  latency, status mix, cache hit-rate, in-flight requests, profile
+  latency, status mix, in-flight requests, profile
   sample counts, dropped spans/log lines/profile samples (flagged when
   nonzero), hottest histograms (--top K). --once prints one
   machine-readable `key value` snapshot and exits.
@@ -177,9 +174,8 @@ MONITOR:
 TRACE:
   Fetches the span trees a server captured (see --trace-slow-ms /
   --trace-sample above) from GET /v1/admin/traces and renders each as
-  an indented waterfall: accept → parse → evaluate (with cache /
-  serialize / per-batch-item children and their hit/miss outcomes) →
-  write. --min-ms N keeps only traces at least that slow; --top K
+  an indented waterfall: accept → parse → evaluate (with one child per
+  batch item) → write. --min-ms N keeps only traces at least that slow; --top K
   limits how many are shown (newest first). The endpoint is gated by
   the server's --admin-token; pass it with --token.
 
@@ -228,11 +224,13 @@ fn run() -> Result<bool, Box<dyn std::error::Error>> {
         args.first().map(String::as_str),
         Some("serve") | Some("router")
     );
-    let hz = opts.profile_hz.unwrap_or(if default_on || opts.profile_out.is_some() {
-        bikron_obs::profile::DEFAULT_HZ
-    } else {
-        0
-    });
+    let hz = opts
+        .profile_hz
+        .unwrap_or(if default_on || opts.profile_out.is_some() {
+            bikron_obs::profile::DEFAULT_HZ
+        } else {
+            0
+        });
     let _sampler = (hz > 0)
         .then(|| bikron_obs::profile::start_sampler(hz))
         .flatten();
@@ -292,8 +290,6 @@ fn parse_serve_config(
             "--threads" => config.threads = parse_num(i, "--threads")?,
             "--queue" => config.queue_capacity = parse_num(i, "--queue")?,
             "--admin-token" => options.admin_token = Some(need_value(i)?),
-            "--cache-entries" => options.cache_entries = parse_num(i, "--cache-entries")?,
-            "--cache-shards" => options.cache_shards = parse_num(i, "--cache-shards")?,
             "--batch-max" => options.batch_max = parse_num(i, "--batch-max")?,
             "--access-log" => options.access_log = Some(need_value(i)?),
             "--log-sample" => options.log_sample = parse_num(i, "--log-sample")? as u64,

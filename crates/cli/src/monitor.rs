@@ -4,7 +4,7 @@
 //! The monitor polls `GET /metrics` (the `bikron-obs/4` JSON report),
 //! diffs consecutive snapshots, and redraws one screen in place:
 //! windowed and cumulative request rates, windowed p50/p99 latency,
-//! status-code mix, cache hit-rate, in-flight requests (live + peak),
+//! status-code mix, in-flight requests (live + peak),
 //! and the top-K hottest histograms by count. With `--once` it prints a
 //! single machine-readable `key value` snapshot instead — that is what
 //! CI asserts against.
@@ -356,16 +356,6 @@ impl<'a> Snapshot<'a> {
         self.requests * 1000 / self.uptime_ms
     }
 
-    fn cache_hit_pct(&self) -> Option<u64> {
-        let hits = self.report.counter("serve.cache.hits")?;
-        let misses = self.report.counter("serve.cache.misses").unwrap_or(0);
-        let total = hits + misses;
-        if total == 0 {
-            return Some(0);
-        }
-        Some(hits * 100 / total)
-    }
-
     /// `(code, count)` rows for every `{prefix}status.*` counter, by
     /// count descending.
     fn status_mix(&self) -> Vec<(String, u64)> {
@@ -487,20 +477,13 @@ pub fn render_frame(prev: Option<&Report>, cur: &Report, dt_secs: f64, top: usiz
         out.push('\n');
     }
 
-    // Cache and concurrency.
-    if let Some(pct) = snap.cache_hit_pct() {
-        out.push_str(&format!("  cache      hit-rate {pct}%\n"));
-    }
-    // Snapshot provenance: whether this process warm-started from a
-    // `--snapshot-in` file, and what the restore cost/bought.
+    // Snapshot provenance and concurrency: whether this process
+    // warm-started from a `--snapshot-in` file, and what the load cost.
     if let Some((warm, _)) = cur.gauge("serve.snapshot.warm") {
         if warm == 1 {
             let load_ns = cur.gauge("serve.snapshot.load_ns").map_or(0, |(v, _)| v);
-            let restored = cur
-                .gauge("serve.snapshot.cache_entries_restored")
-                .map_or(0, |(v, _)| v);
             out.push_str(&format!(
-                "  snapshot   warm ({restored} cache entries restored in {})\n",
+                "  snapshot   warm (loaded in {})\n",
                 fmt_ns(load_ns)
             ));
         } else {
@@ -608,10 +591,6 @@ pub fn render_once(cur: &Report) -> String {
     out.push_str(&format!("inflight {inflight}\n"));
     out.push_str(&format!("inflight_peak {inflight_peak}\n"));
     out.push_str(&format!(
-        "cache_hit_pct {}\n",
-        snap.cache_hit_pct().unwrap_or(0)
-    ));
-    out.push_str(&format!(
         "errors_5xx_total {}\n",
         cur.counter(&snap.name("errors_5xx"))
             .or_else(|| cur.counter(&snap.name("errors")))
@@ -655,10 +634,6 @@ pub fn render_once(cur: &Report) -> String {
         out.push_str(&format!(
             "snapshot_load_ns {}\n",
             gauge("serve.snapshot.load_ns")
-        ));
-        out.push_str(&format!(
-            "cache_entries_restored {}\n",
-            gauge("serve.snapshot.cache_entries_restored")
         ));
     }
     // Cluster targets: stable numeric keys per shard so CI can assert
@@ -737,12 +712,9 @@ mod tests {
         }
         base.counter("serve.status.200").add(118);
         base.counter("serve.status.404").add(2);
-        base.counter("serve.cache.hits").add(90);
-        base.counter("serve.cache.misses").add(30);
         base.gauge("serve.uptime_ms").set(60_000);
         base.gauge("serve.snapshot.warm").set(1);
         base.gauge("serve.snapshot.load_ns").set(2_000_000);
-        base.gauge("serve.snapshot.cache_entries_restored").set(42);
         let g = base.gauge("serve.inflight");
         g.raise(3);
         g.lower(2);
@@ -848,7 +820,7 @@ mod tests {
         assert!(frame.contains("latency ∞"), "{frame}");
         assert!(frame.contains("200:118"), "{frame}");
         assert!(frame.contains("404:2"), "{frame}");
-        assert!(frame.contains("hit-rate 75%"), "{frame}");
+        assert!(!frame.contains("hit-rate"), "{frame}");
         assert!(frame.contains("inflight   1 (peak 3)"), "{frame}");
         assert!(frame.contains("serve.request_ns"), "{frame}");
     }
@@ -896,18 +868,17 @@ mod tests {
             "p99_cumulative_ns",
             "inflight",
             "inflight_peak",
-            "cache_hit_pct",
             "profile_samples",
             "profile_dropped",
             "snapshot",
             "snapshot_load_ns",
-            "cache_entries_restored",
         ] {
             assert!(keys.contains(k), "missing {k} in {text}");
         }
         assert!(text.contains("rps_1m 2\n"), "{text}");
         assert!(text.contains("snapshot warm\n"), "{text}");
-        assert!(text.contains("cache_entries_restored 42\n"), "{text}");
+        assert!(text.contains("snapshot_load_ns 2000000\n"), "{text}");
+        assert!(!text.contains("cache"), "{text}");
     }
 
     #[test]
@@ -915,7 +886,7 @@ mod tests {
         // The canned report warm-started: both renderers say so.
         let frame = render_frame(None, &sample_report(), 2.0, 5);
         assert!(
-            frame.contains("snapshot   warm (42 cache entries restored in 2.0ms)"),
+            frame.contains("snapshot   warm (loaded in 2.0ms)"),
             "{frame}"
         );
         // A cold boot (gauge present, zero) reads cold.
@@ -923,7 +894,6 @@ mod tests {
         base.counter("serve.requests").add(1);
         base.gauge("serve.snapshot.warm").set(0);
         base.gauge("serve.snapshot.load_ns").set(0);
-        base.gauge("serve.snapshot.cache_entries_restored").set(0);
         let cold = base.snapshot();
         assert!(
             render_frame(None, &cold, 2.0, 5).contains("snapshot   cold"),
@@ -931,7 +901,7 @@ mod tests {
         );
         let once = render_once(&cold);
         assert!(once.contains("snapshot cold\n"), "{once}");
-        assert!(once.contains("cache_entries_restored 0\n"), "{once}");
+        assert!(once.contains("snapshot_load_ns 0\n"), "{once}");
         // A target with no snapshot gauge at all (router, old server)
         // emits no snapshot keys.
         let bare = bikron_obs::Registry::new();
@@ -994,7 +964,10 @@ mod tests {
             stacks: [("serve;evaluate".to_string(), 500)].into_iter().collect(),
         });
         let frame = render_frame(None, &report, 2.0, 5);
-        assert!(frame.contains("profile    500 samples, 0 dropped"), "{frame}");
+        assert!(
+            frame.contains("profile    500 samples, 0 dropped"),
+            "{frame}"
+        );
         assert!(!frame.contains("LOSSY"), "{frame}");
         let once = render_once(&report);
         assert!(once.contains("profile_samples 500\n"), "{once}");
@@ -1011,7 +984,10 @@ mod tests {
             stacks: std::collections::BTreeMap::new(),
         });
         let frame = render_frame(None, &lossy, 2.0, 5);
-        assert!(frame.contains("profile    500 samples, 7 dropped"), "{frame}");
+        assert!(
+            frame.contains("profile    500 samples, 7 dropped"),
+            "{frame}"
+        );
         assert!(frame.contains("LOSSY TELEMETRY"), "{frame}");
         assert!(frame.contains("dropped profile samples 7"), "{frame}");
         assert!(render_once(&lossy).contains("profile_dropped 7\n"));
@@ -1022,7 +998,10 @@ mod tests {
         counters.counter("profile.samples").add(33);
         counters.counter("profile.dropped_samples").add(0);
         let frame = render_frame(None, &counters.snapshot(), 2.0, 5);
-        assert!(frame.contains("profile    33 samples, 0 dropped"), "{frame}");
+        assert!(
+            frame.contains("profile    33 samples, 0 dropped"),
+            "{frame}"
+        );
 
         // No sampler at all: no profile line.
         assert!(

@@ -8,7 +8,7 @@
 //! server's own vertex count (`/v1/stats`). That keeps the replayed
 //! *workload mix* — endpoint shapes, their proportions, and optionally
 //! their recorded arrival rhythm — faithful to production, which is
-//! what cache warming and capacity planning need; the exact key values
+//! what capacity planning needs; the exact key values
 //! are intentionally not reconstructible from a shape log.
 //!
 //! Rate control (DESIGN.md §14): `--speed X` scales the recorded
@@ -451,8 +451,43 @@ mod tests {
         format!(
             "{{\"ts_ms\": {ts}, \"target\": \"access\", \"method\": \"{method}\", \
              \"path\": \"{path}\", \"status\": 200, \"latency_ns\": 1000, \"bytes\": 10, \
-             \"cache\": \"miss\", \"trace_id\": \"abc\"}}"
+             \"trace_id\": \"abc\"}}"
         )
+    }
+
+    /// Logs recorded while the server still had a result cache carry a
+    /// `"cache"` member on every line; they replay exactly like new ones.
+    #[test]
+    fn parses_lines_recorded_with_a_cache_member() {
+        let old = |ts: u64, path: &str, cache: &str| {
+            format!(
+                "{{\"ts_ms\": {ts}, \"target\": \"access\", \"method\": \"GET\", \
+                 \"path\": \"{path}\", \"status\": 200, \"latency_ns\": 1000, \"bytes\": 10, \
+                 \"cache\": \"{cache}\", \"trace_id\": \"abc\"}}"
+            )
+        };
+        let log = [
+            old(1, "/v1/vertex/{n}", "hit"),
+            old(2, "/v1/edge/{n}/{n}", "miss"),
+            old(3, "/v1/stats", "-"),
+            line(4, "GET", "/v1/neighbors/{n}"),
+        ]
+        .join("\n");
+        let (lines, skipped) = parse_access_log(&log);
+        assert_eq!(skipped, 0);
+        let shapes: Vec<(u64, &str)> = lines
+            .iter()
+            .map(|l| (l.ts_ms, l.path_shape.as_str()))
+            .collect();
+        assert_eq!(
+            shapes,
+            [
+                (1, "/v1/vertex/{n}"),
+                (2, "/v1/edge/{n}/{n}"),
+                (3, "/v1/stats"),
+                (4, "/v1/neighbors/{n}"),
+            ]
+        );
     }
 
     #[test]

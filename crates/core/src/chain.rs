@@ -323,7 +323,7 @@ impl KronChain {
     }
 
     /// The canonicalised expression string, `⊗`-joined with `(NAME+I)`
-    /// spelling — the identity used in cache keys and `/v1/stats`.
+    /// spelling — the identity `/v1/stats` and snapshots report.
     pub fn canonical(&self) -> &str {
         &self.canonical
     }

@@ -9,27 +9,62 @@
 //! responses) reuse one escaping implementation instead of growing their
 //! own.
 
+use std::fmt::Write as _;
+
 /// Append `s` to `out` with JSON string escaping: `"` and `\` are
 /// backslash-escaped, the common control characters get their two-byte
 /// forms (`\n`, `\r`, `\t`, `\u{8}` → `\b`, `\u{c}` → `\f`), every other
 /// control character below U+0020 becomes `\u00XX`, and all other
 /// characters (including non-ASCII) pass through verbatim as UTF-8.
+///
+/// Every character that needs escaping is ASCII, so the scan runs over
+/// bytes and copies each run of plain text with one `push_str`: a string
+/// that needs no escaping costs one scan and one copy.
 pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    let mut plain = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        // `None`: a control character without a short form.
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x08 => Some("\\b"),
+            0x0c => Some("\\f"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        // `b` is ASCII, so `i` is a char boundary.
+        out.push_str(&s[plain..i]);
+        match short {
+            Some(escaped) => out.push_str(escaped),
+            None => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
             }
-            c => out.push(c),
+        }
+        plain = i + 1;
+    }
+    out.push_str(&s[plain..]);
+}
+
+/// Append the decimal digits of `value` to `out` without an intermediate
+/// `String`.
+fn push_u64(out: &mut String, mut value: u64) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
         }
     }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// Streaming writer for pretty-printed JSON objects and arrays.
@@ -37,6 +72,12 @@ pub fn escape_into(out: &mut String, s: &str) {
 /// Output is deterministic: two-space indent, members in insertion
 /// order, a trailing newline from [`JsonWriter::finish`]. The caller is
 /// responsible for balanced `open_*`/`close_*` calls.
+///
+/// A writer can also append to a caller-owned buffer
+/// ([`JsonWriter::with_buffer`] / [`JsonWriter::into_buffer`]): values
+/// written at depth 0 follow each other with nothing in between, and
+/// [`JsonWriter::buffer_mut`] lets the caller put its own separators
+/// there — how a batch answer renders every item into one body.
 #[derive(Default)]
 pub struct JsonWriter {
     out: String,
@@ -53,6 +94,26 @@ impl JsonWriter {
             depth: 0,
             has_member: Vec::new(),
         }
+    }
+
+    /// Writer that appends to `out` after its existing content.
+    pub fn with_buffer(out: String) -> Self {
+        JsonWriter {
+            out,
+            ..JsonWriter::new()
+        }
+    }
+
+    /// The buffer written so far, for raw bytes between depth-0 values.
+    /// Writing into it inside an open container breaks the output.
+    pub fn buffer_mut(&mut self) -> &mut String {
+        &mut self.out
+    }
+
+    /// Consume the writer, returning the buffer as written (no trailing
+    /// newline).
+    pub fn into_buffer(self) -> String {
+        self.out
     }
 
     fn newline_indent(&mut self) {
@@ -116,7 +177,7 @@ impl JsonWriter {
     /// Bare `u64` array element.
     pub fn u64_element(&mut self, value: u64) {
         self.begin_member();
-        self.out.push_str(&value.to_string());
+        push_u64(&mut self.out, value);
     }
 
     /// Bare string array element, escaped.
@@ -142,7 +203,7 @@ impl JsonWriter {
     /// `"key": value` for an unsigned integer.
     pub fn u64_field(&mut self, key: &str, value: u64) {
         self.key(key);
-        self.out.push_str(&value.to_string());
+        push_u64(&mut self.out, value);
     }
 
     /// `"key": value` for a float, in Rust's shortest round-trip `{}`
@@ -151,7 +212,7 @@ impl JsonWriter {
     pub fn f64_field(&mut self, key: &str, value: f64) {
         self.key(key);
         if value.is_finite() {
-            self.out.push_str(&format!("{value}"));
+            write!(self.out, "{value}").expect("writing to a String cannot fail");
         } else {
             self.out.push_str("null");
         }
@@ -185,11 +246,111 @@ impl JsonWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn escape(s: &str) -> String {
         let mut out = String::new();
         escape_into(&mut out, s);
         out
+    }
+
+    /// The char-by-char escaper `escape_into` must agree with.
+    fn escape_reference(s: &str) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{8}' => out.push_str("\\b"),
+                '\u{c}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => {
+                    out.push_str(&format!("\\u{:04x}", c as u32));
+                }
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    /// Characters that exercise every escaping class: controls, quote,
+    /// backslash, plain ASCII, DEL, and two-, three- and four-byte UTF-8.
+    fn arb_text() -> impl Strategy<Value = String> {
+        const EXTRA: [char; 5] = ['\u{7f}', 'ï', '✓', '🦋', '\u{2028}'];
+        proptest::collection::vec(0u32..(0x80 + EXTRA.len() as u32), 0..48).prop_map(|codes| {
+            codes
+                .into_iter()
+                .map(|c| match c.checked_sub(0x80) {
+                    Some(i) => EXTRA[i as usize],
+                    None => char::from_u32(c).expect("ASCII"),
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The byte-run escaper equals the char-by-char reference, on
+        /// its own and appended after existing text.
+        #[test]
+        fn escape_matches_the_char_by_char_reference(s in arb_text()) {
+            prop_assert_eq!(escape(&s), escape_reference(&s));
+            let mut out = String::from("prefix");
+            escape_into(&mut out, &s);
+            prop_assert_eq!(out, format!("prefix{}", escape_reference(&s)));
+        }
+    }
+
+    /// Integers render without `to_string()`; the edges of the digit
+    /// loop and the longest value are pinned.
+    #[test]
+    fn integers_golden() {
+        let mut w = JsonWriter::new();
+        w.open_object();
+        for (key, value) in [("zero", 0), ("nine", 9), ("ten", 10), ("max", u64::MAX)] {
+            w.u64_field(key, value);
+        }
+        w.key("elements");
+        w.open_array();
+        for value in [0, 9, 10, u64::MAX] {
+            w.u64_element(value);
+        }
+        w.close_array();
+        w.close_object();
+        let expect = concat!(
+            "{\n",
+            "  \"zero\": 0,\n",
+            "  \"nine\": 9,\n",
+            "  \"ten\": 10,\n",
+            "  \"max\": 18446744073709551615,\n",
+            "  \"elements\": [\n",
+            "    0,\n",
+            "    9,\n",
+            "    10,\n",
+            "    18446744073709551615\n",
+            "  ]\n",
+            "}\n",
+        );
+        assert_eq!(w.finish(), expect);
+    }
+
+    /// A writer appending to a caller's buffer keeps what was there,
+    /// puts nothing between depth-0 values, and adds no newline.
+    #[test]
+    fn appends_to_a_caller_owned_buffer() {
+        let mut w = JsonWriter::with_buffer(String::from("["));
+        for v in [1, 2] {
+            w.buffer_mut().push('\n');
+            w.open_object();
+            w.u64_field("v", v);
+            w.close_object();
+        }
+        let mut out = w.into_buffer();
+        out.push_str("\n]");
+        assert_eq!(out, "[\n{\n  \"v\": 1\n}\n{\n  \"v\": 2\n}\n]");
     }
 
     /// Golden escaping table: every class the writer must handle —

@@ -34,7 +34,7 @@ pub enum LogValue {
     U64(u64),
     /// Free-form string (methods, path shapes).
     Str(String),
-    /// Boolean (cache hit flags).
+    /// Boolean flag.
     Bool(bool),
 }
 

@@ -25,8 +25,8 @@
 //!   request path on a global lock.
 //!
 //! Why tail-based: the paper's closed forms make every answer
-//! O(1)–O(deg), so slowness is *operational* (queueing, cache misses,
-//! stalls) and rare — sampling decisions made at request *start* (head
+//! O(1)–O(deg), so slowness is *operational* (queueing, stalls) and
+//! rare — sampling decisions made at request *start* (head
 //! sampling) would miss exactly the outliers worth keeping. Recording a
 //! span tree is cheap (a handful of `Instant::now` calls and one small
 //! `Vec`), so every request records when the sink is enabled and the
@@ -203,9 +203,6 @@ pub struct SpanRecord {
     pub start_ns: u64,
     /// End offset from request start, nanoseconds (`>= start_ns`).
     pub end_ns: u64,
-    /// Cache outcome annotation: `Some(true)` hit, `Some(false)` miss,
-    /// `None` for spans with no cache interaction.
-    pub cache: Option<bool>,
 }
 
 /// Handle to an in-flight span: pass back to [`SpanRecorder::end`].
@@ -297,10 +294,6 @@ impl RequestTrace {
             w.string_field("parent_id", &format!("{:016x}", s.parent_id));
             w.u64_field("start_ns", s.start_ns);
             w.u64_field("end_ns", s.end_ns);
-            match s.cache {
-                Some(hit) => w.string_field("cache", if hit { "hit" } else { "miss" }),
-                None => w.null_field("cache"),
-            }
             w.close_object();
         }
         w.close_array();
@@ -390,7 +383,6 @@ impl SpanRecorder {
             parent_id,
             start_ns,
             end_ns: start_ns,
-            cache: None,
         });
         Some(SpanToken { index, span_id })
     }
@@ -403,16 +395,6 @@ impl SpanRecorder {
             let mut inner = self.inner.lock().unwrap();
             if let Some(s) = inner.spans.get_mut(t.index) {
                 s.end_ns = end_ns;
-            }
-        }
-    }
-
-    /// Annotate a span with a cache outcome (`true` hit, `false` miss).
-    pub fn set_cache(&self, token: Option<SpanToken>, outcome: Option<bool>) {
-        if let (Some(t), Some(hit)) = (token, outcome) {
-            let mut inner = self.inner.lock().unwrap();
-            if let Some(s) = inner.spans.get_mut(t.index) {
-                s.cache = Some(hit);
             }
         }
     }
@@ -676,15 +658,13 @@ mod tests {
         let parse = r.begin("parse", None);
         r.end(parse);
         let eval = r.begin("evaluate", None);
-        let cache = r.begin("cache", eval);
-        r.set_cache(cache, Some(false));
-        r.end(cache);
+        let item = r.begin("batch[0] vertex", eval);
+        r.end(item);
         r.end(eval);
         let spans = r.spans();
         assert_eq!(spans.len(), 3);
         assert_eq!(spans[0].parent_id, 11, "top-level spans parent to root");
         assert_eq!(spans[2].parent_id, spans[1].span_id);
-        assert_eq!(spans[2].cache, Some(false));
         assert!(spans.iter().all(|s| s.end_ns >= s.start_ns));
         // Span ids are unique within the trace.
         let mut ids: Vec<u64> = spans.iter().map(|s| s.span_id).collect();
@@ -717,7 +697,6 @@ mod tests {
                 let r = Arc::clone(&r);
                 scope.spawn(move || {
                     let t = r.begin(&format!("batch[{i}]"), Some(eval));
-                    r.set_cache(t, Some(i % 2 == 0));
                     r.end(t);
                 });
             }
@@ -734,7 +713,6 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 17, "span ids unique under concurrency");
-        assert!(children.iter().all(|s| s.cache.is_some()));
     }
 
     #[test]
@@ -815,7 +793,6 @@ mod tests {
     fn trace_json_shape() {
         let r = SpanRecorder::new(ctx(0xabc, 0xdef), 0x123);
         let t = r.begin("evaluate", None);
-        r.set_cache(t, Some(true));
         r.end(t);
         let sink = SpanSink::new(4, 1, 0);
         sink.offer(r, "GET", "/v1/vertex/{n}", 200, 64, 5_000_000);
@@ -829,6 +806,6 @@ mod tests {
         assert!(json.contains("\"path\": \"/v1/vertex/{n}\""));
         assert!(json.contains("\"total_ns\": 5000000"));
         assert!(json.contains("\"sampled\": \"slow\""));
-        assert!(json.contains("\"cache\": \"hit\""));
+        assert!(json.contains("\"name\": \"evaluate\""));
     }
 }

@@ -17,14 +17,13 @@
 //! errors (an out-of-range vertex, say) surface as that item's embedded
 //! error object, exactly the body the single-query endpoint would have
 //! returned, so a batch of N queries is byte-for-byte N single answers
-//! joined into one JSON array.
+//! joined into one JSON array. Each answer is rendered once, straight
+//! into the batch body.
 
-use std::sync::Arc;
-
-use bikron_obs::{SpanRecorder, SpanToken};
+use bikron_obs::JsonWriter;
 
 use crate::http::Response;
-use crate::state::{ServeState, DEFAULT_LIMIT, MAX_LIMIT};
+use crate::state::{first_n, ServeState, DEFAULT_LIMIT, MAX_LIMIT};
 
 /// One parsed batch query line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,8 +83,9 @@ pub fn parse_batch(body: &str, batch_max: usize) -> Result<Vec<BatchQuery>, Batc
                 format!("batch exceeds the configured maximum of {batch_max} queries"),
             ));
         }
-        let toks: Vec<&str> = text.split_whitespace().collect();
-        let q = match toks.as_slice() {
+        // The longest query has four tokens; a fifth is a wrong arity.
+        let (toks, len) = first_n::<5>(text.split_whitespace());
+        let q = match &toks[..len] {
             [] => return Err(BatchParseError::new(line, "empty query line")),
             ["vertex", p] => BatchQuery::Vertex(num(p, "vertex index", line)?),
             ["edge", p, q] => {
@@ -133,64 +133,49 @@ pub fn parse_batch(body: &str, batch_max: usize) -> Result<Vec<BatchQuery>, Batc
     Ok(queries)
 }
 
-/// Evaluate `queries` in order on the calling pool worker and assemble
+/// Evaluate `queries` in order on the calling pool worker and render
 /// the single JSON-array response. Batches are not split across threads:
 /// every answer is an O(1)–O(deg) lookup, the pool already runs requests
 /// from different connections in parallel, and starting threads per
 /// batch on cores whose workers are busy cost more than the items
-/// themselves (DESIGN.md §10.1).
+/// themselves (DESIGN.md §10.2).
 pub fn eval_batch(state: &ServeState, queries: &[BatchQuery]) -> Response {
     let trace = crate::state::current_recorder();
-    let mut body = String::with_capacity(queries.len() * 64);
-    body.push('[');
+    let mut w = JsonWriter::with_buffer(String::with_capacity(queries.len() * 128));
+    w.buffer_mut().push('[');
     for (i, q) in queries.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
+        w.buffer_mut().push_str(if i == 0 { "\n" } else { ",\n" });
+        // A traced request gets one child span per item; the bytes are
+        // identical either way.
+        let span = trace.as_ref().map(|(rec, evaluate)| {
+            let verb = match q {
+                BatchQuery::Vertex(_) => "vertex",
+                BatchQuery::Edge(..) => "edge",
+                BatchQuery::Neighbors(..) => "neighbors",
+            };
+            (
+                rec,
+                rec.begin(&format!("batch[{i}] {verb}"), Some(*evaluate)),
+            )
+        });
+        eval_into(state, &mut w, q);
+        if let Some((rec, tok)) = span {
+            rec.end(tok);
         }
-        body.push('\n');
-        body.push_str(eval_traced(state, q, i, &trace).body.trim_end());
     }
+    let mut body = w.into_buffer();
     body.push_str("\n]\n");
-    // The batch request itself logs no single cache outcome; only its
-    // per-item spans carry one.
-    crate::state::reset_cache_outcome();
     Response::json(200, body)
 }
 
-/// Evaluate one query — exactly the single-endpoint answer.
-fn eval_one(state: &ServeState, q: &BatchQuery) -> Response {
+/// Render one query's answer into `w` — exactly the single-endpoint body
+/// without its trailing newline.
+fn eval_into(state: &ServeState, w: &mut JsonWriter, q: &BatchQuery) {
     match *q {
-        BatchQuery::Vertex(p) => state.vertex_at(p),
-        BatchQuery::Edge(p, q) => state.edge_at(p, q),
-        BatchQuery::Neighbors(p, offset, limit) => state.neighbors_at(p, offset, limit),
-    }
-}
-
-/// [`eval_one`] wrapped in a per-item child span (when the request is
-/// being recorded), annotated with the item's cache outcome. The answer
-/// bytes are identical either way — tracing only observes.
-fn eval_traced(
-    state: &ServeState,
-    q: &BatchQuery,
-    i: usize,
-    trace: &Option<(Arc<SpanRecorder>, SpanToken)>,
-) -> Response {
-    let Some((rec, evaluate)) = trace else {
-        return eval_one(state, q);
+        BatchQuery::Vertex(p) => state.vertex_into(w, p),
+        BatchQuery::Edge(p, q) => state.edge_into(w, p, q),
+        BatchQuery::Neighbors(p, offset, limit) => state.neighbors_into(w, p, offset, limit),
     };
-    let verb = match q {
-        BatchQuery::Vertex(_) => "vertex",
-        BatchQuery::Edge(..) => "edge",
-        BatchQuery::Neighbors(..) => "neighbors",
-    };
-    let tok = rec.begin(&format!("batch[{i}] {verb}"), Some(*evaluate));
-    // Items share the worker's cache outcome; clearing it per item keeps
-    // each annotation to that item's own lookup.
-    crate::state::reset_cache_outcome();
-    let resp = eval_one(state, q);
-    rec.set_cache(tok, crate::state::cache_outcome());
-    rec.end(tok);
-    resp
 }
 
 #[cfg(test)]
@@ -248,6 +233,76 @@ mod tests {
         let resp = err.response();
         assert_eq!(resp.status, 400);
         assert!(resp.body.contains("\"line\": 3"));
+    }
+
+    /// Every 400 body, byte for byte (`batch_max` = 3): the JSON-escaped
+    /// detail string and the offending line.
+    #[test]
+    fn error_bodies_are_pinned() {
+        let cases = [
+            (
+                "vertex 1\nfrob 2\n",
+                1,
+                r#""unknown query verb \"frob\" (expected vertex|edge|neighbors)""#,
+            ),
+            (
+                "vertex 1\nvertex\n",
+                1,
+                r#""wrong argument count for \"vertex\": \"vertex\"""#,
+            ),
+            (
+                "edge 1\n",
+                0,
+                r#""wrong argument count for \"edge\": \"edge 1\"""#,
+            ),
+            (
+                "vertex banana\n",
+                0,
+                r#""vertex index is not a number: \"banana\"""#,
+            ),
+            ("vertex 1\n\nvertex 2\n", 1, r#""empty query line""#),
+            ("", 0, r#""batch body has no queries""#),
+            (
+                "neighbors 1 2 3 4\n",
+                0,
+                r#""wrong argument count for \"neighbors\": \"neighbors 1 2 3 4\"""#,
+            ),
+            (
+                "neighbors 0 0 10001\n",
+                0,
+                r#""limit 10001 exceeds the cap of 10000""#,
+            ),
+            (
+                "vertex 0\nvertex 1\nvertex 2\nvertex 3\n",
+                3,
+                r#""batch exceeds the configured maximum of 3 queries""#,
+            ),
+            (
+                "vertex \"q\"\t1 2\n",
+                0,
+                r#""wrong argument count for \"vertex\": \"vertex \\\"q\\\"\\t1 2\"""#,
+            ),
+            (
+                "neighbors x\n",
+                0,
+                r#""vertex index is not a number: \"x\"""#,
+            ),
+            ("neighbors 1 y\n", 0, r#""offset is not a number: \"y\"""#),
+            (
+                "edge 1 2 3 4 5 6\n",
+                0,
+                r#""wrong argument count for \"edge\": \"edge 1 2 3 4 5 6\"""#,
+            ),
+            ("  \n", 0, r#""empty query line""#),
+        ];
+        for (body, line, detail) in cases {
+            let expect = format!(
+                "{{\n  \"error\": 400,\n  \"status\": \"Bad Request\",\n  \
+                 \"detail\": {detail},\n  \"line\": {line}\n}}\n"
+            );
+            let err = parse_batch(body, 3).unwrap_err();
+            assert_eq!(err.response().body, expect, "{body:?}");
+        }
     }
 
     #[test]

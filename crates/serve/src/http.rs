@@ -323,11 +323,7 @@ impl Response {
     /// A canned JSON error body `{"error": status, "detail": …}`.
     pub fn error(status: u16, detail: &str) -> Self {
         let mut w = bikron_obs::JsonWriter::new();
-        w.open_object();
-        w.u64_field("error", status as u64);
-        w.string_field("status", status_text(status));
-        w.string_field("detail", detail);
-        w.close_object();
+        write_error(&mut w, status, detail);
         Response::json(status, w.finish())
     }
 
@@ -353,6 +349,17 @@ impl Response {
         self.body = body;
         self
     }
+}
+
+/// Write the error object `{"error": status, "status": text, "detail": …}`
+/// into `w` — the body of [`Response::error`], and of a failed batch
+/// item.
+pub fn write_error(w: &mut bikron_obs::JsonWriter, status: u16, detail: &str) {
+    w.open_object();
+    w.u64_field("error", status as u64);
+    w.string_field("status", status_text(status));
+    w.string_field("detail", detail);
+    w.close_object();
 }
 
 /// Reason phrase for the status codes this server emits.

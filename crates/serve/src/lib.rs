@@ -33,9 +33,10 @@
 //! (`k` = number of chain levels; 2 for pair servers. FORMULAS.md maps
 //! each endpoint to its theorem and evaluator function.)
 //!
-//! A sharded, bounded LRU result cache ([`cache`]) fronts the Thm 3/4/5
-//! evaluators; because every answer is a pure function of the immutable
-//! factors, cached bodies can never go stale and no invalidation exists.
+//! No answer is cached: every keyed answer is an O(1)–O(deg) closed form,
+//! cheaper to evaluate than to look up, so each request evaluates and
+//! renders its answer straight into the response body (DESIGN.md §10.1).
+//! The standalone [`cache`] module is not on any serving path.
 //!
 //! Like the rest of the workspace the crate is std-only: the HTTP/1.1
 //! layer ([`http`]) is hand-rolled with hard bounds on every input
@@ -76,6 +77,11 @@ pub use cache::{CacheKey, ShardedCache};
 pub use pool::{Handler, Server, ServerConfig};
 pub use snapshot::{Snapshot, SnapshotBackend, SnapshotError};
 pub use state::{
-    profile_response, ServeOptions, ServeState, WarmInfo, DEFAULT_BATCH_MAX, DEFAULT_CACHE_ENTRIES,
-    DEFAULT_CACHE_SHARDS, DEFAULT_LIMIT, MAX_LIMIT, MAX_PROFILE_SECONDS,
+    profile_response, ServeOptions, ServeState, WarmInfo, DEFAULT_BATCH_MAX, DEFAULT_LIMIT,
+    MAX_LIMIT, MAX_PROFILE_SECONDS,
 };
+
+/// Total capacity of a default-sized [`ShardedCache`], in entries.
+pub const DEFAULT_CACHE_ENTRIES: usize = 65_536;
+/// Shard count of a default-sized [`ShardedCache`].
+pub const DEFAULT_CACHE_SHARDS: usize = 16;

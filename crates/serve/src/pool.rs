@@ -84,8 +84,7 @@ pub trait Handler: Send + Sync + 'static {
         None
     }
     /// Publish one access-log event. `shape` is the request's
-    /// [`path_shape`](state::path_shape); `cache` its cache outcome.
-    #[allow(clippy::too_many_arguments)]
+    /// [`path_shape`](state::path_shape).
     fn log_access(
         &self,
         _method: &str,
@@ -93,7 +92,6 @@ pub trait Handler: Send + Sync + 'static {
         _status: u16,
         _latency_ns: u64,
         _bytes: u64,
-        _cache: Option<bool>,
         _trace_id: Option<&str>,
     ) {
     }
@@ -373,7 +371,6 @@ fn serve_connection(stream: TcpStream, handler: &impl Handler, read_timeout: Dur
         // Held through handling AND the response render or write: the
         // live gauge a dashboard polls must count requests in flight.
         let _inflight = handler.inflight().enter();
-        state::reset_cache_outcome();
         // Every request gets a trace identity, recorder or not: adopt
         // the client's `traceparent` when one parses (our root span
         // becomes a child in the caller's trace), otherwise mint ids.
@@ -402,8 +399,8 @@ fn serve_connection(stream: TcpStream, handler: &impl Handler, read_timeout: Dur
         let (resp, keep_alive, req) = match parsed {
             Ok(req) => {
                 // Install the recorder thread-locally for the duration
-                // of handling so handlers can hang cache/serialize (and
-                // per-batch-item) child spans off the evaluate span.
+                // of handling so the batch evaluator can hang per-item
+                // child spans off the evaluate span.
                 let evaluate = recorder.as_ref().and_then(|rec| {
                     let tok = rec.begin("evaluate", None)?;
                     state::set_current_recorder(Arc::clone(rec), tok);
@@ -456,8 +453,7 @@ fn serve_connection(stream: TcpStream, handler: &impl Handler, read_timeout: Dur
             None if status == 408 => ("-", "timeout".to_string()),
             None => ("-", "malformed".to_string()),
         };
-        let cache = state::cache_outcome();
-        handler.log_access(method, &shape, status, ns, bytes, cache, Some(&trace_hex));
+        handler.log_access(method, &shape, status, ns, bytes, Some(&trace_hex));
         if let (Some(rec), Some(sink)) = (recorder, handler.spans()) {
             // Sole owner now that the thread-local clone is dropped;
             // offer the finished tree for tail capture.

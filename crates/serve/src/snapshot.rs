@@ -2,11 +2,10 @@
 //!
 //! A snapshot captures everything a server computed at boot that is
 //! expensive or order-sensitive — the factor graphs, their
-//! [`FactorStats`], the cached `/v1/stats` body (which embeds the
+//! [`FactorStats`] and the cached `/v1/stats` body (which embeds the
 //! O(product)-cost degree histogram and global square count on pair
-//! servers), and optionally the hottest result-cache entries — so a
-//! restart rebuilds [`crate::ServeState`] by *decoding* instead of
-//! *recomputing*, and boots with a warm working set.
+//! servers) — so a restart rebuilds [`crate::ServeState`] by *decoding*
+//! instead of *recomputing*.
 //!
 //! ## Layout
 //!
@@ -20,6 +19,12 @@
 //!   checksum u64 LE   FNV-1a over the payload
 //! ```
 //!
+//! The CACHE section once held the server's hottest result-cache
+//! entries. The server no longer keeps a result cache, so the writer
+//! emits it empty (a zero entry count) and the reader checksums and
+//! parses whatever it holds, then discards the entries: files written
+//! with entries still load, and still fail loudly when corrupt.
+//!
 //! Per DESIGN.md §9.1 the schema version is strict: a reader never
 //! guesses at unknown versions (`UnsupportedVersion`), every section is
 //! sealed by its own checksum (`ChecksumMismatch` names the section),
@@ -30,7 +35,6 @@
 //! errors; none panic.
 
 use std::fmt;
-use std::sync::Arc;
 
 use bikron_core::snap::{put_factor_stats, put_graph, read_factor_stats, read_graph};
 use bikron_core::truth::FactorStats;
@@ -38,16 +42,12 @@ use bikron_core::SelfLoopMode;
 use bikron_graph::Graph;
 use bikron_sparse::snap::{fnv1a, put_str, put_u64, ByteReader, SnapError};
 
-use crate::cache::CacheKey;
-
 /// Leading magic bytes of every snapshot file.
 pub const MAGIC: &[u8; 8] = b"BIKRSNAP";
 /// The schema version this build reads and writes.
 pub const VERSION: u64 = 1;
 /// Schema identifier advertised in logs and docs.
 pub const SCHEMA: &str = "bikron-snap/1";
-/// Default number of hottest cache entries harvested into a snapshot.
-pub const DEFAULT_CACHE_TOP_K: usize = 4096;
 
 const TAG_META: u64 = 1;
 const TAG_FACTORS: u64 = 2;
@@ -163,8 +163,6 @@ pub struct Snapshot {
     /// The cached `/v1/stats` body *without* its `"snapshot"` field
     /// (the boot path injects `warm`/`cold` uniformly).
     pub stats_json: String,
-    /// Hottest result-cache entries, most-recently-used first.
-    pub cache: Vec<(CacheKey, Arc<String>)>,
 }
 
 fn put_section(buf: &mut Vec<u8>, tag: u64, payload: &[u8]) {
@@ -199,56 +197,40 @@ fn read_section<'a>(
     Ok(payload)
 }
 
-fn put_cache_key(buf: &mut Vec<u8>, key: &CacheKey) {
-    match *key {
-        CacheKey::Vertex(p) => {
-            put_u64(buf, 1);
-            put_u64(buf, p as u64);
-        }
-        CacheKey::Edge(p, q) => {
-            put_u64(buf, 2);
-            put_u64(buf, p as u64);
-            put_u64(buf, q as u64);
-        }
-        CacheKey::Neighbors(p, offset, limit) => {
-            put_u64(buf, 3);
-            put_u64(buf, p as u64);
-            put_u64(buf, offset);
-            put_u64(buf, limit as u64);
-        }
-        CacheKey::Clustering(p, q) => {
-            put_u64(buf, 4);
-            put_u64(buf, p as u64);
-            put_u64(buf, q as u64);
-        }
-        CacheKey::Scatter(offset, limit) => {
-            put_u64(buf, 5);
-            put_u64(buf, offset);
-            put_u64(buf, limit as u64);
-        }
+/// Parse and discard a CACHE section payload. Every entry must still
+/// be well-formed — a key tag with its integer fields, then a UTF-8 body
+/// — so a corrupt section fails with a named error.
+fn skip_cache_entries(payload: &[u8]) -> Result<(), SnapshotError> {
+    const KEY: &str = "CACHE key";
+    let nz = SnapshotError::from_snap;
+    let mut r = ByteReader::new(payload);
+    let count = r.len("CACHE count").map_err(nz)?;
+    if count > r.remaining() / 8 {
+        return Err(SnapshotError::Truncated("CACHE entries"));
     }
-}
-
-fn read_cache_key(r: &mut ByteReader<'_>) -> Result<CacheKey, SnapshotError> {
-    const W: &str = "CACHE key";
-    let nz = |e: SnapError| SnapshotError::from_snap(e);
-    let tag = r.u64(W).map_err(nz)?;
-    Ok(match tag {
-        1 => CacheKey::Vertex(r.len(W).map_err(nz)?),
-        2 => CacheKey::Edge(r.len(W).map_err(nz)?, r.len(W).map_err(nz)?),
-        3 => CacheKey::Neighbors(
-            r.len(W).map_err(nz)?,
-            r.u64(W).map_err(nz)?,
-            r.len(W).map_err(nz)?,
-        ),
-        4 => CacheKey::Clustering(r.len(W).map_err(nz)?, r.len(W).map_err(nz)?),
-        5 => CacheKey::Scatter(r.u64(W).map_err(nz)?, r.len(W).map_err(nz)?),
-        other => {
-            return Err(SnapshotError::Corrupt(format!(
-                "unknown cache key tag {other}"
-            )))
+    for _ in 0..count {
+        // Tags 1–5: vertex, edge, neighbors page, clustering, scatter page.
+        let fields = match r.u64(KEY).map_err(nz)? {
+            1 => 1,
+            2 | 4 | 5 => 2,
+            3 => 3,
+            other => {
+                return Err(SnapshotError::Corrupt(format!(
+                    "unknown cache key tag {other}"
+                )))
+            }
+        };
+        for _ in 0..fields {
+            r.u64(KEY).map_err(nz)?;
         }
-    })
+        r.str_("CACHE body").map_err(nz)?;
+    }
+    if !r.is_empty() {
+        return Err(SnapshotError::Corrupt(
+            "trailing bytes in the CACHE section".into(),
+        ));
+    }
+    Ok(())
 }
 
 impl Snapshot {
@@ -305,11 +287,7 @@ impl Snapshot {
         }
 
         let mut cache = Vec::new();
-        put_u64(&mut cache, self.cache.len() as u64);
-        for (key, body) in &self.cache {
-            put_cache_key(&mut cache, key);
-            put_str(&mut cache, body);
-        }
+        put_u64(&mut cache, 0); // no entries
 
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
@@ -466,29 +444,13 @@ impl Snapshot {
         let stats_json = String::from_utf8(stats_json.to_vec())
             .map_err(|_| SnapshotError::Corrupt("STATS_JSON is not UTF-8".into()))?;
 
-        let mut cr = ByteReader::new(cache_bytes);
-        let cache_count = cr.len("CACHE count").map_err(nz)?;
-        if cache_count > cr.remaining() / 8 {
-            return Err(SnapshotError::Truncated("CACHE entries"));
-        }
-        let mut cache = Vec::with_capacity(cache_count);
-        for _ in 0..cache_count {
-            let key = read_cache_key(&mut cr)?;
-            let body = cr.str_("CACHE body").map_err(nz)?;
-            cache.push((key, Arc::new(body)));
-        }
-        if !cr.is_empty() {
-            return Err(SnapshotError::Corrupt(
-                "trailing bytes in the CACHE section".into(),
-            ));
-        }
+        skip_cache_entries(cache_bytes)?;
 
         Ok(Snapshot {
             expr,
             shard,
             backend,
             stats_json,
-            cache,
         })
     }
 

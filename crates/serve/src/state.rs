@@ -1,13 +1,13 @@
 //! Shared server state and the request router.
 //!
 //! [`ServeState`] is the whole memory footprint of the service: the
-//! factor graphs, their [`FactorStats`], one cached `/v1/stats` body,
-//! and a bounded result cache. Nothing product-sized is ever built —
-//! each request evaluates the closed-form theorems against factor-sized
-//! state, so a server describing a graph with millions of vertices holds
-//! only factor-sized state (plus the fixed-capacity cache) and each
-//! request allocates at most `O(limit + Σ|factor|)` — `O(batch_max ×
-//! limit)` for a batch.
+//! factor graphs, their [`FactorStats`] and one cached `/v1/stats`
+//! body. Nothing product-sized is ever built, and no answer is
+//! remembered: each request evaluates the closed-form theorems against
+//! factor-sized state and renders the answer straight into its response
+//! body, so a server describing a graph with millions of vertices holds
+//! only factor-sized state and each request allocates at most
+//! `O(limit + Σ|factor|)` — `O(batch_max × limit)` for a batch.
 //!
 //! Two backends share the router: the classic **pair** server (factors
 //! `A`, `B` and a [`SelfLoopMode`], built by [`ServeState::build_with`])
@@ -18,7 +18,7 @@
 //! `"coords"` where pair servers report `"alpha"`/`"beta"`, and only pair
 //! servers stream `/v1/edges` (expression servers answer 501 there).
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -38,8 +38,7 @@ use bikron_obs::{
     SpanToken, TraceContext, WindowRegistry, WindowSnapshot,
 };
 
-use crate::cache::{CacheKey, ShardedCache};
-use crate::http::{Request, Response};
+use crate::http::{write_error, Request, Response};
 use crate::pool::Handler;
 
 /// Default page size for `/v1/neighbors` and `/v1/edges`.
@@ -53,11 +52,6 @@ pub const MAX_PARTS: usize = 1 << 20;
 /// Default cap on queries per `POST /v1/batch` request
 /// (`--batch-max` overrides).
 pub const DEFAULT_BATCH_MAX: usize = 256;
-/// Default total result-cache capacity in entries (`--cache-entries`
-/// overrides; 0 disables the cache).
-pub const DEFAULT_CACHE_ENTRIES: usize = 65_536;
-/// Default result-cache shard count (`--cache-shards` overrides).
-pub const DEFAULT_CACHE_SHARDS: usize = 16;
 /// Default windowed-p99 SLO threshold in milliseconds
 /// (`--slo-p99-ms` overrides).
 pub const DEFAULT_SLO_P99_MS: u64 = 500;
@@ -81,10 +75,6 @@ pub const MAX_PROFILE_SECONDS: u64 = 30;
 pub struct ServeOptions {
     /// Token gating `/v1/shutdown`; `None` disables admin endpoints.
     pub admin_token: Option<String>,
-    /// Total result-cache entries across all shards; 0 disables caching.
-    pub cache_entries: usize,
-    /// Result-cache shard count (per-shard mutexes bound contention).
-    pub cache_shards: usize,
     /// Maximum queries accepted per batch request.
     pub batch_max: usize,
     /// Ignored: every batch evaluates in order on the pool worker that
@@ -126,8 +116,6 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             admin_token: None,
-            cache_entries: DEFAULT_CACHE_ENTRIES,
-            cache_shards: DEFAULT_CACHE_SHARDS,
             batch_max: DEFAULT_BATCH_MAX,
             batch_threads: 4,
             access_log: None,
@@ -259,13 +247,12 @@ enum Backend {
 /// `Arc` across the pool.
 pub struct ServeState {
     backend: Backend,
-    /// Canonicalised expression string — reported in `/v1/stats` and
-    /// folded into the cache's shard-hash seed. Pair servers report the
-    /// implied program (`A⊗B` / `(A+I)⊗B`).
+    /// Canonicalised expression string, reported in `/v1/stats` and
+    /// recorded in snapshots. Pair servers report the implied program
+    /// (`A⊗B` / `(A+I)⊗B`).
     expr: String,
     stats_json: String,
     admin_token: Option<String>,
-    cache: Option<ShardedCache>,
     batch_max: usize,
     /// `--shard I/N`: serve only the owned block of the product vertex
     /// space; `None` serves everything.
@@ -282,34 +269,13 @@ pub struct ServeState {
 }
 
 std::thread_local! {
-    /// Cache outcome of the request currently handled on this worker
-    /// thread: `Some(true)` hit, `Some(false)` miss, `None` when the
-    /// request never consulted the cache. Requests are handled
-    /// synchronously on one worker thread, so a thread-local carries the
-    /// flag from [`ServeState::cached`] to the access-log emit without
-    /// widening every router signature. (A batch request logs `"-"`;
-    /// its items' outcomes go on their per-item spans.)
-    static CACHE_OUTCOME: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
-/// Clear the per-thread cache outcome before routing a request.
-pub(crate) fn reset_cache_outcome() {
-    CACHE_OUTCOME.set(None);
-}
-
-/// Read the cache outcome recorded while handling the current request.
-pub(crate) fn cache_outcome() -> Option<bool> {
-    CACHE_OUTCOME.get()
-}
-
-std::thread_local! {
     /// The span recorder (and its `evaluate` span token — the parent for
     /// router-level child spans) of the request currently being handled
-    /// on this worker thread. Same propagation idiom as `CACHE_OUTCOME`:
-    /// the pool installs it around `handle()`, [`ServeState::cached`]
-    /// and the batch evaluator read it, and direct `handle()` calls in
-    /// tests see `None` (untraced). Only set when the server's
-    /// [`SpanSink`] is enabled.
+    /// on this worker thread. Requests are handled synchronously on one
+    /// worker, so a thread-local reaches the batch evaluator without
+    /// widening every router signature: the pool installs it around
+    /// `handle()`, and direct `handle()` calls in tests see `None`
+    /// (untraced). Only set when the server's [`SpanSink`] is enabled.
     static CURRENT_RECORDER: RefCell<Option<(Arc<SpanRecorder>, SpanToken)>> =
         const { RefCell::new(None) };
 }
@@ -329,15 +295,6 @@ pub(crate) fn take_current_recorder() -> Option<(Arc<SpanRecorder>, SpanToken)> 
 /// Clone of the current recorder pair, if this request is traced.
 pub(crate) fn current_recorder() -> Option<(Arc<SpanRecorder>, SpanToken)> {
     CURRENT_RECORDER.with(|r| r.borrow().clone())
-}
-
-/// Begin a child span under the current request's `evaluate` span.
-/// `None` (nothing recorded) when the request is untraced.
-fn begin_child(name: &str) -> Option<(Arc<SpanRecorder>, Option<SpanToken>)> {
-    current_recorder().map(|(rec, eval)| {
-        let tok = rec.begin(name, Some(eval));
-        (rec, tok)
-    })
 }
 
 /// Collapse a request path to a bounded-cardinality shape for access
@@ -360,14 +317,12 @@ pub fn path_shape(path: &str) -> String {
     out
 }
 
-/// What a warm boot restored — surfaced in the startup banner and the
-/// `serve.snapshot.*` gauges.
+/// What a warm boot cost — surfaced in the startup banner and the
+/// `serve.snapshot.load_ns` gauge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WarmInfo {
     /// Wall-clock nanoseconds spent rebuilding state from the snapshot.
     pub load_ns: u64,
-    /// Result-cache entries restored (after shard-ownership filtering).
-    pub cache_entries_restored: usize,
 }
 
 /// Insert `"snapshot": "warm"|"cold"` as the last member of the cached
@@ -423,8 +378,7 @@ impl ServeState {
     }
 
     /// Build the service state: validates the product, computes both
-    /// factor statistics once, caches the `/v1/stats` body, and sizes
-    /// the result cache.
+    /// factor statistics once, and caches the `/v1/stats` body.
     pub fn build_with(
         a: Graph,
         b: Graph,
@@ -482,8 +436,7 @@ impl ServeState {
     /// Rebuild a server from a decoded snapshot: factor stats come from
     /// the file instead of `FactorStats::compute`, the `/v1/stats` body
     /// is the captured one (skipping the O(product) degree histogram and
-    /// global square count on pair servers), and the result cache is
-    /// primed with the harvested hot entries. `/v1/stats` reports
+    /// global square count on pair servers). `/v1/stats` reports
     /// `"snapshot": "warm"` and the `serve.snapshot.*` gauges record the
     /// load cost. Callers are expected to have validated the snapshot
     /// against the requested spec first (`Snapshot::validate_pair` /
@@ -518,45 +471,17 @@ impl ServeState {
             }
         };
         let state = Self::assemble(backend, snap.expr, snap.stats_json, options, true)?;
-        let mut restored = 0;
-        if let Some(cache) = &state.cache {
-            let entries = match state.shard {
-                None => snap.cache,
-                Some((index, count)) => {
-                    // A shard only answers keys whose primary vertex it
-                    // owns (scatter pages are served anywhere), so only
-                    // those entries can ever be hit again here.
-                    let n = state.num_vertices();
-                    snap.cache
-                        .into_iter()
-                        .filter(|(key, _)| match *key {
-                            CacheKey::Vertex(p)
-                            | CacheKey::Edge(p, _)
-                            | CacheKey::Neighbors(p, _, _)
-                            | CacheKey::Clustering(p, _) => {
-                                bikron_core::partition::owner_of(n, count, p) == index
-                            }
-                            CacheKey::Scatter(_, _) => true,
-                        })
-                        .collect()
-                }
-            };
-            restored = cache.restore(entries);
-        }
         let info = WarmInfo {
             load_ns: t0.elapsed().as_nanos() as u64,
-            cache_entries_restored: restored,
         };
-        let obs = bikron_obs::global();
-        obs.gauge("serve.snapshot.load_ns").set(info.load_ns);
-        obs.gauge("serve.snapshot.cache_entries_restored")
-            .set(restored as u64);
+        bikron_obs::global()
+            .gauge("serve.snapshot.load_ns")
+            .set(info.load_ns);
         Ok((state, info))
     }
 
-    /// Capture this server's state as a [`crate::snapshot::Snapshot`],
-    /// harvesting up to `top_k` of the hottest result-cache entries.
-    pub fn to_snapshot(&self, top_k: usize) -> crate::snapshot::Snapshot {
+    /// Capture this server's state as a [`crate::snapshot::Snapshot`].
+    pub fn to_snapshot(&self) -> crate::snapshot::Snapshot {
         let backend = match &self.backend {
             Backend::Pair {
                 a,
@@ -586,11 +511,6 @@ impl ServeState {
             shard: self.shard,
             backend,
             stats_json: without_snapshot_field(&self.stats_json),
-            cache: self
-                .cache
-                .as_ref()
-                .map(|c| c.hottest(top_k))
-                .unwrap_or_default(),
         }
     }
 
@@ -601,16 +521,6 @@ impl ServeState {
         options: ServeOptions,
         warm: bool,
     ) -> Result<Self, Box<dyn std::error::Error>> {
-        // Seed the cache's shard hash with the canonical expression so a
-        // key like `Vertex(7)` hashes differently under different served
-        // programs (DESIGN.md §11).
-        let mut seed = crate::cache::DEFAULT_HASH_SEED;
-        for b in expr.as_bytes() {
-            seed ^= *b as u64;
-            seed = seed.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        let cache = (options.cache_entries > 0)
-            .then(|| ShardedCache::with_seed(options.cache_entries, options.cache_shards, seed));
         let logger = match &options.access_log {
             Some(path) => Some(EventLogger::to_file(
                 std::path::Path::new(path),
@@ -629,21 +539,19 @@ impl ServeState {
         // Advertise the boot path in `/v1/stats` (the single injection
         // point keeps warm and cold bodies byte-identical everywhere
         // else) and in the `serve.snapshot.warm` gauge so `monitor` can
-        // surface it. Cold boots zero the companion gauges so the keys
-        // always exist in a metrics report.
+        // surface it. Cold boots zero the load-time gauge so the key
+        // always exists in a metrics report.
         let stats_json = with_snapshot_field(&stats_json, warm);
         let obs = bikron_obs::global();
         obs.gauge("serve.snapshot.warm").set(u64::from(warm));
         if !warm {
             obs.gauge("serve.snapshot.load_ns").set(0);
-            obs.gauge("serve.snapshot.cache_entries_restored").set(0);
         }
         Ok(ServeState {
             backend,
             expr,
             stats_json,
             admin_token: options.admin_token,
-            cache,
             batch_max: options.batch_max.max(1),
             shard: options.shard,
             shutdown: AtomicBool::new(false),
@@ -668,11 +576,6 @@ impl ServeState {
     /// The hot-path metric handles.
     pub fn metrics(&self) -> &ServeMetrics {
         &self.metrics
-    }
-
-    /// The result cache, if enabled (`cache_entries > 0`).
-    pub fn cache(&self) -> Option<&ShardedCache> {
-        self.cache.as_ref()
     }
 
     /// The configured per-batch query cap.
@@ -728,17 +631,19 @@ impl ServeState {
     /// (Misdirected Request) when `p` belongs to another shard's block.
     /// Callers must range-check first (out-of-range stays 404, identical
     /// to an unsharded server, so a router can send such keys anywhere).
-    fn check_owned(&self, p: usize) -> Result<(), Response> {
+    fn check_owned(&self, p: usize) -> Result<(), Refusal> {
         let Some((index, count)) = self.shard else {
             return Ok(());
         };
         let n = self.num_vertices();
         let owner = bikron_core::partition::owner_of(n, count, p);
         if owner != index {
-            return Err(Response::error(
-                421,
-                &format!("vertex {p} is owned by shard {owner}/{count}; this is shard {index}"),
-            ));
+            return Err(Refusal {
+                status: 421,
+                detail: format!(
+                    "vertex {p} is owned by shard {owner}/{count}; this is shard {index}"
+                ),
+            });
         }
         Ok(())
     }
@@ -746,14 +651,16 @@ impl ServeState {
     /// Route and answer one request. Pure: no I/O, no blocking — the
     /// pool owns transport and metrics.
     pub fn handle(&self, req: &Request) -> Response {
-        let segs: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
+        // The longest route has four segments; a fifth means no route.
+        let (segs, len) = first_n::<5>(req.path.split('/').filter(|s| !s.is_empty()));
+        let segs = &segs[..len];
         if req.method == "POST" {
-            return match segs.as_slice() {
+            return match segs {
                 ["v1", "batch"] => self.batch(req),
                 _ => Response::error(405, "POST is only accepted on /v1/batch"),
             };
         }
-        match segs.as_slice() {
+        match segs {
             ["metrics"] => self.metrics_response(req),
             ["v1", "stats"] => Response::json(200, self.stats_json.clone()),
             ["v1", "health"] => self.health_response(),
@@ -786,137 +693,97 @@ impl ServeState {
         crate::batch::eval_batch(self, &queries)
     }
 
-    /// Cache-through evaluation: serve `key` from the result cache when
-    /// enabled, else compute via `f` and (for 200s) remember the body.
-    /// Correctness never depends on the cache — every answer is a pure
-    /// function of immutable state, so a cached body is always current.
-    fn cached(&self, key: CacheKey, f: impl FnOnce() -> Response) -> Response {
-        let Some(cache) = &self.cache else {
-            return f();
-        };
-        let lookup = begin_child("cache");
-        let lookup_frame = bikron_obs::profile::phase("cache_lookup");
-        let hit = cache.get(&key);
-        drop(lookup_frame);
-        CACHE_OUTCOME.set(Some(hit.is_some()));
-        if let Some((rec, tok)) = &lookup {
-            rec.set_cache(*tok, Some(hit.is_some()));
-            rec.end(*tok);
-        }
-        if let Some(body) = hit {
-            return Response::json(200, (*body).clone());
-        }
-        // On a miss the closure both evaluates the closed form and
-        // serialises the body (the two are fused in each endpoint's
-        // JsonWriter pass), so one `serialize` span covers the compute.
-        let serialize = begin_child("serialize");
-        let serialize_frame = bikron_obs::profile::phase("serialize");
-        let resp = f();
-        drop(serialize_frame);
-        if let Some((rec, tok)) = serialize {
-            rec.end(tok);
-        }
-        if resp.status == 200 {
-            cache.insert(key, Arc::new(resp.body.clone()));
-        }
-        resp
-    }
-
     fn vertex(&self, raw: &str) -> Response {
         match parse_index(raw, self.num_vertices()) {
-            Ok(p) => self.vertex_at(p),
+            Ok(p) => render(|w| self.vertex_into(w, p)),
             Err(resp) => resp,
         }
     }
 
-    /// `GET /v1/vertex/{p}` for an already-parsed index (shared with the
-    /// batch evaluator — both produce identical bytes). Pair servers
-    /// report the two-factor coordinates as `"alpha"`/`"beta"`;
-    /// expression servers report the per-level `"coords"` array.
-    pub(crate) fn vertex_at(&self, p: usize) -> Response {
-        if let Err(resp) = check_range(p, self.num_vertices()).and_then(|()| self.check_owned(p)) {
-            return resp;
+    /// Render the `GET /v1/vertex/{p}` body for an already-parsed index
+    /// into `w` and return its status (shared with the batch evaluator —
+    /// both produce identical bytes). Pair servers report the two-factor
+    /// coordinates as `"alpha"`/`"beta"`; expression servers report the
+    /// per-level `"coords"` array.
+    pub(crate) fn vertex_into(&self, w: &mut JsonWriter, p: usize) -> u16 {
+        if let Err(refusal) = check_range(p, self.num_vertices()).and_then(|()| self.check_owned(p))
+        {
+            return refusal.write(w);
         }
-        self.cached(CacheKey::Vertex(p), || {
-            let mut w = JsonWriter::new();
-            w.open_object();
-            w.u64_field("vertex", p as u64);
-            match &self.backend {
-                Backend::Pair { .. } => {
-                    let (prod, sa, sb) = self.pair().expect("pair backend");
-                    let (i, k) = prod.indexer().split(p);
-                    w.u64_field("alpha", i as u64);
-                    w.u64_field("beta", k as u64);
-                    w.u64_field("degree", prod.degree(p));
-                    w.u64_field("squares", vertex_squares_at(&prod, sa, sb, p));
-                }
-                Backend::Chain(chain) => {
-                    w.key("coords");
-                    w.open_array();
-                    for c in chain.split(p) {
-                        w.u64_element(c as u64);
-                    }
-                    w.close_array();
-                    w.u64_field("degree", chain.degree(p));
-                    w.u64_field("squares", chain.vertex_squares_at(p));
-                }
+        w.open_object();
+        w.u64_field("vertex", p as u64);
+        match &self.backend {
+            Backend::Pair { .. } => {
+                let (prod, sa, sb) = self.pair().expect("pair backend");
+                let (i, k) = prod.indexer().split(p);
+                w.u64_field("alpha", i as u64);
+                w.u64_field("beta", k as u64);
+                w.u64_field("degree", prod.degree(p));
+                w.u64_field("squares", vertex_squares_at(&prod, sa, sb, p));
             }
-            w.close_object();
-            Response::json(200, w.finish())
-        })
+            Backend::Chain(chain) => {
+                w.key("coords");
+                w.open_array();
+                for c in chain.split(p) {
+                    w.u64_element(c as u64);
+                }
+                w.close_array();
+                w.u64_field("degree", chain.degree(p));
+                w.u64_field("squares", chain.vertex_squares_at(p));
+            }
+        }
+        w.close_object();
+        200
     }
 
     fn edge(&self, raw_p: &str, raw_q: &str) -> Response {
         let n = self.num_vertices();
         match (parse_index(raw_p, n), parse_index(raw_q, n)) {
-            (Ok(p), Ok(q)) => self.edge_at(p, q),
+            (Ok(p), Ok(q)) => render(|w| self.edge_into(w, p, q)),
             (Err(resp), _) | (_, Err(resp)) => resp,
         }
     }
 
-    /// `GET /v1/edge/{p}/{q}` for already-parsed indices. Byte-identical
-    /// between the two backends.
-    pub(crate) fn edge_at(&self, p: usize, q: usize) -> Response {
+    /// Render the `GET /v1/edge/{p}/{q}` body for already-parsed indices.
+    /// Byte-identical between the two backends.
+    pub(crate) fn edge_into(&self, w: &mut JsonWriter, p: usize, q: usize) -> u16 {
         let n = self.num_vertices();
         // Pair queries are routed (and therefore owned) by their first
         // index `p`; `q` may live on any shard — factor-sized state
         // answers it regardless.
-        if let Err(resp) = check_range(p, n)
+        if let Err(refusal) = check_range(p, n)
             .and_then(|()| check_range(q, n))
             .and_then(|()| self.check_owned(p))
         {
-            return resp;
+            return refusal.write(w);
         }
-        self.cached(CacheKey::Edge(p, q), || {
-            let (squares, dp, dq) = match &self.backend {
-                Backend::Pair { .. } => {
-                    let (prod, sa, sb) = self.pair().expect("pair backend");
-                    (
-                        edge_squares_at(&prod, sa, sb, p, q),
-                        prod.degree(p),
-                        prod.degree(q),
-                    )
-                }
-                Backend::Chain(chain) => (
-                    chain.edge_squares_at(p, q),
-                    chain.degree(p),
-                    chain.degree(q),
-                ),
-            };
-            let mut w = JsonWriter::new();
-            w.open_object();
-            w.u64_field("p", p as u64);
-            w.u64_field("q", q as u64);
-            w.bool_field("edge", squares.is_some());
-            w.u64_field("degree_p", dp);
-            w.u64_field("degree_q", dq);
-            match squares {
-                Some(s) => w.u64_field("squares", s),
-                None => w.null_field("squares"),
+        let (squares, dp, dq) = match &self.backend {
+            Backend::Pair { .. } => {
+                let (prod, sa, sb) = self.pair().expect("pair backend");
+                (
+                    edge_squares_at(&prod, sa, sb, p, q),
+                    prod.degree(p),
+                    prod.degree(q),
+                )
             }
-            w.close_object();
-            Response::json(200, w.finish())
-        })
+            Backend::Chain(chain) => (
+                chain.edge_squares_at(p, q),
+                chain.degree(p),
+                chain.degree(q),
+            ),
+        };
+        w.open_object();
+        w.u64_field("p", p as u64);
+        w.u64_field("q", q as u64);
+        w.bool_field("edge", squares.is_some());
+        w.u64_field("degree_p", dp);
+        w.u64_field("degree_q", dq);
+        match squares {
+            Some(s) => w.u64_field("squares", s),
+            None => w.null_field("squares"),
+        }
+        w.close_object();
+        200
     }
 
     fn neighbors(&self, raw: &str, req: &Request) -> Response {
@@ -925,46 +792,51 @@ impl ServeState {
             Err(resp) => return resp,
         };
         match parse_page(req) {
-            Ok((offset, limit)) => self.neighbors_at(p, offset, limit),
+            Ok((offset, limit)) => render(|w| self.neighbors_into(w, p, offset, limit)),
             Err(resp) => resp,
         }
     }
 
-    /// `GET /v1/neighbors/{p}?offset&limit` for already-parsed values
-    /// (`limit` must respect [`MAX_LIMIT`]; both entry points enforce it).
-    pub(crate) fn neighbors_at(&self, p: usize, offset: u64, limit: usize) -> Response {
-        if let Err(resp) = check_range(p, self.num_vertices()).and_then(|()| self.check_owned(p)) {
-            return resp;
+    /// Render the `GET /v1/neighbors/{p}?offset&limit` body for
+    /// already-parsed values (`limit` must respect [`MAX_LIMIT`]; both
+    /// entry points enforce it).
+    pub(crate) fn neighbors_into(
+        &self,
+        w: &mut JsonWriter,
+        p: usize,
+        offset: u64,
+        limit: usize,
+    ) -> u16 {
+        if let Err(refusal) = check_range(p, self.num_vertices()).and_then(|()| self.check_owned(p))
+        {
+            return refusal.write(w);
         }
-        self.cached(CacheKey::Neighbors(p, offset, limit), || {
-            let (degree, page) = match &self.backend {
-                Backend::Pair { .. } => {
-                    let (prod, ..) = self.pair().expect("pair backend");
-                    (prod.degree(p), prod.neighbors_page(p, offset, limit))
-                }
-                Backend::Chain(chain) => (chain.degree(p), chain.neighbors_page(p, offset, limit)),
-            };
-            let mut w = JsonWriter::new();
-            w.open_object();
-            w.u64_field("vertex", p as u64);
-            w.u64_field("degree", degree);
-            w.u64_field("offset", offset);
-            w.u64_field("count", page.len() as u64);
-            let next = offset + page.len() as u64;
-            if next < degree && !page.is_empty() {
-                w.u64_field("next_offset", next);
-            } else {
-                w.null_field("next_offset");
+        let (degree, page) = match &self.backend {
+            Backend::Pair { .. } => {
+                let (prod, ..) = self.pair().expect("pair backend");
+                (prod.degree(p), prod.neighbors_page(p, offset, limit))
             }
-            w.key("neighbors");
-            w.open_array();
-            for q in &page {
-                w.u64_element(*q as u64);
-            }
-            w.close_array();
-            w.close_object();
-            Response::json(200, w.finish())
-        })
+            Backend::Chain(chain) => (chain.degree(p), chain.neighbors_page(p, offset, limit)),
+        };
+        w.open_object();
+        w.u64_field("vertex", p as u64);
+        w.u64_field("degree", degree);
+        w.u64_field("offset", offset);
+        w.u64_field("count", page.len() as u64);
+        let next = offset + page.len() as u64;
+        if next < degree && !page.is_empty() {
+            w.u64_field("next_offset", next);
+        } else {
+            w.null_field("next_offset");
+        }
+        w.key("neighbors");
+        w.open_array();
+        for q in &page {
+            w.u64_element(*q as u64);
+        }
+        w.close_array();
+        w.close_object();
+        200
     }
 
     fn edges(&self, raw_part: &str, raw_parts: &str, req: &Request) -> Response {
@@ -1058,7 +930,7 @@ impl ServeState {
     fn clustering(&self, raw_p: &str, raw_q: &str) -> Response {
         let n = self.num_vertices();
         match (parse_index(raw_p, n), parse_index(raw_q, n)) {
-            (Ok(p), Ok(q)) => self.clustering_at(p, q),
+            (Ok(p), Ok(q)) => render(|w| self.clustering_into(w, p, q)),
             (Err(resp), _) | (_, Err(resp)) => resp,
         }
     }
@@ -1069,60 +941,57 @@ impl ServeState {
     /// for every served program; `bound`/`psi` are only defined on
     /// identity-free programs with all factor degrees ≥ 2 (the theorem's
     /// hypotheses), and are `null` otherwise.
-    fn clustering_at(&self, p: usize, q: usize) -> Response {
+    fn clustering_into(&self, w: &mut JsonWriter, p: usize, q: usize) -> u16 {
         let n = self.num_vertices();
-        if let Err(resp) = check_range(p, n)
+        if let Err(refusal) = check_range(p, n)
             .and_then(|()| check_range(q, n))
             .and_then(|()| self.check_owned(p))
         {
-            return resp;
+            return refusal.write(w);
         }
-        self.cached(CacheKey::Clustering(p, q), || {
-            let (squares, dp, dq, gamma, bound, psi) = match &self.backend {
-                Backend::Pair { .. } => {
-                    let (prod, sa, sb) = self.pair().expect("pair backend");
-                    let sample = scaling_law_at(&prod, sa, sb, p, q);
-                    (
-                        edge_squares_at(&prod, sa, sb, p, q),
-                        prod.degree(p),
-                        prod.degree(q),
-                        product_gamma(&prod, sa, sb, p, q),
-                        sample.as_ref().map(|s| s.bound),
-                        sample.as_ref().map(|s| s.psi),
-                    )
-                }
-                Backend::Chain(chain) => {
-                    let c = chain.clustering_at(p, q);
-                    (
-                        c.squares,
-                        chain.degree(p),
-                        chain.degree(q),
-                        c.gamma,
-                        c.bound,
-                        c.psi,
-                    )
-                }
-            };
-            let mut w = JsonWriter::new();
-            w.open_object();
-            w.u64_field("p", p as u64);
-            w.u64_field("q", q as u64);
-            w.bool_field("edge", squares.is_some());
-            w.u64_field("degree_p", dp);
-            w.u64_field("degree_q", dq);
-            match squares {
-                Some(s) => w.u64_field("squares", s),
-                None => w.null_field("squares"),
+        let (squares, dp, dq, gamma, bound, psi) = match &self.backend {
+            Backend::Pair { .. } => {
+                let (prod, sa, sb) = self.pair().expect("pair backend");
+                let sample = scaling_law_at(&prod, sa, sb, p, q);
+                (
+                    edge_squares_at(&prod, sa, sb, p, q),
+                    prod.degree(p),
+                    prod.degree(q),
+                    product_gamma(&prod, sa, sb, p, q),
+                    sample.as_ref().map(|s| s.bound),
+                    sample.as_ref().map(|s| s.psi),
+                )
             }
-            for (key, value) in [("gamma", gamma), ("bound", bound), ("psi", psi)] {
-                match value {
-                    Some(v) => w.f64_field(key, v),
-                    None => w.null_field(key),
-                }
+            Backend::Chain(chain) => {
+                let c = chain.clustering_at(p, q);
+                (
+                    c.squares,
+                    chain.degree(p),
+                    chain.degree(q),
+                    c.gamma,
+                    c.bound,
+                    c.psi,
+                )
             }
-            w.close_object();
-            Response::json(200, w.finish())
-        })
+        };
+        w.open_object();
+        w.u64_field("p", p as u64);
+        w.u64_field("q", q as u64);
+        w.bool_field("edge", squares.is_some());
+        w.u64_field("degree_p", dp);
+        w.u64_field("degree_q", dq);
+        match squares {
+            Some(s) => w.u64_field("squares", s),
+            None => w.null_field("squares"),
+        }
+        for (key, value) in [("gamma", gamma), ("bound", bound), ("psi", psi)] {
+            match value {
+                Some(v) => w.f64_field(key, v),
+                None => w.null_field(key),
+            }
+        }
+        w.close_object();
+        200
     }
 
     /// `GET /v1/community`: the Thm 7 / Cor 1–2 surface. Pair servers
@@ -1132,9 +1001,6 @@ impl ServeState {
     /// density fields `rho_in` / `rho_in_lower_bound` (Cor 1) /
     /// `rho_out_upper_bound` (Cor 2) additionally require the pair
     /// backend with bipartite factors and are `null` otherwise.
-    ///
-    /// Not cached: set-valued queries have unbounded key cardinality and
-    /// each answer is O(Σ|S_i| + Σ deg) anyway.
     fn community(&self, req: &Request) -> Response {
         match &self.backend {
             Backend::Pair { a, b, mode, .. } => {
@@ -1259,11 +1125,7 @@ impl ServeState {
             }
         };
         match req.query_param("format") {
-            // The JSON page is cached like every other paged endpoint
-            // (the cache stores bare JSON bodies, so the CSV rendering
-            // below stays uncached), which also gives scatter requests a
-            // cache hit/miss outcome for access logs and span trees.
-            None | Some("json") => self.cached(CacheKey::Scatter(offset, limit), || {
+            None | Some("json") => {
                 let mut w = JsonWriter::new();
                 w.open_object();
                 w.u64_field("offset", offset);
@@ -1287,7 +1149,7 @@ impl ServeState {
                 w.close_array();
                 w.close_object();
                 Response::json(200, w.finish())
-            }),
+            }
             Some("csv") => {
                 let mut body = String::from("vertex,degree,squares\n");
                 for p in start..end {
@@ -1506,6 +1368,47 @@ impl ServeState {
     }
 }
 
+/// The first `N` items of `items` and how many there were (at most
+/// `N`) — path segments and batch tokens, split without a `Vec`.
+pub(crate) fn first_n<'a, const N: usize>(
+    items: impl Iterator<Item = &'a str>,
+) -> ([&'a str; N], usize) {
+    let mut out = [""; N];
+    let mut len = 0;
+    for (slot, item) in out.iter_mut().zip(items) {
+        *slot = item;
+        len += 1;
+    }
+    (out, len)
+}
+
+/// A JSON response whose body `render` writes, returning its status.
+fn render(render: impl FnOnce(&mut JsonWriter) -> u16) -> Response {
+    let mut w = JsonWriter::new();
+    let status = render(&mut w);
+    Response::json(status, w.finish())
+}
+
+/// A refused keyed query: the status and detail of its error body.
+struct Refusal {
+    status: u16,
+    detail: String,
+}
+
+impl Refusal {
+    /// Write the error body into `w`; returns the status.
+    fn write(&self, w: &mut JsonWriter) -> u16 {
+        write_error(w, self.status, &self.detail);
+        self.status
+    }
+}
+
+impl From<Refusal> for Response {
+    fn from(refusal: Refusal) -> Response {
+        Response::error(refusal.status, &refusal.detail)
+    }
+}
+
 /// Parse a vertex index; 400 on malformed input, 404 on out-of-range.
 fn parse_index(raw: &str, n: usize) -> Result<usize, Response> {
     let p: usize = raw
@@ -1517,12 +1420,12 @@ fn parse_index(raw: &str, n: usize) -> Result<usize, Response> {
 
 /// 404 for an index beyond the product — the shared range gate for the
 /// path-segment and batch entry points.
-fn check_range(p: usize, n: usize) -> Result<(), Response> {
+fn check_range(p: usize, n: usize) -> Result<(), Refusal> {
     if p >= n {
-        return Err(Response::error(
-            404,
-            &format!("vertex {p} out of range (product has {n} vertices)"),
-        ));
+        return Err(Refusal {
+            status: 404,
+            detail: format!("vertex {p} out of range (product has {n} vertices)"),
+        });
     }
     Ok(())
 }
@@ -1775,14 +1678,15 @@ pub fn profile_response(req: &Request) -> Response {
             w.close_object();
             Response::json(200, w.finish())
         }
-        Some(other) => {
-            Response::error(400, &format!("unknown profile format {other:?} (json|folded)"))
-        }
+        Some(other) => Response::error(
+            400,
+            &format!("unknown profile format {other:?} (json|folded)"),
+        ),
     }
 }
 
-/// The shard side of the transport loop: span trees, access log and
-/// cache outcomes are serve-only bookkeeping.
+/// The shard side of the transport loop: span trees and the access log
+/// are serve-only bookkeeping.
 impl Handler for ServeState {
     fn respond(&self, req: &Request, _ctx: &TraceContext) -> Response {
         self.handle(req)
@@ -1806,7 +1710,6 @@ impl Handler for ServeState {
         status: u16,
         latency_ns: u64,
         bytes: u64,
-        cache: Option<bool>,
         trace_id: Option<&str>,
     ) {
         let Some(logger) = &self.logger else {
@@ -1819,14 +1722,6 @@ impl Handler for ServeState {
                 .field("status", status as u64)
                 .field("latency_ns", latency_ns)
                 .field("bytes", bytes)
-                .field(
-                    "cache",
-                    match cache {
-                        Some(true) => "hit",
-                        Some(false) => "miss",
-                        None => "-",
-                    },
-                )
                 .field("trace_id", trace_id.unwrap_or("-")),
         );
     }
@@ -1877,19 +1772,6 @@ mod tests {
             complete_bipartite(2, 3),
             SelfLoopMode::None,
             Some("sesame".into()),
-        )
-        .unwrap()
-    }
-
-    fn state_no_cache() -> ServeState {
-        ServeState::build_with(
-            cycle(5),
-            complete_bipartite(2, 3),
-            SelfLoopMode::None,
-            ServeOptions {
-                cache_entries: 0,
-                ..ServeOptions::default()
-            },
         )
         .unwrap()
     }
@@ -2213,10 +2095,7 @@ mod tests {
     fn profile_endpoint_is_token_gated_and_samples_on_demand() {
         let st = state();
         assert_eq!(st.handle(&get("/v1/admin/profile")).status, 403);
-        assert_eq!(
-            st.handle(&get("/v1/admin/profile?token=wrong")).status,
-            403
-        );
+        assert_eq!(st.handle(&get("/v1/admin/profile?token=wrong")).status, 403);
         match bikron_obs::profile::start_sampler(500) {
             None => {
                 // No sampler could start (hz race with a concurrent
@@ -2293,20 +2172,18 @@ mod tests {
             200,
             1_234,
             99,
-            Some(true),
             Some("00f067aa0ba902b7deadbeefcafef00d"),
         );
-        st.log_access("GET", "/metrics", 200, 5_678, 400, None, None);
+        st.log_access("GET", "/metrics", 200, 5_678, 400, None);
         st.flush_logs();
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2, "{text}");
         assert!(lines[0].contains("\"target\": \"access\""));
         assert!(lines[0].contains("\"path\": \"/v1/vertex/{n}\""));
-        assert!(lines[0].contains("\"cache\": \"hit\""));
         assert!(lines[0].contains("\"trace_id\": \"00f067aa0ba902b7deadbeefcafef00d\""));
-        assert!(lines[1].contains("\"cache\": \"-\""));
         assert!(lines[1].contains("\"trace_id\": \"-\""));
+        assert!(lines.iter().all(|l| !l.contains("\"cache\"")), "{text}");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -2330,17 +2207,18 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_singles_cached_and_uncached() {
-        for st in [state(), state_no_cache()] {
+    fn batch_matches_singles() {
+        for st in [state(), sharded_state(1, 3)] {
             let singles: Vec<String> = vec![
-                st.handle(&get("/v1/vertex/7")).body,
-                st.handle(&get("/v1/edge/0/13")).body,
-                st.handle(&get("/v1/neighbors/7?offset=1&limit=2")).body,
+                st.handle(&get("/v1/vertex/9")).body,
+                st.handle(&get("/v1/edge/10/13")).body,
+                st.handle(&get("/v1/neighbors/12?offset=1&limit=2")).body,
                 st.handle(&get("/v1/vertex/999")).body, // embedded 404 body
+                st.handle(&get("/v1/vertex/3")).body,   // 421 on the shard
             ];
             let resp = st.handle(&post(
                 "/v1/batch",
-                "vertex 7\nedge 0 13\nneighbors 7 1 2\nvertex 999\n",
+                "vertex 9\nedge 10 13\nneighbors 12 1 2\nvertex 999\nvertex 3\n",
             ));
             assert_eq!(resp.status, 200);
             let expected = format!(
@@ -2353,6 +2231,22 @@ mod tests {
             );
             assert_eq!(resp.body, expected);
         }
+    }
+
+    #[test]
+    fn routes_match_whole_paths_only() {
+        let st = state();
+        // Extra segments never match a shorter route.
+        assert_eq!(st.handle(&get("/v1/vertex/3/4")).status, 404);
+        assert_eq!(st.handle(&get("/v1/clustering/0/1/2")).status, 404);
+        assert_eq!(st.handle(&get("/v1/edge/0/1/2/3/4/5")).status, 404);
+        assert_eq!(st.handle(&post("/v1/batch/x", "vertex 1")).status, 405);
+        // Empty segments are skipped, as before.
+        assert_eq!(st.handle(&get("//v1//vertex/3")).status, 200);
+        assert_eq!(
+            st.handle(&get("/v1/a/b/c/d/e/f")).body,
+            Response::error(404, "no route for /v1/a/b/c/d/e/f").body
+        );
     }
 
     #[test]
@@ -2374,24 +2268,6 @@ mod tests {
         assert!(resp.body.contains("\"line\": 0"));
         let resp = st.handle(&post("/v1/batch", "vertex \u{fffd}"));
         assert_eq!(resp.status, 400);
-    }
-
-    #[test]
-    fn repeated_queries_hit_the_cache() {
-        let st = state();
-        let cache = st.cache().expect("cache on by default");
-        let first = st.handle(&get("/v1/vertex/3"));
-        let before = cache.local_hits();
-        let second = st.handle(&get("/v1/vertex/3"));
-        assert_eq!(first, second, "cache must not change bytes");
-        assert_eq!(cache.local_hits(), before + 1);
-        assert!(!cache.is_empty());
-
-        // Error responses are not cached.
-        let miss_len = cache.len();
-        st.handle(&get("/v1/vertex/999"));
-        st.handle(&get("/v1/vertex/999"));
-        assert_eq!(cache.len(), miss_len);
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //!   version, a tag, a length, a payload, or a checksum — all sealed),
 //! - wrong magic, future schema version,
 //! - oversized declared lengths (no pre-allocation from attacker bytes),
-//! - expression / factor mismatch against a differently-specced server.
+//! - expression / factor mismatch against a differently-specced server,
+//! - malformed entries in a CACHE section (files written while the
+//!   server kept a result cache carry entries there; the reader still
+//!   parses every one before discarding them).
 //!
 //! Mirrors the exhaustive-hostility style of `parser_fuzz.rs`: the
 //! assertions are about *totality* (always an `Err`, never a panic),
@@ -33,7 +36,7 @@ fn kmn(m: usize, n: usize) -> Graph {
     Graph::from_edges(m + n, &edges).unwrap()
 }
 
-/// A realistic snapshot to corrupt: pair backend, warm cache entries.
+/// A realistic snapshot to corrupt: pair backend, empty CACHE section.
 fn pair_bytes() -> Vec<u8> {
     let state = ServeState::build_with(
         cycle(5),
@@ -42,19 +45,28 @@ fn pair_bytes() -> Vec<u8> {
         ServeOptions::default(),
     )
     .unwrap();
-    // Populate the cache so the CACHE section is non-trivial.
-    for p in 0..5 {
-        let raw = format!("GET /v1/vertex/{p} HTTP/1.1\r\n\r\n");
-        let req = bikron_serve::http::parse_request(&mut std::io::BufReader::new(raw.as_bytes()))
-            .unwrap();
-        state.handle(&req);
-    }
-    state.to_snapshot(16).encode()
+    state.to_snapshot().encode()
+}
+
+/// `bikron serve cycle:5 kmn:2x3 none --snapshot-out` after a handful of
+/// keyed queries, written while the server kept a result cache: its
+/// CACHE section holds 11 entries covering all five key kinds.
+const WITH_CACHE: &[u8] = include_bytes!("data/cycle5_kmn2x3_with_cache.snap");
+
+/// Both snapshot shapes the reader must seal: a current file and one
+/// whose CACHE section carries entries.
+fn corpus() -> [Vec<u8>; 2] {
+    [pair_bytes(), WITH_CACHE.to_vec()]
 }
 
 #[test]
 fn truncation_at_every_offset_is_a_named_error() {
-    let bytes = pair_bytes();
+    for bytes in corpus() {
+        truncation_case(bytes);
+    }
+}
+
+fn truncation_case(bytes: Vec<u8>) {
     for cut in 0..bytes.len() {
         match Snapshot::decode(&bytes[..cut]) {
             Err(_) => {}
@@ -75,14 +87,15 @@ fn truncation_at_every_offset_is_a_named_error() {
 
 #[test]
 fn flipping_any_single_byte_is_rejected() {
-    let bytes = pair_bytes();
-    for at in 0..bytes.len() {
-        let mut mutated = bytes.clone();
-        mutated[at] ^= 0x40;
-        assert!(
-            Snapshot::decode(&mutated).is_err(),
-            "decode accepted a snapshot with byte {at} flipped"
-        );
+    for bytes in corpus() {
+        for at in 0..bytes.len() {
+            let mut mutated = bytes.clone();
+            mutated[at] ^= 0x40;
+            assert!(
+                Snapshot::decode(&mutated).is_err(),
+                "decode accepted a snapshot with byte {at} flipped"
+            );
+        }
     }
 }
 
@@ -132,25 +145,75 @@ fn checksum_seals_every_section() {
     // checksum must name that section. Section order after the 16-byte
     // header is META, FACTORS, STATS_JSON, CACHE — locate each payload
     // via its framing instead of hard-coding offsets.
-    let bytes = pair_bytes();
-    let mut pos = 16; // magic + version
-    for expected in ["META", "FACTORS", "STATS_JSON", "CACHE"] {
-        let len = u64::from_le_bytes(bytes[pos + 8..pos + 16].try_into().unwrap()) as usize;
-        let payload_at = pos + 16;
-        let mut mutated = bytes.clone();
-        mutated[payload_at] ^= 0xFF;
-        match Snapshot::decode(&mutated) {
-            Err(SnapshotError::ChecksumMismatch(section)) => {
-                assert_eq!(section, expected, "wrong section named");
+    for bytes in corpus() {
+        let mut pos = 16; // magic + version
+        for expected in ["META", "FACTORS", "STATS_JSON", "CACHE"] {
+            let len = u64::from_le_bytes(bytes[pos + 8..pos + 16].try_into().unwrap()) as usize;
+            let payload_at = pos + 16;
+            let mut mutated = bytes.clone();
+            mutated[payload_at] ^= 0xFF;
+            match Snapshot::decode(&mutated) {
+                Err(SnapshotError::ChecksumMismatch(section)) => {
+                    assert_eq!(section, expected, "wrong section named");
+                }
+                other => panic!(
+                    "flip in {expected} payload: expected ChecksumMismatch, got {:?}",
+                    other.err_only()
+                ),
             }
-            other => panic!(
-                "flip in {expected} payload: expected ChecksumMismatch, got {:?}",
-                other.err_only()
-            ),
+            pos = payload_at + len + 8; // payload + trailing checksum
         }
-        pos = payload_at + len + 8; // payload + trailing checksum
+        assert_eq!(pos, bytes.len(), "framing walk covered the whole file");
     }
-    assert_eq!(pos, bytes.len(), "framing walk covered the whole file");
+}
+
+/// `bytes` with its final (CACHE) section's payload replaced by
+/// `payload`, resealed with a valid checksum — so only the entry parser
+/// can object.
+fn with_cache_payload(bytes: &[u8], payload: &[u8]) -> Vec<u8> {
+    let mut pos = 16;
+    for _ in 0..3 {
+        let len = u64::from_le_bytes(bytes[pos + 8..pos + 16].try_into().unwrap()) as usize;
+        pos += 16 + len + 8;
+    }
+    let mut out = bytes[..pos].to_vec();
+    out.extend_from_slice(&4u64.to_le_bytes()); // CACHE tag
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&bikron_sparse::snap::fnv1a(payload).to_le_bytes());
+    out
+}
+
+#[test]
+fn cache_entries_are_parsed_before_they_are_discarded() {
+    let u64s = |vals: &[u64]| -> Vec<u8> { vals.iter().flat_map(|v| v.to_le_bytes()).collect() };
+    // One vertex entry: count, tag 1, vertex, then a length-prefixed body.
+    let entry = |tag: u64, body: &[u8]| {
+        let mut p = u64s(&[1, tag, 7, body.len() as u64]);
+        p.extend_from_slice(body);
+        p
+    };
+    let base = pair_bytes();
+    assert!(Snapshot::decode(&with_cache_payload(&base, &entry(1, b"{}"))).is_ok());
+    match Snapshot::decode(&with_cache_payload(&base, &entry(9, b"{}"))).err_only() {
+        Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains("cache key tag 9"), "{msg}"),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+    match Snapshot::decode(&with_cache_payload(&base, &entry(1, b"\xff"))).err_only() {
+        Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains("UTF-8"), "{msg}"),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+    let mut trailing = entry(1, b"{}");
+    trailing.push(0);
+    assert!(matches!(
+        Snapshot::decode(&with_cache_payload(&base, &trailing)),
+        Err(SnapshotError::Corrupt(_))
+    ));
+    // A count the payload cannot hold is refused before any allocation.
+    assert_eq!(
+        Snapshot::decode(&with_cache_payload(&base, &u64s(&[u64::MAX]))).err_only(),
+        err_kind(SnapshotError::Truncated("CACHE entries"))
+    );
 }
 
 #[test]
@@ -208,7 +271,7 @@ fn chain_snapshot_cross_validation() {
     let bindings = vec![("A".to_string(), cycle(4)), ("B".to_string(), kmn(1, 2))];
     let levels = vec![("A".to_string(), false), ("B".to_string(), false)];
     let state = ServeState::build_expr(bindings.clone(), &levels, ServeOptions::default()).unwrap();
-    let snap = Snapshot::decode(&state.to_snapshot(0).encode()).unwrap();
+    let snap = Snapshot::decode(&state.to_snapshot().encode()).unwrap();
 
     // A snapshot for A⊗B must refuse to boot A⊗B⊗C.
     match snap.validate_expr("A⊗B⊗C", &bindings) {

@@ -3,8 +3,8 @@
 //! Two claims carry the warm-start design:
 //!
 //! 1. **Codec fidelity** — `decode(encode(s))` reproduces every field of
-//!    the snapshot exactly (graphs, stats, stats body, cache entries),
-//!    and re-encoding the decoded value is byte-identical. Nothing in
+//!    the snapshot exactly (graphs, stats, stats body), and re-encoding
+//!    the decoded value is byte-identical. Nothing in
 //!    the pipeline may be lossy, or a warm boot would serve different
 //!    answers than the process that wrote the file.
 //! 2. **Warm ≡ cold** — a server rebuilt from a snapshot answers every
@@ -14,15 +14,15 @@
 //!    single point at boot.
 //!
 //! Both are checked over random factor graphs (proptest) for the pair
-//! backend, and over a fixed-but-nontrivial program for the expression
-//! backend.
-
-use std::sync::Arc;
+//! backend, over a fixed-but-nontrivial program for the expression
+//! backend, and over a file written while the server kept a result
+//! cache (its CACHE section full of entries the reader now discards).
 
 use bikron_core::SelfLoopMode;
+use bikron_generators::{complete_bipartite, cycle};
 use bikron_graph::Graph;
 use bikron_serve::snapshot::Snapshot;
-use bikron_serve::{CacheKey, ServeOptions, ServeState, SnapshotBackend};
+use bikron_serve::{ServeOptions, ServeState, SnapshotBackend};
 use proptest::prelude::*;
 
 /// Parse one GET into the router's request type.
@@ -99,22 +99,13 @@ proptest! {
         let state = ServeState::build_with(
             a.clone(), b.clone(), mode, ServeOptions::default(),
         ).expect("cold build");
-        // Touch a spread of endpoints so the cache holds real entries.
-        for row in sweep(&state) {
-            let _ = row;
-        }
-        let snap = state.to_snapshot(64);
+        let snap = state.to_snapshot();
         let bytes = snap.encode();
         let decoded = Snapshot::decode(&bytes).expect("decode own encoding");
 
         prop_assert_eq!(&decoded.expr, &snap.expr);
         prop_assert_eq!(decoded.shard, snap.shard);
         prop_assert_eq!(&decoded.stats_json, &snap.stats_json);
-        prop_assert_eq!(decoded.cache.len(), snap.cache.len());
-        for ((k1, b1), (k2, b2)) in decoded.cache.iter().zip(snap.cache.iter()) {
-            prop_assert_eq!(k1, k2);
-            prop_assert_eq!(b1.as_str(), b2.as_str());
-        }
         match (&decoded.backend, &snap.backend) {
             (
                 SnapshotBackend::Pair { a: da, b: db, mode: dm, stats_a: dsa, stats_b: dsb },
@@ -147,16 +138,11 @@ proptest! {
         ).expect("cold build");
         let cold_rows = sweep(&cold);
 
-        let bytes = cold.to_snapshot(64).encode();
+        let bytes = cold.to_snapshot().encode();
         let snap = Snapshot::decode(&bytes).expect("decode");
         let (warm, info) = ServeState::build_from_snapshot(snap, ServeOptions::default())
             .expect("warm build");
         prop_assert!(info.load_ns > 0);
-
-        // The cold sweep populated the cache; the warm boot restored it.
-        let restored = warm.cache().map_or(0, |c| c.len());
-        prop_assert_eq!(restored, info.cache_entries_restored);
-        prop_assert!(restored > 0, "warm server restored no cache entries");
 
         let warm_rows = sweep(&warm);
         prop_assert_eq!(cold_rows.len(), warm_rows.len());
@@ -201,7 +187,7 @@ fn chain_snapshot_round_trips_and_boots_identically() {
     let cold = chain_state();
     let cold_rows = sweep(&cold);
 
-    let snap = cold.to_snapshot(64);
+    let snap = cold.to_snapshot();
     let bytes = snap.encode();
     let decoded = Snapshot::decode(&bytes).expect("decode");
     assert_eq!(decoded.expr, snap.expr);
@@ -238,52 +224,44 @@ fn chain_snapshot_round_trips_and_boots_identically() {
     }
 }
 
-/// Sharded restore keeps only entries the shard can answer again:
-/// vertex-keyed entries owned elsewhere are dropped, scatter pages kept.
+/// Warm ≡ cold for a file whose CACHE section holds entries: written by
+/// `bikron serve cycle:5 kmn:2x3 none --snapshot-out` after a handful of
+/// keyed queries, while the server still kept a result cache. The reader
+/// discards the entries, and the warm server answers every endpoint as a
+/// cold boot of the same spec does — whole-keyspace and as a shard.
 #[test]
-fn shard_restore_filters_foreign_entries() {
-    let a = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-    let b = Graph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
-    let full = ServeState::build_with(
-        a.clone(),
-        b.clone(),
-        SelfLoopMode::None,
-        ServeOptions::default(),
-    )
-    .unwrap();
-    let n = full.num_vertices();
-    let mut snap = full.to_snapshot(0);
-    // Hand-build a working set covering every vertex plus a scatter page.
-    snap.cache = (0..n)
-        .map(|p| (CacheKey::Vertex(p), Arc::new(format!("body{p}"))))
-        .chain([(CacheKey::Scatter(0, 8), Arc::new("scatter".to_string()))])
-        .collect();
-    snap.shard = Some((0, 2));
-
-    let (warm, info) = ServeState::build_from_snapshot(
-        snap,
-        ServeOptions {
-            shard: Some((0, 2)),
+fn snapshot_with_cache_entries_boots_like_a_cold_server() {
+    const WITH_CACHE: &[u8] = include_bytes!("data/cycle5_kmn2x3_with_cache.snap");
+    for shard in [None, Some((0, 2)), Some((1, 2))] {
+        let options = || ServeOptions {
+            shard,
             ..ServeOptions::default()
-        },
-    )
-    .expect("warm shard build");
-    let cache = warm.cache().expect("cache enabled");
-    // Shard 0 of 2 owns the first ⌈n/2⌉ vertices; plus the scatter page.
-    let owned = (0..n)
-        .filter(|&p| bikron_core::partition::owner_of(n, 2, p) == 0)
-        .count();
-    assert_eq!(info.cache_entries_restored, owned + 1);
-    assert_eq!(cache.len(), owned + 1);
-    for p in 0..n {
-        let hit = cache.get(&CacheKey::Vertex(p)).is_some();
-        assert_eq!(
-            hit,
-            bikron_core::partition::owner_of(n, 2, p) == 0,
-            "vertex {p}"
-        );
+        };
+        let snap = Snapshot::decode(WITH_CACHE).expect("decode fixture");
+        assert_eq!(snap.expr, "A⊗B");
+        snap.validate_pair(&cycle(5), &complete_bipartite(2, 3), SelfLoopMode::None)
+            .expect("fixture matches its spec");
+        let (warm, _) = ServeState::build_from_snapshot(snap, options()).expect("warm build");
+        let cold = ServeState::build_with(
+            cycle(5),
+            complete_bipartite(2, 3),
+            SelfLoopMode::None,
+            options(),
+        )
+        .expect("cold build");
+        for ((path, cs, cb), (_, ws, wb)) in sweep(&cold).iter().zip(sweep(&warm).iter()) {
+            assert_eq!(cs, ws, "status diverged on {path} ({shard:?})");
+            assert_eq!(
+                normalize(cb),
+                normalize(wb),
+                "body diverged on {path} ({shard:?})"
+            );
+        }
+        // Re-encoding writes the CACHE section empty.
+        let reencoded = warm.to_snapshot().encode();
+        assert!(reencoded.len() < WITH_CACHE.len());
+        assert!(Snapshot::decode(&reencoded).is_ok());
     }
-    assert!(cache.get(&CacheKey::Scatter(0, 8)).is_some());
 }
 
 /// `write_to` / `read_from` survive the filesystem, and the temp file
@@ -291,7 +269,7 @@ fn shard_restore_filters_foreign_entries() {
 #[test]
 fn snapshot_file_round_trip() {
     let state = chain_state();
-    let snap = state.to_snapshot(16);
+    let snap = state.to_snapshot();
     let dir = std::env::temp_dir().join(format!("bikron-snap-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("state.snap");

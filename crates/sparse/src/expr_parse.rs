@@ -60,7 +60,7 @@ impl ExprChain {
     /// The canonicalised spelling: power towers expanded, one `⊗` between
     /// levels, identity lifts written `(NAME+I)`. Two expressions denote
     /// the same program iff their canonical strings are equal, which is
-    /// why cache keys and `/v1/stats` report this form.
+    /// why `/v1/stats` and snapshots report this form.
     pub fn canonical(&self) -> String {
         let parts: Vec<String> = self
             .levels

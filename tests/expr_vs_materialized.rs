@@ -103,15 +103,11 @@ fn fixtures() -> Vec<Fixture> {
             &[("A", true), ("B", false), ("C", false)],
             ServeOptions::default(),
         ),
-        // The tower, with the cache disabled so the uncached compute path
-        // faces the brute force too.
+        // The tower: one atom repeated on every level.
         fixture(
             vec![("A", cycle(5))],
             &[("A", false), ("A", false), ("A", false)],
-            ServeOptions {
-                cache_entries: 0,
-                ..ServeOptions::default()
-            },
+            ServeOptions::default(),
         ),
         fixture(
             vec![

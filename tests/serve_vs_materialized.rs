@@ -6,8 +6,8 @@
 //! butterflies by enumerating it. Agreement between the two — checked
 //! here at the *byte* level of the HTTP bodies, for 100% of product
 //! vertices, 100% of ordered vertex pairs, and every neighbors/edge-list
-//! page — is end-to-end evidence that the serving path (routing, cache,
-//! batch assembly, JSON encoding) preserves ground truth.
+//! page — is end-to-end evidence that the serving path (routing, batch
+//! assembly, JSON encoding) preserves ground truth.
 //!
 //! `handle()` is driven in-process (no TCP): the suite parses real HTTP
 //! request bytes through the production parser, so everything except the
@@ -71,16 +71,12 @@ fn fixtures() -> Vec<Fixture> {
             SelfLoopMode::None,
             ServeOptions::default(),
         ),
-        // loops-a is the paper's dense-structure mode; also run it with
-        // the cache disabled so both compute paths face the brute force.
+        // loops-a is the paper's dense-structure mode.
         fixture(
             cycle(5),
             complete_bipartite(2, 3),
             SelfLoopMode::FactorA,
-            ServeOptions {
-                cache_entries: 0,
-                ..ServeOptions::default()
-            },
+            ServeOptions::default(),
         ),
         fixture(
             path(4),
@@ -300,17 +296,76 @@ fn batch_case(fx: &Fixture) -> (String, String) {
     (body, expected)
 }
 
-#[test]
-fn batch_equals_sequence_of_singles_cached_and_uncached() {
-    // fixtures()[0] has the cache on, [1] has it off; run each twice so
-    // the cached state answers once cold and once from the cache — all
-    // four responses must be byte-identical to the materialised truth.
-    for fx in fixtures().iter().take(2) {
-        let (body, expected) = batch_case(fx);
-        for round in 0..2 {
-            let resp = fx.state.handle(&post("/v1/batch", &body));
-            assert_eq!(resp.status, 200);
-            assert_eq!(resp.body, expected, "batch diverged on round {round}");
+/// The single GET a batch query line stands for.
+fn single_path(line: &str) -> String {
+    let toks: Vec<&str> = line.split_whitespace().collect();
+    match toks.as_slice() {
+        ["vertex", p] => format!("/v1/vertex/{p}"),
+        ["edge", p, q] => format!("/v1/edge/{p}/{q}"),
+        ["neighbors", p, offset, limit] => {
+            format!("/v1/neighbors/{p}?offset={offset}&limit={limit}")
         }
+        _ => panic!("unexpected batch line {line:?}"),
+    }
+}
+
+/// Assert that `state` answers `body` as one JSON array of exactly the
+/// bodies the single endpoints send for its lines.
+fn assert_batch_is_singles(state: &ServeState, body: &str) {
+    let singles: Vec<String> = body
+        .lines()
+        .map(|line| state.handle(&get(&single_path(line))).body)
+        .collect();
+    let expected = format!(
+        "[\n{}\n]\n",
+        singles
+            .iter()
+            .map(|s| s.trim_end())
+            .collect::<Vec<_>>()
+            .join(",\n")
+    );
+    let resp = state.handle(&post("/v1/batch", body));
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.body, expected, "batch diverged from its singles");
+}
+
+#[test]
+fn batch_equals_sequence_of_singles_on_pair_and_expr_backends() {
+    // Pair backend: the batch is the materialised truth of its items,
+    // and the same bytes as N single requests, embedded 404s included.
+    let pair = fixtures();
+    for fx in &pair {
+        let (body, expected) = batch_case(fx);
+        let resp = fx.state.handle(&post("/v1/batch", &body));
+        assert_eq!(resp.status, 200);
+        assert_eq!(
+            resp.body, expected,
+            "batch diverged from materialised truth"
+        );
+        let n = fx.mat.num_vertices();
+        let with_errors = format!("{body}vertex {n}\nedge 0 {n}\nneighbors {n} 0 3\n");
+        assert_batch_is_singles(&fx.state, &with_errors);
+    }
+    // Expression backend: the program of `fixtures()[1]` as `--expr`.
+    // Edge and neighbors bodies are byte-identical across backends, so
+    // the materialised truth pins them here too.
+    let expr = ServeState::build_expr(
+        vec![
+            ("A".to_string(), cycle(5)),
+            ("B".to_string(), complete_bipartite(2, 3)),
+        ],
+        &[("A".to_string(), true), ("B".to_string(), false)],
+        ServeOptions::default(),
+    )
+    .unwrap();
+    let (body, _) = batch_case(&pair[1]);
+    assert_batch_is_singles(&expr, &format!("{body}vertex 25\nedge 25 0\n"));
+    for line in body.lines().filter(|l| !l.starts_with("vertex")) {
+        let path = single_path(line);
+        assert_eq!(
+            expr.handle(&get(&path)).body,
+            pair[1].state.handle(&get(&path)).body,
+            "{path}"
+        );
     }
 }
