@@ -21,7 +21,8 @@ use bikron_sparse::{ewise_mult, kron, spgemm, spgemm_masked, u64_plus_times, Coo
 
 fn bench_ablations(c: &mut Criterion) {
     let g = unicode_like();
-    let a = g.adjacency();
+    let p = g.adjacency();
+    let a = &p.map(|()| 1u64);
     let s = u64_plus_times();
     let a2 = spgemm(&s, a, a).unwrap();
 
@@ -49,18 +50,18 @@ fn bench_ablations(c: &mut Criterion) {
     // 3. direct-CSR kron vs COO round trip.
     group.sample_size(10);
     group.bench_function("kron_direct_csr", |b| {
-        b.iter(|| black_box(kron(&Times, a, a).unwrap().nnz()))
+        b.iter(|| black_box(kron(&Times, p, p).unwrap().nnz()))
     });
     group.bench_function("kron_via_coo", |b| {
         b.iter(|| {
-            let (ma, mb) = (a.nrows(), a.nrows());
-            let mut coo = Coo::with_capacity(ma * mb, ma * mb, a.nnz() * a.nnz());
-            for (i, j, x) in a.iter() {
-                for (k, l, y) in a.iter() {
-                    coo.push(i * mb + k, j * mb + l, x * y).unwrap();
+            let (ma, mb) = (p.nrows(), p.nrows());
+            let mut coo = Coo::with_capacity(ma * mb, ma * mb, p.nnz() * p.nnz());
+            for (i, j, ()) in p.iter() {
+                for (k, l, ()) in p.iter() {
+                    coo.push(i * mb + k, j * mb + l, ()).unwrap();
                 }
             }
-            black_box(Csr::from_coo(coo, |x, _| x, |v| v == 0).nnz())
+            black_box(Csr::from_coo(coo, |(), ()| (), |()| false).nnz())
         })
     });
 

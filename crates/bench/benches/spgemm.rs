@@ -12,7 +12,8 @@ use bikron_sparse::{kron, spgemm, spgemm_masked, u64_plus_times};
 
 fn bench_spgemm(c: &mut Criterion) {
     let g = unicode_like();
-    let a = g.adjacency();
+    let p = g.adjacency();
+    let a = &p.map(|()| 1u64);
     let s = u64_plus_times();
     let a2 = spgemm(&s, a, a).unwrap();
 
@@ -24,7 +25,7 @@ fn bench_spgemm(c: &mut Criterion) {
         b.iter(|| black_box(spgemm_masked(&s, &a2, a, a).unwrap().nnz()))
     });
     group.bench_function("kron_self", |b| {
-        b.iter(|| black_box(kron(&Times, a, a).unwrap().nnz()))
+        b.iter(|| black_box(kron(&Times, p, p).unwrap().nnz()))
     });
     group.finish();
 }

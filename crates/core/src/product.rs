@@ -295,7 +295,7 @@ impl<'a> KroneckerProduct<'a> {
 
     /// The effective adjacency matrix of factor `A` (with `I_A` folded in
     /// under `FactorA` mode).
-    pub fn effective_a(&self) -> Csr<u64> {
+    pub fn effective_a(&self) -> Csr<()> {
         match self.mode {
             SelfLoopMode::None => self.a.adjacency().clone(),
             SelfLoopMode::FactorA => self.a.with_full_self_loops().adjacency().clone(),

@@ -1,8 +1,9 @@
 //! Graph and [`FactorStats`] codecs for the `bikron-snap/1` snapshot format.
 //!
 //! Layered on the byte primitives in [`bikron_sparse::snap`]. Decoding is
-//! paranoid by design: a graph is rebuilt through [`Graph::from_adjacency`]
-//! (square + symmetric re-validation) and every CSR goes through
+//! paranoid by design: a graph must store exactly 1 at every entry (the
+//! value the writer emits) and is rebuilt through [`Graph::from_adjacency`]
+//! (square + symmetric re-validation), and every CSR goes through
 //! `Csr::from_parts`, so bytes that pass the section checksum but encode an
 //! inconsistent structure still fail with a named [`SnapError`] instead of
 //! corrupting ground-truth answers after a warm boot.
@@ -13,14 +14,20 @@ use bikron_sparse::snap::{
     put_csr_i128, put_csr_u64, put_i128_slice, read_csr_i128, read_csr_u64, ByteReader, SnapError,
 };
 
-/// Append a graph as its adjacency CSR.
+/// Append a graph as its adjacency CSR, with a 1 at every stored entry.
 pub fn put_graph(buf: &mut Vec<u8>, g: &Graph) {
-    put_csr_u64(buf, g.adjacency());
+    put_csr_u64(buf, &g.adjacency().map(|()| 1));
 }
 
-/// Decode a graph, re-validating squareness and symmetry.
+/// Decode a graph, rejecting any stored value other than 1 and
+/// re-validating squareness and symmetry.
 pub fn read_graph(r: &mut ByteReader<'_>, what: &'static str) -> Result<Graph, SnapError> {
     let adj = read_csr_u64(r, what)?;
+    if let Some(v) = adj.values().iter().find(|&&v| v != 1) {
+        return Err(SnapError::Malformed(format!(
+            "{what}: adjacency value {v}, expected 1"
+        )));
+    }
     Graph::from_adjacency(adj)
         .map_err(|e| SnapError::Malformed(format!("{what}: invalid graph: {e}")))
 }
@@ -102,6 +109,48 @@ mod tests {
         let back = read_graph(&mut r, "g").unwrap();
         assert_eq!(g, back);
         assert!(r.is_empty());
+    }
+
+    /// `put_graph` bytes as little-endian words: `nrows`, `ncols`, the
+    /// length-prefixed `row_ptr` and `col_idx`, then the length-prefixed
+    /// values, which are all 1.
+    fn graph_words(g: &Graph) -> Vec<u64> {
+        let mut buf = Vec::new();
+        put_graph(&mut buf, g);
+        assert_eq!(buf.len() % 8, 0);
+        buf.chunks(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            .collect()
+    }
+
+    #[test]
+    fn graph_bytes_are_pinned() {
+        // Words captured from the writer before `Graph` became a pattern:
+        // the encoding (a 1 at every entry) must not move.
+        #[rustfmt::skip]
+        let cases: [(Graph, Vec<u64>); 3] = [
+            (cycle(5), vec![
+                5, 5,
+                6, 0, 2, 4, 6, 8, 10,
+                10, 1, 4, 0, 2, 1, 3, 2, 4, 0, 3,
+                10, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+            ]),
+            (cycle(5).with_full_self_loops(), vec![
+                5, 5,
+                6, 0, 3, 6, 9, 12, 15,
+                15, 0, 1, 4, 0, 1, 2, 1, 2, 3, 2, 3, 4, 0, 3, 4,
+                15, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+            ]),
+            (bikron_generators::complete_bipartite(2, 3), vec![
+                5, 5,
+                6, 0, 3, 6, 8, 10, 12,
+                12, 2, 3, 4, 2, 3, 4, 0, 1, 0, 1, 0, 1,
+                12, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+            ]),
+        ];
+        for (g, words) in cases {
+            assert_eq!(graph_words(&g), words);
+        }
     }
 
     #[test]

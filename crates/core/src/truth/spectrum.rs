@@ -21,8 +21,8 @@ use crate::product::{KroneckerProduct, SelfLoopMode};
 /// Exact eigenvalues of the product adjacency, sorted ascending, computed
 /// from factor spectra only.
 pub fn product_spectrum(prod: &KroneckerProduct<'_>, tol: f64) -> SparseResult<Vec<f64>> {
-    let ea = symmetric_eigenvalues(prod.factor_a().adjacency(), tol)?;
-    let eb = symmetric_eigenvalues(prod.factor_b().adjacency(), tol)?;
+    let ea = symmetric_eigenvalues(&prod.factor_a().adjacency().map(|()| 1), tol)?;
+    let eb = symmetric_eigenvalues(&prod.factor_b().adjacency().map(|()| 1), tol)?;
     let shift = match prod.mode() {
         SelfLoopMode::None => 0.0,
         SelfLoopMode::FactorA => 1.0,
@@ -59,7 +59,7 @@ mod tests {
         let prod = KroneckerProduct::new(a, b, mode).unwrap();
         let truth = product_spectrum(&prod, 1e-13).unwrap();
         let g = prod.materialize();
-        let direct = symmetric_eigenvalues(g.adjacency(), 1e-13).unwrap();
+        let direct = symmetric_eigenvalues(&g.adjacency().map(|()| 1), 1e-13).unwrap();
         assert_spectra_close(&truth, &direct, 1e-6);
     }
 

@@ -56,7 +56,7 @@ impl FactorStats {
                 "FactorStats requires a loop-free factor (paper Defs. 8-9)".into(),
             ));
         }
-        let a = g.adjacency();
+        let a = &g.adjacency().map(|()| 1u64);
         let n = a.nrows();
         let semiring = u64_plus_times();
 

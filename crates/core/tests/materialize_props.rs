@@ -11,12 +11,14 @@ use bikron_sparse::semiring::Times;
 use bikron_sparse::{kron, Csr};
 use proptest::prelude::*;
 
-/// The product of `levels` through the checked constructor.
+/// The product of `levels` over their numeric ones, through the checked
+/// constructor.
 fn checked(levels: &[Graph]) -> Graph {
+    let ones = |g: &Graph| g.adjacency().map(|()| 1u64);
     let adj = levels[1..]
         .iter()
-        .fold(levels[0].adjacency().clone(), |acc: Csr<u64>, g| {
-            kron(&Times, &acc, g.adjacency()).unwrap()
+        .fold(ones(&levels[0]), |acc: Csr<u64>, g| {
+            kron(&Times, &acc, &ones(g)).unwrap()
         });
     Graph::from_adjacency(adj).expect("product of symmetric factors")
 }

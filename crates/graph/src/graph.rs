@@ -1,6 +1,11 @@
 //! The core undirected [`Graph`] type.
 //!
-//! A `Graph` wraps a symmetric binary CSR adjacency matrix. Self loops are
+//! A `Graph` wraps a symmetric CSR adjacency *pattern*, a `Csr<()>`. Every
+//! graph is binary, so a stored value could only ever be 1; the zero-sized
+//! `()` keeps the pattern alone and halves the bytes per entry of a
+//! materialised product. Callers that need numbers (walk-count SpGEMM,
+//! spectra, the snapshot writer) build the ones on demand from a
+//! factor-sized pattern with `adjacency().map(|()| 1)`. Self loops are
 //! permitted (the paper's Assump. 1(ii) adds all of them to one factor) but
 //! tracked explicitly, because every ground-truth formula is sensitive to
 //! the self-loop structure (§II-B).
@@ -12,7 +17,7 @@
 
 use std::fmt;
 
-use bikron_sparse::semiring::Times;
+use bikron_sparse::semiring::{SemiringValue, Times};
 use bikron_sparse::{Coo, Csr, Ix};
 
 /// Errors for graph construction and accessors.
@@ -55,7 +60,7 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-/// A simple undirected graph stored as a binary CSR adjacency matrix.
+/// A simple undirected graph stored as a CSR adjacency pattern.
 ///
 /// ```
 /// use bikron_graph::Graph;
@@ -70,7 +75,7 @@ impl std::error::Error for GraphError {}
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct Graph {
-    adj: Csr<u64>,
+    adj: Csr<()>,
     num_loops: usize,
 }
 
@@ -87,19 +92,20 @@ impl Graph {
                     n,
                 });
             }
-            coo.push_symmetric(u, v, 1u64)
+            coo.push_symmetric(u, v, ())
                 .expect("bounds already checked");
         }
-        // Duplicate edges collapse to 1 (binary adjacency).
-        let adj = Csr::from_coo(coo, |_, _| 1, |v| v == 0);
+        // Duplicate edges collapse to one entry (binary adjacency).
+        let adj = Csr::from_coo(coo, |(), ()| (), |()| false);
         Ok(Self::from_adjacency_unchecked(adj))
     }
 
     /// Wrap an existing adjacency matrix, checking that it is square and
-    /// pattern-symmetric; stored values are normalised to 1 in place. This
-    /// is the checked entry point for untrusted input, such as a decoded
+    /// pattern-symmetric; every stored entry becomes an edge and the values
+    /// are dropped (the index arrays move, they are not copied). This is
+    /// the checked entry point for untrusted input, such as a decoded
     /// snapshot.
-    pub fn from_adjacency(mut adj: Csr<u64>) -> Result<Self, GraphError> {
+    pub fn from_adjacency<T: SemiringValue>(adj: Csr<T>) -> Result<Self, GraphError> {
         if adj.nrows() != adj.ncols() {
             return Err(GraphError::NotSquare {
                 nrows: adj.nrows(),
@@ -109,13 +115,12 @@ impl Graph {
         if !adj.is_pattern_symmetric() {
             return Err(GraphError::NotSymmetric);
         }
-        adj.values_mut().fill(1);
-        Ok(Self::from_adjacency_unchecked(adj))
+        Ok(Self::from_adjacency_unchecked(adj.into_pattern()))
     }
 
     /// The Kronecker product `self ⊗ other` as a graph, built without
-    /// re-validation: the product of two symmetric binary matrices is
-    /// symmetric and binary, and its diagonal entry `(γ(i,k), γ(i,k))` is
+    /// re-validation or a value array: the product of two symmetric patterns
+    /// is a symmetric pattern, and its diagonal entry `(γ(i,k), γ(i,k))` is
     /// `A_ii·B_kk`, so the product has exactly
     /// `self.num_self_loops() · other.num_self_loops()` loops.
     ///
@@ -139,7 +144,7 @@ impl Graph {
         }
     }
 
-    fn from_adjacency_unchecked(adj: Csr<u64>) -> Self {
+    fn from_adjacency_unchecked(adj: Csr<()>) -> Self {
         let num_loops = (0..adj.nrows())
             .filter(|&i| adj.get(i, i).is_some())
             .count();
@@ -216,9 +221,10 @@ impl Graph {
         self.adj.get(u, v).is_some()
     }
 
-    /// Borrow the adjacency matrix.
+    /// Borrow the adjacency pattern; `.map(|()| 1)` gives the numeric
+    /// matrix.
     #[inline]
-    pub fn adjacency(&self) -> &Csr<u64> {
+    pub fn adjacency(&self) -> &Csr<()> {
         &self.adj
     }
 
@@ -233,8 +239,8 @@ impl Graph {
     /// A copy with all self loops added (`A + I_A`, used by Assump. 1(ii)).
     pub fn with_full_self_loops(&self) -> Graph {
         let n = self.num_vertices();
-        let eye = Csr::diagonal(n, 1u64);
-        let adj = bikron_sparse::ewise_add(&self.adj, &eye, |_, _| 1, |_| false)
+        let eye = Csr::diagonal(n, ());
+        let adj = bikron_sparse::ewise_add(&self.adj, &eye, |(), ()| (), |_| false)
             .expect("adjacency and identity are both n x n");
         Graph { adj, num_loops: n }
     }

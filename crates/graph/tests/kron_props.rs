@@ -1,11 +1,12 @@
 //! `Graph::kron` builds the Kronecker product without re-validating it.
 //! These properties pin it to the checked path — `bikron_sparse::kron`
-//! followed by `Graph::from_adjacency` — on factor pairs with no loops,
-//! some loops and a loop at every vertex: same adjacency, same loop count.
+//! over the factors' numeric ones, followed by `Graph::from_adjacency` —
+//! on factor pairs with no loops, some loops and a loop at every vertex:
+//! same adjacency pattern, every valued entry 1, same loop count.
 
 use bikron_graph::Graph;
-use bikron_sparse::kron;
 use bikron_sparse::semiring::Times;
+use bikron_sparse::{kron, Csr};
 use proptest::prelude::*;
 
 /// Random graph on `n ∈ [1, 6]` vertices; `(i, i)` pairs become loops, so
@@ -22,9 +23,10 @@ fn loop_variants(g: &Graph) -> [Graph; 3] {
     [g.without_self_loops(), g.clone(), g.with_full_self_loops()]
 }
 
-fn checked_kron(a: &Graph, b: &Graph) -> Graph {
-    let adj = kron(&Times, a.adjacency(), b.adjacency()).unwrap();
-    Graph::from_adjacency(adj).expect("product of symmetric factors")
+/// `A ⊗ B` over the factors' `u64` ones.
+fn valued_kron(a: &Graph, b: &Graph) -> Csr<u64> {
+    let ones = |g: &Graph| g.adjacency().map(|()| 1u64);
+    kron(&Times, &ones(a), &ones(b)).unwrap()
 }
 
 proptest! {
@@ -35,14 +37,15 @@ proptest! {
         for a in loop_variants(&a) {
             for b in loop_variants(&b) {
                 let fast = a.kron(&b);
-                let checked = checked_kron(&a, &b);
-                prop_assert_eq!(fast.adjacency(), checked.adjacency());
-                prop_assert_eq!(fast.num_self_loops(), checked.num_self_loops());
+                let valued = valued_kron(&a, &b);
+                prop_assert!(fast.adjacency().same_pattern(&valued));
+                prop_assert!(valued.values().iter().all(|&v| v == 1));
+                let checked = Graph::from_adjacency(valued).expect("product of symmetric factors");
+                prop_assert_eq!(&fast, &checked);
                 prop_assert_eq!(
                     fast.num_self_loops(),
                     a.num_self_loops() * b.num_self_loops()
                 );
-                prop_assert!(fast.adjacency().values().iter().all(|&v| v == 1));
             }
         }
     }

@@ -11,6 +11,7 @@
 //! - wrong magic, future schema version,
 //! - oversized declared lengths (no pre-allocation from attacker bytes),
 //! - expression / factor mismatch against a differently-specced server,
+//! - a graph value other than 1 behind a valid checksum,
 //! - malformed entries in a CACHE section (files written while the
 //!   server kept a result cache carry entries there; the reader still
 //!   parses every one before discarding them).
@@ -214,6 +215,36 @@ fn cache_entries_are_parsed_before_they_are_discarded() {
         Snapshot::decode(&with_cache_payload(&base, &u64s(&[u64::MAX]))).err_only(),
         err_kind(SnapshotError::Truncated("CACHE entries"))
     );
+}
+
+#[test]
+fn non_unit_graph_value_is_refused_behind_a_valid_checksum() {
+    // FACTORS payload: factor count, the name "A" (length-prefixed), then
+    // graph A as written by `put_graph`, whose last 8 bytes are its final
+    // stored value. Overwrite that value and reseal the section, so only
+    // the graph decoder can object.
+    let base = pair_bytes();
+    let meta_len = u64::from_le_bytes(base[24..32].try_into().unwrap()) as usize;
+    let factors_at = 16 + 16 + meta_len + 8;
+    let len =
+        u64::from_le_bytes(base[factors_at + 8..factors_at + 16].try_into().unwrap()) as usize;
+    let payload_at = factors_at + 16;
+    let mut graph_a = Vec::new();
+    bikron_core::snap::put_graph(&mut graph_a, &cycle(5));
+    let value_at = payload_at + 8 + 9 + graph_a.len() - 8;
+    assert_eq!(base[value_at..value_at + 8], 1u64.to_le_bytes());
+    for bad in [0u64, 7] {
+        let mut bytes = base.clone();
+        bytes[value_at..value_at + 8].copy_from_slice(&bad.to_le_bytes());
+        let sum = bikron_sparse::snap::fnv1a(&bytes[payload_at..payload_at + len]);
+        bytes[payload_at + len..payload_at + len + 8].copy_from_slice(&sum.to_le_bytes());
+        match Snapshot::decode(&bytes).err_only() {
+            Err(SnapshotError::Corrupt(msg)) => {
+                assert!(msg.contains(&format!("adjacency value {bad}")), "{msg}")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
 }
 
 #[test]

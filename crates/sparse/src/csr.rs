@@ -179,12 +179,6 @@ impl<T: SemiringValue> Csr<T> {
         &self.vals
     }
 
-    /// Mutable value array (structure is immutable; values may be edited).
-    #[inline]
-    pub fn values_mut(&mut self) -> &mut [T] {
-        &mut self.vals
-    }
-
     /// The `(columns, values)` slices of row `r`.
     #[inline]
     pub fn row(&self, r: Ix) -> (&[Ix], &[T]) {
@@ -222,6 +216,18 @@ impl<T: SemiringValue> Csr<T> {
             row_ptr: self.row_ptr.clone(),
             col_idx: self.col_idx.clone(),
             vals: self.vals.iter().map(|&v| f(v)).collect(),
+        }
+    }
+
+    /// The sparsity pattern alone: `row_ptr` and `col_idx` move into the
+    /// result, the values are dropped, and no index array is copied.
+    pub fn into_pattern(self) -> Csr<()> {
+        Csr {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            vals: vec![(); self.col_idx.len()],
+            row_ptr: self.row_ptr,
+            col_idx: self.col_idx,
         }
     }
 

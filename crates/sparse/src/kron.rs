@@ -6,7 +6,8 @@
 //! product row `p = (i-1)·m_B + k` (zero-based: `i·m_B + k`) is the
 //! concatenation over `A`'s row-`i` entries `j` of `B`'s row-`k` entries
 //! shifted by `j·n_B`, which is already column-sorted because `A`'s row is
-//! sorted. Rows are filled in parallel with rayon.
+//! sorted. Rows are filled in parallel with rayon. Over `Csr<()>` (a bare
+//! pattern) the value array is zero-sized, so the fill writes columns only.
 
 use rayon::prelude::*;
 
@@ -233,6 +234,29 @@ mod tests {
         let c = kron(&Times, &a, &b).unwrap();
         assert_eq!(c.nnz(), 0);
         assert_eq!(c.nrows(), 4);
+    }
+
+    #[test]
+    fn pattern_kron_matches_valued_kron() {
+        // Rectangular, one empty operand, and both empty (the early return).
+        let rect_a = m(1, 2, vec![(0, 0, 2), (0, 1, 3)]);
+        let rect_b = m(3, 2, vec![(0, 1, 5), (2, 0, 7), (2, 1, 1)]);
+        let empty = m(2, 3, vec![]);
+        let cases = [
+            (&rect_a, &rect_b),
+            (&rect_b, &rect_a),
+            (&empty, &rect_b),
+            (&rect_a, &empty),
+            (&empty, &empty),
+        ];
+        for (a, b) in cases {
+            let valued = kron(&Times, a, b).unwrap();
+            let pattern =
+                kron(&Times, &a.clone().into_pattern(), &b.clone().into_pattern()).unwrap();
+            pattern.validate().unwrap();
+            assert!(pattern.same_pattern(&valued));
+            assert_eq!(pattern.nnz(), a.nnz() * b.nnz());
+        }
     }
 
     #[test]

@@ -152,6 +152,13 @@ impl MulOp<f64> for Pair {
     }
 }
 
+/// The pattern "product": `()` stands for a stored entry whose value is
+/// implicitly one, so a kernel over `Csr<()>` touches only the structure.
+impl MulOp<()> for Times {
+    #[inline]
+    fn mul(&self, _a: (), _b: ()) {}
+}
+
 impl AddMonoid<u64> for Min {
     #[inline]
     fn identity(&self) -> u64 {

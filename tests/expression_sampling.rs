@@ -14,8 +14,8 @@ use bikron::sparse::MatExpr;
 
 /// Build the deferred expression for the product adjacency `C`.
 fn c_expr(a: &Graph, b: &Graph, mode: SelfLoopMode) -> MatExpr {
-    let la = MatExpr::leaf(a.adjacency().map(|v| v as i128));
-    let lb = MatExpr::leaf(b.adjacency().map(|v| v as i128));
+    let la = MatExpr::leaf(a.adjacency().map(|()| 1i128));
+    let lb = MatExpr::leaf(b.adjacency().map(|()| 1i128));
     match mode {
         SelfLoopMode::None => la.kron(lb),
         SelfLoopMode::FactorA => la.plus_identity().kron(lb),
@@ -75,7 +75,7 @@ fn deferred_vertex_samples_match_ground_truth() {
     let c = c_expr(&a, &b, SelfLoopMode::None);
     // diag(C⁴) via the fused Kron path: diag((A⁴) ⊗ (B⁴)).
     let pow4 = |g: &Graph| {
-        let e = MatExpr::leaf(g.adjacency().map(|v| v as i128));
+        let e = MatExpr::leaf(g.adjacency().map(|()| 1i128));
         e.clone().matmul(e.clone()).matmul(e.clone()).matmul(e)
     };
     let diag_c4 = pow4(&a).kron(pow4(&b)).diag();
