@@ -18,11 +18,11 @@
 //! batch) accumulate into one benchmark file.
 //!
 //! `--cluster` points the same workload at a `bikron router` front for a
-//! sharded cluster. The checks don't change — the router's contract is
+//! cluster of serve replicas. The checks don't change — the router's contract is
 //! byte-transparency, so every vertex body must still be byte-exact and
 //! every batch array identical to a single node's — but the run first
 //! verifies the target's `/v1/health` identifies as a router (guarding
-//! against benchmarking a single node by mistake) and stamps the shard
+//! against benchmarking a single node by mistake) and stamps the replica
 //! count into the report meta.
 //!
 //! `loadgen --expr "EXPR" NAME=SPEC...` targets an expression server
@@ -89,11 +89,11 @@ struct Args {
     /// `--cluster`: the target is a `bikron router` front. The workload
     /// is unchanged — the router must be byte-transparent — but the run
     /// first verifies the target really is a router (its `/v1/health`
-    /// reports `"role": "router"`), records the shard count, and stamps
+    /// reports `"role": "router"`), records the replica count, and stamps
     /// the report meta, so a cluster benchmark can't silently point at a
     /// single node.
     cluster: bool,
-    /// Shard count learned from the router handshake (0 = not cluster).
+    /// Replica count learned from the router handshake (0 = not cluster).
     cluster_shards: u64,
 }
 
@@ -166,7 +166,7 @@ fn parse_args() -> Args {
 }
 
 /// `--cluster` handshake: the target's `/v1/health` must identify as a
-/// router. Returns the shard count. Exits loudly when the target is a
+/// router. Returns the replica count. Exits loudly when the target is a
 /// plain server — a "cluster" benchmark against a single node would
 /// silently measure the wrong thing.
 fn cluster_handshake(addr: &str) -> u64 {
@@ -180,9 +180,9 @@ fn cluster_handshake(addr: &str) -> u64 {
         );
         std::process::exit(2);
     }
-    let shards = field_u64(&body, "shards").unwrap_or(0);
-    println!("loadgen: cluster target confirmed — router fronting {shards} shard(s)");
-    shards
+    let replicas = field_u64(&body, "replicas").unwrap_or(0);
+    println!("loadgen: cluster target confirmed — router fronting {replicas} replica(s)");
+    replicas
 }
 
 /// Local replica of the truth the server answers from.
@@ -264,9 +264,13 @@ impl Client {
         body: Option<&str>,
     ) -> Result<(u16, String), ClientError> {
         let traceparent = self.next_traceparent();
-        let (resp, conn) =
-            self.http
-                .request(self.conn.take(), method, path, body, Some(&traceparent))?;
+        let (resp, conn) = self.http.request(
+            self.conn.take(),
+            method,
+            path,
+            body.map(str::as_bytes),
+            Some(&traceparent),
+        )?;
         self.conn = conn;
         let echoed = resp.trace_id.as_deref().unwrap_or_default();
         if echoed != self.sent_trace_id {

@@ -354,12 +354,11 @@ fn boot_and_serve(
     };
     writeln!(
         out,
-        "{listening} http://{} ({} worker(s), queue {}, batch ≤ {}{}) — stop with ctrl-c",
+        "{listening} http://{} ({} worker(s), queue {}, batch ≤ {}) — stop with ctrl-c",
         server.local_addr()?,
         config.threads.max(1),
         config.queue_capacity.max(1),
         state.batch_max(),
-        shard_banner(&state),
     )?;
     out.flush()?;
     server.run()?;
@@ -368,44 +367,29 @@ fn boot_and_serve(
     Ok(())
 }
 
-/// `, shard I/N owning [lo, hi)` when the server is a cluster shard;
-/// empty for a whole-keyspace server.
-fn shard_banner(state: &ServeState) -> String {
-    match state.shard() {
-        Some((index, count)) => {
-            let (lo, hi) = bikron_core::partition::block_range(state.num_vertices(), count, index);
-            format!(", shard {index}/{count} owning [{lo}, {hi})")
-        }
-        None => String::new(),
-    }
-}
-
-/// `bikron router --shards URL,URL,...` — run the scatter-gather front
-/// for a sharded serve cluster until a signal stops it. Hands back the
-/// handshake error (unreachable shard, shuffled list, mismatched
-/// factors) before binding the client-facing listener.
+/// `bikron router --shards URL,URL,...` — run the front for a cluster
+/// of serve replicas until a signal stops it. Hands back the handshake
+/// error (unreachable replica, mismatched programs) before binding the
+/// client-facing listener.
 pub fn router(
-    shards: &[String],
+    replicas: &[String],
     config: ServerConfig,
     options: bikron_router::RouterOptions,
     out: &mut dyn Write,
 ) -> CmdResult {
-    let state = std::sync::Arc::new(bikron_router::RouterState::connect(shards, options)?);
+    let state = std::sync::Arc::new(bikron_router::RouterState::connect(replicas, options)?);
     bikron_serve::signal::install();
     let server = Server::bind(config.clone(), std::sync::Arc::clone(&state))?;
     writeln!(
         out,
-        "router listening on http://{} fronting {} shard(s) over {} vertices ({} worker(s), queue {}) — stop with ctrl-c",
+        "router listening on http://{} fronting {} replica(s) ({} worker(s), queue {}) — stop with ctrl-c",
         server.local_addr()?,
-        state.num_shards(),
-        state.num_vertices(),
+        state.num_replicas(),
         config.threads.max(1),
         config.queue_capacity.max(1),
     )?;
-    for (i, addr) in state.shard_addrs().iter().enumerate() {
-        let (lo, hi) =
-            bikron_core::partition::block_range(state.num_vertices(), state.num_shards(), i);
-        writeln!(out, "  shard {i}: http://{addr} owns [{lo}, {hi})")?;
+    for (i, addr) in state.replica_addrs().iter().enumerate() {
+        writeln!(out, "  replica {i}: http://{addr}")?;
     }
     out.flush()?;
     server.run()?;

@@ -41,12 +41,12 @@ USAGE:
                   [--access-log FILE] [--log-sample N] [--slo-p99-ms MS]
                   [--slo-err-pct PCT] [--trace-slow-ms MS] [--trace-sample N]
                   [--snapshot-in FILE] [--snapshot-out FILE]
-                  [--snapshot-lenient]
+                  [--snapshot-lenient] [--shard I/N]
   bikron serve    --expr \"EXPR\" NAME=SPEC... [same flags as serve]
   bikron replay   ACCESS_LOG URL [--speed X] [--max-rps N] [--count K]
                   [--seed N] [--label NAME] [--out FILE] [--dry-run]
   bikron router   --shards URL[,URL...] [--addr HOST:PORT] [--threads N]
-                  [--queue N] [--batch-max K] [--replicate-stats]
+                  [--queue N] [--replicate-stats]
                   [--upstream-timeout-ms MS] [--admin-token TOKEN]
   bikron promcheck FILE
   bikron monitor  URL [--interval SEC] [--once] [--top K]
@@ -88,6 +88,9 @@ SERVE:
   /v1/health reports ok|degraded from rolling 1m/5m SLO windows
   (--slo-p99-ms, --slo-err-pct). --access-log FILE appends one JSON
   line per request (--log-sample N keeps every Nth per target).
+  --shard I/N is accepted (I < N is checked) and ignored: every serve
+  process answers the whole key space, so any process can sit behind a
+  router. The flag is kept for existing scripts and will be removed.
   Stop with ctrl-c.
 
   Every request gets a trace id: an inbound W3C `traceparent` header is
@@ -114,25 +117,26 @@ SERVE:
     bikron serve --expr \"(A+I)⊗B⊗C\" A=cycle:5 B=kmn:2x3 C=crown:3
 
 ROUTER:
-  Fronts a sharded serve cluster (default 127.0.0.1:7070). Start N shard
-  processes over the SAME factors, each with --shard I/N, then point the
-  router at them in shard order:
-    bikron serve A B MODE --shard 0/3 --addr 127.0.0.1:7481 &
-    bikron serve A B MODE --shard 1/3 --addr 127.0.0.1:7482 &
-    bikron serve A B MODE --shard 2/3 --addr 127.0.0.1:7483 &
+  Fronts a cluster of interchangeable serve replicas (default
+  127.0.0.1:7070). Start N serve processes over the SAME program, then
+  point the router at them:
+    bikron serve A B MODE --addr 127.0.0.1:7481 &
+    bikron serve A B MODE --addr 127.0.0.1:7482 &
+    bikron serve A B MODE --addr 127.0.0.1:7483 &
     bikron router --shards 127.0.0.1:7481,127.0.0.1:7482,127.0.0.1:7483
-  Shard I owns product vertices [I*ceil(n/N), (I+1)*ceil(n/N)). Keyed
-  reads relay to the owner byte-identically; POST /v1/batch is split per
-  owning shard, fanned out concurrently, and reassembled in request
-  order; /metrics aggregates every shard's report (shard{i}.* keys in
-  JSON, shard=\"i\" labels in ?format=prometheus); /v1/health reports the
-  worst shard verdict with a per-shard detail array. A dead shard yields
-  503 (with Retry-After) only for its own key range after one retry on a
-  fresh connection. --replicate-stats serves /v1/stats from a copy
-  fetched at startup instead of proxying. At startup each shard must
-  self-identify as shard I/N via /v1/health (catching a shuffled
-  --shards list) and serve identical /v1/stats (catching mismatched
-  factors).
+  Every replica answers every key. Each query, POST /v1/batch included,
+  is relayed whole to one replica, chosen round-robin, and its answer
+  comes back byte-identical. If that replica sends no response byte
+  (refused, reset, closed), the request goes once to the next replica;
+  a replica that fails mid-response or times out is not retried, and
+  the client gets 503 \"no replica answered\" (with Retry-After). A
+  dead replica costs capacity, never a key range. /metrics aggregates
+  every replica's report (shard{i}.* keys in JSON, shard=\"i\" labels in
+  ?format=prometheus); /v1/health reports the worst replica verdict
+  with a per-replica detail array. --replicate-stats serves /v1/stats
+  from a copy fetched at startup instead of relaying. At startup every
+  replica must serve a byte-identical /v1/stats (catching mismatched
+  programs). The replica's own --batch-max caps each batch.
 
 SNAPSHOTS (bikron-snap/1):
   --snapshot-out FILE writes a versioned binary snapshot (factor CSRs,
@@ -142,7 +146,8 @@ SNAPSHOTS (bikron-snap/1):
   \"snapshot\": \"warm\". A snapshot for a different expression,
   different factor graphs, a future schema version, or a corrupted
   file is rejected at boot — pass --snapshot-lenient to log the
-  rejection and boot cold instead. Works with --shard I/N.
+  rejection and boot cold instead. A snapshot written by a --shard I/N
+  server loads as a full replica.
 
 REPLAY:
   Re-issues a recorded access log (the JSON-lines file --access-log
@@ -297,6 +302,9 @@ fn parse_serve_config(
             "--slo-err-pct" => options.slo_err_pct = parse_num(i, "--slo-err-pct")? as u64,
             "--trace-slow-ms" => options.trace_slow_ms = parse_num(i, "--trace-slow-ms")? as u64,
             "--trace-sample" => options.trace_sample = parse_num(i, "--trace-sample")? as u64,
+            // Accepted and ignored: every serve process is a full
+            // replica. Still parsed because the benchmark starts
+            // `serve --shard 0/2` and `--shard 1/2`.
             "--shard" => {
                 let v = need_value(i)?;
                 let (index, count) = v
@@ -308,7 +316,9 @@ fn parse_serve_config(
                 let count: usize = count
                     .parse()
                     .map_err(|e| format!("serve: bad --shard count: {e}"))?;
-                options.shard = Some((index, count));
+                if index >= count {
+                    return Err(format!("serve: --shard {v} is invalid (need I < N)").into());
+                }
             }
             "--snapshot-in" => snapshot.snapshot_in = Some(need_value(i)?),
             "--snapshot-out" => snapshot.snapshot_out = Some(need_value(i)?),
@@ -324,8 +334,8 @@ fn parse_serve_config(
     Ok((config, options, snapshot))
 }
 
-/// Parse `router`'s flags from its argument tail. Returns the shard URL
-/// list (in ownership order) plus transport and routing options.
+/// Parse `router`'s flags from its argument tail. Returns the replica
+/// URL list plus transport and routing options.
 fn parse_router_config(
     args: &[String],
 ) -> Result<
@@ -336,7 +346,7 @@ fn parse_router_config(
     ),
     Box<dyn std::error::Error>,
 > {
-    let mut shards: Vec<String> = Vec::new();
+    let mut replicas: Vec<String> = Vec::new();
     let mut config = bikron_serve::ServerConfig {
         addr: "127.0.0.1:7070".to_string(),
         ..bikron_serve::ServerConfig::default()
@@ -356,7 +366,7 @@ fn parse_router_config(
         };
         match args[i].as_str() {
             "--shards" => {
-                shards = need_value(i)?
+                replicas = need_value(i)?
                     .split(',')
                     .map(|s| s.trim().to_string())
                     .filter(|s| !s.is_empty())
@@ -366,7 +376,6 @@ fn parse_router_config(
             "--threads" => config.threads = parse_num(i, "--threads")?,
             "--queue" => config.queue_capacity = parse_num(i, "--queue")?,
             "--admin-token" => options.admin_token = Some(need_value(i)?),
-            "--batch-max" => options.batch_max = parse_num(i, "--batch-max")?,
             "--upstream-timeout-ms" => {
                 options.upstream_timeout =
                     std::time::Duration::from_millis(parse_num(i, "--upstream-timeout-ms")? as u64)
@@ -380,10 +389,10 @@ fn parse_router_config(
         }
         i += 2;
     }
-    if shards.is_empty() {
+    if replicas.is_empty() {
         return Err("router requires --shards URL[,URL...]".into());
     }
-    Ok((shards, config, options))
+    Ok((replicas, config, options))
 }
 
 /// Parse `perfdiff`'s own flags from its argument tail.
@@ -500,8 +509,8 @@ fn dispatch(args: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
             bikron_cli::replay::run(&cfg, &mut out)
         }
         Some("router") => {
-            let (shards, config, options) = parse_router_config(&args[1..])?;
-            commands::router(&shards, config, options, &mut out)?;
+            let (replicas, config, options) = parse_router_config(&args[1..])?;
+            commands::router(&replicas, config, options, &mut out)?;
             Ok(true)
         }
         Some("promcheck") if args.len() >= 2 => {

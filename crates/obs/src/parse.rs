@@ -441,10 +441,12 @@ impl Report {
                 let win = as_obj(&v, &format!("windows.{k}"))?;
                 let what = format!("windows.{k}");
                 let kind = match win.get("kind") {
-                    Some(JsonValue::Str(s)) => WindowKind::parse_str(s).ok_or_else(|| ParseError {
-                        offset: 0,
-                        message: format!("{what}.kind {s:?} is not counter|histogram"),
-                    })?,
+                    Some(JsonValue::Str(s)) => {
+                        WindowKind::parse_str(s).ok_or_else(|| ParseError {
+                            offset: 0,
+                            message: format!("{what}.kind {s:?} is not counter|histogram"),
+                        })?
+                    }
                     _ => {
                         return Err(ParseError {
                             offset: 0,
@@ -594,7 +596,10 @@ mod tests {
         assert_eq!(v.bool_of("off"), Some(false));
         assert_eq!(v.get("cache"), Some(&JsonValue::Null));
         assert_eq!(v.str_of("name"), Some("a\tb"));
-        assert_eq!(v.get("spans").and_then(|s| s.as_array()).map(<[_]>::len), Some(2));
+        assert_eq!(
+            v.get("spans").and_then(|s| s.as_array()).map(<[_]>::len),
+            Some(2)
+        );
         assert_eq!(v.num_of("missing"), None);
         assert!(parse_json("nul").is_err());
         assert!(parse_json("truex").is_err());

@@ -161,7 +161,11 @@ pub struct Profiler {
     /// Hoisted global-registry handles the sampler bumps, so `/metrics`,
     /// Prometheus exposition, and `bikron monitor` see the counters with
     /// no extra plumbing.
-    counters: OnceLock<(Arc<crate::Counter>, Arc<crate::Counter>, Arc<crate::Histogram>)>,
+    counters: OnceLock<(
+        Arc<crate::Counter>,
+        Arc<crate::Counter>,
+        Arc<crate::Histogram>,
+    )>,
 }
 
 impl Profiler {
@@ -209,7 +213,13 @@ impl Profiler {
         self.slot_exhausted.load(Ordering::Relaxed)
     }
 
-    fn counters(&self) -> &(Arc<crate::Counter>, Arc<crate::Counter>, Arc<crate::Histogram>) {
+    fn counters(
+        &self,
+    ) -> &(
+        Arc<crate::Counter>,
+        Arc<crate::Counter>,
+        Arc<crate::Histogram>,
+    ) {
         self.counters.get_or_init(|| {
             let obs = crate::global();
             (

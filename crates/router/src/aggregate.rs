@@ -1,6 +1,6 @@
-//! Cluster-level aggregation helpers: splitting a shard's batch array
-//! back into per-line items, and re-emitting scraped shard reports as
-//! `shard`-labelled Prometheus families.
+//! Cluster-level aggregation helpers: re-emitting scraped replica
+//! reports as `shard`-labelled Prometheus families, and splitting a
+//! batch array into its items.
 
 use std::collections::BTreeSet;
 
@@ -13,13 +13,15 @@ type TimerPick = fn(&bikron_obs::TimerSnapshot) -> u64;
 /// Field extractor for one exported window-stats family.
 type WindowPick = fn(&bikron_obs::WindowStats) -> u64;
 
-/// Split a shard's `POST /v1/batch` response body (`[\n{...},\n{...}\n]\n`)
+/// Split a `POST /v1/batch` response body (`[\n{...},\n{...}\n]\n`)
 /// into its per-line item strings, verbatim. Items are separated by
 /// top-level commas; a depth/string-aware scan keeps commas inside
 /// nested objects, arrays, and strings intact. Returns `None` when the
 /// body is not a well-formed array (truncated, unbalanced, or junk after
-/// the close), so the caller can treat the shard answer as failed rather
-/// than reassemble garbage.
+/// the close).
+///
+/// The router relays batches whole and no longer calls this; it stays
+/// exported for the benchmark's router layer probe, which times it.
 pub fn split_batch_items(body: &str) -> Option<Vec<String>> {
     let trimmed = body.trim();
     let inner = trimmed.strip_prefix('[')?.strip_suffix(']')?;

@@ -1,47 +1,43 @@
 #![warn(missing_docs)]
 
-//! bikron-router: a scatter-gather HTTP front for a sharded
-//! `bikron-serve` cluster.
+//! bikron-router: an HTTP front for a cluster of interchangeable
+//! `bikron-serve` replicas.
 //!
-//! One router process fronts `N` shard processes, each started with
-//! `bikron serve … --shard I/N`. The ownership map is the same block
-//! tiling [`bikron_core::partition`] defines (and
-//! `PartitionedStream`/distsim already use): shard `I` owns product
-//! vertices `[I·ceil(n/N), (I+1)·ceil(n/N)) ∩ [0, n)`. Because every
-//! shard holds the *full* factor-sized state (the factors are tiny; only
-//! the query key space is partitioned), routing is pure arithmetic — no
-//! directory, no rebalancing, no cross-shard joins.
+//! One router process fronts `N` serve processes started over the same
+//! program. Every replica holds the whole program (the factors take
+//! kilobytes and every answer is an O(1) closed form), so any replica
+//! can answer any request: there is no ownership map, no directory and
+//! no rebalancing.
 //!
 //! What the router does per endpoint class:
 //!
-//! - **Keyed reads** (`/v1/vertex/{p}`, `/v1/edge/{p}/{q}`,
-//!   `/v1/neighbors/{p}`, `/v1/clustering/{p}/{q}`) relay to the owner
-//!   of `p` over pooled keep-alive connections, bodies byte-identical.
-//! - **`POST /v1/batch`** is split per owning shard, sent to every
-//!   owning shard before any answer is read, and reassembled in original
-//!   line order — the client sees exactly the array a single-node server
-//!   would have produced.
+//! - **Queries** (`/v1/vertex`, `/v1/edge`, `/v1/neighbors`,
+//!   `/v1/clustering`, `/v1/edges`, `/v1/stats`, `/v1/community`,
+//!   `/v1/scatter/degree-squares` and `POST /v1/batch`) are relayed
+//!   whole, body and all, to one replica chosen round-robin over pooled
+//!   keep-alive connections. The replica's answer comes back verbatim,
+//!   so the client sees exactly the bytes a single node produces.
 //! - **`/metrics`** aggregates: the router's own series plus every
-//!   shard's report, prefixed `shard{i}.` in JSON and labelled
+//!   replica's report, prefixed `shard{i}.` in JSON and labelled
 //!   `shard="i"` in Prometheus exposition.
-//! - **`/v1/health`** probes all shards; the cluster verdict is the
-//!   worst shard verdict, with a per-shard detail array.
+//! - **`/v1/health`** probes all replicas; the cluster verdict is the
+//!   worst replica verdict, with a per-replica detail array.
 //!
-//! The router runs on the shard's own transport loop: [`RouterState`]
+//! The router runs on the serve transport loop: [`RouterState`]
 //! implements [`bikron_serve::Handler`], so `bikron_serve::Server`
 //! serves it, and its upstreams use the shared
 //! [`bikron_serve::client`].
 //!
-//! Failure policy (DESIGN.md §13): one retry on a freshly opened
-//! connection, then a 503 scoped to the dead shard's key range — keys
-//! owned by live shards keep answering. `traceparent` is adopted from
-//! the client and propagated to shards, so `bikron trace` shows
-//! router→shard span parentage.
+//! Failure policy (DESIGN.md §13): a dead replica costs capacity, never
+//! a key range. A request whose replica sends no response byte goes once
+//! to the next replica; a 503 means no replica answered. `traceparent`
+//! is adopted from the client and propagated to replicas, so
+//! `bikron trace` shows router→replica span parentage.
 
 pub mod aggregate;
 pub mod state;
 pub mod upstream;
 
 pub use aggregate::{shard_labelled_exposition, split_batch_items};
-pub use state::{parse_shard_url, RouterMetrics, RouterOptions, RouterState, ShardHealth};
+pub use state::{parse_replica_url, ReplicaHealth, RouterMetrics, RouterOptions, RouterState};
 pub use upstream::Upstream;

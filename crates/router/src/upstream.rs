@@ -1,22 +1,22 @@
-//! One shard's upstream: its address plus a small pool of idle
+//! One replica's upstream: its address plus a small pool of idle
 //! keep-alive connections around the shared [`bikron_serve::client`].
 //!
-//! Reusing pooled connections makes steady-state fan-out cost zero
+//! Reusing pooled connections makes steady-state relays cost zero
 //! connection setups. The client's retry policy (DESIGN.md §13) makes a
-//! pooled socket the shard closed behind our back cost one fresh dial,
-//! not an outage, while a genuinely dead shard fails fast so the router
-//! can scope a 503 to that shard's key range.
+//! pooled socket the replica closed behind our back cost one fresh dial,
+//! not an outage, while a genuinely dead replica fails fast, unanswered,
+//! so the router can ask the next one.
 
 use std::sync::Mutex;
 use std::time::Duration;
 
 use bikron_serve::client::{Client, ClientError, Conn, Pending, Response};
 
-/// Idle connections pooled per shard; more concurrent checkouts than
+/// Idle connections pooled per replica; more concurrent checkouts than
 /// this simply dial extra sockets that are dropped on check-in.
 const POOL_CAP: usize = 16;
 
-/// One shard's client plus its connection pool.
+/// One replica's client plus its connection pool.
 pub struct Upstream {
     client: Client,
     pool: Mutex<Vec<Conn>>,
@@ -32,18 +32,18 @@ impl Upstream {
         }
     }
 
-    /// The shard's `host:port`.
+    /// The replica's `host:port`.
     pub fn addr(&self) -> &str {
         self.client.addr()
     }
 
     /// Issue one request on a pooled connection when one is idle; the
-    /// connection returns to the pool unless the shard asked to close.
+    /// connection returns to the pool unless the replica asked to close.
     pub fn request(
         &self,
         method: &str,
         target: &str,
-        body: Option<&str>,
+        body: Option<&[u8]>,
         traceparent: Option<&str>,
     ) -> Result<Response, ClientError> {
         let pending = self.send(method, target, body, traceparent)?;
@@ -56,7 +56,7 @@ impl Upstream {
         &self,
         method: &str,
         target: &str,
-        body: Option<&str>,
+        body: Option<&[u8]>,
         traceparent: Option<&str>,
     ) -> Result<Pending, ClientError> {
         let pooled = self.pool.lock().expect("pool lock poisoned").pop();
@@ -64,7 +64,7 @@ impl Upstream {
     }
 
     /// Read the answer to a [`send`](Upstream::send); the connection
-    /// returns to the pool unless the shard asked to close.
+    /// returns to the pool unless the replica asked to close.
     pub fn finish(&self, pending: Pending) -> Result<Response, ClientError> {
         let (resp, conn) = self.client.finish(pending)?;
         if let Some(conn) = conn {

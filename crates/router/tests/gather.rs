@@ -1,12 +1,17 @@
-//! The router's fan-out against in-process fake shards: every involved
-//! shard gets its request before any answer is read, answers are read
-//! in shard order under one deadline, and a failure stays in the failed
-//! shard's slots.
+//! The router against in-process fake replicas: relays, the one retry,
+//! and the `/v1/health` fan-out.
 //!
-//! A fake shard answers the startup handshake (`/v1/health` naming its
-//! `I/N`, `/v1/stats` with 100 vertices, so shard `I` of 2 owns vertices
-//! `50·I..50·I+50`) and answers each batch line `L` with
-//! `{"line": "L", "pad": "xxx…"}`, padded to a per-shard length.
+//! A relay goes whole to one replica, round-robin from replica 0. When
+//! that replica sends no response byte, the request goes once to the
+//! next replica; any other failure is a 503 that names it, never a
+//! wrong 200. A fan-out sends to every replica before reading any
+//! answer, then reads them in order under one deadline.
+//!
+//! A fake replica answers the startup handshake (`/v1/stats`), answers
+//! `/v1/health` with `"status": "ok"`, and answers each batch line `L`
+//! with `{"line": "L", "pad": "xxx…"}`. Health and batch answers are
+//! padded to a per-replica length, so a body names the replica that
+//! wrote it.
 
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -15,39 +20,55 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bikron_router::{split_batch_items, RouterOptions, RouterState};
+use bikron_router::{RouterOptions, RouterState};
 use bikron_serve::http::{parse_request, Request};
 
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 enum Mode {
     Normal,
     /// Sleep this long before each answer.
     Delay(Duration),
     /// Read each request, never answer.
     Hang,
+    /// Close each connection once a request arrives, leaving it unread,
+    /// so the kernel resets the connection: no response byte is sent.
+    Reset,
+    /// Send the head and half the body, then close.
+    Truncate,
+    /// Declare 10 more body bytes than are sent, then close.
+    LongLength,
+    /// Declare 5 fewer body bytes than are sent.
+    ShortLength,
 }
 
-struct FakeShard {
+struct FakeReplica {
     addr: String,
     mode: Arc<Mutex<Mode>>,
     accepted: Arc<AtomicUsize>,
+    batches: Arc<AtomicUsize>,
     conns: Arc<Mutex<Vec<TcpStream>>>,
     stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
 }
 
-impl FakeShard {
-    fn start(index: usize, pad: usize) -> FakeShard {
+impl FakeReplica {
+    fn start(pad: usize) -> FakeReplica {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         listener.set_nonblocking(true).unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let mode = Arc::new(Mutex::new(Mode::Normal));
         let accepted = Arc::new(AtomicUsize::new(0));
+        let batches = Arc::new(AtomicUsize::new(0));
         let conns = Arc::new(Mutex::new(Vec::new()));
         let stop = Arc::new(AtomicBool::new(false));
         let acceptor = {
-            let (mode, accepted, conns, stop) =
-                (mode.clone(), accepted.clone(), conns.clone(), stop.clone());
+            let (mode, accepted, batches, conns, stop) = (
+                mode.clone(),
+                accepted.clone(),
+                batches.clone(),
+                conns.clone(),
+                stop.clone(),
+            );
             std::thread::spawn(move || {
                 let mut handlers = Vec::new();
                 // Dropping the listener on return refuses later dials.
@@ -59,21 +80,23 @@ impl FakeShard {
                     accepted.fetch_add(1, Ordering::SeqCst);
                     stream.set_nonblocking(false).unwrap();
                     conns.lock().unwrap().push(stream.try_clone().unwrap());
-                    let (mode, stop) = (mode.clone(), stop.clone());
+                    let (mode, batches, conns, stop) =
+                        (mode.clone(), batches.clone(), conns.clone(), stop.clone());
                     handlers.push(std::thread::spawn(move || {
-                        serve(stream, index, pad, &mode, &stop)
+                        serve(stream, pad, &mode, &batches, &conns, &stop)
                     }));
                 }
                 close_all(&conns);
                 for h in handlers {
-                    h.join().expect("fake shard connection thread");
+                    h.join().expect("fake replica connection thread");
                 }
             })
         };
-        FakeShard {
+        FakeReplica {
             addr,
             mode,
             accepted,
+            batches,
             conns,
             stop,
             acceptor: Some(acceptor),
@@ -88,6 +111,11 @@ impl FakeShard {
         self.accepted.load(Ordering::SeqCst)
     }
 
+    /// Batch requests read so far, answered or not.
+    fn batches(&self) -> usize {
+        self.batches.load(Ordering::SeqCst)
+    }
+
     /// Close every accepted connection, leaving the router's pooled ones
     /// stale.
     fn drop_connections(&self) {
@@ -95,7 +123,7 @@ impl FakeShard {
     }
 
     /// Stop listening and close every connection: later dials are
-    /// refused. Errs when a fake shard thread panicked.
+    /// refused. Errs when a fake replica thread panicked.
     fn kill(&mut self) -> std::thread::Result<()> {
         self.stop.store(true, Ordering::SeqCst);
         match self.acceptor.take() {
@@ -105,7 +133,7 @@ impl FakeShard {
     }
 }
 
-impl Drop for FakeShard {
+impl Drop for FakeReplica {
     fn drop(&mut self) {
         let _ = self.kill();
     }
@@ -117,38 +145,78 @@ fn close_all(conns: &Mutex<Vec<TcpStream>>) {
     }
 }
 
-/// One keep-alive connection of a fake shard.
-fn serve(stream: TcpStream, index: usize, pad: usize, mode: &Mutex<Mode>, stop: &AtomicBool) {
+/// Drop the clone `conns` keeps of `stream`, so that dropping `stream`
+/// closes the socket.
+fn forget(conns: &Mutex<Vec<TcpStream>>, stream: &TcpStream) {
+    let peer = stream.peer_addr().ok();
+    conns.lock().unwrap().retain(|c| c.peer_addr().ok() != peer);
+}
+
+/// One keep-alive connection of a fake replica.
+fn serve(
+    stream: TcpStream,
+    pad: usize,
+    mode: &Mutex<Mode>,
+    batches: &AtomicUsize,
+    conns: &Mutex<Vec<TcpStream>>,
+    stop: &AtomicBool,
+) {
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut w = stream;
-    while let Ok(req) = parse_request(&mut reader) {
+    loop {
+        // Wait for the next request without reading it, so a reset
+        // leaves it unread.
+        if !matches!(w.peek(&mut [0u8; 1]), Ok(n) if n > 0) {
+            return;
+        }
+        let current = *mode.lock().unwrap();
+        if current == Mode::Reset {
+            // Closing with the request unread makes the kernel send RST.
+            return forget(conns, &w);
+        }
+        let Ok(req) = parse_request(&mut reader) else {
+            return;
+        };
         let body = match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/v1/health") => format!("{{\"status\": \"ok\", \"shard\": \"{index}/2\"}}\n"),
+            ("GET", "/v1/health") => {
+                format!("{{\"status\": \"ok\", \"pad\": \"{}\"}}\n", "x".repeat(pad))
+            }
             ("GET", "/v1/stats") => "{\"vertices\": 100}\n".to_string(),
             ("POST", "/v1/batch") => {
+                batches.fetch_add(1, Ordering::SeqCst);
                 let lines = String::from_utf8(req.body).unwrap();
                 let items: Vec<String> = lines.lines().map(|l| item(l, pad)).collect();
                 format!("[\n{}\n]\n", items.join(",\n"))
             }
             _ => "{}\n".to_string(),
         };
-        let current = *mode.lock().unwrap();
-        match current {
-            Mode::Normal => {}
-            Mode::Delay(d) => std::thread::sleep(d),
+        let (declared, sent) = match current {
+            Mode::Normal | Mode::Reset => (body.len(), body.len()),
+            Mode::Delay(d) => {
+                std::thread::sleep(d);
+                (body.len(), body.len())
+            }
             Mode::Hang => {
                 while *mode.lock().unwrap() == Mode::Hang && !stop.load(Ordering::SeqCst) {
                     std::thread::sleep(Duration::from_millis(5));
                 }
                 return;
             }
-        }
-        let head = format!(
-            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n",
-            body.len()
-        );
-        if w.write_all(head.as_bytes()).is_err() || w.write_all(body.as_bytes()).is_err() {
+            Mode::Truncate => (body.len(), body.len() / 2),
+            Mode::LongLength => (body.len() + 10, body.len()),
+            Mode::ShortLength => (body.len() - 5, body.len()),
+        };
+        // Head and body in one write, as a real server sends them.
+        let mut out = format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {declared}\r\n\r\n"
+        )
+        .into_bytes();
+        out.extend_from_slice(&body.as_bytes()[..sent]);
+        if w.write_all(&out).is_err() {
             return;
+        }
+        if matches!(current, Mode::Truncate | Mode::LongLength) {
+            return forget(conns, &w);
         }
     }
 }
@@ -157,20 +225,14 @@ fn item(line: &str, pad: usize) -> String {
     format!("{{\"line\": \"{line}\", \"pad\": \"{}\"}}", "x".repeat(pad))
 }
 
-/// What the router must answer for `lines`, given each shard's pad.
-fn expected_batch(lines: &[String], pads: [usize; 2]) -> String {
-    let items: Vec<String> = lines
-        .iter()
-        .map(|l| {
-            let p: usize = l.rsplit(' ').next().unwrap().parse().unwrap();
-            item(l, pads[p / 50])
-        })
-        .collect();
+/// What a replica with `pad` answers for `lines`.
+fn expected_batch(lines: &[&str], pad: usize) -> String {
+    let items: Vec<String> = lines.iter().map(|l| item(l, pad)).collect();
     format!("[\n{}\n]\n", items.join(",\n"))
 }
 
-fn router(shards: &[&FakeShard], upstream_timeout: Duration) -> RouterState {
-    let urls: Vec<String> = shards.iter().map(|s| s.addr.clone()).collect();
+fn router(replicas: &[&FakeReplica], upstream_timeout: Duration) -> RouterState {
+    let urls: Vec<String> = replicas.iter().map(|s| s.addr.clone()).collect();
     let options = RouterOptions {
         upstream_timeout,
         ..RouterOptions::default()
@@ -188,61 +250,152 @@ fn request(method: &str, path: &str, body: &str) -> Request {
     }
 }
 
+const LINES: [&str; 3] = ["vertex 0", "edge 60 1", "neighbors 99 0 4"];
+
+fn batch(router: &RouterState) -> bikron_serve::http::Response {
+    router.handle(&request("POST", "/v1/batch", &LINES.join("\n")), None)
+}
+
 #[test]
-fn a_slow_shard_does_not_block_a_large_answer_from_another() {
-    // Shard 1's answer (over 1 MiB) outgrows the loopback socket buffer
-    // and waits unread while shard 0 takes 300 ms: its worker blocks on
-    // the write until the router gets to it, and nothing deadlocks.
-    let pads = [16, 70_000];
-    let s0 = FakeShard::start(0, pads[0]);
-    let s1 = FakeShard::start(1, pads[1]);
-    let router = router(&[&s0, &s1], Duration::from_secs(5));
-    s0.set_mode(Mode::Delay(Duration::from_millis(300)));
-    let lines: Vec<String> = (0..16)
-        .flat_map(|i| [format!("vertex {i}"), format!("vertex {}", 99 - i)])
-        .collect();
+fn batches_go_whole_to_replicas_in_turn() {
+    let pads = [8, 16];
+    let r0 = FakeReplica::start(pads[0]);
+    let r1 = FakeReplica::start(pads[1]);
+    let router = router(&[&r0, &r1], Duration::from_secs(5));
+    for turn in 0..4 {
+        let resp = batch(&router);
+        assert_eq!(resp.status, 200);
+        assert_eq!(
+            resp.body,
+            expected_batch(&LINES, pads[turn % 2]),
+            "turn {turn}"
+        );
+    }
+    assert_eq!((r0.batches(), r1.batches()), (2, 2));
+}
+
+#[test]
+fn a_slow_replica_does_not_block_a_large_answer_from_another() {
+    // Replica 1's health answer (over 1 MiB) outgrows the loopback
+    // socket buffer and waits unread while replica 0 takes 300 ms: its
+    // worker blocks on the write until the router gets to it, and
+    // nothing deadlocks.
+    let r0 = FakeReplica::start(16);
+    let r1 = FakeReplica::start(1 << 20);
+    let router = router(&[&r0, &r1], Duration::from_secs(5));
+    r0.set_mode(Mode::Delay(Duration::from_millis(300)));
     let started = Instant::now();
-    let resp = router.handle(&request("POST", "/v1/batch", &lines.join("\n")), None);
+    let resp = router.handle(&request("GET", "/v1/health", ""), None);
     let elapsed = started.elapsed();
     assert_eq!(resp.status, 200);
-    assert!(resp.body.len() > 1 << 20);
     assert!(
-        resp.body == expected_batch(&lines, pads),
-        "batch body differs"
+        resp.body.starts_with("{\n  \"status\": \"ok\""),
+        "{}",
+        resp.body
     );
     assert!(
         elapsed < Duration::from_millis(500),
-        "took {elapsed:?} for a 300 ms shard"
+        "took {elapsed:?} for a 300 ms replica"
     );
 }
 
 #[test]
-fn a_dead_shard_fails_only_its_own_slots() {
-    let s0 = FakeShard::start(0, 8);
-    let mut s1 = FakeShard::start(1, 8);
-    let router = router(&[&s0, &s1], Duration::from_secs(5));
-    s1.kill().unwrap();
-    let lines = ["vertex 0", "vertex 60", "vertex 1", "vertex 99"];
-    let resp = router.handle(&request("POST", "/v1/batch", &lines.join("\n")), None);
-    assert_eq!(resp.status, 200);
-    let items = split_batch_items(&resp.body).unwrap();
-    assert_eq!(items.len(), 4);
-    assert_eq!(items[0], item("vertex 0", 8));
-    assert_eq!(items[2], item("vertex 1", 8));
-    for dead in [&items[1], &items[3]] {
-        assert!(dead.contains("\"error\": 503"), "{dead}");
-        assert!(dead.contains("shard 1"), "{dead}");
+fn a_dead_replica_fails_no_request() {
+    let r0 = FakeReplica::start(8);
+    let mut r1 = FakeReplica::start(16);
+    let router = router(&[&r0, &r1], Duration::from_secs(5));
+    r1.kill().unwrap();
+    // Every other relay picks replica 1, whose dial is refused: the
+    // request goes to replica 0 instead.
+    for turn in 0..4 {
+        let resp = batch(&router);
+        assert_eq!(resp.status, 200, "turn {turn}: {}", resp.body);
+        assert_eq!(resp.body, expected_batch(&LINES, 8), "turn {turn}");
+    }
+    assert_eq!(r0.batches(), 4);
+    let health = router.handle(&request("GET", "/v1/health", ""), None);
+    assert!(
+        health.body.contains("\"status\": \"degraded\""),
+        "{}",
+        health.body
+    );
+    let replica_1 = health
+        .body
+        .split("\"replica\": 1,")
+        .nth(1)
+        .unwrap_or_default();
+    assert!(
+        replica_1.contains("\"status\": \"down\""),
+        "{}",
+        health.body
+    );
+    assert_eq!(
+        health.body.matches("\"down\"").count(),
+        1,
+        "{}",
+        health.body
+    );
+}
+
+#[test]
+fn a_replica_that_resets_before_any_byte_is_retried_on_the_next() {
+    let r0 = FakeReplica::start(8);
+    let r1 = FakeReplica::start(16);
+    let router = router(&[&r0, &r1], Duration::from_secs(5));
+    r0.set_mode(Mode::Reset);
+    let resp = batch(&router);
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_eq!(resp.body, expected_batch(&LINES, 16));
+    assert_eq!((r0.batches(), r1.batches()), (0, 1));
+}
+
+#[test]
+fn a_truncated_or_mislabelled_answer_is_a_503_and_never_retried() {
+    for mode in [Mode::Truncate, Mode::LongLength, Mode::ShortLength] {
+        let r0 = FakeReplica::start(8);
+        let r1 = FakeReplica::start(16);
+        let router = router(&[&r0, &r1], Duration::from_secs(5));
+        r0.set_mode(mode);
+        let resp = batch(&router);
+        assert_eq!(resp.status, 503, "{mode:?}: {}", resp.body);
+        assert!(
+            resp.body.contains("no replica answered (replica 0"),
+            "{mode:?}: {}",
+            resp.body
+        );
+        assert_eq!((r0.batches(), r1.batches()), (1, 0), "{mode:?}");
     }
 }
 
 #[test]
-fn two_hung_shards_cost_one_upstream_timeout() {
+fn a_hung_replica_costs_one_upstream_timeout_and_is_not_retried() {
+    let timeout = Duration::from_millis(800);
+    let r0 = FakeReplica::start(8);
+    let r1 = FakeReplica::start(16);
+    let router = router(&[&r0, &r1], timeout);
+    r0.set_mode(Mode::Hang);
+    let started = Instant::now();
+    let resp = batch(&router);
+    let elapsed = started.elapsed();
+    assert_eq!(resp.status, 503, "{}", resp.body);
+    assert!(resp.body.contains("no replica answered"), "{}", resp.body);
+    assert!(elapsed >= timeout, "answered in {elapsed:?}");
+    assert!(
+        elapsed < timeout + Duration::from_millis(500),
+        "answered in {elapsed:?}"
+    );
+    assert_eq!((r0.batches(), r1.batches()), (1, 0));
+    r0.set_mode(Mode::Normal);
+}
+
+#[test]
+fn two_hung_replicas_cost_one_upstream_timeout() {
     let timeout = Duration::from_millis(1500);
-    let s0 = FakeShard::start(0, 8);
-    let s1 = FakeShard::start(1, 8);
-    let router = router(&[&s0, &s1], timeout);
-    s0.set_mode(Mode::Hang);
-    s1.set_mode(Mode::Hang);
+    let r0 = FakeReplica::start(8);
+    let r1 = FakeReplica::start(8);
+    let router = router(&[&r0, &r1], timeout);
+    r0.set_mode(Mode::Hang);
+    r1.set_mode(Mode::Hang);
     let started = Instant::now();
     let resp = router.handle(&request("GET", "/v1/health", ""), None);
     let elapsed = started.elapsed();
@@ -262,16 +415,18 @@ fn two_hung_shards_cost_one_upstream_timeout() {
 
 #[test]
 fn a_stale_pooled_connection_costs_one_fresh_dial() {
-    let s0 = FakeShard::start(0, 8);
-    let s1 = FakeShard::start(1, 8);
-    let router = router(&[&s0, &s1], Duration::from_secs(5));
-    // The handshake ran over one pooled connection per shard.
-    assert_eq!((s0.accepted(), s1.accepted()), (1, 1));
-    s0.drop_connections();
-    s1.drop_connections();
-    let lines = ["vertex 7".to_string(), "vertex 70".to_string()];
-    let resp = router.handle(&request("POST", "/v1/batch", &lines.join("\n")), None);
-    assert_eq!(resp.status, 200);
-    assert_eq!(resp.body, expected_batch(&lines, [8, 8]));
-    assert_eq!((s0.accepted(), s1.accepted()), (2, 2));
+    let r0 = FakeReplica::start(8);
+    let r1 = FakeReplica::start(16);
+    let router = router(&[&r0, &r1], Duration::from_secs(5));
+    // The handshake ran over one pooled connection per replica.
+    assert_eq!((r0.accepted(), r1.accepted()), (1, 1));
+    r0.drop_connections();
+    r1.drop_connections();
+    for pad in [8, 16] {
+        let resp = batch(&router);
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.body, expected_batch(&LINES, pad));
+    }
+    assert_eq!((r0.accepted(), r1.accepted()), (2, 2));
+    assert_eq!((r0.batches(), r1.batches()), (1, 1));
 }

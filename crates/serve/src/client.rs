@@ -14,7 +14,10 @@
 //! fresh dial, and only when the attempt failed in transport before any
 //! response byte (the server may have closed an idle connection behind
 //! our back) and before the deadline. All bikron queries are pure reads,
-//! so `POST /v1/batch` may retry too.
+//! so `POST /v1/batch` may retry too. A failure that survives the retry
+//! says whether any response byte arrived
+//! ([`ClientError::unanswered`]), so a caller with another server to
+//! ask knows when asking it is safe.
 
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -31,8 +34,11 @@ pub const MAX_RESPONSE_BODY: usize = 64 << 20;
 /// Everything that can go wrong in one exchange.
 #[derive(Debug)]
 pub enum ClientError {
-    /// Connect, write or read failed, timeouts included.
+    /// A timeout, or a read that failed after the response began.
     Io(io::Error),
+    /// Connect, write or read failed before any response byte arrived,
+    /// and not by timing out: the server sent nothing.
+    Unanswered(io::Error),
     /// The server closed the connection before sending a status line.
     Closed,
     /// A status or header line is longer than [`MAX_HEAD_LINE`].
@@ -58,6 +64,7 @@ impl fmt::Display for ClientError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ClientError::Io(e) => write!(f, "{e}"),
+            ClientError::Unanswered(e) => write!(f, "no response: {e}"),
             ClientError::Closed => write!(f, "connection closed before a response"),
             ClientError::HeadLineTooLong => write!(f, "head line over {MAX_HEAD_LINE} bytes"),
             ClientError::TooManyHeaders => write!(f, "over {MAX_HEAD_LINES} header lines"),
@@ -74,6 +81,26 @@ impl fmt::Display for ClientError {
 }
 
 impl std::error::Error for ClientError {}
+
+impl ClientError {
+    /// Whether the exchange failed before any response byte arrived, and
+    /// not by timing out: the server sent nothing, so the same request
+    /// may go to another server.
+    pub fn unanswered(&self) -> bool {
+        matches!(self, ClientError::Unanswered(_) | ClientError::Closed)
+    }
+}
+
+/// Classify a failure that happened before any response byte: a timeout
+/// stays [`ClientError::Io`] (the server is slow, not gone, so asking
+/// again would only wait again), anything else is
+/// [`ClientError::Unanswered`].
+fn before_response(e: io::Error) -> ClientError {
+    match e.kind() {
+        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock => ClientError::Io(e),
+        _ => ClientError::Unanswered(e),
+    }
+}
 
 impl From<io::Error> for ClientError {
     fn from(e: io::Error) -> Self {
@@ -126,7 +153,7 @@ impl Read for DeadlineStream {
 #[derive(Debug)]
 pub struct Pending {
     conn: Conn,
-    req: String,
+    req: Vec<u8>,
     /// Set at send time: the whole exchange, retry included, ends by then.
     deadline: Instant,
     /// Whether the one retry has been spent.
@@ -160,8 +187,14 @@ impl Client {
     }
 
     /// Open a fresh connection: `TCP_NODELAY` (Nagle would hold each
-    /// small request for the peer's delayed ACK) plus both timeouts.
+    /// small request for the peer's delayed ACK) plus both timeouts. Every
+    /// failure, a connect timeout included, is
+    /// [`ClientError::Unanswered`]: nothing was sent.
     pub fn dial(&self) -> Result<Conn, ClientError> {
+        self.open().map_err(ClientError::Unanswered)
+    }
+
+    fn open(&self) -> io::Result<Conn> {
         let sock = self.addr.to_socket_addrs()?.next().ok_or_else(|| {
             io::Error::new(io::ErrorKind::NotFound, "address resolves to nothing")
         })?;
@@ -182,7 +215,7 @@ impl Client {
         conn: Option<Conn>,
         method: &str,
         target: &str,
-        body: Option<&str>,
+        body: Option<&[u8]>,
         traceparent: Option<&str>,
     ) -> Result<(Response, Option<Conn>), ClientError> {
         let pending = self.send(conn, method, target, body, traceparent)?;
@@ -192,24 +225,26 @@ impl Client {
     /// Write one request over `conn` (dialling when `None`) and return
     /// without reading the answer, so a caller can have requests to
     /// several servers in flight at once. A failed write or dial is
-    /// retried once on a fresh dial.
+    /// retried once on a fresh dial. The body goes out verbatim.
     pub fn send(
         &self,
         conn: Option<Conn>,
         method: &str,
         target: &str,
-        body: Option<&str>,
+        body: Option<&[u8]>,
         traceparent: Option<&str>,
     ) -> Result<Pending, ClientError> {
         let deadline = Instant::now() + self.io_timeout;
-        let mut req = format!("{method} {target} HTTP/1.1\r\nHost: {}\r\n", self.addr);
+        let mut head = format!("{method} {target} HTTP/1.1\r\nHost: {}\r\n", self.addr);
         if let Some(tp) = traceparent {
-            req.push_str(&format!("traceparent: {tp}\r\n"));
+            head.push_str(&format!("traceparent: {tp}\r\n"));
         }
-        match body {
-            Some(b) => req.push_str(&format!("Content-Length: {}\r\n\r\n{b}", b.len())),
-            None => req.push_str("\r\n"),
+        if let Some(b) = body {
+            head.push_str(&format!("Content-Length: {}\r\n", b.len()));
         }
+        head.push_str("\r\n");
+        let mut req = head.into_bytes();
+        req.extend_from_slice(body.unwrap_or_default());
         let first = match conn {
             Some(conn) => Ok(conn),
             None => self.dial(),
@@ -239,12 +274,19 @@ impl Client {
             retried,
         } = pending;
         if let Err(e) = first_byte(&mut conn) {
-            if retried || timed_out(&e) {
+            if retried || !e.unanswered() {
                 return Err(e);
             }
             conn = write_request(self.dial()?, &req, deadline)?;
+            first_byte(&mut conn)?;
         }
         let resp = read_response(&mut conn.0)?;
+        // The server answers one request at a time, so bytes already
+        // read past the body mean its `Content-Length` undercounted: the
+        // body would be a prefix of what it sent.
+        if !conn.0.buffer().is_empty() {
+            return Err(ClientError::Malformed("bytes beyond Content-Length"));
+        }
         let reuse = (!resp.close).then_some(conn);
         Ok((resp, reuse))
     }
@@ -252,29 +294,19 @@ impl Client {
 
 /// Write `req` in one piece (a separate body write would leave as its
 /// own segment); reads of the answer end at `deadline`.
-fn write_request(mut conn: Conn, req: &str, deadline: Instant) -> Result<Conn, ClientError> {
+fn write_request(mut conn: Conn, req: &[u8], deadline: Instant) -> Result<Conn, ClientError> {
     let sock = conn.0.get_mut();
     sock.deadline = deadline;
-    sock.stream.write_all(req.as_bytes())?;
+    sock.stream.write_all(req).map_err(before_response)?;
     Ok(conn)
 }
 
 /// Wait for the first response byte; [`ClientError::Closed`] on EOF.
 fn first_byte(conn: &mut Conn) -> Result<(), ClientError> {
-    if conn.0.fill_buf()?.is_empty() {
+    if conn.0.fill_buf().map_err(before_response)?.is_empty() {
         return Err(ClientError::Closed);
     }
     Ok(())
-}
-
-/// Whether `e` is the exchange's deadline (or a read timeout) running
-/// out: the server is slow, not gone, so a retry would only wait again.
-fn timed_out(e: &ClientError) -> bool {
-    let ClientError::Io(e) = e else { return false };
-    matches!(
-        e.kind(),
-        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-    )
 }
 
 /// Read one `Content-Length`-framed response off `r`.

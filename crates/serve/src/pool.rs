@@ -70,9 +70,9 @@ impl Default for ServerConfig {
 }
 
 /// What the transport loop needs from a server: an answer, plus the
-/// bookkeeping that differs between a shard ([`ServeState`]) and the
-/// router. Framing, keep-alive, shedding, the request deadline, trace
-/// identity and profiler phases stay in the loop.
+/// bookkeeping that differs between a serve process ([`ServeState`])
+/// and the router. Framing, keep-alive, shedding, the request
+/// deadline, trace identity and profiler phases stay in the loop.
 pub trait Handler: Send + Sync + 'static {
     /// Answer one parsed request under its trace context (adopted from
     /// the request's `traceparent` as a child span, or newly minted).

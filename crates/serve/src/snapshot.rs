@@ -156,8 +156,6 @@ pub enum SnapshotBackend {
 pub struct Snapshot {
     /// Canonical expression the snapshot was taken for.
     pub expr: String,
-    /// The `--shard I/N` configuration at capture time, if any.
-    pub shard: Option<(usize, usize)>,
     /// Factor graphs and statistics.
     pub backend: SnapshotBackend,
     /// The cached `/v1/stats` body *without* its `"snapshot"` field
@@ -238,14 +236,7 @@ impl Snapshot {
     pub fn encode(&self) -> Vec<u8> {
         let mut meta = Vec::new();
         put_str(&mut meta, &self.expr);
-        match self.shard {
-            Some((index, count)) => {
-                put_u64(&mut meta, 1);
-                put_u64(&mut meta, index as u64);
-                put_u64(&mut meta, count as u64);
-            }
-            None => put_u64(&mut meta, 0),
-        }
+        put_u64(&mut meta, 0); // shard flag: every server is a full replica
         let mut factors = Vec::new();
         match &self.backend {
             SnapshotBackend::Pair {
@@ -324,28 +315,30 @@ impl Snapshot {
             )));
         }
 
-        // META: expr, shard, backend kind + kind-specific spec.
+        // META: expr, shard, backend kind + kind-specific spec. A file
+        // written by a `--shard I/N` server carries flag 1 and its
+        // `(I, N)`: validated, then discarded, because every server now
+        // answers the whole key space.
         let mut m = ByteReader::new(meta);
         let nz = SnapshotError::from_snap;
         let expr = m.str_("META expr").map_err(nz)?;
-        let shard = match m.u64("META shard flag").map_err(nz)? {
-            0 => None,
+        match m.u64("META shard flag").map_err(nz)? {
+            0 => {}
             1 => {
                 let index = m.len("META shard index").map_err(nz)?;
                 let count = m.len("META shard count").map_err(nz)?;
-                if count == 0 || index >= count {
+                if index >= count {
                     return Err(SnapshotError::Corrupt(format!(
                         "shard {index}/{count} is invalid"
                     )));
                 }
-                Some((index, count))
             }
             other => {
                 return Err(SnapshotError::Corrupt(format!(
                     "META shard flag must be 0 or 1, found {other}"
                 )))
             }
-        };
+        }
         let kind = m.u64("META backend kind").map_err(nz)?;
 
         // FACTORS: named (graph, stats) atoms, validated on decode.
@@ -448,7 +441,6 @@ impl Snapshot {
 
         Ok(Snapshot {
             expr,
-            shard,
             backend,
             stats_json,
         })

@@ -87,15 +87,6 @@ pub struct ServeOptions {
     /// Keep every Nth access event per target (`--log-sample`; 1 keeps
     /// all).
     pub log_sample: u64,
-    /// Serve only the owned slice of the product vertex space:
-    /// `Some((index, count))` for `--shard I/N`. Ownership follows the
-    /// [`bikron_core::partition::block_range`] tiling — the same
-    /// arithmetic [`PartitionedStream`] and the cluster router use — and
-    /// keyed endpoints answer 421 (Misdirected Request) for vertices
-    /// another shard owns. `None` (the default) serves the full space.
-    ///
-    /// [`PartitionedStream`]: bikron_core::stream::PartitionedStream
-    pub shard: Option<(usize, usize)>,
     /// `/v1/health` flips to `degraded` when a windowed p99 exceeds this
     /// many milliseconds.
     pub slo_p99_ms: u64,
@@ -120,7 +111,6 @@ impl Default for ServeOptions {
             batch_threads: 4,
             access_log: None,
             log_sample: 1,
-            shard: None,
             slo_p99_ms: DEFAULT_SLO_P99_MS,
             slo_err_pct: DEFAULT_SLO_ERR_PCT,
             trace_slow_ms: 0,
@@ -156,7 +146,7 @@ impl ServeMetrics {
     fn new() -> Self {
         let obs = bikron_obs::global();
         let windows = WindowRegistry::new();
-        let status = [200u16, 400, 403, 404, 405, 413, 421, 431, 500, 501, 503]
+        let status = [200u16, 400, 403, 404, 405, 413, 431, 500, 501, 503]
             .iter()
             .map(|&c| (c, obs.counter(&format!("serve.status.{c}"))))
             .collect();
@@ -254,9 +244,6 @@ pub struct ServeState {
     stats_json: String,
     admin_token: Option<String>,
     batch_max: usize,
-    /// `--shard I/N`: serve only the owned block of the product vertex
-    /// space; `None` serves everything.
-    shard: Option<(usize, usize)>,
     shutdown: AtomicBool,
     metrics: ServeMetrics,
     logger: Option<EventLogger>,
@@ -508,7 +495,6 @@ impl ServeState {
         };
         crate::snapshot::Snapshot {
             expr: self.expr.clone(),
-            shard: self.shard,
             backend,
             stats_json: without_snapshot_field(&self.stats_json),
         }
@@ -529,13 +515,6 @@ impl ServeState {
             )?),
             None => None,
         };
-        if let Some((index, count)) = options.shard {
-            if count == 0 || index >= count {
-                return Err(
-                    format!("shard {index}/{count} is invalid (need index < count)").into(),
-                );
-            }
-        }
         // Advertise the boot path in `/v1/stats` (the single injection
         // point keeps warm and cold bodies byte-identical everywhere
         // else) and in the `serve.snapshot.warm` gauge so `monitor` can
@@ -553,7 +532,6 @@ impl ServeState {
             stats_json,
             admin_token: options.admin_token,
             batch_max: options.batch_max.max(1),
-            shard: options.shard,
             shutdown: AtomicBool::new(false),
             metrics: ServeMetrics::new(),
             logger,
@@ -613,39 +591,12 @@ impl ServeState {
         }
     }
 
-    /// Product vertex count (the `n` the shard ownership map tiles).
+    /// Product vertex count.
     pub fn num_vertices(&self) -> usize {
         match &self.backend {
             Backend::Pair { a, b, .. } => a.num_vertices() * b.num_vertices(),
             Backend::Chain(chain) => chain.num_vertices(),
         }
-    }
-
-    /// The `--shard I/N` configuration, if this backend serves only a
-    /// slice of the product vertex space.
-    pub fn shard(&self) -> Option<(usize, usize)> {
-        self.shard
-    }
-
-    /// Ownership gate for keyed endpoints on a sharded backend: 421
-    /// (Misdirected Request) when `p` belongs to another shard's block.
-    /// Callers must range-check first (out-of-range stays 404, identical
-    /// to an unsharded server, so a router can send such keys anywhere).
-    fn check_owned(&self, p: usize) -> Result<(), Refusal> {
-        let Some((index, count)) = self.shard else {
-            return Ok(());
-        };
-        let n = self.num_vertices();
-        let owner = bikron_core::partition::owner_of(n, count, p);
-        if owner != index {
-            return Err(Refusal {
-                status: 421,
-                detail: format!(
-                    "vertex {p} is owned by shard {owner}/{count}; this is shard {index}"
-                ),
-            });
-        }
-        Ok(())
     }
 
     /// Route and answer one request. Pure: no I/O, no blocking — the
@@ -706,8 +657,7 @@ impl ServeState {
     /// coordinates as `"alpha"`/`"beta"`; expression servers report the
     /// per-level `"coords"` array.
     pub(crate) fn vertex_into(&self, w: &mut JsonWriter, p: usize) -> u16 {
-        if let Err(refusal) = check_range(p, self.num_vertices()).and_then(|()| self.check_owned(p))
-        {
+        if let Err(refusal) = check_range(p, self.num_vertices()) {
             return refusal.write(w);
         }
         w.open_object();
@@ -748,13 +698,7 @@ impl ServeState {
     /// Byte-identical between the two backends.
     pub(crate) fn edge_into(&self, w: &mut JsonWriter, p: usize, q: usize) -> u16 {
         let n = self.num_vertices();
-        // Pair queries are routed (and therefore owned) by their first
-        // index `p`; `q` may live on any shard — factor-sized state
-        // answers it regardless.
-        if let Err(refusal) = check_range(p, n)
-            .and_then(|()| check_range(q, n))
-            .and_then(|()| self.check_owned(p))
-        {
+        if let Err(refusal) = check_range(p, n).and_then(|()| check_range(q, n)) {
             return refusal.write(w);
         }
         let (squares, dp, dq) = match &self.backend {
@@ -807,8 +751,7 @@ impl ServeState {
         offset: u64,
         limit: usize,
     ) -> u16 {
-        if let Err(refusal) = check_range(p, self.num_vertices()).and_then(|()| self.check_owned(p))
-        {
+        if let Err(refusal) = check_range(p, self.num_vertices()) {
             return refusal.write(w);
         }
         let (degree, page) = match &self.backend {
@@ -858,25 +801,6 @@ impl ServeState {
                 )
             }
         };
-        // Sharded backend: the partition space itself is tiled across
-        // shards with the same block arithmetic the vertex space uses,
-        // so a shard only streams parts inside its owned slice. Without
-        // this gate a shard would happily page the *full* edge set
-        // (PartitionedStream always assumes the whole space) — every
-        // shard would re-stream every part and a cluster would emit
-        // N copies of each edge.
-        if let Some((index, count)) = self.shard {
-            let owner = bikron_core::partition::owner_of(parts, count, part);
-            if owner != index {
-                return Response::error(
-                    421,
-                    &format!(
-                        "part {part}/{parts} is owned by shard {owner}/{count}; \
-                         this is shard {index}"
-                    ),
-                );
-            }
-        }
         let (offset, limit) = match parse_page(req) {
             Ok(v) => v,
             Err(resp) => return resp,
@@ -943,10 +867,7 @@ impl ServeState {
     /// hypotheses), and are `null` otherwise.
     fn clustering_into(&self, w: &mut JsonWriter, p: usize, q: usize) -> u16 {
         let n = self.num_vertices();
-        if let Err(refusal) = check_range(p, n)
-            .and_then(|()| check_range(q, n))
-            .and_then(|()| self.check_owned(p))
-        {
+        if let Err(refusal) = check_range(p, n).and_then(|()| check_range(q, n)) {
             return refusal.write(w);
         }
         let (squares, dp, dq, gamma, bound, psi) = match &self.backend {
@@ -1233,15 +1154,6 @@ impl ServeState {
         let mut w = JsonWriter::new();
         w.open_object();
         w.string_field("status", if degraded { "degraded" } else { "ok" });
-        // Sharded backends self-identify so the router can verify at
-        // startup that each upstream really is the shard its position in
-        // `--shards` claims (a shuffled list would misroute everything).
-        if let Some((index, count)) = self.shard {
-            w.string_field("shard", &format!("{index}/{count}"));
-            let (lo, hi) = bikron_core::partition::block_range(self.num_vertices(), count, index);
-            w.u64_field("owned_lo", lo as u64);
-            w.u64_field("owned_hi", hi as u64);
-        }
         w.u64_field("uptime_ms", self.started.elapsed().as_millis() as u64);
         w.key("slo");
         w.open_object();
@@ -1612,7 +1524,7 @@ fn stats_body_chain(chain: &KronChain) -> String {
 }
 
 /// Answer a (pre-authorised) `/v1/admin/profile` request against the
-/// process-wide sampling profiler. Shared by the single-shard server and
+/// process-wide sampling profiler. Shared by the serve process and
 /// the cluster router, which gate it behind their own admin tokens.
 ///
 /// `?seconds=N` (capped at [`MAX_PROFILE_SECONDS`], default 0) scopes
@@ -1685,7 +1597,7 @@ pub fn profile_response(req: &Request) -> Response {
     }
 }
 
-/// The shard side of the transport loop: span trees and the access log
+/// The serve side of the transport loop: span trees and the access log
 /// are serve-only bookkeeping.
 impl Handler for ServeState {
     fn respond(&self, req: &Request, _ctx: &TraceContext) -> Response {
@@ -2208,29 +2120,28 @@ mod tests {
 
     #[test]
     fn batch_matches_singles() {
-        for st in [state(), sharded_state(1, 3)] {
-            let singles: Vec<String> = vec![
-                st.handle(&get("/v1/vertex/9")).body,
-                st.handle(&get("/v1/edge/10/13")).body,
-                st.handle(&get("/v1/neighbors/12?offset=1&limit=2")).body,
-                st.handle(&get("/v1/vertex/999")).body, // embedded 404 body
-                st.handle(&get("/v1/vertex/3")).body,   // 421 on the shard
-            ];
-            let resp = st.handle(&post(
-                "/v1/batch",
-                "vertex 9\nedge 10 13\nneighbors 12 1 2\nvertex 999\nvertex 3\n",
-            ));
-            assert_eq!(resp.status, 200);
-            let expected = format!(
-                "[\n{}\n]\n",
-                singles
-                    .iter()
-                    .map(|b| b.trim_end())
-                    .collect::<Vec<_>>()
-                    .join(",\n")
-            );
-            assert_eq!(resp.body, expected);
-        }
+        let st = state();
+        let singles: Vec<String> = vec![
+            st.handle(&get("/v1/vertex/9")).body,
+            st.handle(&get("/v1/edge/10/13")).body,
+            st.handle(&get("/v1/neighbors/12?offset=1&limit=2")).body,
+            st.handle(&get("/v1/vertex/999")).body, // embedded 404 body
+            st.handle(&get("/v1/vertex/3")).body,
+        ];
+        let resp = st.handle(&post(
+            "/v1/batch",
+            "vertex 9\nedge 10 13\nneighbors 12 1 2\nvertex 999\nvertex 3\n",
+        ));
+        assert_eq!(resp.status, 200);
+        let expected = format!(
+            "[\n{}\n]\n",
+            singles
+                .iter()
+                .map(|b| b.trim_end())
+                .collect::<Vec<_>>()
+                .join(",\n")
+        );
+        assert_eq!(resp.body, expected);
     }
 
     #[test]
@@ -2634,105 +2545,5 @@ mod tests {
             let expect = format!("{p},{},{}", chain.degree(p), chain.vertex_squares_at(p));
             assert_eq!(line, expect);
         }
-    }
-
-    /// Shard 1 of 3 over the 25-vertex fixture: owns `[9, 18)`.
-    fn sharded_state(index: usize, count: usize) -> ServeState {
-        ServeState::build_with(
-            cycle(5),
-            complete_bipartite(2, 3),
-            SelfLoopMode::None,
-            ServeOptions {
-                shard: Some((index, count)),
-                ..ServeOptions::default()
-            },
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn sharded_state_answers_owned_keys_byte_identically() {
-        let st = sharded_state(1, 3);
-        let full = state();
-        for p in 9..18 {
-            for path in [
-                format!("/v1/vertex/{p}"),
-                format!("/v1/edge/{p}/24"),
-                format!("/v1/neighbors/{p}?offset=1&limit=3"),
-                format!("/v1/clustering/{p}/0"),
-            ] {
-                let sharded = st.handle(&get(&path));
-                let single = full.handle(&get(&path));
-                assert_eq!(sharded.status, 200, "{path}");
-                assert_eq!(sharded.body, single.body, "{path}");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_state_421s_foreign_keys_with_owner_detail() {
-        let st = sharded_state(1, 3);
-        let resp = st.handle(&get("/v1/vertex/3"));
-        assert_eq!(resp.status, 421);
-        assert!(
-            resp.body
-                .contains("vertex 3 is owned by shard 0/3; this is shard 1"),
-            "{}",
-            resp.body
-        );
-        // Only the first index gates: the partner vertex of an edge or
-        // clustering probe may live anywhere.
-        assert_eq!(st.handle(&get("/v1/edge/20/1")).status, 421);
-        assert_eq!(st.handle(&get("/v1/edge/10/24")).status, 200);
-        assert_eq!(st.handle(&get("/v1/neighbors/0")).status, 421);
-        assert_eq!(st.handle(&get("/v1/clustering/18/10")).status, 421);
-        // Range and parse errors keep their canonical status so the
-        // router can send such keys to any shard and relay verbatim.
-        assert_eq!(st.handle(&get("/v1/vertex/25")).status, 404);
-        assert_eq!(st.handle(&get("/v1/vertex/banana")).status, 400);
-        assert_eq!(st.handle(&get("/v1/edge/10/99")).status, 404);
-    }
-
-    #[test]
-    fn sharded_edges_stream_gates_the_part_space() {
-        // The partition space tiles over shards with the same block
-        // arithmetic as the vertex space: parts 0..6 over 3 shards give
-        // shard 1 parts {2, 3}. Off-slice parts must 421 — otherwise
-        // every shard would stream every part and a cluster would emit
-        // N copies of each edge.
-        let st = sharded_state(1, 3);
-        let full = state();
-        for part in [2usize, 3] {
-            let path = format!("/v1/edges/{part}/6?limit=50");
-            let sharded = st.handle(&get(&path));
-            assert_eq!(sharded.status, 200, "{path}");
-            assert_eq!(sharded.body, full.handle(&get(&path)).body, "{path}");
-        }
-        for part in [0usize, 1, 4, 5] {
-            let resp = st.handle(&get(&format!("/v1/edges/{part}/6")));
-            assert_eq!(resp.status, 421, "part {part}");
-        }
-        let resp = st.handle(&get("/v1/edges/5/6"));
-        assert!(
-            resp.body
-                .contains("part 5/6 is owned by shard 2/3; this is shard 1"),
-            "{}",
-            resp.body
-        );
-        // Malformed part specs keep their canonical 400 on any shard.
-        assert_eq!(st.handle(&get("/v1/edges/6/6")).status, 400);
-        assert_eq!(st.handle(&get("/v1/edges/x/6")).status, 400);
-    }
-
-    #[test]
-    fn sharded_health_reports_owned_slice() {
-        let resp = sharded_state(1, 3).handle(&get("/v1/health"));
-        assert_eq!(resp.status, 200);
-        assert!(resp.body.contains("\"shard\": \"1/3\""), "{}", resp.body);
-        assert!(resp.body.contains("\"owned_lo\": 9"), "{}", resp.body);
-        assert!(resp.body.contains("\"owned_hi\": 18"), "{}", resp.body);
-        // An unsharded server advertises no slice at all.
-        let single = state().handle(&get("/v1/health"));
-        assert!(!single.body.contains("owned_lo"), "{}", single.body);
     }
 }

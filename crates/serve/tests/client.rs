@@ -172,7 +172,7 @@ fn connection_close_is_honoured() {
 }
 
 #[test]
-fn dead_server_is_an_io_error() {
+fn dead_server_is_unanswered() {
     // Bind then drop to find a port with nothing listening.
     let port = {
         let l = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -184,7 +184,8 @@ fn dead_server_is_an_io_error() {
         Duration::from_millis(200),
     );
     let err = c.request(None, "GET", "/x", None, None).unwrap_err();
-    assert!(matches!(err, ClientError::Io(_)), "{err:?}");
+    assert!(matches!(err, ClientError::Unanswered(_)), "{err:?}");
+    assert!(err.unanswered());
 }
 
 #[test]
@@ -210,13 +211,31 @@ fn body_cut_short_is_truncated_without_allocating_the_claim() {
     let c = client(addr);
     let (result, largest) = largest_allocation(|| c.request(None, "GET", "/", None, None));
     match result {
-        Err(ClientError::Truncated { expected, got }) => {
+        Err(ref e @ ClientError::Truncated { expected, got }) => {
             assert_eq!(expected, claimed);
             assert_eq!(got, 10);
+            assert!(!e.unanswered());
         }
         other => panic!("expected Truncated, got {other:?}"),
     }
     assert!(largest < claimed / 8, "largest allocation {largest} bytes");
+    handle.join().unwrap();
+}
+
+#[test]
+fn an_undercounted_content_length_is_malformed_not_a_prefix() {
+    // The server sends 10 body bytes but declares 5. Reading only the
+    // declared 5 would hand back a prefix as if it were the answer.
+    let raw = "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\n0123456789";
+    let (addr, handle) = one_shot(raw.as_bytes().to_vec());
+    let err = client(addr)
+        .request(None, "GET", "/", None, None)
+        .unwrap_err();
+    assert!(
+        matches!(err, ClientError::Malformed("bytes beyond Content-Length")),
+        "{err:?}"
+    );
+    assert!(!err.unanswered());
     handle.join().unwrap();
 }
 
@@ -275,7 +294,7 @@ fn post_bodies_are_framed_with_content_length() {
             None,
             "POST",
             "/v1/batch",
-            Some("vertex 1\nvertex 2"),
+            Some("vertex 1\nvertex 2".as_bytes()),
             Some("00-tp"),
         )
         .unwrap();

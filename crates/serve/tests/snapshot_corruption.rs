@@ -14,7 +14,9 @@
 //! - a graph value other than 1 behind a valid checksum,
 //! - malformed entries in a CACHE section (files written while the
 //!   server kept a result cache carry entries there; the reader still
-//!   parses every one before discarding them).
+//!   parses every one before discarding them),
+//! - a bad shard entry in META (files written by a `--shard I/N` server
+//!   carry one; the reader still validates it before discarding it).
 //!
 //! Mirrors the exhaustive-hostility style of `parser_fuzz.rs`: the
 //! assertions are about *totality* (always an `Err`, never a panic),
@@ -54,10 +56,14 @@ fn pair_bytes() -> Vec<u8> {
 /// CACHE section holds 11 entries covering all five key kinds.
 const WITH_CACHE: &[u8] = include_bytes!("data/cycle5_kmn2x3_with_cache.snap");
 
-/// Both snapshot shapes the reader must seal: a current file and one
-/// whose CACHE section carries entries.
-fn corpus() -> [Vec<u8>; 2] {
-    [pair_bytes(), WITH_CACHE.to_vec()]
+/// `bikron serve cycle:5 kmn:2x3 none --shard 1/2 --snapshot-out`: its
+/// META section carries shard flag 1 with index 1 and count 2.
+const SHARD_1_OF_2: &[u8] = include_bytes!("data/cycle5_kmn2x3_shard1of2.snap");
+
+/// Every snapshot shape the reader must seal: a current file, one whose
+/// CACHE section carries entries, and one whose META names a shard.
+fn corpus() -> [Vec<u8>; 3] {
+    [pair_bytes(), WITH_CACHE.to_vec(), SHARD_1_OF_2.to_vec()]
 }
 
 #[test]
@@ -215,6 +221,44 @@ fn cache_entries_are_parsed_before_they_are_discarded() {
         Snapshot::decode(&with_cache_payload(&base, &u64s(&[u64::MAX]))).err_only(),
         err_kind(SnapshotError::Truncated("CACHE entries"))
     );
+}
+
+/// `bytes` with the u64 at `offset` of its META payload replaced by
+/// `value`, resealed with a valid checksum.
+fn with_meta_u64(bytes: &[u8], offset: usize, value: u64) -> Vec<u8> {
+    let len = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
+    let (payload_at, mut out) = (32, bytes.to_vec());
+    out[payload_at + offset..payload_at + offset + 8].copy_from_slice(&value.to_le_bytes());
+    let sum = bikron_sparse::snap::fnv1a(&out[payload_at..payload_at + len]);
+    out[payload_at + len..payload_at + len + 8].copy_from_slice(&sum.to_le_bytes());
+    out
+}
+
+#[test]
+fn shard_entries_are_validated_before_they_are_discarded() {
+    // META payload: the expression (length-prefixed), then the shard
+    // flag, then (flag 1 only) the index and the count.
+    let expr_len = u64::from_le_bytes(SHARD_1_OF_2[32..40].try_into().unwrap()) as usize;
+    let flag_at = 8 + expr_len;
+    assert!(Snapshot::decode(SHARD_1_OF_2).is_ok());
+    match Snapshot::decode(&with_meta_u64(SHARD_1_OF_2, flag_at, 2)).err_only() {
+        Err(SnapshotError::Corrupt(msg)) => {
+            assert!(msg.contains("shard flag must be 0 or 1, found 2"), "{msg}")
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+    // Index 2 of count 2, then index 0 of count 0.
+    for (offset, value, named) in [
+        (flag_at + 8, 2, "shard 2/2"),
+        (flag_at + 16, 0, "shard 1/0"),
+    ] {
+        match Snapshot::decode(&with_meta_u64(SHARD_1_OF_2, offset, value)).err_only() {
+            Err(SnapshotError::Corrupt(msg)) => {
+                assert!(msg.contains(&format!("{named} is invalid")), "{msg}")
+            }
+            other => panic!("expected Corrupt for {named}, got {other:?}"),
+        }
+    }
 }
 
 #[test]

@@ -104,7 +104,6 @@ proptest! {
         let decoded = Snapshot::decode(&bytes).expect("decode own encoding");
 
         prop_assert_eq!(&decoded.expr, &snap.expr);
-        prop_assert_eq!(decoded.shard, snap.shard);
         prop_assert_eq!(&decoded.stats_json, &snap.stats_json);
         match (&decoded.backend, &snap.backend) {
             (
@@ -228,40 +227,71 @@ fn chain_snapshot_round_trips_and_boots_identically() {
 /// `bikron serve cycle:5 kmn:2x3 none --snapshot-out` after a handful of
 /// keyed queries, while the server still kept a result cache. The reader
 /// discards the entries, and the warm server answers every endpoint as a
-/// cold boot of the same spec does — whole-keyspace and as a shard.
+/// cold boot of the same spec does.
 #[test]
 fn snapshot_with_cache_entries_boots_like_a_cold_server() {
     const WITH_CACHE: &[u8] = include_bytes!("data/cycle5_kmn2x3_with_cache.snap");
-    for shard in [None, Some((0, 2)), Some((1, 2))] {
-        let options = || ServeOptions {
-            shard,
-            ..ServeOptions::default()
-        };
-        let snap = Snapshot::decode(WITH_CACHE).expect("decode fixture");
-        assert_eq!(snap.expr, "A⊗B");
-        snap.validate_pair(&cycle(5), &complete_bipartite(2, 3), SelfLoopMode::None)
-            .expect("fixture matches its spec");
-        let (warm, _) = ServeState::build_from_snapshot(snap, options()).expect("warm build");
-        let cold = ServeState::build_with(
-            cycle(5),
-            complete_bipartite(2, 3),
-            SelfLoopMode::None,
-            options(),
-        )
-        .expect("cold build");
-        for ((path, cs, cb), (_, ws, wb)) in sweep(&cold).iter().zip(sweep(&warm).iter()) {
-            assert_eq!(cs, ws, "status diverged on {path} ({shard:?})");
-            assert_eq!(
-                normalize(cb),
-                normalize(wb),
-                "body diverged on {path} ({shard:?})"
-            );
-        }
-        // Re-encoding writes the CACHE section empty.
-        let reencoded = warm.to_snapshot().encode();
-        assert!(reencoded.len() < WITH_CACHE.len());
-        assert!(Snapshot::decode(&reencoded).is_ok());
+    let warm = warm_fixture(WITH_CACHE);
+    let cold = cold_fixture();
+    for ((path, cs, cb), (_, ws, wb)) in sweep(&cold).iter().zip(sweep(&warm).iter()) {
+        assert_eq!(cs, ws, "status diverged on {path}");
+        assert_eq!(normalize(cb), normalize(wb), "body diverged on {path}");
     }
+    // Re-encoding writes the CACHE section empty.
+    let reencoded = warm.to_snapshot().encode();
+    assert!(reencoded.len() < WITH_CACHE.len());
+    assert!(Snapshot::decode(&reencoded).is_ok());
+}
+
+/// A snapshot a `--shard 1/2` server wrote (`bikron serve cycle:5
+/// kmn:2x3 none --shard 1/2 --snapshot-out`) boots as a full replica:
+/// its META shard entry is validated and discarded, and every key, not
+/// only the old `[13, 25)` block, answers as a cold boot does.
+#[test]
+fn a_snapshot_from_a_shard_boots_as_a_full_replica() {
+    const SHARD_1_OF_2: &[u8] = include_bytes!("data/cycle5_kmn2x3_shard1of2.snap");
+    let warm = warm_fixture(SHARD_1_OF_2);
+    let cold = cold_fixture();
+    let n = cold.num_vertices();
+    let mut paths = probe_paths(n);
+    for p in 0..n {
+        paths.push(format!("/v1/vertex/{p}"));
+        paths.push(format!("/v1/neighbors/{p}"));
+        for q in 0..n {
+            paths.push(format!("/v1/edge/{p}/{q}"));
+        }
+    }
+    for path in &paths {
+        let (c, w) = (cold.handle(&get(path)), warm.handle(&get(path)));
+        assert_eq!(c.status, w.status, "status diverged on {path}");
+        assert_eq!(normalize(&c.body), normalize(&w.body), "{path}");
+    }
+    // Re-encoding drops the shard: the META section shrinks by its
+    // index and count.
+    let reencoded = warm.to_snapshot().encode();
+    assert_eq!(reencoded.len() + 16, SHARD_1_OF_2.len());
+}
+
+/// Boot the `cycle:5 kmn:2x3 none` fixture file `bytes` warm.
+fn warm_fixture(bytes: &[u8]) -> ServeState {
+    let snap = Snapshot::decode(bytes).expect("decode fixture");
+    assert_eq!(snap.expr, "A⊗B");
+    snap.validate_pair(&cycle(5), &complete_bipartite(2, 3), SelfLoopMode::None)
+        .expect("fixture matches its spec");
+    ServeState::build_from_snapshot(snap, ServeOptions::default())
+        .expect("warm build")
+        .0
+}
+
+/// A cold boot of the spec the fixtures were written for.
+fn cold_fixture() -> ServeState {
+    ServeState::build_with(
+        cycle(5),
+        complete_bipartite(2, 3),
+        SelfLoopMode::None,
+        ServeOptions::default(),
+    )
+    .expect("cold build")
 }
 
 /// `write_to` / `read_from` survive the filesystem, and the temp file

@@ -1,20 +1,19 @@
-//! Differential test: a sharded serve cluster behind the scatter-gather
-//! router against a single-node server over the same program.
+//! Differential test: a cluster of serve replicas behind the router
+//! against a single-node server over the same program.
 //!
 //! The cluster contract is *byte identity*: any successful response a
 //! client gets from the router must be exactly the bytes a single
-//! unsharded `bikron serve` would have produced — same JSON spacing,
-//! same field order, same pagination framing. This suite stands up real
-//! TCP clusters (2 and 3 shards, each shard a `Server` with a
-//! `--shard`-style `ServeState`, fronted by a `RouterServer`) and
-//! compares 100% of vertices, 100% of ordered pairs, every neighbors
-//! page, the partitioned edge stream, and scatter-gathered batch bodies
-//! against the in-process single-node answer.
+//! `bikron serve` would have produced — same JSON spacing, same field
+//! order, same pagination framing. This suite stands up real TCP
+//! clusters (2 and 3 replicas, each a `Server` over a full `ServeState`,
+//! fronted by a `RouterServer`) and compares 100% of vertices, 100% of
+//! ordered pairs, every neighbors page, the partitioned edge stream, and
+//! relayed batch bodies against the in-process single-node answer.
 //!
-//! A separate test kills one shard and asserts the failure stays scoped:
-//! keys in the dead shard's block 503 with a range-stamped message while
-//! every other key keeps answering byte-identically, and `/v1/health`
-//! reports `degraded` naming exactly the dead shard.
+//! A separate test kills one replica and asserts no request fails: the
+//! requests that pick the dead replica go to the next one, every key
+//! keeps answering byte-identically, and `/v1/health` reports
+//! `degraded` naming exactly the dead replica.
 
 use std::io::{BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -31,8 +30,8 @@ use bikron_serve::{ServeOptions, ServeState};
 
 const N: usize = 25; // cycle(5) ⊗ K_{2,3}
 
-/// The single-node reference: same program, no sharding, driven
-/// in-process (its `handle()` bodies are what the wire carries for 200s).
+/// The single-node reference: same program, driven in-process (its
+/// `handle()` bodies are what the wire carries for 200s).
 fn single_node() -> ServeState {
     ServeState::build_with(
         cycle(5),
@@ -141,39 +140,28 @@ impl Client {
     }
 }
 
-/// One running cluster: `count` sharded serves plus the router, each on
-/// its own thread, all bound to ephemeral loopback ports.
+/// One running cluster: `count` serve replicas plus the router, each
+/// on its own thread, all bound to ephemeral loopback ports.
 struct Cluster {
     router_addr: SocketAddr,
     router_state: Arc<RouterState>,
-    shard_states: Vec<Arc<ServeState>>,
+    replica_states: Vec<Arc<ServeState>>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Cluster {
     fn start(count: usize) -> Cluster {
-        let mut shard_states = Vec::new();
+        let mut replica_states = Vec::new();
         let mut threads = Vec::new();
         let mut urls = Vec::new();
-        for index in 0..count {
-            let state = Arc::new(
-                ServeState::build_with(
-                    cycle(5),
-                    complete_bipartite(2, 3),
-                    SelfLoopMode::None,
-                    ServeOptions {
-                        shard: Some((index, count)),
-                        ..ServeOptions::default()
-                    },
-                )
-                .unwrap(),
-            );
+        for _ in 0..count {
+            let state = Arc::new(single_node());
             let server = Server::bind(
                 ServerConfig {
                     addr: "127.0.0.1:0".to_string(),
                     threads: 2,
-                    // Short idle timeout so a dead shard's workers notice
-                    // shutdown quickly even with pooled router
+                    // Short idle timeout so a dead replica's workers
+                    // notice shutdown quickly even with pooled router
                     // connections parked on them.
                     read_timeout: Duration::from_millis(500),
                     ..ServerConfig::default()
@@ -182,7 +170,7 @@ impl Cluster {
             )
             .unwrap();
             urls.push(format!("http://{}", server.local_addr().unwrap()));
-            shard_states.push(state);
+            replica_states.push(state);
             threads.push(std::thread::spawn(move || server.run().unwrap()));
         }
         let router_state = Arc::new(
@@ -209,21 +197,22 @@ impl Cluster {
         Cluster {
             router_addr,
             router_state,
-            shard_states,
+            replica_states,
             threads,
         }
     }
 
-    /// Stop one shard and wait for its listener to close, so subsequent
-    /// dials are refused — the closest in-process stand-in for SIGKILL.
-    fn kill_shard(&mut self, index: usize) {
-        self.shard_states[index].request_shutdown();
+    /// Stop one replica and wait for its listener to close, so
+    /// subsequent dials are refused — the closest in-process stand-in
+    /// for SIGKILL.
+    fn kill_replica(&mut self, index: usize) {
+        self.replica_states[index].request_shutdown();
         self.threads.remove(index).join().unwrap();
     }
 
     fn shutdown(mut self) {
         self.router_state.request_shutdown();
-        for s in &self.shard_states {
+        for s in &self.replica_states {
             s.request_shutdown();
         }
         for t in self.threads.drain(..) {
@@ -291,8 +280,8 @@ fn cluster_answers_byte_identical_to_single_node() {
             }
         }
 
-        // The partitioned edge stream: the router routes each part to
-        // the shard owning its slice of the part space.
+        // The partitioned edge stream: each part goes whole to one
+        // replica.
         for part in 0..6 {
             assert_same(
                 &single,
@@ -307,78 +296,87 @@ fn cluster_answers_byte_identical_to_single_node() {
         assert_same(&single, &mut client, &format!("/v1/vertex/{N}"));
         assert_same(&single, &mut client, "/v1/edge/0/999");
 
-        // Scatter-gathered batch: lines spanning every shard, reassembled
-        // in request order, byte-identical to the single-node array.
-        let mut lines = Vec::new();
-        for p in 0..N {
-            lines.push(format!("vertex {p}"));
-        }
-        lines.push(format!("edge 0 {}", N - 1));
-        lines.push(format!("edge {} 0", N - 1));
-        lines.push("neighbors 12 0 4".to_string());
-        // Interleave so consecutive lines hit different shards.
-        lines.reverse();
-        let body = lines.join("\n") + "\n";
+        // Relayed batches over the whole key space, byte-identical to the
+        // single-node array; one per replica, round-robin.
+        let body = whole_space_batch();
         let (want_status, want_body) = single_post(&single, "/v1/batch", &body);
         assert_eq!(want_status, 200);
-        let (status, _, got) = client.request("POST", "/v1/batch", &body);
-        assert_eq!(status, 200, "{count}-shard batch");
-        assert_eq!(got, want_body, "{count}-shard batch diverged");
+        for _ in 0..count {
+            let (status, _, got) = client.request("POST", "/v1/batch", &body);
+            assert_eq!(status, 200, "{count}-replica batch");
+            assert_eq!(got, want_body, "{count}-replica batch diverged");
+        }
 
-        // Cluster health: ok verdict, one detail row per shard.
+        // Cluster health: ok verdict, one detail row per replica.
         let (status, _, health) = client.get("/v1/health");
         assert_eq!(status, 200);
         assert!(health.contains("\"status\": \"ok\""), "{health}");
         assert!(health.contains("\"role\": \"router\""), "{health}");
-        assert!(health.contains(&format!("\"shards\": {count}")), "{health}");
+        assert!(
+            health.contains(&format!("\"replicas\": {count}")),
+            "{health}"
+        );
 
         cluster.shutdown();
     }
 }
 
+/// A batch over every vertex, plus edges and a neighbors page.
+fn whole_space_batch() -> String {
+    let mut lines: Vec<String> = (0..N).map(|p| format!("vertex {p}")).collect();
+    lines.push(format!("edge 0 {}", N - 1));
+    lines.push(format!("edge {} 0", N - 1));
+    lines.push("neighbors 12 0 4".to_string());
+    lines.reverse();
+    lines.join("\n") + "\n"
+}
+
 #[test]
-fn killing_one_shard_scopes_failures_to_its_key_range() {
+fn killing_one_replica_fails_no_request() {
     let single = single_node();
     let mut cluster = Cluster::start(3);
     let mut client = Client::connect(cluster.router_addr);
-    // 25 vertices over 3 shards: blocks [0,9), [9,18), [18,25).
-    cluster.kill_shard(1);
+    cluster.kill_replica(1);
 
-    // Keys in the dead block: 503 with the owned range named, plus a
-    // Retry-After hint; the other blocks keep answering byte-identically.
-    for p in 9..18 {
-        let (status, head, body) = client.get(&format!("/v1/vertex/{p}"));
-        assert_eq!(status, 503, "vertex {p}");
-        assert!(body.contains("shard 1"), "{body}");
-        assert!(
-            body.contains("vertices 9..18 are temporarily unserved"),
-            "{body}"
-        );
-        assert!(head.contains("Retry-After: 1"), "{head}");
-    }
-    for p in (0..9).chain(18..25) {
-        assert_same(&single, &mut client, &format!("/v1/vertex/{p}"));
-        assert_same(&single, &mut client, &format!("/v1/edge/{p}/12"));
+    // Every key answers 200, byte-identical, including the block
+    // [9, 18) a key-range shard 1 of 3 used to own. Round-robin picks
+    // the dead replica for every third request; those go to the next.
+    for p in 0..N {
+        for path in [format!("/v1/vertex/{p}"), format!("/v1/edge/{p}/12")] {
+            let (status, _, body) = client.get(&path);
+            assert_eq!(status, 200, "{path}: {body}");
+            assert_eq!(body, single_get(&single, &path).1, "{path}");
+        }
     }
 
-    // A batch spanning dead and live blocks still returns the array,
-    // with the dead slots carrying the scoped error and the live slots
-    // byte-identical to the single-node bodies.
-    let (status, _, got) = client.request("POST", "/v1/batch", "vertex 3\nvertex 12\nvertex 20\n");
-    assert_eq!(status, 200);
-    let (_, want3) = single_get(&single, "/v1/vertex/3");
-    let (_, want20) = single_get(&single, "/v1/vertex/20");
-    assert!(got.contains(want3.trim_end()), "{got}");
-    assert!(got.contains(want20.trim_end()), "{got}");
-    assert!(got.contains("temporarily unserved"), "{got}");
+    // Batches over the whole key space, three in a row so one of them
+    // picks the dead replica.
+    let body = whole_space_batch();
+    let (_, want) = single_post(&single, "/v1/batch", &body);
+    for turn in 0..3 {
+        let (status, _, got) = client.request("POST", "/v1/batch", &body);
+        assert_eq!(status, 200, "batch {turn}: {got}");
+        assert_eq!(got, want, "batch {turn} diverged");
+    }
 
-    // Health degrades and names exactly the dead shard.
+    // Health degrades and names exactly the dead replica.
     let (status, _, health) = client.get("/v1/health");
     assert_eq!(status, 200);
     assert!(health.contains("\"status\": \"degraded\""), "{health}");
-    assert!(health.contains("\"shard\": 1"), "{health}");
-    assert_eq!(health.matches("\"down\"").count(), 1, "{health}");
-    assert_eq!(health.matches("\"ok\"").count(), 2, "{health}");
+    let detail = |i: usize| {
+        health
+            .split(&format!("\"replica\": {i},"))
+            .nth(1)
+            .and_then(|rest| rest.split("\"status\": \"").nth(1))
+            .and_then(|rest| rest.split('"').next())
+            .unwrap_or_default()
+            .to_string()
+    };
+    assert_eq!(
+        [detail(0), detail(1), detail(2)],
+        ["ok", "down", "ok"],
+        "{health}"
+    );
 
     cluster.shutdown();
 }
