@@ -6,7 +6,7 @@ use std::io::Write;
 use bikron_core::connectivity::product_bipartition;
 use bikron_core::stream::PartitionedStream;
 use bikron_core::truth::FactorStats;
-use bikron_core::{predict_structure, GroundTruth, KroneckerProduct, SelfLoopMode};
+use bikron_core::{pair_levels, predict_structure, GroundTruth, KroneckerProduct, SelfLoopMode};
 use bikron_graph::{bipartition, connected_components, Graph};
 use bikron_serve::snapshot::{Snapshot, SnapshotError};
 use bikron_serve::{ServeOptions, ServeState, Server, ServerConfig, WarmInfo};
@@ -272,7 +272,9 @@ pub fn serve(
     snapshot: SnapshotOptions,
     out: &mut dyn Write,
 ) -> CmdResult {
-    let loaded = load_snapshot(&snapshot, |s| s.validate_pair(&a, &b, mode));
+    let loaded = load_snapshot(&snapshot, |s| {
+        s.validate(&pair_levels(mode), &[("A", &a), ("B", &b)], true)
+    });
     let cold = |o| ServeState::build_with(a, b, mode, o);
     boot_and_serve(config, options, snapshot, loaded, cold, false, out)
 }
@@ -296,21 +298,10 @@ pub fn serve_expr(
         .iter()
         .map(|l| (l.name.clone(), l.plus_identity))
         .collect();
-    // The canonical spelling a snapshot must match; KronChain builds the
-    // same string, but validation has to happen *before* the expensive
-    // cold construction.
-    let canonical = levels
-        .iter()
-        .map(|(name, pi)| {
-            if *pi {
-                format!("({name}+I)")
-            } else {
-                name.clone()
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("⊗");
-    let loaded = load_snapshot(&snapshot, |s| s.validate_expr(&canonical, &bindings));
+    let loaded = load_snapshot(&snapshot, |s| {
+        let bound: Vec<(&str, &Graph)> = bindings.iter().map(|(n, g)| (n.as_str(), g)).collect();
+        s.validate(&levels, &bound, false)
+    });
     let cold = |o| ServeState::build_expr(bindings, &levels, o);
     boot_and_serve(config, options, snapshot, loaded, cold, true, out)
 }

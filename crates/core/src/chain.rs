@@ -38,7 +38,6 @@ use bikron_sparse::{Ix, SparseError};
 
 use crate::product::SelfLoopMode;
 use crate::truth::clustering::{factor_gamma, psi};
-use crate::truth::squares_edge::w3_effective_a;
 use crate::truth::squares_vertex::single_terms;
 use crate::truth::FactorStats;
 
@@ -77,6 +76,24 @@ pub enum ChainError {
     TooLarge,
     /// Walk-statistics precomputation failed (overflow in a factor).
     Stats(SparseError),
+    /// A community query gave a set count other than the level count.
+    CommunitySets {
+        /// The number of levels, one set each.
+        expected: usize,
+        /// The number of sets given.
+        found: usize,
+    },
+    /// A community set named a vertex its level's factor does not have.
+    CommunityVertex {
+        /// The level whose set holds the vertex.
+        level: usize,
+        /// The out-of-range vertex (the largest one in the set).
+        vertex: Ix,
+        /// The name of the level's factor.
+        factor: String,
+        /// The factor's vertex count.
+        order: usize,
+    },
 }
 
 impl fmt::Display for ChainError {
@@ -98,15 +115,55 @@ impl fmt::Display for ChainError {
             ),
             ChainError::TooLarge => write!(f, "product size overflows the index type"),
             ChainError::Stats(e) => write!(f, "factor statistics failed: {e}"),
+            ChainError::CommunitySets { expected, found } => {
+                write!(
+                    f,
+                    "expected {expected} community sets (one per level), got {found}"
+                )
+            }
+            ChainError::CommunityVertex {
+                level,
+                vertex,
+                factor,
+                order,
+            } => write!(
+                f,
+                "level {level} set contains vertex {vertex}, but factor '{factor}' has \
+                 {order} vertices"
+            ),
         }
     }
 }
 
 impl std::error::Error for ChainError {}
 
+/// Degree and Thm 3/4 4-cycle count at one product vertex.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChainVertex {
+    /// `d_C(p) = Π d_eff,i(p_i)`.
+    pub degree: u64,
+    /// 4-cycles through `p`.
+    pub squares: u64,
+}
+
+/// Both endpoint degrees and the Thm 5 count for one product pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChainEdge {
+    /// `d_C(p)`.
+    pub degree_p: u64,
+    /// `d_C(q)`.
+    pub degree_q: u64,
+    /// `◇_pq` — `None` when `(p, q)` is not an edge.
+    pub squares: Option<u64>,
+}
+
 /// Thm 6 surface for one product pair `(p, q)` of a chain.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChainClustering {
+    /// `d_C(p)`.
+    pub degree_p: u64,
+    /// `d_C(q)`.
+    pub degree_q: u64,
     /// `◇_pq` (Thm 5, chained) — `None` when `(p, q)` is not an edge.
     pub squares: Option<u64>,
     /// Exact `Γ_C(p, q) = ◇_pq / ((d_p − 1)(d_q − 1))` — `None` when not
@@ -131,14 +188,179 @@ pub struct ChainCommunity {
     pub m_out: u64,
 }
 
+/// The canonical spelling of a level list: `⊗`-joined, with a lifted
+/// level spelled `(NAME+I)` — the program identity `/v1/stats` and
+/// snapshots report ([`KronChain::canonical`]).
+pub fn canonical_expr(levels: &[(String, bool)]) -> String {
+    levels
+        .iter()
+        .map(|(name, plus_identity)| {
+            if *plus_identity {
+                format!("({name}+I)")
+            } else {
+                name.clone()
+            }
+        })
+        .collect::<Vec<_>>()
+        .join("⊗")
+}
+
+/// The two-factor product `A ⊗ B` / `(A + I_A) ⊗ B` as a level list:
+/// factor `A` lifted under [`SelfLoopMode::FactorA`], then bare `B`.
+pub fn pair_levels(mode: SelfLoopMode) -> Vec<(String, bool)> {
+    vec![
+        ("A".to_string(), mode == SelfLoopMode::FactorA),
+        ("B".to_string(), false),
+    ]
+}
+
+/// `(M³)_{vw}` of one level's effective matrix `M = A (+ I)`, or `None`
+/// when `(v, w)` is not an entry of `M`. `A³∘A` is stored on exactly
+/// `A`'s pattern (every edge carries the walk `v→w→v→w`), so its probe
+/// is also the edge test.
+fn level_w3(stats: &FactorStats, plus_identity: bool, v: Ix, w: Ix) -> Option<i128> {
+    if plus_identity && v == w {
+        return Some(stats.diag_a3[v] + 3 * stats.degrees[v] + 1);
+    }
+    let w3 = stats.edge_w3.get(v, w)?;
+    Some(if plus_identity {
+        w3 + 3 * stats.w2_at(v, w) + 3
+    } else {
+        w3
+    })
+}
+
+/// Division by a divisor fixed at construction. While every dividend and
+/// the divisor fit in 32 bits, a quotient is one multiply-high by the
+/// precomputed `⌈2⁶⁴/d⌉` (Lemire, Kaser & Kurz, "Faster remainder by
+/// direct computation", 2019: exact for all 32-bit operands); otherwise
+/// it is a hardware division.
+#[derive(Clone, Copy)]
+struct Divisor {
+    d: usize,
+    /// `⌈2⁶⁴/d⌉`, or 0 for hardware division.
+    m: u64,
+}
+
+impl Divisor {
+    /// A divisor `d ≥ 1` for dividends below `bound`.
+    fn new(d: usize, bound: usize) -> Self {
+        let fits = |x: usize| u32::try_from(x).is_ok();
+        let m = if d > 1 && fits(d) && fits(bound.saturating_sub(1)) {
+            u64::MAX / d as u64 + 1
+        } else {
+            0
+        };
+        Divisor { d, m }
+    }
+
+    /// `(n / d, n % d)`.
+    #[inline]
+    fn div_rem(self, n: usize) -> (usize, usize) {
+        let q = if self.m == 0 {
+            n / self.d
+        } else {
+            ((u128::from(self.m) * n as u128) >> 64) as usize
+        };
+        (q, n - q * self.d)
+    }
+}
+
+/// One level's place in the mixed-radix product index: its vertex count
+/// `n_i` and its stride `Π_{j>i} n_j`.
+#[derive(Clone, Copy)]
+struct Radix {
+    size: Divisor,
+    stride: Divisor,
+}
+
+/// One level's sorted effective neighbor row of a product vertex's
+/// coordinate `v`, borrowed from the factor: under `+ I`, `v` itself is
+/// spliced in at its sorted position without copying the row.
+#[derive(Clone, Copy)]
+struct EffRow<'a> {
+    nbrs: &'a [Ix],
+    /// `(position, v)` of the spliced-in self entry on a lifted level.
+    splice: Option<(usize, Ix)>,
+}
+
+impl EffRow<'_> {
+    fn len(&self) -> usize {
+        self.nbrs.len() + usize::from(self.splice.is_some())
+    }
+
+    fn get(&self, j: usize) -> Ix {
+        match self.splice {
+            Some((at, v)) if j >= at => {
+                if j == at {
+                    v
+                } else {
+                    self.nbrs[j - 1]
+                }
+            }
+            _ => self.nbrs[j],
+        }
+    }
+
+    /// Call `f` on entries `lo..hi` in order, a slice at a time.
+    fn for_each_in(&self, lo: usize, hi: usize, f: &mut impl FnMut(Ix)) {
+        match self.splice {
+            None => self.nbrs[lo..hi].iter().for_each(|&w| f(w)),
+            Some((at, v)) => {
+                self.nbrs[lo.min(at)..hi.min(at)].iter().for_each(|&w| f(w));
+                if (lo..hi).contains(&at) {
+                    f(v);
+                }
+                let tail = lo.max(at + 1)..hi.max(at + 1);
+                self.nbrs[tail.start - 1..tail.end - 1]
+                    .iter()
+                    .for_each(|&w| f(w));
+            }
+        }
+    }
+}
+
+/// A level's effective row, linked to the rows of every deeper level;
+/// the links live on the stack of [`KronChain::link_rows`].
+struct RowLink<'a> {
+    row: EffRow<'a>,
+    stride: usize,
+    /// Product neighbors under each entry of `row`: the product of the
+    /// deeper rows' lengths.
+    block: u64,
+    deeper: Option<&'a RowLink<'a>>,
+}
+
+/// Emit up to `*budget` product neighbors under `link`, starting `skip`
+/// ranks in, each offset by `base`, in ascending order.
+fn emit_rows(link: &RowLink<'_>, base: Ix, skip: u64, budget: &mut usize, f: &mut impl FnMut(Ix)) {
+    let len = link.row.len();
+    let mut j = usize::try_from(skip / link.block).unwrap_or(usize::MAX);
+    let Some(deeper) = link.deeper else {
+        // The last level: stride 1, one product neighbor per entry.
+        let hi = len.min(j.saturating_add(*budget));
+        if j < hi {
+            link.row.for_each_in(j, hi, &mut |w| f(base + w));
+            *budget -= hi - j;
+        }
+        return;
+    };
+    let mut inner = skip % link.block;
+    while j < len && *budget > 0 {
+        let q = base + link.row.get(j) * link.stride;
+        emit_rows(deeper, q, inner, budget, f);
+        inner = 0;
+        j += 1;
+    }
+}
+
 /// An arbitrary Kronecker program over named factors, with compositional
 /// ground truth for every query the serving layer answers.
 pub struct KronChain {
     atoms: Vec<ChainAtom>,
     levels: Vec<Level>,
-    /// Per-level vertex counts `n_i` and row-major strides `Π_{j>i} n_j`.
-    sizes: Vec<usize>,
-    strides: Vec<usize>,
+    /// Per-level places of the mixed-radix product index.
+    radix: Vec<Radix>,
     n: usize,
     num_edges: u64,
     max_degree: u64,
@@ -249,10 +471,20 @@ impl KronChain {
         for &s in &sizes {
             n = n.checked_mul(s).ok_or(ChainError::TooLarge)?;
         }
-        let mut strides = vec![1usize; sizes.len()];
-        for i in (0..sizes.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * sizes[i + 1];
-        }
+        let mut stride = 1;
+        let mut radix: Vec<Radix> = sizes
+            .iter()
+            .rev()
+            .map(|&size| {
+                let place = Radix {
+                    size: Divisor::new(size, n),
+                    stride: Divisor::new(stride, n),
+                };
+                stride *= size;
+                place
+            })
+            .collect();
+        radix.reverse();
 
         // |E_C| = ½ Π nnz_eff,i and Δ_C = Π Δ_eff,i — both must fit u64.
         let mut nnz: u128 = 1;
@@ -270,23 +502,12 @@ impl KronChain {
         let num_edges = u64::try_from(nnz / 2).map_err(|_| ChainError::TooLarge)?;
         let max_degree = u64::try_from(max_degree).map_err(|_| ChainError::TooLarge)?;
 
-        let canonical = level_spec
-            .iter()
-            .map(|(name, pi)| {
-                if *pi {
-                    format!("({name}+I)")
-                } else {
-                    name.clone()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("⊗");
+        let canonical = canonical_expr(level_spec);
 
         let mut chain = KronChain {
             atoms,
             levels,
-            sizes,
-            strides,
+            radix,
             n,
             num_edges,
             max_degree,
@@ -362,12 +583,23 @@ impl KronChain {
     /// Decompose a product vertex into its per-level coordinates
     /// (level 0 first / most significant).
     pub fn split(&self, p: Ix) -> Vec<Ix> {
+        self.coords(p).collect()
+    }
+
+    /// The per-level coordinates of product vertex `p`, level 0 first,
+    /// without allocating: one division per level but the last.
+    pub fn coords(&self, p: Ix) -> impl Iterator<Item = Ix> + '_ {
         debug_assert!(p < self.n);
-        self.strides
-            .iter()
-            .zip(&self.sizes)
-            .map(|(&stride, &size)| (p / stride) % size)
-            .collect()
+        let last = self.radix.len() - 1;
+        let mut rest = p;
+        self.radix.iter().enumerate().map(move |(i, place)| {
+            if i == last {
+                return rest; // stride 1
+            }
+            let (c, r) = place.stride.div_rem(rest);
+            rest = r;
+            c
+        })
     }
 
     /// Recompose per-level coordinates into the product vertex.
@@ -375,25 +607,42 @@ impl KronChain {
         debug_assert_eq!(coords.len(), self.levels.len());
         coords
             .iter()
-            .zip(&self.strides)
-            .map(|(&c, &stride)| c * stride)
+            .zip(&self.radix)
+            .map(|(&c, place)| c * place.stride.d)
             .sum()
+    }
+
+    /// Call `f(level, coordinate)` for every level of `p`, last level
+    /// first: one division per level but the first, no allocation.
+    fn walk(&self, mut p: Ix, mut f: impl FnMut(usize, Ix)) {
+        debug_assert!(p < self.n);
+        for i in (1..self.radix.len()).rev() {
+            let (rest, v) = self.radix[i].size.div_rem(p);
+            f(i, v);
+            p = rest;
+        }
+        f(0, p);
+    }
+
+    /// [`KronChain::walk`] over two product vertices at once.
+    fn walk2(&self, mut p: Ix, mut q: Ix, mut f: impl FnMut(usize, Ix, Ix)) {
+        debug_assert!(p < self.n && q < self.n);
+        for i in (1..self.radix.len()).rev() {
+            let size = self.radix[i].size;
+            let ((p_rest, v), (q_rest, w)) = (size.div_rem(p), size.div_rem(q));
+            f(i, v, w);
+            (p, q) = (p_rest, q_rest);
+        }
+        f(0, p, q);
     }
 
     fn level_graph(&self, i: usize) -> &Graph {
         &self.atoms[self.levels[i].atom].graph
     }
 
-    fn level_stats(&self, i: usize) -> &FactorStats {
+    /// The precomputed statistics of level `i`'s factor.
+    pub fn level_stats(&self, i: usize) -> &FactorStats {
         &self.atoms[self.levels[i].atom].stats
-    }
-
-    fn level_mode(&self, i: usize) -> SelfLoopMode {
-        if self.levels[i].plus_identity {
-            SelfLoopMode::FactorA
-        } else {
-            SelfLoopMode::None
-        }
     }
 
     /// Effective degree of level `i` at factor vertex `v`.
@@ -404,11 +653,9 @@ impl KronChain {
     /// Product degree `d_C(p) = Π d_eff,i(p_i)`; fits `u64` because the
     /// constructor bounded `Π Δ_eff,i`.
     pub fn degree(&self, p: Ix) -> u64 {
-        self.split(p)
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| self.level_degree(i, v))
-            .product()
+        let mut degree = 1;
+        self.walk(p, |i, v| degree *= self.level_degree(i, v));
+        degree
     }
 
     /// Effective adjacency test at one level.
@@ -418,82 +665,127 @@ impl KronChain {
 
     /// Whether `(p, q)` is a product edge: a hit at **every** level.
     pub fn has_edge(&self, p: Ix, q: Ix) -> bool {
-        let (vp, vq) = (self.split(p), self.split(q));
-        (0..self.levels.len()).all(|i| self.level_hit(i, vp[i], vq[i]))
+        let mut hit = true;
+        self.walk2(p, q, |i, v, w| hit = hit && self.level_hit(i, v, w));
+        hit
     }
 
     /// One page of `p`'s neighbors in ascending order — the k-factor
-    /// generalisation of [`KroneckerProduct::neighbors_page`]: per-level
-    /// sorted effective neighbor lists, with ranks decomposed in mixed
-    /// radix over the per-level effective degrees. O(Σ d_i + limit).
+    /// generalisation of [`KroneckerProduct::neighbors_page`]. Collects
+    /// [`KronChain::for_each_neighbor`].
     pub fn neighbors_page(&self, p: Ix, offset: u64, limit: usize) -> Vec<Ix> {
-        let coords = self.split(p);
-        // Sorted effective neighbor list per level (self spliced in at its
-        // sorted position under `+ I`).
-        let eff: Vec<Vec<Ix>> = coords
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| {
-                let nbrs = self.level_graph(i).neighbors(v);
-                if self.levels[i].plus_identity {
-                    let at = nbrs.partition_point(|&w| w < v);
-                    let mut row = Vec::with_capacity(nbrs.len() + 1);
-                    row.extend_from_slice(&nbrs[..at]);
-                    row.push(v);
-                    row.extend_from_slice(&nbrs[at..]);
-                    row
-                } else {
-                    nbrs.to_vec()
-                }
-            })
-            .collect();
-        let radix: Vec<u64> = eff.iter().map(|row| row.len() as u64).collect();
-        let total: u64 = radix.iter().product();
-        // Rank strides mirror the index strides: level 0 most significant.
-        let mut rank_stride = vec![1u64; radix.len()];
-        for i in (0..radix.len().saturating_sub(1)).rev() {
-            rank_stride[i] = rank_stride[i + 1] * radix[i + 1];
-        }
-        let start = offset.min(total);
-        let end = total.min(offset.saturating_add(limit as u64));
-        (start..end)
-            .map(|r| {
-                (0..eff.len())
-                    .map(|i| eff[i][((r / rank_stride[i]) % radix[i]) as usize] * self.strides[i])
-                    .sum()
-            })
-            .collect()
+        let count = self.degree(p).saturating_sub(offset).min(limit as u64);
+        let mut page = Vec::with_capacity(count as usize);
+        self.for_each_neighbor(p, offset, limit, |q| page.push(q));
+        page
     }
 
-    /// Thm 3/4 chained: 4-cycles at product vertex `p`, as the 4-term
-    /// product-of-levels formula `2s(p) = Π walk₄ − Π d² − Π w₂ + Π d`.
-    pub fn vertex_squares_at(&self, p: Ix) -> u64 {
-        let coords = self.split(p);
-        let (mut walk4, mut deg_sq, mut w2, mut deg) = (1i128, 1i128, 1i128, 1i128);
-        for (i, &v) in coords.iter().enumerate() {
-            let t = single_terms(self.level_stats(i), v, self.levels[i].plus_identity);
-            walk4 *= t.0;
-            deg_sq *= t.1;
-            w2 *= t.2;
-            deg *= t.3;
+    /// Call `f` on ranks `offset..offset + limit` of `p`'s sorted
+    /// neighbor list, in ascending order and without allocating. Each
+    /// level's effective row is borrowed from its factor, and a rank
+    /// decomposes in mixed radix over the row lengths, level 0 most
+    /// significant; whole blocks below the offset are skipped by
+    /// division, so the cost is O(Σ log d_i + limit).
+    pub fn for_each_neighbor(&self, p: Ix, offset: u64, limit: usize, mut f: impl FnMut(Ix)) {
+        let mut budget = limit;
+        self.link_rows(self.levels.len() - 1, p, None, 1, &mut |top| {
+            if top.block * top.row.len() as u64 > 0 {
+                emit_rows(top, 0, offset, &mut budget, &mut f);
+            }
+        });
+    }
+
+    /// Build level `i`'s effective row of `p` (`p` holds levels `0..=i`
+    /// only) on the stack, link it above `deeper`, and recurse towards
+    /// level 0; `done` receives level 0's link.
+    fn link_rows(
+        &self,
+        i: usize,
+        p: Ix,
+        deeper: Option<&RowLink<'_>>,
+        block: u64,
+        done: &mut dyn FnMut(&RowLink<'_>),
+    ) {
+        let (rest, v) = if i == 0 {
+            (0, p)
+        } else {
+            self.radix[i].size.div_rem(p)
+        };
+        let nbrs = self.level_graph(i).neighbors(v);
+        let splice = self.levels[i]
+            .plus_identity
+            .then(|| (nbrs.partition_point(|&w| w < v), v));
+        let link = RowLink {
+            row: EffRow { nbrs, splice },
+            stride: self.radix[i].stride.d,
+            block,
+            deeper,
+        };
+        if i == 0 {
+            done(&link);
+        } else {
+            let block = block * link.row.len() as u64;
+            self.link_rows(i - 1, rest, Some(&link), block, done);
         }
+    }
+
+    /// Thm 3/4 chained: degree and 4-cycles at product vertex `p`, the
+    /// latter as the 4-term product-of-levels formula
+    /// `2s(p) = Π walk₄ − Π d² − Π w₂ + Π d`. One walk over the levels,
+    /// no allocation.
+    pub fn vertex_at(&self, p: Ix) -> ChainVertex {
+        // Seeded by the first level visited: k − 1 products per term.
+        let mut terms: Option<[i128; 4]> = None;
+        self.walk(p, |i, v| {
+            let t = single_terms(self.level_stats(i), v, self.levels[i].plus_identity);
+            terms = Some(match terms {
+                None => [t.0, t.1, t.2, t.3],
+                Some([w4, d2, w2, d]) => [w4 * t.0, d2 * t.1, w2 * t.2, d * t.3],
+            });
+        });
+        let [walk4, deg_sq, w2, deg] = terms.expect("a chain has a level");
         let twice = walk4 - deg_sq - w2 + deg;
         debug_assert!(twice >= 0 && twice % 2 == 0);
-        (twice / 2) as u64
+        ChainVertex {
+            degree: deg as u64,
+            squares: (twice / 2) as u64,
+        }
     }
 
-    /// Thm 5 chained: `◇_pq = Π (M_i³)_{p_i q_i} − d_p − d_q + 1`;
-    /// `None` when `(p, q)` is not a product edge.
-    pub fn edge_squares_at(&self, p: Ix, q: Ix) -> Option<u64> {
-        let (vp, vq) = (self.split(p), self.split(q));
-        let mut w3: i128 = 1;
-        for i in 0..self.levels.len() {
-            w3 *= w3_effective_a(self.level_stats(i), self.level_mode(i), vp[i], vq[i])?;
+    /// 4-cycles at product vertex `p` ([`KronChain::vertex_at`]).
+    pub fn vertex_squares_at(&self, p: Ix) -> u64 {
+        self.vertex_at(p).squares
+    }
+
+    /// Thm 5 chained, with both endpoint degrees from the same walk:
+    /// `◇_pq = Π (M_i³)_{p_i q_i} − d_p − d_q + 1`, `None` when `(p, q)`
+    /// is not a product edge. No allocation.
+    pub fn edge_at(&self, p: Ix, q: Ix) -> ChainEdge {
+        // Degrees fit u64 (the constructor bounded Π Δ_eff,i).
+        let (mut w3, mut dp, mut dq) = (Some(1i128), 1u64, 1u64);
+        self.walk2(p, q, |i, v, w| {
+            let level = self.levels[i];
+            let stats = &self.atoms[level.atom].stats;
+            let eps = u64::from(level.plus_identity);
+            dp *= stats.degrees[v] as u64 + eps;
+            dq *= stats.degrees[w] as u64 + eps;
+            w3 = w3.and_then(|acc| Some(acc * level_w3(stats, level.plus_identity, v, w)?));
+        });
+        let squares = w3.map(|w3| {
+            let v = w3 - i128::from(dp) - i128::from(dq) + 1;
+            debug_assert!(v >= 0);
+            v as u64
+        });
+        ChainEdge {
+            degree_p: dp,
+            degree_q: dq,
+            squares,
         }
-        let (dp, dq) = (self.degree(p) as i128, self.degree(q) as i128);
-        let v = w3 - dp - dq + 1;
-        debug_assert!(v >= 0);
-        Some(v as u64)
+    }
+
+    /// `◇_pq` alone ([`KronChain::edge_at`]).
+    pub fn edge_squares_at(&self, p: Ix, q: Ix) -> Option<u64> {
+        self.edge_at(p, q).squares
     }
 
     /// Thm 6 chained: exact `Γ_C` plus the pairwise-folded scaling-law
@@ -505,44 +797,41 @@ impl KronChain {
     /// `ψ` and all `Γ` are non-negative. Prefix degrees multiply, so each
     /// `ψ` is evaluated at `(d_prefix(p), d_prefix(q), d_i(p_i), d_i(q_i))`.
     pub fn clustering_at(&self, p: Ix, q: Ix) -> ChainClustering {
-        let squares = self.edge_squares_at(p, q);
-        let gamma = squares.and_then(|s| {
-            let denom = (self.degree(p) as i128 - 1) * (self.degree(q) as i128 - 1);
+        let edge = self.edge_at(p, q);
+        let gamma = edge.squares.and_then(|s| {
+            let denom = (edge.degree_p as i128 - 1) * (edge.degree_q as i128 - 1);
             (denom > 0).then(|| s as f64 / denom as f64)
         });
-        let (vp, vq) = (self.split(p), self.split(q));
+        let levels = || self.coords(p).zip(self.coords(q)).enumerate();
         let bound_defined = gamma.is_some()
             && self.levels.iter().all(|l| !l.plus_identity)
-            && (0..self.levels.len())
-                .all(|i| self.level_degree(i, vp[i]) >= 2 && self.level_degree(i, vq[i]) >= 2);
-        let (mut bound, mut psi_total) = (None, None);
-        if bound_defined {
-            let fold = (|| -> Option<(f64, f64)> {
-                let mut acc = factor_gamma(self.level_stats(0), vp[0], vq[0])?;
-                let mut psi_acc = 1.0;
-                let mut dp = self.level_degree(0, vp[0]) as i128;
-                let mut dq = self.level_degree(0, vq[0]) as i128;
-                for i in 1..self.levels.len() {
-                    let di = self.level_degree(i, vp[i]) as i128;
-                    let dj = self.level_degree(i, vq[i]) as i128;
-                    let f = psi(dp, dq, di, dj);
-                    acc = f * acc * factor_gamma(self.level_stats(i), vp[i], vq[i])?;
-                    psi_acc *= f;
-                    dp *= di;
-                    dq *= dj;
-                }
-                Some((acc, psi_acc))
-            })();
-            if let Some((b, f)) = fold {
-                bound = Some(b);
-                psi_total = Some(f);
+            && levels()
+                .all(|(i, (v, w))| self.level_degree(i, v) >= 2 && self.level_degree(i, w) >= 2);
+        let fold = bound_defined.then(|| -> Option<(f64, f64)> {
+            let mut levels = levels();
+            let (_, (v0, w0)) = levels.next()?;
+            let mut acc = factor_gamma(self.level_stats(0), v0, w0)?;
+            let mut psi_acc = 1.0;
+            let mut dp = self.level_degree(0, v0) as i128;
+            let mut dq = self.level_degree(0, w0) as i128;
+            for (i, (v, w)) in levels {
+                let di = self.level_degree(i, v) as i128;
+                let dj = self.level_degree(i, w) as i128;
+                let f = psi(dp, dq, di, dj);
+                acc = f * acc * factor_gamma(self.level_stats(i), v, w)?;
+                psi_acc *= f;
+                dp *= di;
+                dq *= dj;
             }
-        }
+            Some((acc, psi_acc))
+        });
         ChainClustering {
-            squares,
+            degree_p: edge.degree_p,
+            degree_q: edge.degree_q,
+            squares: edge.squares,
             gamma,
-            bound,
-            psi: psi_total,
+            bound: fold.flatten().map(|(b, _)| b),
+            psi: fold.flatten().map(|(_, f)| f),
         }
     }
 
@@ -556,11 +845,15 @@ impl KronChain {
     /// ```
     ///
     /// With `k = 2` and `ε = (1, 0)` this is literally the paper's Thm 7.
-    /// Level sets are deduplicated; out-of-range members or a wrong set
-    /// count are errors.
+    /// Level sets are deduplicated. A set count other than the level
+    /// count is [`ChainError::CommunitySets`]; a member outside its
+    /// level's factor is [`ChainError::CommunityVertex`], naming it.
     pub fn community(&self, sets: &[Vec<Ix>]) -> Result<ChainCommunity, ChainError> {
         if sets.len() != self.levels.len() {
-            return Err(ChainError::Empty);
+            return Err(ChainError::CommunitySets {
+                expected: self.levels.len(),
+                found: sets.len(),
+            });
         }
         let (mut size, mut in_all, mut vol_all) = (1u128, 1u128, 1u128);
         for (i, set) in sets.iter().enumerate() {
@@ -568,8 +861,13 @@ impl KronChain {
             let mut members = set.clone();
             members.sort_unstable();
             members.dedup();
-            if members.last().is_some_and(|&v| v >= g.num_vertices()) {
-                return Err(ChainError::TooLarge);
+            if let Some(&vertex) = members.last().filter(|&&v| v >= g.num_vertices()) {
+                return Err(ChainError::CommunityVertex {
+                    level: i,
+                    vertex,
+                    factor: self.atoms[self.levels[i].atom].name.clone(),
+                    order: g.num_vertices(),
+                });
             }
             let in_set = |v: Ix| members.binary_search(&v).is_ok();
             let (mut m_in2, mut m_out) = (0u128, 0u128); // m_in2 = 2·m_in
@@ -842,6 +1140,88 @@ mod tests {
         assert_eq!(truth.size, size);
         assert_eq!(truth.m_in, m_in / 2);
         assert_eq!(truth.m_out, m_out);
+    }
+
+    #[test]
+    fn divisor_matches_hardware_division() {
+        let max = u32::MAX as usize;
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as usize
+        };
+        let mut divisors = vec![1, 2, 3, 7, 868, 1 << 16, (1 << 31) + 1, max - 1, max];
+        divisors.extend((0..200).map(|_| 1 + next() % max));
+        for d in divisors {
+            let div = Divisor::new(d, max + 1);
+            let mut dividends = vec![0, 1, d - 1, d, d + 1, max - 1, max];
+            dividends.extend((0..200).map(|_| next() % (max + 1)));
+            for n in dividends {
+                assert_eq!(div.div_rem(n), (n / d, n % d), "{n} / {d}");
+            }
+        }
+        // Past 32 bits it falls back to hardware division.
+        let wide = Divisor::new(3, usize::MAX);
+        assert_eq!(wide.m, 0);
+        assert_eq!(wide.div_rem(usize::MAX), (usize::MAX / 3, usize::MAX % 3));
+    }
+
+    #[test]
+    fn community_errors_name_the_offending_set() {
+        let chain = three_factor();
+        assert_eq!(
+            chain.community(&[vec![0]]).unwrap_err(),
+            ChainError::CommunitySets {
+                expected: 3,
+                found: 1
+            }
+        );
+        let err = chain
+            .community(&[vec![0], vec![7, 1], vec![0]])
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "level 1 set contains vertex 7, but factor 'B' has 3 vertices"
+        );
+    }
+
+    #[test]
+    fn neighbor_pages_tile_the_full_list() {
+        let tower = KronChain::new(
+            bind(&[("A", path(3))]),
+            &spec(&[("A", true), ("A", false), ("A", true)]),
+        )
+        .unwrap();
+        for chain in [three_factor(), tower] {
+            for p in 0..chain.num_vertices() {
+                let full = chain.neighbors_page(p, 0, usize::MAX);
+                assert_eq!(full.len() as u64, chain.degree(p));
+                for limit in [0, 1, 2, 5] {
+                    for offset in 0..=full.len() + 1 {
+                        let (lo, hi) = (offset.min(full.len()), (offset + limit).min(full.len()));
+                        assert_eq!(
+                            chain.neighbors_page(p, offset as u64, limit),
+                            full[lo..hi],
+                            "p {p} offset {offset} limit {limit}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn edge_at_reports_both_degrees() {
+        let chain = three_factor();
+        for p in 0..chain.num_vertices() {
+            for q in 0..chain.num_vertices() {
+                let e = chain.edge_at(p, q);
+                assert_eq!((e.degree_p, e.degree_q), (chain.degree(p), chain.degree(q)));
+                assert_eq!(e.squares.is_some(), chain.has_edge(p, q));
+            }
+        }
     }
 
     #[test]

@@ -6,23 +6,25 @@
 //! [`FactorStats`](bikron_core::truth::FactorStats). This crate turns
 //! that into a service — `bikron serve` holds O(Σ n_i + Σ m_i) memory
 //! and answers queries about the (potentially enormous,
-//! never-materialised) product. Two backends share one router: the
-//! classic pair server (`A B MODE` positional factors) and the
-//! **expression server** (`--expr "(A+I)⊗B⊗C"`, an arbitrary
-//! [`KronChain`](bikron_core::KronChain) program with compositional
-//! ground truth):
+//! never-materialised) product. One evaluator answers every program: a
+//! [`KronChain`](bikron_core::KronChain) with compositional ground
+//! truth. The **expression server** (`--expr "(A+I)⊗B⊗C"`) runs any
+//! chain; the classic pair server (`A B MODE` positional factors) runs
+//! the 2-level chain `(A+I)⊗B` or `A⊗B` and keeps the pair wire format
+//! (`alpha`/`beta`, `?a=&b=`, the Table-I `/v1/stats` body,
+//! `/v1/edges`):
 //!
 //! | endpoint | cost | answer |
 //! |---|---|---|
 //! | `GET /v1/vertex/{p}` | O(k) | degree + butterfly count at `p` (Thm 3/4) |
 //! | `GET /v1/edge/{p}/{q}` | O(k log d) | existence + per-edge squares (Thm 5) |
-//! | `GET /v1/neighbors/{p}` | O(Σ d_i + limit) | paged adjacency |
+//! | `GET /v1/neighbors/{p}` | O(Σ log d_i + limit) | paged adjacency |
 //! | `GET /v1/clustering/{p}/{q}` | O(k log d) | exact `Γ_C` + Thm 6 scaling-law bound |
-//! | `GET /v1/community?a=…&b=…` | O(Σ\|S_i\| + Σ deg) | exact `m_in`/`m_out` (Thm 7) + Cor 1–2 density bounds |
+//! | `GET /v1/community?a=…&b=…` | O(Σ\|S_i\| + Σ deg) | exact `m_in`/`m_out` (Thm 7) + Cor 1–2 density bounds (pair servers; `?s0=…&s1=…` per level on expression servers) |
 //! | `GET /v1/scatter/degree-squares` | O(limit) | Fig-5-style `(vertex, degree, squares)` rows, JSON or CSV |
 //! | `POST /v1/batch` | Σ per-item cost | up to `batch_max` of vertex/edge/neighbors, one JSON array |
 //! | `GET /v1/stats` | O(1), cached | Table-I summary + canonicalised `expr` |
-//! | `GET /v1/edges/{part}/{parts}` | O(factor + limit) | resumable edge stream (pair servers; 501 on expression servers) |
+//! | `GET /v1/edges/{part}/{parts}` | O(factor + limit) | resumable edge stream (pair servers only; 501 on expression servers) |
 //! | `GET /metrics` | O(metrics) | live `bikron-obs/4` report (`?format=prometheus` for text exposition) |
 //! | `GET /v1/health` | O(1) | `ok`/`degraded` from windowed SLO signals |
 //! | `GET /v1/shutdown` | O(1) | graceful stop (token-gated) |
@@ -31,7 +33,8 @@
 //! | `GET /v1/admin/profile` | O(stacks) | sampled CPU profile (`?seconds=`, `?format=folded`, token-gated) |
 //!
 //! (`k` = number of chain levels; 2 for pair servers. FORMULAS.md maps
-//! each endpoint to its theorem and evaluator function.)
+//! each endpoint to its theorem, the chain method that answers it, and
+//! the two-factor reference the tests compare it against.)
 //!
 //! No answer is cached: every keyed answer is an O(1)–O(deg) closed form,
 //! cheaper to evaluate than to look up, so each request evaluates and
@@ -75,7 +78,7 @@ pub mod state;
 
 pub use cache::{CacheKey, ShardedCache};
 pub use pool::{Handler, Server, ServerConfig};
-pub use snapshot::{Snapshot, SnapshotBackend, SnapshotError};
+pub use snapshot::{Snapshot, SnapshotError};
 pub use state::{
     profile_response, ServeOptions, ServeState, WarmInfo, DEFAULT_BATCH_MAX, DEFAULT_LIMIT,
     MAX_LIMIT, MAX_PROFILE_SECONDS,

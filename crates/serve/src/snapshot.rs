@@ -38,7 +38,7 @@ use std::fmt;
 
 use bikron_core::snap::{put_factor_stats, put_graph, read_factor_stats, read_graph};
 use bikron_core::truth::FactorStats;
-use bikron_core::SelfLoopMode;
+use bikron_core::{canonical_expr, pair_levels, SelfLoopMode};
 use bikron_graph::Graph;
 use bikron_sparse::snap::{fnv1a, put_str, put_u64, ByteReader, SnapError};
 
@@ -125,39 +125,17 @@ impl SnapshotError {
     }
 }
 
-/// The backend a snapshot rebuilds, mirroring the serve-layer split.
-// One instance exists transiently at boot; the variant size gap of the
-// inline Pair stats is irrelevant there, so boxing would only add noise.
-#[allow(clippy::large_enum_variant)]
-pub enum SnapshotBackend {
-    /// A two-factor `A⊗B` / `(A+I)⊗B` server.
-    Pair {
-        /// Factor `A`.
-        a: Graph,
-        /// Factor `B`.
-        b: Graph,
-        /// Whether `A` is lifted with `+ I`.
-        mode: SelfLoopMode,
-        /// Precomputed stats for `A`.
-        stats_a: FactorStats,
-        /// Precomputed stats for `B`.
-        stats_b: FactorStats,
-    },
-    /// An arbitrary `--expr` program over named atoms.
-    Chain {
-        /// Named atoms with their precomputed stats.
-        bindings: Vec<(String, Graph, FactorStats)>,
-        /// Ordered `(name, plus_identity)` level spec.
-        levels: Vec<(String, bool)>,
-    },
-}
-
 /// An in-memory snapshot: the decoded form of a `bikron-snap/1` file.
 pub struct Snapshot {
     /// Canonical expression the snapshot was taken for.
     pub expr: String,
-    /// Factor graphs and statistics.
-    pub backend: SnapshotBackend,
+    /// Whether a pair server (`serve A B MODE`) wrote it: META kind 0,
+    /// the pair spelling of a 2-level chain.
+    pub pair_form: bool,
+    /// Named factor graphs with their precomputed stats.
+    pub bindings: Vec<(String, Graph, FactorStats)>,
+    /// Ordered `(name, plus_identity)` level spec.
+    pub levels: Vec<(String, bool)>,
     /// The cached `/v1/stats` body *without* its `"snapshot"` field
     /// (the boot path injects `warm`/`cold` uniformly).
     pub stats_json: String,
@@ -237,44 +215,25 @@ impl Snapshot {
         let mut meta = Vec::new();
         put_str(&mut meta, &self.expr);
         put_u64(&mut meta, 0); // shard flag: every server is a full replica
+        if self.pair_form {
+            // Kind 0: the pair spelling — only `A`'s lift, since `B` is
+            // always bare.
+            put_u64(&mut meta, 0);
+            put_u64(&mut meta, u64::from(self.levels[0].1));
+        } else {
+            put_u64(&mut meta, 1); // backend kind: chain
+            put_u64(&mut meta, self.levels.len() as u64);
+            for (name, plus_identity) in &self.levels {
+                put_str(&mut meta, name);
+                put_u64(&mut meta, u64::from(*plus_identity));
+            }
+        }
         let mut factors = Vec::new();
-        match &self.backend {
-            SnapshotBackend::Pair {
-                a,
-                b,
-                mode,
-                stats_a,
-                stats_b,
-            } => {
-                put_u64(&mut meta, 0); // backend kind: pair
-                put_u64(
-                    &mut meta,
-                    match mode {
-                        SelfLoopMode::None => 0,
-                        SelfLoopMode::FactorA => 1,
-                    },
-                );
-                put_u64(&mut factors, 2);
-                for (name, g, s) in [("A", a, stats_a), ("B", b, stats_b)] {
-                    put_str(&mut factors, name);
-                    put_graph(&mut factors, g);
-                    put_factor_stats(&mut factors, s);
-                }
-            }
-            SnapshotBackend::Chain { bindings, levels } => {
-                put_u64(&mut meta, 1); // backend kind: chain
-                put_u64(&mut meta, levels.len() as u64);
-                for (name, plus_identity) in levels {
-                    put_str(&mut meta, name);
-                    put_u64(&mut meta, u64::from(*plus_identity));
-                }
-                put_u64(&mut factors, bindings.len() as u64);
-                for (name, g, s) in bindings {
-                    put_str(&mut factors, name);
-                    put_graph(&mut factors, g);
-                    put_factor_stats(&mut factors, s);
-                }
-            }
+        put_u64(&mut factors, self.bindings.len() as u64);
+        for (name, g, s) in &self.bindings {
+            put_str(&mut factors, name);
+            put_graph(&mut factors, g);
+            put_factor_stats(&mut factors, s);
         }
 
         let mut cache = Vec::new();
@@ -369,7 +328,7 @@ impl Snapshot {
             ));
         }
 
-        let backend = match kind {
+        let levels = match kind {
             0 => {
                 let mode = match m.u64("META pair mode").map_err(nz)? {
                     0 => SelfLoopMode::None,
@@ -386,15 +345,7 @@ impl Snapshot {
                         atoms.len()
                     )));
                 }
-                let (_, b, stats_b) = atoms.pop().expect("len checked");
-                let (_, a, stats_a) = atoms.pop().expect("len checked");
-                SnapshotBackend::Pair {
-                    a,
-                    b,
-                    mode,
-                    stats_a,
-                    stats_b,
-                }
+                pair_levels(mode)
             }
             1 => {
                 let num_levels = m.len("META level count").map_err(nz)?;
@@ -417,10 +368,7 @@ impl Snapshot {
                     };
                     levels.push((name, pi));
                 }
-                SnapshotBackend::Chain {
-                    bindings: atoms,
-                    levels,
-                }
+                levels
             }
             other => {
                 return Err(SnapshotError::Corrupt(format!(
@@ -441,7 +389,9 @@ impl Snapshot {
 
         Ok(Snapshot {
             expr,
-            backend,
+            pair_form: kind == 0,
+            bindings: atoms,
+            levels,
             stats_json,
         })
     }
@@ -461,95 +411,59 @@ impl Snapshot {
         Self::decode(&bytes)
     }
 
-    /// Check this snapshot against a **pair** server spec: the implied
-    /// canonical expression must match and both factor graphs must be
-    /// identical to the ones parsed from the command line.
-    pub fn validate_pair(
+    /// Check this snapshot against the program a server was asked to
+    /// boot: its `levels`, the graphs `bindings` name, and whether it is
+    /// a pair server. The expression and levels must match, a pair
+    /// snapshot only boots a pair server (and an expression snapshot
+    /// only an expression server), and every snapshot factor must be
+    /// bound to an identical graph.
+    pub fn validate(
         &self,
-        a: &Graph,
-        b: &Graph,
-        mode: SelfLoopMode,
+        levels: &[(String, bool)],
+        bindings: &[(&str, &Graph)],
+        pair_form: bool,
     ) -> Result<(), SnapshotError> {
-        let requested = match mode {
-            SelfLoopMode::None => "A⊗B",
-            SelfLoopMode::FactorA => "(A+I)⊗B",
-        };
-        if self.expr != requested {
+        let requested = canonical_expr(levels);
+        if self.expr != requested || self.levels != levels {
             return Err(SnapshotError::ExpressionMismatch {
                 snapshot: self.expr.clone(),
-                requested: requested.to_string(),
+                requested,
             });
         }
-        match &self.backend {
-            SnapshotBackend::Pair {
-                a: sa,
-                b: sb,
-                mode: smode,
-                ..
-            } => {
-                if *smode != mode {
-                    return Err(SnapshotError::ExpressionMismatch {
-                        snapshot: self.expr.clone(),
-                        requested: requested.to_string(),
-                    });
-                }
-                if sa != a {
-                    return Err(SnapshotError::FactorMismatch(
-                        "factor A differs from the served spec".into(),
-                    ));
-                }
-                if sb != b {
-                    return Err(SnapshotError::FactorMismatch(
-                        "factor B differs from the served spec".into(),
-                    ));
-                }
-                Ok(())
+        match (self.pair_form, pair_form) {
+            (false, true) => {
+                return Err(SnapshotError::Corrupt(
+                    "expression snapshot offered to a pair server".into(),
+                ))
             }
-            SnapshotBackend::Chain { .. } => Err(SnapshotError::Corrupt(
-                "expression snapshot offered to a pair server".into(),
-            )),
-        }
-    }
-
-    /// Check this snapshot against an **expression** server spec:
-    /// `canonical` is the `⊗`-joined spelling of the requested levels and
-    /// `bindings` the graphs parsed from the command line.
-    pub fn validate_expr(
-        &self,
-        canonical: &str,
-        bindings: &[(String, Graph)],
-    ) -> Result<(), SnapshotError> {
-        if self.expr != canonical {
-            return Err(SnapshotError::ExpressionMismatch {
-                snapshot: self.expr.clone(),
-                requested: canonical.to_string(),
-            });
-        }
-        match &self.backend {
-            SnapshotBackend::Chain {
-                bindings: snap_bindings,
-                ..
-            } => {
-                for (name, g, _) in snap_bindings {
-                    match bindings.iter().find(|(n, _)| n == name) {
-                        Some((_, want)) if want == g => {}
-                        Some(_) => {
-                            return Err(SnapshotError::FactorMismatch(format!(
-                                "factor '{name}' differs from the served spec"
-                            )))
-                        }
-                        None => {
-                            return Err(SnapshotError::FactorMismatch(format!(
-                                "snapshot factor '{name}' is not bound by the served spec"
-                            )))
-                        }
-                    }
-                }
-                Ok(())
+            (true, false) => {
+                return Err(SnapshotError::Corrupt(
+                    "pair snapshot offered to an expression server".into(),
+                ))
             }
-            SnapshotBackend::Pair { .. } => Err(SnapshotError::Corrupt(
-                "pair snapshot offered to an expression server".into(),
-            )),
+            _ => {}
         }
+        for (name, g, _) in &self.bindings {
+            // Pair servers name their factors bare (`factor A`).
+            let factor = if pair_form {
+                format!("factor {name}")
+            } else {
+                format!("factor '{name}'")
+            };
+            match bindings.iter().find(|(n, _)| n == name) {
+                Some((_, want)) if *want == g => {}
+                Some(_) => {
+                    return Err(SnapshotError::FactorMismatch(format!(
+                        "{factor} differs from the served spec"
+                    )))
+                }
+                None => {
+                    return Err(SnapshotError::FactorMismatch(format!(
+                        "snapshot {factor} is not bound by the served spec"
+                    )))
+                }
+            }
+        }
+        Ok(())
     }
 }

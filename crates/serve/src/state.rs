@@ -1,22 +1,26 @@
 //! Shared server state and the request router.
 //!
-//! [`ServeState`] is the whole memory footprint of the service: the
-//! factor graphs, their [`FactorStats`] and one cached `/v1/stats`
-//! body. Nothing product-sized is ever built, and no answer is
-//! remembered: each request evaluates the closed-form theorems against
-//! factor-sized state and renders the answer straight into its response
-//! body, so a server describing a graph with millions of vertices holds
-//! only factor-sized state and each request allocates at most
-//! `O(limit + Σ|factor|)` — `O(batch_max × limit)` for a batch.
+//! [`ServeState`] is the whole memory footprint of the service: one
+//! [`KronChain`] (the factor graphs and their
+//! [`FactorStats`](bikron_core::truth::FactorStats)) and one cached
+//! `/v1/stats` body. Nothing product-sized is ever built, and no
+//! answer is remembered: each request evaluates the closed-form theorems
+//! against factor-sized state and renders the answer straight into its
+//! response body, so a server describing a graph with millions of
+//! vertices holds only factor-sized state and each request allocates at
+//! most `O(limit + Σ|factor|)` — `O(batch_max × limit)` for a batch.
 //!
-//! Two backends share the router: the classic **pair** server (factors
-//! `A`, `B` and a [`SelfLoopMode`], built by [`ServeState::build_with`])
-//! and the **expression** server (an arbitrary [`KronChain`] program like
-//! `(A+I)⊗B⊗C`, built by [`ServeState::build_expr`]). Responses are
-//! byte-identical between the two except where the index arithmetic
-//! differs by construction: expression servers report per-level
-//! `"coords"` where pair servers report `"alpha"`/`"beta"`, and only pair
-//! servers stream `/v1/edges` (expression servers answer 501 there).
+//! Every program is served by the one chain evaluator. The classic
+//! **pair** server (`bikron serve A B MODE`, built by
+//! [`ServeState::build_with`]) is the 2-level chain `(A+I)⊗B` or `A⊗B`;
+//! the **expression** server (`--expr`, built by
+//! [`ServeState::build_expr`]) runs any chain. A `pair_form` bit, fixed
+//! at construction, keeps the pair wire format where it differs: pair
+//! vertex bodies report `"alpha"`/`"beta"` where expression servers
+//! report per-level `"coords"`, the `/v1/stats` body is the Table-I
+//! summary, community sets are `?a=&b=` (with Cor 1–2 densities) instead
+//! of `?s0=…`, and only pair servers stream `/v1/edges` (expression
+//! servers answer 501 there).
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -24,12 +28,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bikron_core::stream::PartitionedStream;
-use bikron_core::truth::clustering::{product_gamma, scaling_law_at};
 use bikron_core::truth::community::{product_community, FactorCommunity};
-use bikron_core::truth::squares_edge::edge_squares_at;
-use bikron_core::truth::squares_vertex::{global_squares_with, vertex_squares_at};
-use bikron_core::truth::FactorStats;
-use bikron_core::{predict_structure, KronChain, KroneckerProduct, SelfLoopMode};
+use bikron_core::truth::squares_vertex::global_squares_with;
+use bikron_core::{
+    pair_levels, predict_structure, ChainError, KronChain, KroneckerProduct, SelfLoopMode,
+};
 use bikron_graph::{bipartition, Graph};
 use bikron_obs::span::DEFAULT_TRACE_CAPACITY;
 use bikron_obs::window::{WindowedCounter, WindowedHistogram};
@@ -214,33 +217,15 @@ impl ServeMetrics {
     }
 }
 
-/// Which ground-truth evaluator backs the router: the classic two-factor
-/// product, or an arbitrary expression chain.
-// Exactly one `Backend` lives per server (inside the `Arc<ServeState>`),
-// so the Pair/Chain size asymmetry costs nothing — boxing Pair's factors
-// would only add an indirection to the hot path.
-#[allow(clippy::large_enum_variant)]
-enum Backend {
-    /// `A ⊗ B` / `(A + I_A) ⊗ B` with the two-factor Thm 3–7 evaluators.
-    Pair {
-        a: Graph,
-        b: Graph,
-        mode: SelfLoopMode,
-        stats_a: FactorStats,
-        stats_b: FactorStats,
-    },
-    /// An arbitrary `--expr` program with the chained evaluators.
-    Chain(Box<KronChain>),
-}
-
 /// Everything a worker needs to answer queries. Send + Sync; shared via
 /// `Arc` across the pool.
 pub struct ServeState {
-    backend: Backend,
-    /// Canonicalised expression string, reported in `/v1/stats` and
-    /// recorded in snapshots. Pair servers report the implied program
-    /// (`A⊗B` / `(A+I)⊗B`).
-    expr: String,
+    /// The served program; its canonical spelling is the `expr` that
+    /// `/v1/stats` and snapshots report.
+    chain: KronChain,
+    /// Set only by the pair constructors (and kind-0 snapshots): render
+    /// the two-factor wire format (module docs).
+    pair_form: bool,
     stats_json: String,
     admin_token: Option<String>,
     batch_max: usize,
@@ -364,8 +349,10 @@ impl ServeState {
         )
     }
 
-    /// Build the service state: validates the product, computes both
-    /// factor statistics once, and caches the `/v1/stats` body.
+    /// Build a **pair** server: the 2-level chain
+    /// [`pair_levels`]`(mode)` over factors `A` and `B`, with the pair
+    /// wire format. Validates the product, computes both factor
+    /// statistics once, and caches the `/v1/stats` body.
     pub fn build_with(
         a: Graph,
         b: Graph,
@@ -373,29 +360,14 @@ impl ServeState {
         options: ServeOptions,
     ) -> Result<Self, Box<dyn std::error::Error>> {
         let _phase = bikron_obs::global().phase("serve.build");
-        let stats_a = FactorStats::compute(&a)?;
-        let stats_b = FactorStats::compute(&b)?;
-        let expr = match mode {
-            SelfLoopMode::None => "A⊗B".to_string(),
-            SelfLoopMode::FactorA => "(A+I)⊗B".to_string(),
-        };
-        let stats_json = {
-            let prod = KroneckerProduct::new(&a, &b, mode)?;
-            stats_body(&prod, &stats_a, &stats_b, &expr)?
-        };
-        Self::assemble(
-            Backend::Pair {
-                a,
-                b,
-                mode,
-                stats_a,
-                stats_b,
-            },
-            expr,
-            stats_json,
-            options,
-            false,
-        )
+        // The two-factor checks first, so their errors name factor A or B.
+        KroneckerProduct::new(&a, &b, mode)?;
+        let chain = KronChain::new(
+            vec![("A".to_string(), a), ("B".to_string(), b)],
+            &pair_levels(mode),
+        )?;
+        let stats_json = pair_stats_body(&chain)?;
+        Self::assemble(chain, true, stats_json, options, false)
     }
 
     /// Build an **expression** server: an arbitrary Kronecker program
@@ -409,15 +381,8 @@ impl ServeState {
     ) -> Result<Self, Box<dyn std::error::Error>> {
         let _phase = bikron_obs::global().phase("serve.build");
         let chain = KronChain::new(bindings, levels)?;
-        let expr = chain.canonical().to_string();
         let stats_json = stats_body_chain(&chain);
-        Self::assemble(
-            Backend::Chain(Box::new(chain)),
-            expr,
-            stats_json,
-            options,
-            false,
-        )
+        Self::assemble(chain, false, stats_json, options, false)
     }
 
     /// Rebuild a server from a decoded snapshot: factor stats come from
@@ -426,38 +391,17 @@ impl ServeState {
     /// global square count on pair servers). `/v1/stats` reports
     /// `"snapshot": "warm"` and the `serve.snapshot.*` gauges record the
     /// load cost. Callers are expected to have validated the snapshot
-    /// against the requested spec first (`Snapshot::validate_pair` /
-    /// `validate_expr`).
+    /// against the requested program first ([`Snapshot::validate`]).
+    ///
+    /// [`Snapshot::validate`]: crate::snapshot::Snapshot::validate
     pub fn build_from_snapshot(
         snap: crate::snapshot::Snapshot,
         options: ServeOptions,
     ) -> Result<(Self, WarmInfo), Box<dyn std::error::Error>> {
         let _phase = bikron_obs::global().phase("serve.build");
         let t0 = Instant::now();
-        let backend = match snap.backend {
-            crate::snapshot::SnapshotBackend::Pair {
-                a,
-                b,
-                mode,
-                stats_a,
-                stats_b,
-            } => {
-                // Re-run the O(1) pair validation; the graphs themselves
-                // were already re-validated during decode.
-                KroneckerProduct::new(&a, &b, mode)?;
-                Backend::Pair {
-                    a,
-                    b,
-                    mode,
-                    stats_a,
-                    stats_b,
-                }
-            }
-            crate::snapshot::SnapshotBackend::Chain { bindings, levels } => {
-                Backend::Chain(Box::new(KronChain::with_stats(bindings, &levels)?))
-            }
-        };
-        let state = Self::assemble(backend, snap.expr, snap.stats_json, options, true)?;
+        let chain = KronChain::with_stats(snap.bindings, &snap.levels)?;
+        let state = Self::assemble(chain, snap.pair_form, snap.stats_json, options, true)?;
         let info = WarmInfo {
             load_ns: t0.elapsed().as_nanos() as u64,
         };
@@ -469,40 +413,23 @@ impl ServeState {
 
     /// Capture this server's state as a [`crate::snapshot::Snapshot`].
     pub fn to_snapshot(&self) -> crate::snapshot::Snapshot {
-        let backend = match &self.backend {
-            Backend::Pair {
-                a,
-                b,
-                mode,
-                stats_a,
-                stats_b,
-            } => crate::snapshot::SnapshotBackend::Pair {
-                a: a.clone(),
-                b: b.clone(),
-                mode: *mode,
-                stats_a: stats_a.clone(),
-                stats_b: stats_b.clone(),
-            },
-            Backend::Chain(chain) => crate::snapshot::SnapshotBackend::Chain {
-                bindings: (0..chain.num_atoms())
-                    .map(|i| {
-                        let (name, g, s) = chain.atom_info(i);
-                        (name.to_string(), g.clone(), s.clone())
-                    })
-                    .collect(),
-                levels: chain.level_spec(),
-            },
-        };
         crate::snapshot::Snapshot {
-            expr: self.expr.clone(),
-            backend,
+            expr: self.expr().to_string(),
+            pair_form: self.pair_form,
+            bindings: (0..self.chain.num_atoms())
+                .map(|i| {
+                    let (name, g, s) = self.chain.atom_info(i);
+                    (name.to_string(), g.clone(), s.clone())
+                })
+                .collect(),
+            levels: self.chain.level_spec(),
             stats_json: without_snapshot_field(&self.stats_json),
         }
     }
 
     fn assemble(
-        backend: Backend,
-        expr: String,
+        chain: KronChain,
+        pair_form: bool,
         stats_json: String,
         options: ServeOptions,
         warm: bool,
@@ -527,8 +454,8 @@ impl ServeState {
             obs.gauge("serve.snapshot.load_ns").set(0);
         }
         Ok(ServeState {
-            backend,
-            expr,
+            chain,
+            pair_form,
             stats_json,
             admin_token: options.admin_token,
             batch_max: options.batch_max.max(1),
@@ -548,7 +475,7 @@ impl ServeState {
 
     /// The canonicalised expression string this server reports.
     pub fn expr(&self) -> &str {
-        &self.expr
+        self.chain.canonical()
     }
 
     /// The hot-path metric handles.
@@ -571,32 +498,9 @@ impl ServeState {
         self.shutdown.store(true, Ordering::SeqCst);
     }
 
-    /// The pair backend's product descriptor and factor stats, or `None`
-    /// on an expression server. Construction is O(1) validation over
-    /// already-validated factors.
-    fn pair(&self) -> Option<(KroneckerProduct<'_>, &FactorStats, &FactorStats)> {
-        match &self.backend {
-            Backend::Pair {
-                a,
-                b,
-                mode,
-                stats_a,
-                stats_b,
-            } => Some((
-                KroneckerProduct::new(a, b, *mode).expect("factors validated at build"),
-                stats_a,
-                stats_b,
-            )),
-            Backend::Chain(_) => None,
-        }
-    }
-
     /// Product vertex count.
     pub fn num_vertices(&self) -> usize {
-        match &self.backend {
-            Backend::Pair { a, b, .. } => a.num_vertices() * b.num_vertices(),
-            Backend::Chain(chain) => chain.num_vertices(),
-        }
+        self.chain.num_vertices()
     }
 
     /// Route and answer one request. Pure: no I/O, no blocking — the
@@ -653,35 +557,30 @@ impl ServeState {
 
     /// Render the `GET /v1/vertex/{p}` body for an already-parsed index
     /// into `w` and return its status (shared with the batch evaluator —
-    /// both produce identical bytes). Pair servers report the two-factor
+    /// both produce identical bytes). Pair servers report the two
     /// coordinates as `"alpha"`/`"beta"`; expression servers report the
     /// per-level `"coords"` array.
     pub(crate) fn vertex_into(&self, w: &mut JsonWriter, p: usize) -> u16 {
         if let Err(refusal) = check_range(p, self.num_vertices()) {
             return refusal.write(w);
         }
+        let truth = self.chain.vertex_at(p);
         w.open_object();
         w.u64_field("vertex", p as u64);
-        match &self.backend {
-            Backend::Pair { .. } => {
-                let (prod, sa, sb) = self.pair().expect("pair backend");
-                let (i, k) = prod.indexer().split(p);
-                w.u64_field("alpha", i as u64);
-                w.u64_field("beta", k as u64);
-                w.u64_field("degree", prod.degree(p));
-                w.u64_field("squares", vertex_squares_at(&prod, sa, sb, p));
+        if self.pair_form {
+            for (key, c) in ["alpha", "beta"].into_iter().zip(self.chain.coords(p)) {
+                w.u64_field(key, c as u64);
             }
-            Backend::Chain(chain) => {
-                w.key("coords");
-                w.open_array();
-                for c in chain.split(p) {
-                    w.u64_element(c as u64);
-                }
-                w.close_array();
-                w.u64_field("degree", chain.degree(p));
-                w.u64_field("squares", chain.vertex_squares_at(p));
+        } else {
+            w.key("coords");
+            w.open_array();
+            for c in self.chain.coords(p) {
+                w.u64_element(c as u64);
             }
+            w.close_array();
         }
+        w.u64_field("degree", truth.degree);
+        w.u64_field("squares", truth.squares);
         w.close_object();
         200
     }
@@ -695,34 +594,19 @@ impl ServeState {
     }
 
     /// Render the `GET /v1/edge/{p}/{q}` body for already-parsed indices.
-    /// Byte-identical between the two backends.
     pub(crate) fn edge_into(&self, w: &mut JsonWriter, p: usize, q: usize) -> u16 {
         let n = self.num_vertices();
         if let Err(refusal) = check_range(p, n).and_then(|()| check_range(q, n)) {
             return refusal.write(w);
         }
-        let (squares, dp, dq) = match &self.backend {
-            Backend::Pair { .. } => {
-                let (prod, sa, sb) = self.pair().expect("pair backend");
-                (
-                    edge_squares_at(&prod, sa, sb, p, q),
-                    prod.degree(p),
-                    prod.degree(q),
-                )
-            }
-            Backend::Chain(chain) => (
-                chain.edge_squares_at(p, q),
-                chain.degree(p),
-                chain.degree(q),
-            ),
-        };
+        let edge = self.chain.edge_at(p, q);
         w.open_object();
         w.u64_field("p", p as u64);
         w.u64_field("q", q as u64);
-        w.bool_field("edge", squares.is_some());
-        w.u64_field("degree_p", dp);
-        w.u64_field("degree_q", dq);
-        match squares {
+        w.bool_field("edge", edge.squares.is_some());
+        w.u64_field("degree_p", edge.degree_p);
+        w.u64_field("degree_q", edge.degree_q);
+        match edge.squares {
             Some(s) => w.u64_field("squares", s),
             None => w.null_field("squares"),
         }
@@ -743,7 +627,8 @@ impl ServeState {
 
     /// Render the `GET /v1/neighbors/{p}?offset&limit` body for
     /// already-parsed values (`limit` must respect [`MAX_LIMIT`]; both
-    /// entry points enforce it).
+    /// entry points enforce it). The page goes straight from the chain
+    /// into the body.
     pub(crate) fn neighbors_into(
         &self,
         w: &mut JsonWriter,
@@ -754,29 +639,23 @@ impl ServeState {
         if let Err(refusal) = check_range(p, self.num_vertices()) {
             return refusal.write(w);
         }
-        let (degree, page) = match &self.backend {
-            Backend::Pair { .. } => {
-                let (prod, ..) = self.pair().expect("pair backend");
-                (prod.degree(p), prod.neighbors_page(p, offset, limit))
-            }
-            Backend::Chain(chain) => (chain.degree(p), chain.neighbors_page(p, offset, limit)),
-        };
+        let degree = self.chain.degree(p);
+        let count = degree.saturating_sub(offset).min(limit as u64);
         w.open_object();
         w.u64_field("vertex", p as u64);
         w.u64_field("degree", degree);
         w.u64_field("offset", offset);
-        w.u64_field("count", page.len() as u64);
-        let next = offset + page.len() as u64;
-        if next < degree && !page.is_empty() {
+        w.u64_field("count", count);
+        let next = offset + count;
+        if next < degree && count > 0 {
             w.u64_field("next_offset", next);
         } else {
             w.null_field("next_offset");
         }
         w.key("neighbors");
         w.open_array();
-        for q in &page {
-            w.u64_element(*q as u64);
-        }
+        self.chain
+            .for_each_neighbor(p, offset, limit, |q| w.u64_element(q as u64));
         w.close_array();
         w.close_object();
         200
@@ -806,14 +685,20 @@ impl ServeState {
             Err(resp) => return resp,
         };
         let annotate = matches!(req.query_param("annotate"), Some("1") | Some("true"));
-        let Some((prod, stats_a, stats_b)) = self.pair() else {
+        if !self.pair_form {
             return Response::error(
                 501,
                 "/v1/edges streaming is not implemented for expression servers; \
                  page adjacency via /v1/neighbors instead",
             );
-        };
-        let ps = PartitionedStream::new(&prod, stats_a, stats_b, parts);
+        }
+        let prod = pair_product(&self.chain);
+        let ps = PartitionedStream::new(
+            &prod,
+            self.chain.level_stats(0),
+            self.chain.level_stats(1),
+            parts,
+        );
         let total = ps.part_len(part);
         let page = ps.edges_page(part, offset, limit);
         let mut w = JsonWriter::new();
@@ -837,12 +722,10 @@ impl ServeState {
             w.u64_element(p as u64);
             w.u64_element(q as u64);
             if annotate {
-                w.u64_element(prod.degree(p));
-                w.u64_element(prod.degree(q));
-                w.u64_element(
-                    edge_squares_at(&prod, stats_a, stats_b, p, q)
-                        .expect("streamed pairs are edges"),
-                );
+                let edge = self.chain.edge_at(p, q);
+                w.u64_element(edge.degree_p);
+                w.u64_element(edge.degree_q);
+                w.u64_element(edge.squares.expect("streamed pairs are edges"));
             }
             w.close_array();
         }
@@ -870,42 +753,18 @@ impl ServeState {
         if let Err(refusal) = check_range(p, n).and_then(|()| check_range(q, n)) {
             return refusal.write(w);
         }
-        let (squares, dp, dq, gamma, bound, psi) = match &self.backend {
-            Backend::Pair { .. } => {
-                let (prod, sa, sb) = self.pair().expect("pair backend");
-                let sample = scaling_law_at(&prod, sa, sb, p, q);
-                (
-                    edge_squares_at(&prod, sa, sb, p, q),
-                    prod.degree(p),
-                    prod.degree(q),
-                    product_gamma(&prod, sa, sb, p, q),
-                    sample.as_ref().map(|s| s.bound),
-                    sample.as_ref().map(|s| s.psi),
-                )
-            }
-            Backend::Chain(chain) => {
-                let c = chain.clustering_at(p, q);
-                (
-                    c.squares,
-                    chain.degree(p),
-                    chain.degree(q),
-                    c.gamma,
-                    c.bound,
-                    c.psi,
-                )
-            }
-        };
+        let c = self.chain.clustering_at(p, q);
         w.open_object();
         w.u64_field("p", p as u64);
         w.u64_field("q", q as u64);
-        w.bool_field("edge", squares.is_some());
-        w.u64_field("degree_p", dp);
-        w.u64_field("degree_q", dq);
-        match squares {
+        w.bool_field("edge", c.squares.is_some());
+        w.u64_field("degree_p", c.degree_p);
+        w.u64_field("degree_q", c.degree_q);
+        match c.squares {
             Some(s) => w.u64_field("squares", s),
             None => w.null_field("squares"),
         }
-        for (key, value) in [("gamma", gamma), ("bound", bound), ("psi", psi)] {
+        for (key, value) in [("gamma", c.gamma), ("bound", c.bound), ("psi", c.psi)] {
             match value {
                 Some(v) => w.f64_field(key, v),
                 None => w.null_field(key),
@@ -920,108 +779,87 @@ impl ServeState {
     /// expression servers take one `?s{i}=<ids>` per level. `m_in` and
     /// `m_out` are **exact** for every program (Thm 7, chained); the
     /// density fields `rho_in` / `rho_in_lower_bound` (Cor 1) /
-    /// `rho_out_upper_bound` (Cor 2) additionally require the pair
-    /// backend with bipartite factors and are `null` otherwise.
+    /// `rho_out_upper_bound` (Cor 2) are two-factor statements, reported
+    /// on pair servers with bipartite factors and `null` otherwise.
     fn community(&self, req: &Request) -> Response {
-        match &self.backend {
-            Backend::Pair { a, b, mode, .. } => {
-                let (set_a, set_b) =
-                    match (req.query_param("a"), req.query_param("b")) {
-                        (Some(ra), Some(rb)) => {
-                            match (parse_id_list("a", ra), parse_id_list("b", rb)) {
-                                (Ok(sa), Ok(sb)) => (sa, sb),
-                                (Err(resp), _) | (_, Err(resp)) => return resp,
-                            }
-                        }
-                        _ => return Response::error(
-                            400,
-                            "community requires ?a=<ids>&b=<ids> (comma-separated factor vertices)",
-                        ),
-                    };
-                let eps_a = *mode == SelfLoopMode::FactorA;
-                let Some((in_a, vol_a, la)) = community_level_counts(a, &set_a, eps_a) else {
-                    return Response::error(404, "a contains a vertex outside factor A");
-                };
-                let Some((in_b, vol_b, lb)) = community_level_counts(b, &set_b, false) else {
-                    return Response::error(404, "b contains a vertex outside factor B");
-                };
-                // Thm 7: 2·m_in(S_C) = Π 1ᵀ_{S}(M)1_{S}; vol factors the
-                // same way, and m_out = vol − 2·m_in.
-                let m_in = (in_a * in_b) / 2;
-                let m_out = vol_a * vol_b - in_a * in_b;
-                // Cor 1–2 need the factor bipartitions (community sides).
-                let density = match (bipartition(a), bipartition(b)) {
-                    (Some(bip_a), Some(bip_b)) => {
-                        let prod = self.pair().expect("pair backend").0;
-                        let com_a = FactorCommunity::measure(a, &bip_a, &set_a);
-                        let com_b = FactorCommunity::measure(b, &bip_b, &set_b);
-                        product_community(&prod, &com_a, &com_b, &bip_a, &bip_b)
-                    }
-                    _ => None,
-                };
-                let mut w = JsonWriter::new();
-                w.open_object();
-                w.string_field("theorem", "thm7");
-                w.u64_field("size", (la * lb) as u64);
-                w.u64_field("m_in", m_in as u64);
-                w.u64_field("m_out", m_out as u64);
-                for (key, value) in [
-                    ("rho_in", density.as_ref().and_then(|d| d.rho_in)),
-                    (
-                        "rho_in_lower_bound",
-                        density.as_ref().and_then(|d| d.rho_in_lower_bound),
-                    ),
-                    (
-                        "rho_out_upper_bound",
-                        density.as_ref().and_then(|d| d.rho_out_upper_bound),
-                    ),
-                ] {
-                    match value {
-                        Some(v) => w.f64_field(key, v),
-                        None => w.null_field(key),
-                    }
-                }
-                w.close_object();
-                Response::json(200, w.finish())
+        let levels = self.chain.num_levels();
+        let set_name = |i: usize| {
+            if self.pair_form {
+                ["a", "b"][i].to_string()
+            } else {
+                format!("s{i}")
             }
-            Backend::Chain(chain) => {
-                let mut sets = Vec::with_capacity(chain.num_levels());
-                for i in 0..chain.num_levels() {
-                    let name = format!("s{i}");
-                    let Some(raw) = req.query_param(&name) else {
-                        return Response::error(
-                            400,
-                            &format!(
-                                "community on a {}-level expression requires ?s0=…&s{}=<ids>",
-                                chain.num_levels(),
-                                chain.num_levels() - 1
-                            ),
-                        );
-                    };
-                    match parse_id_list(&name, raw) {
-                        Ok(set) => sets.push(set),
-                        Err(resp) => return resp,
-                    }
-                }
-                let truth = match chain.community(&sets) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        return Response::error(404, &format!("community sets rejected: {e}"))
-                    }
+        };
+        let mut sets = Vec::with_capacity(levels);
+        for i in 0..levels {
+            let name = set_name(i);
+            let Some(raw) = req.query_param(&name) else {
+                let usage = if self.pair_form {
+                    "community requires ?a=<ids>&b=<ids> (comma-separated factor vertices)"
+                        .to_string()
+                } else {
+                    format!(
+                        "community on a {levels}-level expression requires ?s0=…&s{}=<ids>",
+                        levels - 1
+                    )
                 };
-                let mut w = JsonWriter::new();
-                w.open_object();
-                w.string_field("theorem", "thm7");
-                w.u64_field("size", truth.size);
-                w.u64_field("m_in", truth.m_in);
-                w.u64_field("m_out", truth.m_out);
-                w.null_field("rho_in");
-                w.null_field("rho_in_lower_bound");
-                w.null_field("rho_out_upper_bound");
-                w.close_object();
-                Response::json(200, w.finish())
+                return Response::error(400, &usage);
+            };
+            match parse_id_list(&name, raw) {
+                Ok(set) => sets.push(set),
+                Err(resp) => return resp,
             }
         }
+        let truth = match self.chain.community(&sets) {
+            Ok(t) => t,
+            Err(ChainError::CommunityVertex { level, factor, .. }) if self.pair_form => {
+                let set = set_name(level);
+                return Response::error(
+                    404,
+                    &format!("{set} contains a vertex outside factor {factor}"),
+                );
+            }
+            Err(e) => return Response::error(404, &format!("community sets rejected: {e}")),
+        };
+        let density = if self.pair_form {
+            let prod = pair_product(&self.chain);
+            let (a, b) = (prod.factor_a(), prod.factor_b());
+            // Cor 1–2 need the factor bipartitions (community sides).
+            match (bipartition(a), bipartition(b)) {
+                (Some(bip_a), Some(bip_b)) => {
+                    let com_a = FactorCommunity::measure(a, &bip_a, &sets[0]);
+                    let com_b = FactorCommunity::measure(b, &bip_b, &sets[1]);
+                    product_community(&prod, &com_a, &com_b, &bip_a, &bip_b)
+                }
+                _ => None,
+            }
+        } else {
+            None
+        };
+        let mut w = JsonWriter::new();
+        w.open_object();
+        w.string_field("theorem", "thm7");
+        w.u64_field("size", truth.size);
+        w.u64_field("m_in", truth.m_in);
+        w.u64_field("m_out", truth.m_out);
+        for (key, value) in [
+            ("rho_in", density.as_ref().and_then(|d| d.rho_in)),
+            (
+                "rho_in_lower_bound",
+                density.as_ref().and_then(|d| d.rho_in_lower_bound),
+            ),
+            (
+                "rho_out_upper_bound",
+                density.as_ref().and_then(|d| d.rho_out_upper_bound),
+            ),
+        ] {
+            match value {
+                Some(v) => w.f64_field(key, v),
+                None => w.null_field(key),
+            }
+        }
+        w.close_object();
+        Response::json(200, w.finish())
     }
 
     /// `GET /v1/scatter/degree-squares?offset&limit&format=json|csv`: the
@@ -1036,14 +874,9 @@ impl ServeState {
         let n = self.num_vertices() as u64;
         let start = offset.min(n);
         let end = n.min(offset.saturating_add(limit as u64));
-        let row = |p: usize| -> (u64, u64) {
-            match &self.backend {
-                Backend::Pair { .. } => {
-                    let (prod, sa, sb) = self.pair().expect("pair backend");
-                    (prod.degree(p), vertex_squares_at(&prod, sa, sb, p))
-                }
-                Backend::Chain(chain) => (chain.degree(p), chain.vertex_squares_at(p)),
-            }
+        let row = |p: u64| {
+            let truth = self.chain.vertex_at(p as usize);
+            (truth.degree, truth.squares)
         };
         match req.query_param("format") {
             None | Some("json") => {
@@ -1059,7 +892,7 @@ impl ServeState {
                 w.key("rows");
                 w.open_array();
                 for p in start..end {
-                    let (d, s) = row(p as usize);
+                    let (d, s) = row(p);
                     w.array_element();
                     w.open_array();
                     w.u64_element(p);
@@ -1074,7 +907,7 @@ impl ServeState {
             Some("csv") => {
                 let mut body = String::from("vertex,degree,squares\n");
                 for p in start..end {
-                    let (d, s) = row(p as usize);
+                    let (d, s) = row(p);
                     body.push_str(&format!("{p},{d},{s}\n"));
                 }
                 Response {
@@ -1394,37 +1227,25 @@ fn parse_id_list(name: &str, raw: &str) -> Result<Vec<usize>, Response> {
     Ok(out)
 }
 
-/// One Thm 7 level: `(1ᵀ_S M 1_S, 1ᵀ_S M 1_V, |S|)` for the effective
-/// matrix `M = A (+ I when eps)` — the quantities whose products give the
-/// exact chained `m_in`/`m_out`. `None` if a member is out of range.
-/// `members` must be sorted and deduplicated.
-fn community_level_counts(g: &Graph, members: &[usize], eps: bool) -> Option<(u128, u128, usize)> {
-    if members.last().is_some_and(|&v| v >= g.num_vertices()) {
-        return None;
-    }
-    let (mut m_in2, mut m_out) = (0u128, 0u128);
-    for &u in members {
-        for &v in g.neighbors(u) {
-            if members.binary_search(&v).is_ok() {
-                m_in2 += 1;
-            } else {
-                m_out += 1;
-            }
-        }
-    }
-    let e = u128::from(eps) * members.len() as u128;
-    Some((m_in2 + e, m_in2 + m_out + e, members.len()))
+/// A pair server's chain as the two-factor product it spells: level 0's
+/// factor as `A` (lifted under [`SelfLoopMode::FactorA`]), level 1's as
+/// `B`. O(1) over factors the chain already validated.
+fn pair_product(chain: &KronChain) -> KroneckerProduct<'_> {
+    let (_, a, lifted) = chain.level_info(0);
+    let (_, b, _) = chain.level_info(1);
+    let mode = if lifted {
+        SelfLoopMode::FactorA
+    } else {
+        SelfLoopMode::None
+    };
+    KroneckerProduct::new(a, b, mode).expect("the chain validated both factors")
 }
 
-/// Build the cached Table-I-style `/v1/stats` body.
-fn stats_body(
-    prod: &KroneckerProduct<'_>,
-    stats_a: &FactorStats,
-    stats_b: &FactorStats,
-    expr: &str,
-) -> Result<String, Box<dyn std::error::Error>> {
-    let st = predict_structure(prod);
-    let hist = bikron_core::truth::degrees::degree_histogram(prod);
+/// Build a pair server's cached Table-I-style `/v1/stats` body.
+fn pair_stats_body(chain: &KronChain) -> Result<String, Box<dyn std::error::Error>> {
+    let prod = pair_product(chain);
+    let st = predict_structure(&prod);
+    let hist = bikron_core::truth::degrees::degree_histogram(&prod);
     let mut w = JsonWriter::new();
     w.open_object();
     w.string_field("schema", "bikron-serve/1");
@@ -1446,7 +1267,7 @@ fn stats_body(
             SelfLoopMode::FactorA => "loops-a",
         },
     );
-    w.string_field("expr", expr);
+    w.string_field("expr", chain.canonical());
     for (key, g) in [("factor_a", prod.factor_a()), ("factor_b", prod.factor_b())] {
         w.key(key);
         w.open_object();
@@ -1474,9 +1295,9 @@ fn stats_body(
     }
     w.u64_field(
         "global_squares",
-        global_squares_with(prod, stats_a, stats_b)?,
+        global_squares_with(&prod, chain.level_stats(0), chain.level_stats(1))?,
     );
-    w.u64_field("max_degree", bikron_core::truth::degrees::max_degree(prod));
+    w.u64_field("max_degree", bikron_core::truth::degrees::max_degree(&prod));
     w.u64_field("distinct_degrees", hist.len() as u64);
     w.close_object();
     Ok(w.finish())
@@ -1663,6 +1484,10 @@ impl Handler for ServeState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bikron_core::truth::clustering::{product_gamma, scaling_law_at};
+    use bikron_core::truth::squares_edge::edge_squares_at;
+    use bikron_core::truth::squares_vertex::vertex_squares_at;
+    use bikron_core::truth::FactorStats;
     use bikron_generators::{complete_bipartite, crown, cycle};
 
     fn get(path: &str) -> Request {
@@ -2417,15 +2242,38 @@ mod tests {
         assert!(!resp.body.contains("\"rho_in\": null"), "{}", resp.body);
     }
 
+    /// `path` answers `status` with the error body for `detail`.
+    fn assert_error(st: &ServeState, path: &str, status: u16, detail: &str) {
+        let resp = st.handle(&get(path));
+        assert_eq!(resp.status, status, "{path}");
+        assert_eq!(resp.body, Response::error(status, detail).body, "{path}");
+    }
+
     #[test]
     fn community_validation_statuses() {
         let st = state();
-        assert_eq!(st.handle(&get("/v1/community")).status, 400);
-        assert_eq!(st.handle(&get("/v1/community?a=0,1")).status, 400);
-        assert_eq!(st.handle(&get("/v1/community?a=zero&b=0")).status, 400);
-        assert_eq!(st.handle(&get("/v1/community?a=&b=0")).status, 400);
-        assert_eq!(st.handle(&get("/v1/community?a=99&b=0")).status, 404);
-        assert_eq!(st.handle(&get("/v1/community?a=0&b=99")).status, 404);
+        let usage = "community requires ?a=<ids>&b=<ids> (comma-separated factor vertices)";
+        assert_error(&st, "/v1/community", 400, usage);
+        assert_error(&st, "/v1/community?a=0,1", 400, usage);
+        assert_error(
+            &st,
+            "/v1/community?a=zero&b=0",
+            400,
+            "a has a non-integer id \"zero\"",
+        );
+        assert_error(&st, "/v1/community?a=&b=0", 400, "a is an empty set");
+        assert_error(
+            &st,
+            "/v1/community?a=99&b=0",
+            404,
+            "a contains a vertex outside factor A",
+        );
+        assert_error(
+            &st,
+            "/v1/community?a=0&b=99",
+            404,
+            "b contains a vertex outside factor B",
+        );
     }
 
     #[test]
@@ -2469,9 +2317,23 @@ mod tests {
         // Density corollaries are pair-only statements.
         assert!(resp.body.contains("\"rho_in\": null"));
 
-        assert_eq!(st.handle(&get("/v1/community?s0=0,2,4")).status, 400);
-        assert_eq!(st.handle(&get("/v1/community?a=0&b=0")).status, 400);
-        assert_eq!(st.handle(&get("/v1/community?s0=99&s1=0")).status, 404);
+        let usage = "community on a 2-level expression requires ?s0=…&s1=<ids>";
+        assert_error(&st, "/v1/community?s0=0,2,4", 400, usage);
+        assert_error(&st, "/v1/community?a=0&b=0", 400, usage);
+        assert_error(
+            &st,
+            "/v1/community?s0=99&s1=0",
+            404,
+            "community sets rejected: level 0 set contains vertex 99, but factor 'A' has 5 \
+             vertices",
+        );
+        assert_error(
+            &st,
+            "/v1/community?s0=0&s1=5",
+            404,
+            "community sets rejected: level 1 set contains vertex 5, but factor 'B' has 5 \
+             vertices",
+        );
     }
 
     #[test]

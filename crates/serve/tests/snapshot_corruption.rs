@@ -22,7 +22,7 @@
 //! assertions are about *totality* (always an `Err`, never a panic),
 //! with spot checks that specific corruptions map to the right variant.
 
-use bikron_core::SelfLoopMode;
+use bikron_core::{pair_levels, SelfLoopMode};
 use bikron_graph::Graph;
 use bikron_serve::snapshot::{Snapshot, MAGIC, VERSION};
 use bikron_serve::{ServeOptions, ServeState, SnapshotError};
@@ -60,10 +60,40 @@ const WITH_CACHE: &[u8] = include_bytes!("data/cycle5_kmn2x3_with_cache.snap");
 /// META section carries shard flag 1 with index 1 and count 2.
 const SHARD_1_OF_2: &[u8] = include_bytes!("data/cycle5_kmn2x3_shard1of2.snap");
 
+/// `bikron serve cycle:5 kmn:2x3 loops-a --snapshot-out`, written while
+/// pair servers still had their own evaluator: META kind 0 with mode 1.
+const LOOPS_A: &[u8] = include_bytes!("data/cycle5_kmn2x3_loops_a.snap");
+
 /// Every snapshot shape the reader must seal: a current file, one whose
-/// CACHE section carries entries, and one whose META names a shard.
-fn corpus() -> [Vec<u8>; 3] {
-    [pair_bytes(), WITH_CACHE.to_vec(), SHARD_1_OF_2.to_vec()]
+/// CACHE section carries entries, one whose META names a shard, and one
+/// with a lifted pair.
+fn corpus() -> [Vec<u8>; 4] {
+    [
+        pair_bytes(),
+        WITH_CACHE.to_vec(),
+        SHARD_1_OF_2.to_vec(),
+        LOOPS_A.to_vec(),
+    ]
+}
+
+/// Validate `snap` as a pair server `A B MODE` would.
+fn validate_pair(
+    snap: &Snapshot,
+    a: &Graph,
+    b: &Graph,
+    mode: SelfLoopMode,
+) -> Result<(), SnapshotError> {
+    snap.validate(&pair_levels(mode), &[("A", a), ("B", b)], true)
+}
+
+/// Validate `snap` as an expression server over `bindings` would.
+fn validate_expr(
+    snap: &Snapshot,
+    levels: &[(String, bool)],
+    bindings: &[(String, Graph)],
+) -> Result<(), SnapshotError> {
+    let bound: Vec<(&str, &Graph)> = bindings.iter().map(|(n, g)| (n.as_str(), g)).collect();
+    snap.validate(levels, &bound, false)
 }
 
 #[test]
@@ -309,7 +339,7 @@ fn mismatched_spec_is_refused_with_the_right_variant() {
     assert_eq!(snap.expr, "(A+I)⊗B");
 
     // Same factors, different mode: the implied expression differs.
-    match snap.validate_pair(&cycle(5), &kmn(2, 3), SelfLoopMode::None) {
+    match validate_pair(&snap, &cycle(5), &kmn(2, 3), SelfLoopMode::None) {
         Err(SnapshotError::ExpressionMismatch {
             snapshot,
             requested,
@@ -321,7 +351,7 @@ fn mismatched_spec_is_refused_with_the_right_variant() {
     }
 
     // Same expression, different factor A edges.
-    match snap.validate_pair(&cycle(6), &kmn(2, 3), SelfLoopMode::FactorA) {
+    match validate_pair(&snap, &cycle(6), &kmn(2, 3), SelfLoopMode::FactorA) {
         Err(SnapshotError::FactorMismatch(msg)) => {
             assert!(msg.contains("factor A"), "{msg}");
         }
@@ -331,14 +361,12 @@ fn mismatched_spec_is_refused_with_the_right_variant() {
     // A pair snapshot offered to an expression server is refused.
     let bindings = vec![("A".to_string(), cycle(5))];
     assert!(matches!(
-        snap.validate_expr("(A+I)⊗B", &bindings),
+        validate_expr(&snap, &pair_levels(SelfLoopMode::FactorA), &bindings),
         Err(SnapshotError::Corrupt(_))
     ));
 
     // The happy path still validates.
-    assert!(snap
-        .validate_pair(&cycle(5), &kmn(2, 3), SelfLoopMode::FactorA)
-        .is_ok());
+    assert!(validate_pair(&snap, &cycle(5), &kmn(2, 3), SelfLoopMode::FactorA).is_ok());
 }
 
 #[test]
@@ -349,7 +377,12 @@ fn chain_snapshot_cross_validation() {
     let snap = Snapshot::decode(&state.to_snapshot().encode()).unwrap();
 
     // A snapshot for A⊗B must refuse to boot A⊗B⊗C.
-    match snap.validate_expr("A⊗B⊗C", &bindings) {
+    let abc = vec![
+        ("A".to_string(), false),
+        ("B".to_string(), false),
+        ("C".to_string(), false),
+    ];
+    match validate_expr(&snap, &abc, &bindings) {
         Err(SnapshotError::ExpressionMismatch { requested, .. }) => {
             assert_eq!(requested, "A⊗B⊗C");
         }
@@ -358,19 +391,19 @@ fn chain_snapshot_cross_validation() {
 
     // Same expression, different graph bound to B.
     let rebound = vec![("A".to_string(), cycle(4)), ("B".to_string(), kmn(2, 2))];
-    match snap.validate_expr(&snap.expr.clone(), &rebound) {
+    match validate_expr(&snap, &levels, &rebound) {
         Err(SnapshotError::FactorMismatch(msg)) => assert!(msg.contains('B'), "{msg}"),
         other => panic!("expected FactorMismatch, got {other:?}"),
     }
 
     // A name present in the snapshot but absent from the spec.
     let unbound = vec![("A".to_string(), cycle(4))];
-    match snap.validate_expr(&snap.expr.clone(), &unbound) {
+    match validate_expr(&snap, &levels, &unbound) {
         Err(SnapshotError::FactorMismatch(msg)) => assert!(msg.contains("not bound"), "{msg}"),
         other => panic!("expected FactorMismatch, got {other:?}"),
     }
 
-    assert!(snap.validate_expr(&snap.expr.clone(), &bindings).is_ok());
+    assert!(validate_expr(&snap, &levels, &bindings).is_ok());
 }
 
 #[test]

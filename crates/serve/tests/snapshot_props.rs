@@ -18,11 +18,11 @@
 //! backend, and over a file written while the server kept a result
 //! cache (its CACHE section full of entries the reader now discards).
 
-use bikron_core::SelfLoopMode;
+use bikron_core::{pair_levels, SelfLoopMode};
 use bikron_generators::{complete_bipartite, cycle};
 use bikron_graph::Graph;
 use bikron_serve::snapshot::Snapshot;
-use bikron_serve::{ServeOptions, ServeState, SnapshotBackend};
+use bikron_serve::{ServeOptions, ServeState};
 use proptest::prelude::*;
 
 /// Parse one GET into the router's request type.
@@ -105,23 +105,19 @@ proptest! {
 
         prop_assert_eq!(&decoded.expr, &snap.expr);
         prop_assert_eq!(&decoded.stats_json, &snap.stats_json);
-        match (&decoded.backend, &snap.backend) {
-            (
-                SnapshotBackend::Pair { a: da, b: db, mode: dm, stats_a: dsa, stats_b: dsb },
-                SnapshotBackend::Pair { a: sa, b: sb, mode: sm, stats_a: ssa, stats_b: ssb },
-            ) => {
-                prop_assert_eq!(da, sa);
-                prop_assert_eq!(db, sb);
-                prop_assert_eq!(dm, sm);
-                prop_assert_eq!(dsa, ssa);
-                prop_assert_eq!(dsb, ssb);
-            }
-            _ => prop_assert!(false, "backend kind changed in round-trip"),
+        prop_assert!(decoded.pair_form && snap.pair_form);
+        prop_assert_eq!(&decoded.levels, &snap.levels);
+        prop_assert_eq!(&decoded.levels, &pair_levels(mode));
+        prop_assert_eq!(decoded.bindings.len(), 2);
+        for ((dn, dg, ds), (sn, sg, ss)) in decoded.bindings.iter().zip(&snap.bindings) {
+            prop_assert_eq!(dn, sn);
+            prop_assert_eq!(dg, sg);
+            prop_assert_eq!(ds, ss);
         }
         // Byte-identity: the decoded snapshot re-encodes to the same file.
         prop_assert_eq!(decoded.encode(), bytes);
         // And the snapshot passes validation against its own spec.
-        prop_assert!(decoded.validate_pair(&a, &b, mode).is_ok());
+        prop_assert!(decoded.validate(&pair_levels(mode), &[("A", &a), ("B", &b)], true).is_ok());
     }
 
     /// Warm ≡ cold over random pair servers: byte-identical bodies on
@@ -190,26 +186,13 @@ fn chain_snapshot_round_trips_and_boots_identically() {
     let bytes = snap.encode();
     let decoded = Snapshot::decode(&bytes).expect("decode");
     assert_eq!(decoded.expr, snap.expr);
-    match (&decoded.backend, &snap.backend) {
-        (
-            SnapshotBackend::Chain {
-                bindings: db,
-                levels: dl,
-            },
-            SnapshotBackend::Chain {
-                bindings: sb,
-                levels: sl,
-            },
-        ) => {
-            assert_eq!(dl, sl);
-            assert_eq!(db.len(), sb.len());
-            for ((n1, g1, s1), (n2, g2, s2)) in db.iter().zip(sb.iter()) {
-                assert_eq!(n1, n2);
-                assert_eq!(g1, g2);
-                assert_eq!(s1, s2);
-            }
-        }
-        _ => panic!("backend kind changed in round-trip"),
+    assert!(!decoded.pair_form && !snap.pair_form);
+    assert_eq!(decoded.levels, snap.levels);
+    assert_eq!(decoded.bindings.len(), snap.bindings.len());
+    for ((n1, g1, s1), (n2, g2, s2)) in decoded.bindings.iter().zip(&snap.bindings) {
+        assert_eq!(n1, n2);
+        assert_eq!(g1, g2);
+        assert_eq!(s1, s2);
     }
     assert_eq!(decoded.encode(), bytes);
 
@@ -251,7 +234,41 @@ fn snapshot_with_cache_entries_boots_like_a_cold_server() {
 fn a_snapshot_from_a_shard_boots_as_a_full_replica() {
     const SHARD_1_OF_2: &[u8] = include_bytes!("data/cycle5_kmn2x3_shard1of2.snap");
     let warm = warm_fixture(SHARD_1_OF_2);
-    let cold = cold_fixture();
+    assert_answers_every_key_alike(&cold_fixture(), &warm);
+    // Re-encoding drops the shard: the META section shrinks by its
+    // index and count.
+    let reencoded = warm.to_snapshot().encode();
+    assert_eq!(reencoded.len() + 16, SHARD_1_OF_2.len());
+}
+
+/// A pair snapshot written while pair servers had their own evaluator
+/// (`bikron serve cycle:5 kmn:2x3 loops-a --snapshot-out`): the one-chain
+/// writer emits the same bytes for the same server, and a warm boot from
+/// the file answers every key as a cold boot does.
+#[test]
+fn a_lifted_pair_snapshot_is_written_and_read_unchanged() {
+    const LOOPS_A: &[u8] = include_bytes!("data/cycle5_kmn2x3_loops_a.snap");
+    let (a, b) = (cycle(5), complete_bipartite(2, 3));
+    let mode = SelfLoopMode::FactorA;
+    let cold = ServeState::build_with(a.clone(), b.clone(), mode, ServeOptions::default())
+        .expect("cold build");
+    assert!(
+        cold.to_snapshot().encode() == LOOPS_A,
+        "writer bytes changed"
+    );
+
+    let snap = Snapshot::decode(LOOPS_A).expect("decode fixture");
+    assert_eq!(snap.expr, "(A+I)⊗B");
+    snap.validate(&pair_levels(mode), &[("A", &a), ("B", &b)], true)
+        .expect("fixture matches its spec");
+    let (warm, _) =
+        ServeState::build_from_snapshot(snap, ServeOptions::default()).expect("warm build");
+    assert_answers_every_key_alike(&cold, &warm);
+}
+
+/// Every probe path, every vertex and neighbors list, and every ordered
+/// pair answer alike on `cold` and `warm`.
+fn assert_answers_every_key_alike(cold: &ServeState, warm: &ServeState) {
     let n = cold.num_vertices();
     let mut paths = probe_paths(n);
     for p in 0..n {
@@ -266,18 +283,19 @@ fn a_snapshot_from_a_shard_boots_as_a_full_replica() {
         assert_eq!(c.status, w.status, "status diverged on {path}");
         assert_eq!(normalize(&c.body), normalize(&w.body), "{path}");
     }
-    // Re-encoding drops the shard: the META section shrinks by its
-    // index and count.
-    let reencoded = warm.to_snapshot().encode();
-    assert_eq!(reencoded.len() + 16, SHARD_1_OF_2.len());
 }
 
 /// Boot the `cycle:5 kmn:2x3 none` fixture file `bytes` warm.
 fn warm_fixture(bytes: &[u8]) -> ServeState {
     let snap = Snapshot::decode(bytes).expect("decode fixture");
     assert_eq!(snap.expr, "A⊗B");
-    snap.validate_pair(&cycle(5), &complete_bipartite(2, 3), SelfLoopMode::None)
-        .expect("fixture matches its spec");
+    let (a, b) = (cycle(5), complete_bipartite(2, 3));
+    snap.validate(
+        &pair_levels(SelfLoopMode::None),
+        &[("A", &a), ("B", &b)],
+        true,
+    )
+    .expect("fixture matches its spec");
     ServeState::build_from_snapshot(snap, ServeOptions::default())
         .expect("warm build")
         .0
