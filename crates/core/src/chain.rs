@@ -230,50 +230,6 @@ fn level_w3(stats: &FactorStats, plus_identity: bool, v: Ix, w: Ix) -> Option<i1
     })
 }
 
-/// Division by a divisor fixed at construction. While every dividend and
-/// the divisor fit in 32 bits, a quotient is one multiply-high by the
-/// precomputed `⌈2⁶⁴/d⌉` (Lemire, Kaser & Kurz, "Faster remainder by
-/// direct computation", 2019: exact for all 32-bit operands); otherwise
-/// it is a hardware division.
-#[derive(Clone, Copy)]
-struct Divisor {
-    d: usize,
-    /// `⌈2⁶⁴/d⌉`, or 0 for hardware division.
-    m: u64,
-}
-
-impl Divisor {
-    /// A divisor `d ≥ 1` for dividends below `bound`.
-    fn new(d: usize, bound: usize) -> Self {
-        let fits = |x: usize| u32::try_from(x).is_ok();
-        let m = if d > 1 && fits(d) && fits(bound.saturating_sub(1)) {
-            u64::MAX / d as u64 + 1
-        } else {
-            0
-        };
-        Divisor { d, m }
-    }
-
-    /// `(n / d, n % d)`.
-    #[inline]
-    fn div_rem(self, n: usize) -> (usize, usize) {
-        let q = if self.m == 0 {
-            n / self.d
-        } else {
-            ((u128::from(self.m) * n as u128) >> 64) as usize
-        };
-        (q, n - q * self.d)
-    }
-}
-
-/// One level's place in the mixed-radix product index: its vertex count
-/// `n_i` and its stride `Π_{j>i} n_j`.
-#[derive(Clone, Copy)]
-struct Radix {
-    size: Divisor,
-    stride: Divisor,
-}
-
 /// One level's sorted effective neighbor row of a product vertex's
 /// coordinate `v`, borrowed from the factor: under `+ I`, `v` itself is
 /// spliced in at its sorted position without copying the row.
@@ -301,57 +257,6 @@ impl EffRow<'_> {
             _ => self.nbrs[j],
         }
     }
-
-    /// Call `f` on entries `lo..hi` in order, a slice at a time.
-    fn for_each_in(&self, lo: usize, hi: usize, f: &mut impl FnMut(Ix)) {
-        match self.splice {
-            None => self.nbrs[lo..hi].iter().for_each(|&w| f(w)),
-            Some((at, v)) => {
-                self.nbrs[lo.min(at)..hi.min(at)].iter().for_each(|&w| f(w));
-                if (lo..hi).contains(&at) {
-                    f(v);
-                }
-                let tail = lo.max(at + 1)..hi.max(at + 1);
-                self.nbrs[tail.start - 1..tail.end - 1]
-                    .iter()
-                    .for_each(|&w| f(w));
-            }
-        }
-    }
-}
-
-/// A level's effective row, linked to the rows of every deeper level;
-/// the links live on the stack of [`KronChain::link_rows`].
-struct RowLink<'a> {
-    row: EffRow<'a>,
-    stride: usize,
-    /// Product neighbors under each entry of `row`: the product of the
-    /// deeper rows' lengths.
-    block: u64,
-    deeper: Option<&'a RowLink<'a>>,
-}
-
-/// Emit up to `*budget` product neighbors under `link`, starting `skip`
-/// ranks in, each offset by `base`, in ascending order.
-fn emit_rows(link: &RowLink<'_>, base: Ix, skip: u64, budget: &mut usize, f: &mut impl FnMut(Ix)) {
-    let len = link.row.len();
-    let mut j = usize::try_from(skip / link.block).unwrap_or(usize::MAX);
-    let Some(deeper) = link.deeper else {
-        // The last level: stride 1, one product neighbor per entry.
-        let hi = len.min(j.saturating_add(*budget));
-        if j < hi {
-            link.row.for_each_in(j, hi, &mut |w| f(base + w));
-            *budget -= hi - j;
-        }
-        return;
-    };
-    let mut inner = skip % link.block;
-    while j < len && *budget > 0 {
-        let q = base + link.row.get(j) * link.stride;
-        emit_rows(deeper, q, inner, budget, f);
-        inner = 0;
-        j += 1;
-    }
 }
 
 /// An arbitrary Kronecker program over named factors, with compositional
@@ -359,8 +264,9 @@ fn emit_rows(link: &RowLink<'_>, base: Ix, skip: u64, budget: &mut usize, f: &mu
 pub struct KronChain {
     atoms: Vec<ChainAtom>,
     levels: Vec<Level>,
-    /// Per-level places of the mixed-radix product index.
-    radix: Vec<Radix>,
+    /// Per-level vertex counts `n_i` and row-major strides `Π_{j>i} n_j`.
+    sizes: Vec<usize>,
+    strides: Vec<usize>,
     n: usize,
     num_edges: u64,
     max_degree: u64,
@@ -471,20 +377,10 @@ impl KronChain {
         for &s in &sizes {
             n = n.checked_mul(s).ok_or(ChainError::TooLarge)?;
         }
-        let mut stride = 1;
-        let mut radix: Vec<Radix> = sizes
-            .iter()
-            .rev()
-            .map(|&size| {
-                let place = Radix {
-                    size: Divisor::new(size, n),
-                    stride: Divisor::new(stride, n),
-                };
-                stride *= size;
-                place
-            })
-            .collect();
-        radix.reverse();
+        let mut strides = vec![1usize; sizes.len()];
+        for i in (0..sizes.len().saturating_sub(1)).rev() {
+            strides[i] = strides[i + 1] * sizes[i + 1];
+        }
 
         // |E_C| = ½ Π nnz_eff,i and Δ_C = Π Δ_eff,i — both must fit u64.
         let mut nnz: u128 = 1;
@@ -507,7 +403,8 @@ impl KronChain {
         let mut chain = KronChain {
             atoms,
             levels,
-            radix,
+            sizes,
+            strides,
             n,
             num_edges,
             max_degree,
@@ -587,17 +484,13 @@ impl KronChain {
     }
 
     /// The per-level coordinates of product vertex `p`, level 0 first,
-    /// without allocating: one division per level but the last.
+    /// without allocating.
     pub fn coords(&self, p: Ix) -> impl Iterator<Item = Ix> + '_ {
         debug_assert!(p < self.n);
-        let last = self.radix.len() - 1;
         let mut rest = p;
-        self.radix.iter().enumerate().map(move |(i, place)| {
-            if i == last {
-                return rest; // stride 1
-            }
-            let (c, r) = place.stride.div_rem(rest);
-            rest = r;
+        self.strides.iter().map(move |&stride| {
+            let c = rest / stride;
+            rest %= stride;
             c
         })
     }
@@ -607,19 +500,19 @@ impl KronChain {
         debug_assert_eq!(coords.len(), self.levels.len());
         coords
             .iter()
-            .zip(&self.radix)
-            .map(|(&c, place)| c * place.stride.d)
+            .zip(&self.strides)
+            .map(|(&c, &stride)| c * stride)
             .sum()
     }
 
     /// Call `f(level, coordinate)` for every level of `p`, last level
-    /// first: one division per level but the first, no allocation.
+    /// first: one divmod per level but the first, no allocation.
     fn walk(&self, mut p: Ix, mut f: impl FnMut(usize, Ix)) {
         debug_assert!(p < self.n);
-        for i in (1..self.radix.len()).rev() {
-            let (rest, v) = self.radix[i].size.div_rem(p);
-            f(i, v);
-            p = rest;
+        for i in (1..self.sizes.len()).rev() {
+            let size = self.sizes[i];
+            f(i, p % size);
+            p /= size;
         }
         f(0, p);
     }
@@ -627,11 +520,10 @@ impl KronChain {
     /// [`KronChain::walk`] over two product vertices at once.
     fn walk2(&self, mut p: Ix, mut q: Ix, mut f: impl FnMut(usize, Ix, Ix)) {
         debug_assert!(p < self.n && q < self.n);
-        for i in (1..self.radix.len()).rev() {
-            let size = self.radix[i].size;
-            let ((p_rest, v), (q_rest, w)) = (size.div_rem(p), size.div_rem(q));
-            f(i, v, w);
-            (p, q) = (p_rest, q_rest);
+        for i in (1..self.sizes.len()).rev() {
+            let size = self.sizes[i];
+            f(i, p % size, q % size);
+            (p, q) = (p / size, q / size);
         }
         f(0, p, q);
     }
@@ -681,51 +573,30 @@ impl KronChain {
     }
 
     /// Call `f` on ranks `offset..offset + limit` of `p`'s sorted
-    /// neighbor list, in ascending order and without allocating. Each
-    /// level's effective row is borrowed from its factor, and a rank
-    /// decomposes in mixed radix over the row lengths, level 0 most
-    /// significant; whole blocks below the offset are skipped by
-    /// division, so the cost is O(Σ log d_i + limit).
+    /// neighbor list, in ascending order. Each level's effective row is
+    /// borrowed from its factor, and a rank decomposes in mixed radix over
+    /// the row lengths, level 0 most significant: O(Σ log d_i + k·limit).
     pub fn for_each_neighbor(&self, p: Ix, offset: u64, limit: usize, mut f: impl FnMut(Ix)) {
-        let mut budget = limit;
-        self.link_rows(self.levels.len() - 1, p, None, 1, &mut |top| {
-            if top.block * top.row.len() as u64 > 0 {
-                emit_rows(top, 0, offset, &mut budget, &mut f);
-            }
+        // Last level first, matching `strides` reversed.
+        let mut rows = Vec::with_capacity(self.levels.len());
+        self.walk(p, |i, v| {
+            let nbrs = self.level_graph(i).neighbors(v);
+            let splice = self.levels[i]
+                .plus_identity
+                .then(|| (nbrs.partition_point(|&w| w < v), v));
+            rows.push(EffRow { nbrs, splice });
         });
-    }
-
-    /// Build level `i`'s effective row of `p` (`p` holds levels `0..=i`
-    /// only) on the stack, link it above `deeper`, and recurse towards
-    /// level 0; `done` receives level 0's link.
-    fn link_rows(
-        &self,
-        i: usize,
-        p: Ix,
-        deeper: Option<&RowLink<'_>>,
-        block: u64,
-        done: &mut dyn FnMut(&RowLink<'_>),
-    ) {
-        let (rest, v) = if i == 0 {
-            (0, p)
-        } else {
-            self.radix[i].size.div_rem(p)
-        };
-        let nbrs = self.level_graph(i).neighbors(v);
-        let splice = self.levels[i]
-            .plus_identity
-            .then(|| (nbrs.partition_point(|&w| w < v), v));
-        let link = RowLink {
-            row: EffRow { nbrs, splice },
-            stride: self.radix[i].stride.d,
-            block,
-            deeper,
-        };
-        if i == 0 {
-            done(&link);
-        } else {
-            let block = block * link.row.len() as u64;
-            self.link_rows(i - 1, rest, Some(&link), block, done);
+        let total: u64 = rows.iter().map(|row| row.len() as u64).product();
+        let end = total.min(offset.saturating_add(limit as u64));
+        for rank in offset.min(end)..end {
+            let mut rest = rank;
+            let mut q = 0;
+            for (row, &stride) in rows.iter().zip(self.strides.iter().rev()) {
+                let len = row.len() as u64;
+                q += row.get((rest % len) as usize) * stride;
+                rest /= len;
+            }
+            f(q);
         }
     }
 
@@ -1140,32 +1011,6 @@ mod tests {
         assert_eq!(truth.size, size);
         assert_eq!(truth.m_in, m_in / 2);
         assert_eq!(truth.m_out, m_out);
-    }
-
-    #[test]
-    fn divisor_matches_hardware_division() {
-        let max = u32::MAX as usize;
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x as usize
-        };
-        let mut divisors = vec![1, 2, 3, 7, 868, 1 << 16, (1 << 31) + 1, max - 1, max];
-        divisors.extend((0..200).map(|_| 1 + next() % max));
-        for d in divisors {
-            let div = Divisor::new(d, max + 1);
-            let mut dividends = vec![0, 1, d - 1, d, d + 1, max - 1, max];
-            dividends.extend((0..200).map(|_| next() % (max + 1)));
-            for n in dividends {
-                assert_eq!(div.div_rem(n), (n / d, n % d), "{n} / {d}");
-            }
-        }
-        // Past 32 bits it falls back to hardware division.
-        let wide = Divisor::new(3, usize::MAX);
-        assert_eq!(wide.m, 0);
-        assert_eq!(wide.div_rem(usize::MAX), (usize::MAX / 3, usize::MAX % 3));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! |---|---|---|
 //! | `GET /v1/vertex/{p}` | O(k) | degree + butterfly count at `p` (Thm 3/4) |
 //! | `GET /v1/edge/{p}/{q}` | O(k log d) | existence + per-edge squares (Thm 5) |
-//! | `GET /v1/neighbors/{p}` | O(Σ log d_i + limit) | paged adjacency |
+//! | `GET /v1/neighbors/{p}` | O(Σ log d_i + k·limit) | paged adjacency |
 //! | `GET /v1/clustering/{p}/{q}` | O(k log d) | exact `Γ_C` + Thm 6 scaling-law bound |
 //! | `GET /v1/community?a=…&b=…` | O(Σ\|S_i\| + Σ deg) | exact `m_in`/`m_out` (Thm 7) + Cor 1–2 density bounds (pair servers; `?s0=…&s1=…` per level on expression servers) |
 //! | `GET /v1/scatter/degree-squares` | O(limit) | Fig-5-style `(vertex, degree, squares)` rows, JSON or CSV |

@@ -8,13 +8,16 @@
 //! renders the expected `/v1/vertex`, `/v1/edge` and `/v1/clustering`
 //! bodies from the two-factor closed forms in `bikron_core::truth`
 //! (`vertex_squares_at`, `edge_squares_at`, `product_gamma`,
-//! `scaling_law_at`), which share no per-query code with the chain, and
-//! compares them byte for byte with the server's on the 753,424-vertex
-//! product `(A+I)⊗A`.
+//! `scaling_law_at`), and the `/v1/neighbors` pages from
+//! `KroneckerProduct::neighbors_page`, none of which share per-query
+//! code with the chain, and compares them byte for byte with the
+//! server's on the 753,424-vertex product `(A+I)⊗A`.
 //!
-//! Keys: a uniform sample of vertices, each with one known edge and one
-//! random pair, plus the 50 highest-degree vertices with a spread of
-//! their known edges, where the products in every term are largest.
+//! Keys: a uniform sample of vertices, each with one known edge, one
+//! random pair and one neighbors page at a random offset, plus the 50
+//! highest-degree vertices with a spread of their known edges and pages
+//! at offsets `0`, `d/2`, `d − 1` and `d`, where the products in every
+//! term are largest.
 
 use std::io::BufReader;
 
@@ -33,6 +36,7 @@ use rand::{Rng, SeedableRng};
 const UNIFORM_VERTICES: usize = 1_500;
 const TOP_VERTICES: usize = 50;
 const EDGES_PER_TOP_VERTEX: u64 = 40;
+const PAGE_LIMIT: usize = 64;
 
 /// The pair evaluators over the Table-I product.
 struct Reference<'a> {
@@ -98,6 +102,31 @@ impl Reference<'_> {
         w.close_object();
         w.finish()
     }
+
+    fn neighbors(&self, p: usize, offset: u64, limit: usize) -> String {
+        let degree = self.prod.degree(p);
+        let page = self.prod.neighbors_page(p, offset, limit);
+        let mut w = JsonWriter::new();
+        w.open_object();
+        w.u64_field("vertex", p as u64);
+        w.u64_field("degree", degree);
+        w.u64_field("offset", offset);
+        w.u64_field("count", page.len() as u64);
+        let next = offset + page.len() as u64;
+        if next < degree && !page.is_empty() {
+            w.u64_field("next_offset", next);
+        } else {
+            w.null_field("next_offset");
+        }
+        w.key("neighbors");
+        w.open_array();
+        for q in page {
+            w.u64_element(q as u64);
+        }
+        w.close_array();
+        w.close_object();
+        w.finish()
+    }
 }
 
 /// The served body for `path`, which must answer 200.
@@ -127,7 +156,7 @@ fn table1_answers_match_the_pair_closed_forms() {
     let top = &by_degree[..TOP_VERTICES];
     vertices.extend_from_slice(top);
 
-    let (mut pairs, mut known) = (Vec::new(), 0);
+    let (mut pairs, mut known, mut pages) = (Vec::new(), 0, Vec::new());
     for (slot, &p) in vertices.iter().enumerate() {
         let degree = truth.prod.degree(p);
         let ranks: Vec<u64> = match (slot < UNIFORM_VERTICES, degree) {
@@ -137,6 +166,12 @@ fn table1_answers_match_the_pair_closed_forms() {
                 .map(|r| r * d / EDGES_PER_TOP_VERTEX)
                 .collect(),
         };
+        if slot < UNIFORM_VERTICES {
+            pages.push((p, rng.gen_range(0..=degree)));
+        } else {
+            let d = degree;
+            pages.extend([0, d / 2, d.saturating_sub(1), d].map(|offset| (p, offset)));
+        }
         known += ranks.len();
         for rank in ranks {
             pairs.push((p, truth.prod.neighbors_page(p, rank, 1)[0]));
@@ -157,6 +192,16 @@ fn table1_answers_match_the_pair_closed_forms() {
             served(&state, &format!("/v1/vertex/{p}")),
             truth.vertex(p),
             "vertex {p}"
+        );
+    }
+    for &(p, offset) in &pages {
+        assert_eq!(
+            served(
+                &state,
+                &format!("/v1/neighbors/{p}?offset={offset}&limit={PAGE_LIMIT}")
+            ),
+            truth.neighbors(p, offset, PAGE_LIMIT),
+            "neighbors of {p} from {offset}"
         );
     }
     for &(p, q) in &pairs {
