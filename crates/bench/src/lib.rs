@@ -13,8 +13,10 @@
 //! See DESIGN.md §5 for the experiment-to-target mapping and
 //! EXPERIMENTS.md for paper-vs-measured results.
 //!
-//! The one library module, [`serve_load`], backs the `loadgen` binary:
-//! the run summary (with its CI-gating exit-code policy), the Zipf key
-//! sampler, and the JSON helpers the response verifier uses.
+//! Two library modules back the `loadgen` binary: [`check`], the load
+//! checker that compares served answers with a reference (so a tier-1
+//! test can drive it against in-process servers), and [`serve_load`], the
+//! Zipf key sampler and flat-JSON readers it shares with `perfbench`.
 
+pub mod check;
 pub mod serve_load;

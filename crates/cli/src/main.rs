@@ -8,7 +8,7 @@
 //! bikron parts    A_SPEC B_SPEC MODE
 //! bikron serve    A_SPEC B_SPEC MODE [--addr HOST:PORT] [--threads N] [--queue N] [--admin-token TOK]
 //! bikron serve    --expr "EXPR" NAME=SPEC... [same flags]
-//! bikron router   --shards URL,URL,... [--addr HOST:PORT] [--replicate-stats]
+//! bikron router   --shards URL,URL,... [--addr HOST:PORT]
 //! bikron promcheck FILE
 //! bikron monitor  URL [--interval SEC] [--once] [--top K]
 //! bikron trace    URL [--min-ms N] [--top K] [--token TOKEN]
@@ -46,8 +46,7 @@ USAGE:
   bikron replay   ACCESS_LOG URL [--speed X] [--max-rps N] [--count K]
                   [--seed N] [--label NAME] [--out FILE] [--dry-run]
   bikron router   --shards URL[,URL...] [--addr HOST:PORT] [--threads N]
-                  [--queue N] [--replicate-stats]
-                  [--upstream-timeout-ms MS] [--admin-token TOKEN]
+                  [--queue N] [--upstream-timeout-ms MS] [--admin-token TOKEN]
   bikron promcheck FILE
   bikron monitor  URL [--interval SEC] [--once] [--top K]
   bikron trace    URL [--min-ms N] [--top K] [--token TOKEN]
@@ -133,10 +132,10 @@ ROUTER:
   dead replica costs capacity, never a key range. /metrics aggregates
   every replica's report (shard{i}.* keys in JSON, shard=\"i\" labels in
   ?format=prometheus); /v1/health reports the worst replica verdict
-  with a per-replica detail array. --replicate-stats serves /v1/stats
-  from a copy fetched at startup instead of relaying. At startup every
-  replica must serve a byte-identical /v1/stats (catching mismatched
-  programs). The replica's own --batch-max caps each batch.
+  with a per-replica detail array. At startup every replica must serve
+  a byte-identical /v1/stats apart from its \"snapshot\" member
+  (catching mismatched programs; warm and cold replicas mix). The
+  replica's own --batch-max caps each batch.
 
 SNAPSHOTS (bikron-snap/1):
   --snapshot-out FILE writes a versioned binary snapshot (factor CSRs,
@@ -379,11 +378,6 @@ fn parse_router_config(
             "--upstream-timeout-ms" => {
                 options.upstream_timeout =
                     std::time::Duration::from_millis(parse_num(i, "--upstream-timeout-ms")? as u64)
-            }
-            "--replicate-stats" => {
-                options.replicate_stats = true;
-                i += 1;
-                continue;
             }
             other => return Err(format!("router: unknown argument {other:?}").into()),
         }

@@ -27,6 +27,7 @@
 use std::io::Write;
 use std::time::{Duration, Instant};
 
+use bikron_obs::flat_str_field;
 use bikron_serve::client::{json_u64_field_last, Client};
 
 use crate::monitor::{http_get, parse_host_port, FETCH_TIMEOUT};
@@ -161,9 +162,9 @@ pub fn parse_access_log(text: &str) -> (Vec<AccessLine>, u64) {
         if raw.is_empty() {
             continue;
         }
-        let is_access = json_str_field(raw, "target") == Some("access");
-        let method = json_str_field(raw, "method");
-        let path = json_str_field(raw, "path");
+        let is_access = flat_str_field(raw, "target") == Some("access");
+        let method = flat_str_field(raw, "method");
+        let path = flat_str_field(raw, "path");
         let ts_ms = json_u64_field_last(raw, "ts_ms");
         match (is_access, method, path, ts_ms) {
             (true, Some("GET"), Some(p), Some(ts))
@@ -178,15 +179,6 @@ pub fn parse_access_log(text: &str) -> (Vec<AccessLine>, u64) {
         }
     }
     (lines, skipped)
-}
-
-/// Extract a string field from one flat JSON log line
-/// (`"key": "value"` with the exact spacing `LogEvent` emits).
-fn json_str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\": \"");
-    let start = line.find(&needle)? + needle.len();
-    let end = line[start..].find('"')? + start;
-    Some(&line[start..end])
 }
 
 /// xorshift64* — deterministic `{n}` sampling, seeded per run.
@@ -256,8 +248,8 @@ impl ReplaySummary {
         percentile(&self.latencies_ns, 0.99)
     }
 
-    /// `replay.{key}` or `replay.{label}.{key}` — same labelling scheme
-    /// as loadgen reports, so perfdiff can watch either.
+    /// `replay.{key}` or `replay.{label}.{key}`, so the reports of
+    /// several labelled runs can share one file and be perfdiffed.
     pub fn metric_name(&self, label: &str, key: &str) -> String {
         if label.is_empty() {
             format!("replay.{key}")

@@ -67,7 +67,7 @@ pub use histogram::{Histogram, HistogramSnapshot, NUM_BUCKETS};
 pub use json::JsonWriter;
 pub use log::{EventLogger, LogEvent, LogValue};
 pub use metrics::{Counter, Gauge, GaugeGuard, TimerStats};
-pub use parse::{parse_json, JsonValue, ParseError};
+pub use parse::{flat_str_field, parse_json, JsonValue, ParseError};
 pub use profile::ProfileSnapshot;
 pub use registry::{PhaseGuard, Registry};
 pub use report::{Report, TimerSnapshot};

@@ -109,6 +109,19 @@ impl JsonValue {
     }
 }
 
+/// First `"key": "value"` string member of a flat JSON text, such as a
+/// response body or one access-log line written by [`crate::JsonWriter`]
+/// or [`crate::LogEvent`] with their `": "` spacing. The value ends at the
+/// next quote, so it must not contain an escaped quote; none of bikron's
+/// flat string fields do. Reads without building a [`JsonValue`], for the
+/// probes that run once per request or per log line.
+pub fn flat_str_field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
+    let needle = format!("\"{key}\": \"");
+    let start = text.find(&needle)? + needle.len();
+    let end = text[start..].find('"')? + start;
+    Some(&text[start..end])
+}
+
 /// Parse one JSON document (rejecting trailing data) with the shared
 /// minimal reader. See [`JsonValue`] for the supported value kinds.
 pub fn parse_json(input: &str) -> Result<JsonValue, ParseError> {
@@ -515,6 +528,20 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn flat_string_field() {
+        let health = "{\n  \"status\": \"ok\",\n  \"role\": \"router\",\n  \"replicas\": 3\n}\n";
+        assert_eq!(flat_str_field(health, "status"), Some("ok"));
+        assert_eq!(flat_str_field(health, "role"), Some("router"));
+        assert_eq!(flat_str_field(health, "replicas"), None); // numeric, not a string
+        assert_eq!(flat_str_field(health, "missing"), None);
+        assert_eq!(flat_str_field("", "role"), None);
+        let access = "{\"ts_ms\": 5, \"target\": \"access\", \"method\": \"GET\", \"path\": \"/v1/vertex/{n}\"}";
+        assert_eq!(flat_str_field(access, "target"), Some("access"));
+        assert_eq!(flat_str_field(access, "path"), Some("/v1/vertex/{n}"));
+        assert_eq!(flat_str_field("{\"path\": \"/v1/cut", "path"), None); // unterminated
+    }
 
     #[test]
     fn rejects_garbage() {

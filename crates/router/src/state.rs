@@ -14,10 +14,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bikron_obs::window::{WindowRegistry, WindowedCounter, WindowedHistogram};
-use bikron_obs::{Counter, Gauge, Histogram, JsonWriter, Registry, Report, TraceContext};
+use bikron_obs::{
+    flat_str_field, Counter, Gauge, Histogram, JsonWriter, Registry, Report, TraceContext,
+};
 use bikron_serve::client::{self, ClientError};
 use bikron_serve::http::{Request, Response};
-use bikron_serve::Handler;
+use bikron_serve::{without_snapshot_field, Handler};
 
 use crate::aggregate::shard_labelled_exposition;
 use crate::upstream::Upstream;
@@ -34,10 +36,6 @@ const CONNECT_RETRY_PAUSE: Duration = Duration::from_millis(250);
 /// [`ServerConfig`](bikron_serve::ServerConfig).
 #[derive(Clone, Debug)]
 pub struct RouterOptions {
-    /// Serve `/v1/stats` from the copy fetched at startup instead of
-    /// relaying each request to a replica. The stats body is immutable
-    /// per served program, so the copy can never go stale.
-    pub replicate_stats: bool,
     /// Upstream TCP connect timeout.
     pub connect_timeout: Duration,
     /// Upstream read/write timeout: bounds how long one slow replica can
@@ -52,7 +50,6 @@ pub struct RouterOptions {
 impl Default for RouterOptions {
     fn default() -> Self {
         RouterOptions {
-            replicate_stats: false,
             connect_timeout: Duration::from_secs(1),
             upstream_timeout: Duration::from_secs(10),
             admin_token: None,
@@ -179,8 +176,6 @@ impl RouterMetrics {
 /// shared via `Arc` across the pool.
 pub struct RouterState {
     replicas: Vec<Upstream>,
-    stats_json: String,
-    replicate_stats: bool,
     upstream_timeout: Duration,
     admin_token: Option<String>,
     metrics: RouterMetrics,
@@ -194,10 +189,12 @@ impl RouterState {
     /// Connect to the replicas at `urls` and handshake them.
     ///
     /// Every replica's `/v1/stats` body must be byte-identical to
-    /// replica 0's. The body is the program's identity, so this catches
-    /// replicas serving different programs before the first client
-    /// request. Replicas still starting up are retried for a few
-    /// seconds.
+    /// replica 0's once the `"snapshot": "warm"|"cold"` member is
+    /// removed ([`without_snapshot_field`]). The rest of the body is the
+    /// program's identity, so this catches replicas serving different
+    /// programs before the first client request, while a replica booted
+    /// from a snapshot joins cold ones. Replicas still starting up are
+    /// retried for a few seconds.
     pub fn connect(urls: &[String], options: RouterOptions) -> Result<RouterState, String> {
         if urls.is_empty() {
             return Err("need at least one replica URL".into());
@@ -229,8 +226,11 @@ impl RouterState {
                 Err(e) => return Err(e),
             }
         };
-        let stats_json = stats[0].body.clone();
-        if let Some(index) = stats.iter().position(|s| s.body != stats_json) {
+        let program = without_snapshot_field(&stats[0].body);
+        if let Some(index) = stats
+            .iter()
+            .position(|s| without_snapshot_field(&s.body) != program)
+        {
             return Err(format!(
                 "replica {index} ({}) serves a different program than replica 0 \
                  (its /v1/stats body differs)",
@@ -240,8 +240,6 @@ impl RouterState {
         Ok(RouterState {
             metrics: RouterMetrics::new(replicas.len()),
             replicas,
-            stats_json,
-            replicate_stats: options.replicate_stats,
             upstream_timeout: options.upstream_timeout,
             admin_token: options.admin_token,
             shutdown: AtomicBool::new(false),
@@ -284,7 +282,6 @@ impl RouterState {
         match segs.as_slice() {
             ["metrics"] => self.metrics_response(req, traceparent),
             ["v1", "health"] => self.health_response(traceparent),
-            ["v1", "stats"] if self.replicate_stats => Response::json(200, self.stats_json.clone()),
             // Every replica answers every query from the same factors.
             ["v1", "stats" | "community"]
             | ["v1", "scatter", "degree-squares"]
@@ -463,9 +460,7 @@ impl RouterState {
         let verdicts: Vec<ReplicaHealth> = gather(&self.replicas, "/v1/health", traceparent)
             .into_iter()
             .map(|(result, _)| match result {
-                Ok(up) if json_string_field(&up.body, "status").as_deref() == Some("ok") => {
-                    ReplicaHealth::Ok
-                }
+                Ok(up) if flat_str_field(&up.body, "status") == Some("ok") => ReplicaHealth::Ok,
                 Ok(_) => ReplicaHealth::Degraded,
                 Err(_) => ReplicaHealth::Down,
             })
@@ -609,16 +604,6 @@ fn static_content_type(ct: &str) -> &'static str {
     }
 }
 
-/// First `"key": "value"` string field in a flat JSON body. Good enough
-/// for the handshake and health probes: both bodies are emitted by our
-/// own `JsonWriter` with this exact spacing.
-pub(crate) fn json_string_field(body: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\": \"");
-    let start = body.find(&needle)? + needle.len();
-    let end = body[start..].find('"')?;
-    Some(body[start..start + end].to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -636,14 +621,6 @@ mod tests {
         assert!(parse_replica_url("http://h:1/path").is_err());
         assert!(parse_replica_url("h:notaport").is_err());
         assert!(parse_replica_url("").is_err());
-    }
-
-    #[test]
-    fn json_field_extraction() {
-        let body = "{\n  \"status\": \"ok\",\n  \"role\": \"router\",\n  \"replicas\": 3\n}\n";
-        assert_eq!(json_string_field(body, "status").as_deref(), Some("ok"));
-        assert_eq!(json_string_field(body, "role").as_deref(), Some("router"));
-        assert_eq!(json_string_field(body, "missing"), None);
     }
 
     #[test]

@@ -80,8 +80,8 @@ pub use cache::{CacheKey, ShardedCache};
 pub use pool::{Handler, Server, ServerConfig};
 pub use snapshot::{Snapshot, SnapshotError};
 pub use state::{
-    profile_response, ServeOptions, ServeState, WarmInfo, DEFAULT_BATCH_MAX, DEFAULT_LIMIT,
-    MAX_LIMIT, MAX_PROFILE_SECONDS,
+    profile_response, without_snapshot_field, ServeOptions, ServeState, WarmInfo,
+    DEFAULT_BATCH_MAX, DEFAULT_LIMIT, MAX_LIMIT, MAX_PROFILE_SECONDS,
 };
 
 /// Total capacity of a default-sized [`ShardedCache`], in entries.

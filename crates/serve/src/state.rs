@@ -312,10 +312,12 @@ fn with_snapshot_field(stats_json: &str, warm: bool) -> String {
     }
 }
 
-/// Strip the injected `"snapshot"` member again — snapshots persist the
-/// *bare* body so a file captured warm and one captured cold are
-/// byte-identical.
-fn without_snapshot_field(stats_json: &str) -> String {
+/// Strip the `"snapshot": "warm"|"cold"` member that every served
+/// `/v1/stats` body carries, leaving the body that identifies the
+/// program. Snapshots persist this bare body, so a file captured warm
+/// and one captured cold are byte-identical, and the router compares
+/// replicas by it, so a warm replica joins cold ones.
+pub fn without_snapshot_field(stats_json: &str) -> String {
     const NEEDLE: &str = ",\n  \"snapshot\": \"";
     match stats_json.rfind(NEEDLE) {
         Some(start) => {

@@ -140,6 +140,26 @@ impl Client {
     }
 }
 
+/// Serve `state` on an ephemeral loopback port; returns its URL and the
+/// server thread, which ends after `state.request_shutdown()`.
+fn start_replica(state: Arc<ServeState>) -> (String, std::thread::JoinHandle<()>) {
+    let server = Server::bind(
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            threads: 2,
+            // Short idle timeout so a dead replica's workers notice
+            // shutdown quickly even with pooled router connections
+            // parked on them.
+            read_timeout: Duration::from_millis(500),
+            ..ServerConfig::default()
+        },
+        state,
+    )
+    .unwrap();
+    let url = format!("http://{}", server.local_addr().unwrap());
+    (url, std::thread::spawn(move || server.run().unwrap()))
+}
+
 /// One running cluster: `count` serve replicas plus the router, each
 /// on its own thread, all bound to ephemeral loopback ports.
 struct Cluster {
@@ -156,22 +176,10 @@ impl Cluster {
         let mut urls = Vec::new();
         for _ in 0..count {
             let state = Arc::new(single_node());
-            let server = Server::bind(
-                ServerConfig {
-                    addr: "127.0.0.1:0".to_string(),
-                    threads: 2,
-                    // Short idle timeout so a dead replica's workers
-                    // notice shutdown quickly even with pooled router
-                    // connections parked on them.
-                    read_timeout: Duration::from_millis(500),
-                    ..ServerConfig::default()
-                },
-                Arc::clone(&state),
-            )
-            .unwrap();
-            urls.push(format!("http://{}", server.local_addr().unwrap()));
+            let (url, thread) = start_replica(Arc::clone(&state));
+            urls.push(url);
             replica_states.push(state);
-            threads.push(std::thread::spawn(move || server.run().unwrap()));
+            threads.push(thread);
         }
         let router_state = Arc::new(
             RouterState::connect(
@@ -379,4 +387,53 @@ fn killing_one_replica_fails_no_request() {
     );
 
     cluster.shutdown();
+}
+
+/// A replica booted from a snapshot reports `"snapshot": "warm"` in
+/// `/v1/stats` and a cold one `"cold"`; the handshake compares the bodies
+/// without that member, so the two form one cluster, while a replica of
+/// another program is still refused.
+#[test]
+fn a_warm_and_a_cold_replica_of_one_program_form_a_cluster() {
+    let cold = Arc::new(single_node());
+    let (warm, _) = ServeState::build_from_snapshot(cold.to_snapshot(), ServeOptions::default())
+        .expect("warm boot");
+    let warm = Arc::new(warm);
+    assert!(single_get(&warm, "/v1/stats")
+        .1
+        .contains("\"snapshot\": \"warm\""));
+    let other = Arc::new(
+        ServeState::build_with(
+            cycle(5),
+            complete_bipartite(2, 3),
+            SelfLoopMode::FactorA,
+            ServeOptions::default(),
+        )
+        .unwrap(),
+    );
+    let replicas = [&cold, &warm, &other];
+    let (urls, threads): (Vec<String>, Vec<_>) = replicas
+        .iter()
+        .map(|state| start_replica(Arc::clone(state)))
+        .unzip();
+
+    let router = RouterState::connect(&urls[..2], RouterOptions::default());
+    assert_eq!(router.map(|r| r.num_replicas()), Ok(2));
+    let refused = RouterState::connect(
+        &[urls[0].clone(), urls[2].clone()],
+        RouterOptions::default(),
+    );
+    let other_addr = urls[2].trim_start_matches("http://");
+    assert_eq!(
+        refused.err(),
+        Some(format!(
+            "replica 1 ({other_addr}) serves a different program than replica 0 \
+             (its /v1/stats body differs)"
+        ))
+    );
+
+    for (state, thread) in replicas.iter().zip(threads) {
+        state.request_shutdown();
+        thread.join().unwrap();
+    }
 }
