@@ -1,24 +1,9 @@
 //! Zipf key sampling and the flat-JSON readers shared by the load
 //! checker ([`crate::check`]) and the `perfbench` benchmark.
 
-/// Extract `"key": N` from a flat JSON body (the service emits only
-/// unnested numerics for the fields checked by the verifier).
-pub fn field_u64(body: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\": ");
-    let rest = &body[body.find(&needle)? + needle.len()..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Like [`field_u64`] but takes the *last* occurrence — for `/v1/stats`,
-/// where `vertices`/`edges` also appear inside the nested factor objects
-/// and the product-level fields come after them.
-pub fn field_u64_last(body: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\": ");
-    let rest = &body[body.rfind(&needle)? + needle.len()..];
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
+/// The flat-JSON integer readers, under the names the load checker and
+/// `perfbench` use.
+pub use bikron_obs::{flat_u64_field as field_u64, flat_u64_field_last as field_u64_last};
 
 /// Split a top-level JSON array of objects into the objects' raw text,
 /// by brace-depth scan (string-aware, so a `{` inside an error detail
@@ -112,14 +97,6 @@ mod tests {
         assert_eq!(split_json_array("{}"), None);
         assert_eq!(split_json_array("[]").unwrap(), Vec::<String>::new());
         assert_eq!(split_json_array("[{\"unbalanced\": 1]"), None);
-    }
-
-    #[test]
-    fn field_extractors() {
-        let body = "{\n  \"vertices\": 5,\n  \"inner\": {\n    \"vertices\": 2\n  },\n  \"vertices\": 9\n}\n";
-        assert_eq!(field_u64(body, "vertices"), Some(5));
-        assert_eq!(field_u64_last(body, "vertices"), Some(9));
-        assert_eq!(field_u64(body, "absent"), None);
     }
 
     #[test]

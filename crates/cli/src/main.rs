@@ -44,7 +44,7 @@ USAGE:
                   [--snapshot-lenient] [--shard I/N]
   bikron serve    --expr \"EXPR\" NAME=SPEC... [same flags as serve]
   bikron replay   ACCESS_LOG URL [--speed X] [--max-rps N] [--count K]
-                  [--seed N] [--label NAME] [--out FILE] [--dry-run]
+                  [--seed N] [--dry-run]
   bikron router   --shards URL[,URL...] [--addr HOST:PORT] [--threads N]
                   [--queue N] [--upstream-timeout-ms MS] [--admin-token TOKEN]
   bikron promcheck FILE
@@ -150,16 +150,15 @@ SNAPSHOTS (bikron-snap/1):
 
 REPLAY:
   Re-issues a recorded access log (the JSON-lines file --access-log
-  writes) against a live server — for capacity planning or realistic
-  benchmarking. Numeric path segments
+  writes) against a live server, to check it still answers recorded
+  traffic. Numeric path segments
   were normalised to {n} at record time; replay re-materialises them
   with seeded, deterministic vertex samples drawn from the target's
   /v1/stats vertex count. --speed X scales recorded inter-arrival
   gaps (2 = twice as fast; 0 = no pacing); --max-rps N caps the rate;
   --count K stops after K requests; --dry-run parses and plans
-  without connecting. Reports replayed/skipped/error counts and
-  p50/p99 latency, and with --out writes a BENCH_-style metrics
-  report (replay.* keys).
+  without connecting. Reports replayed/skipped/error counts; exits 2
+  when any request failed or answered 5xx.
 
 PROMCHECK:
   Validates a Prometheus text-exposition file (e.g. a saved /metrics

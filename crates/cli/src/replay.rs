@@ -27,8 +27,8 @@
 use std::io::Write;
 use std::time::{Duration, Instant};
 
-use bikron_obs::flat_str_field;
-use bikron_serve::client::{json_u64_field_last, Client};
+use bikron_obs::{flat_str_field, flat_u64_field_last};
+use bikron_serve::client::Client;
 
 use crate::monitor::{http_get, parse_host_port, FETCH_TIMEOUT};
 
@@ -51,15 +51,11 @@ pub struct ReplayConfig {
     pub dry_run: bool,
     /// Seed for the deterministic `{n}` materialiser.
     pub seed: u64,
-    /// Label folded into `replay.{label}.*` metric names.
-    pub label: String,
-    /// Write a `BENCH_`-style metrics report here after the run.
-    pub out: Option<String>,
 }
 
 impl ReplayConfig {
     /// Parse `ACCESS_LOG URL [--speed X] [--max-rps N] [--count K]
-    /// [--seed N] [--label NAME] [--out FILE] [--dry-run]`.
+    /// [--seed N] [--dry-run]`.
     pub fn parse(args: &[String]) -> Result<ReplayConfig, String> {
         let mut positional: Vec<&String> = Vec::new();
         let mut cfg = ReplayConfig {
@@ -71,8 +67,6 @@ impl ReplayConfig {
             count: 0,
             dry_run: false,
             seed: 0x5eed,
-            label: String::new(),
-            out: None,
         };
         let mut i = 0;
         while i < args.len() {
@@ -114,8 +108,6 @@ impl ReplayConfig {
                         .parse()
                         .map_err(|e| format!("replay: bad --seed {v:?}: {e}"))?;
                 }
-                "--label" => cfg.label = need_value(i)?,
-                "--out" => cfg.out = Some(need_value(i)?),
                 other if other.starts_with("--") => {
                     return Err(format!("replay: unknown argument {other:?}"))
                 }
@@ -165,7 +157,7 @@ pub fn parse_access_log(text: &str) -> (Vec<AccessLine>, u64) {
         let is_access = flat_str_field(raw, "target") == Some("access");
         let method = flat_str_field(raw, "method");
         let path = flat_str_field(raw, "path");
-        let ts_ms = json_u64_field_last(raw, "ts_ms");
+        let ts_ms = flat_u64_field_last(raw, "ts_ms");
         match (is_access, method, path, ts_ms) {
             (true, Some("GET"), Some(p), Some(ts))
                 if !p.starts_with("/v1/shutdown") && !p.starts_with("/v1/admin") =>
@@ -215,7 +207,7 @@ fn materialize(shape: &str, n: u64, rng: &mut Rng) -> String {
     out
 }
 
-/// Outcome of a replay run, for summaries and the metrics report.
+/// Outcome of a replay run, for the summary line.
 pub struct ReplaySummary {
     /// Requests actually issued (or planned, under `--dry-run`).
     pub replayed: u64,
@@ -225,70 +217,6 @@ pub struct ReplaySummary {
     pub errors: u64,
     /// Wall-clock duration of the replay loop.
     pub elapsed: Duration,
-    /// Sorted per-request latencies (empty under `--dry-run`).
-    pub latencies_ns: Vec<u64>,
-}
-
-impl ReplaySummary {
-    /// Replayed requests per second.
-    pub fn rps(&self) -> f64 {
-        if self.elapsed.as_secs_f64() == 0.0 {
-            return 0.0;
-        }
-        self.replayed as f64 / self.elapsed.as_secs_f64()
-    }
-
-    /// Median request latency (nearest-rank) in nanoseconds.
-    pub fn p50_ns(&self) -> u64 {
-        percentile(&self.latencies_ns, 0.50)
-    }
-
-    /// 99th-percentile request latency in nanoseconds.
-    pub fn p99_ns(&self) -> u64 {
-        percentile(&self.latencies_ns, 0.99)
-    }
-
-    /// `replay.{key}` or `replay.{label}.{key}`, so the reports of
-    /// several labelled runs can share one file and be perfdiffed.
-    pub fn metric_name(&self, label: &str, key: &str) -> String {
-        if label.is_empty() {
-            format!("replay.{key}")
-        } else {
-            format!("replay.{label}.{key}")
-        }
-    }
-
-    /// Record the headline numbers into the global metrics registry.
-    pub fn emit(&self, label: &str) {
-        let obs = bikron_obs::global();
-        obs.counter(&self.metric_name(label, "replayed"))
-            .add(self.replayed);
-        obs.counter(&self.metric_name(label, "skipped"))
-            .add(self.skipped);
-        obs.counter(&self.metric_name(label, "errors"))
-            .add(self.errors);
-        obs.counter(&self.metric_name(label, "rps"))
-            .add(self.rps().round() as u64);
-        obs.counter(&self.metric_name(label, "p50_ns"))
-            .add(self.p50_ns());
-        obs.counter(&self.metric_name(label, "p99_ns"))
-            .add(self.p99_ns());
-        obs.counter(&self.metric_name(label, "elapsed_ms"))
-            .add(self.elapsed.as_millis() as u64);
-        let hist = obs.histogram(&self.metric_name(label, "request_ns"));
-        for &ns in &self.latencies_ns {
-            hist.record(ns);
-        }
-    }
-}
-
-/// Nearest-rank percentile over a sorted slice.
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted.len() as f64 * p).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 /// Run the replay. Returns `Ok(true)` when every replayed request got a
@@ -302,19 +230,13 @@ pub fn run(cfg: &ReplayConfig, out: &mut dyn Write) -> Result<bool, Box<dyn std:
     }
 
     if cfg.dry_run {
-        let summary = ReplaySummary {
-            replayed: lines.len() as u64,
-            skipped,
-            errors: 0,
-            elapsed: Duration::ZERO,
-            latencies_ns: Vec::new(),
-        };
         writeln!(
             out,
             "replay (dry-run): {} replayable request(s), {} skipped line(s) in {}",
-            summary.replayed, summary.skipped, cfg.log_path
+            lines.len(),
+            skipped,
+            cfg.log_path
         )?;
-        finish(cfg, &summary)?;
         return Ok(true);
     }
 
@@ -324,12 +246,12 @@ pub fn run(cfg: &ReplayConfig, out: &mut dyn Write) -> Result<bool, Box<dyn std:
     if status != 200 {
         return Err(format!("replay: GET /v1/stats returned {status}").into());
     }
-    let n = json_u64_field_last(&stats, "vertices")
+    let n = flat_u64_field_last(&stats, "vertices")
         .ok_or("replay: /v1/stats did not report a vertex count")?;
 
     let mut rng = Rng(cfg.seed);
-    // One keep-alive connection for the whole loop: a fresh dial per
-    // request would distort the latency tail.
+    // One keep-alive connection for the whole loop, as a client of the
+    // recorded traffic would hold.
     let client = Client::new(
         format!("{}:{}", cfg.host, cfg.port),
         FETCH_TIMEOUT,
@@ -338,7 +260,6 @@ pub fn run(cfg: &ReplayConfig, out: &mut dyn Write) -> Result<bool, Box<dyn std:
     let mut conn = Some(client.dial().map_err(|e| format!("replay: connect: {e}"))?);
     let mut replayed = 0u64;
     let mut errors = 0u64;
-    let mut latencies = Vec::with_capacity(lines.len());
     let base_ts = lines.first().map(|l| l.ts_ms).unwrap_or(0);
     let started = Instant::now();
     for line in &lines {
@@ -360,10 +281,8 @@ pub fn run(cfg: &ReplayConfig, out: &mut dyn Write) -> Result<bool, Box<dyn std:
             }
         }
         let path = materialize(&line.path_shape, n, &mut rng);
-        let t0 = Instant::now();
         match client.request(conn.take(), "GET", &path, None, None) {
             Ok((resp, reuse)) => {
-                latencies.push(t0.elapsed().as_nanos() as u64);
                 replayed += 1;
                 if resp.status >= 500 {
                     errors += 1;
@@ -380,59 +299,21 @@ pub fn run(cfg: &ReplayConfig, out: &mut dyn Write) -> Result<bool, Box<dyn std:
             }
         }
     }
-    latencies.sort_unstable();
     let summary = ReplaySummary {
         replayed,
         skipped,
         errors,
         elapsed: started.elapsed(),
-        latencies_ns: latencies,
     };
     writeln!(
         out,
-        "replay{}: {} replayed, {} skipped, {} error(s) in {:.2}s → {:.0} req/s \
-         (p50 {:.1}µs, p99 {:.1}µs)",
-        if cfg.label.is_empty() {
-            String::new()
-        } else {
-            format!(" [{}]", cfg.label)
-        },
+        "replay: {} replayed, {} skipped, {} error(s) in {:.2}s",
         summary.replayed,
         summary.skipped,
         summary.errors,
         summary.elapsed.as_secs_f64(),
-        summary.rps(),
-        summary.p50_ns() as f64 / 1e3,
-        summary.p99_ns() as f64 / 1e3,
     )?;
-    finish(cfg, &summary)?;
     Ok(summary.errors == 0)
-}
-
-/// Emit metrics and write the report file when `--out` was given.
-fn finish(cfg: &ReplayConfig, summary: &ReplaySummary) -> Result<(), Box<dyn std::error::Error>> {
-    let Some(path) = &cfg.out else {
-        return Ok(());
-    };
-    summary.emit(&cfg.label);
-    let mut report = bikron_obs::global().snapshot();
-    report.set_meta("tool", "bikron-replay");
-    report.set_meta("log", cfg.log_path.clone());
-    report.set_meta("addr", format!("{}:{}", cfg.host, cfg.port));
-    if cfg.speed > 0.0 {
-        report.set_meta("speed", cfg.speed.to_string());
-    }
-    if cfg.max_rps > 0 {
-        report.set_meta("max_rps", cfg.max_rps.to_string());
-    }
-    if cfg.dry_run {
-        report.set_meta("dry_run", "true");
-    }
-    if !cfg.label.is_empty() {
-        report.set_meta("label", cfg.label.clone());
-    }
-    report.write_to_file(std::path::Path::new(path))?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -541,8 +422,6 @@ mod tests {
             "--count",
             "100",
             "--dry-run",
-            "--label",
-            "warm",
         ]
         .iter()
         .map(|s| s.to_string())
@@ -554,7 +433,6 @@ mod tests {
         assert_eq!(cfg.speed, 2.5);
         assert_eq!(cfg.count, 100);
         assert!(cfg.dry_run);
-        assert_eq!(cfg.label, "warm");
 
         assert!(ReplayConfig::parse(&["onlylog".to_string()]).is_err());
         assert!(ReplayConfig::parse(&[
@@ -564,21 +442,5 @@ mod tests {
             "-1".to_string()
         ])
         .is_err());
-    }
-
-    #[test]
-    fn summary_percentiles_and_metric_names() {
-        let s = ReplaySummary {
-            replayed: 4,
-            skipped: 1,
-            errors: 0,
-            elapsed: Duration::from_millis(500),
-            latencies_ns: vec![10, 20, 30, 40],
-        };
-        assert_eq!(s.p50_ns(), 20);
-        assert_eq!(s.p99_ns(), 40);
-        assert_eq!(s.rps(), 8.0);
-        assert_eq!(s.metric_name("", "rps"), "replay.rps");
-        assert_eq!(s.metric_name("warm", "rps"), "replay.warm.rps");
     }
 }

@@ -24,6 +24,17 @@
 //! diffable (`BENCH_kron.json`), enforceable (`bikron perfdiff`), and
 //! formula drift shows up as a counter mismatch rather than silence.
 //!
+//! ## One phase stack per thread
+//!
+//! Every phase a thread opens — [`Registry::phase`], the registry-free
+//! [`phase`], or the span-only [`child_span`] — is one frame on that
+//! thread's single stack of open phases, and its [`PhaseGuard`] is the
+//! one event the consumers share: the registry timer (`outer/inner`
+//! paths, registry frames only), the Chrome ring ([`trace`], registry
+//! frames only), the profiler's published stack ([`profile`], while
+//! armed), and the span tree of the request attached to the thread
+//! ([`attach_request`], [`span`]).
+//!
 //! Everything is hand-rolled on [`std::sync::atomic`] and
 //! [`std::time::Instant`] — no `tracing`, no `serde` — so release-mode
 //! overhead is a handful of relaxed atomic adds per *kernel invocation*
@@ -50,6 +61,7 @@
 //! the process-wide [`global()`] registry serves the CLI's
 //! `--metrics-out` flag and the `perf_report` binary.
 
+mod frames;
 mod histogram;
 pub mod json;
 pub mod log;
@@ -63,15 +75,18 @@ pub mod span;
 pub mod trace;
 pub mod window;
 
+pub use frames::{attach_request, child_span, phase, AttachedRequest, PhaseGuard};
 pub use histogram::{Histogram, HistogramSnapshot, NUM_BUCKETS};
 pub use json::JsonWriter;
 pub use log::{EventLogger, LogEvent, LogValue};
 pub use metrics::{Counter, Gauge, GaugeGuard, TimerStats};
-pub use parse::{flat_str_field, parse_json, JsonValue, ParseError};
+pub use parse::{
+    flat_str_field, flat_u64_field, flat_u64_field_last, parse_json, JsonValue, ParseError,
+};
 pub use profile::ProfileSnapshot;
-pub use registry::{PhaseGuard, Registry};
+pub use registry::Registry;
 pub use report::{Report, TimerSnapshot};
-pub use span::{RequestTrace, SampleReason, SpanRecorder, SpanSink, SpanToken, TraceContext};
+pub use span::{RequestTrace, SampleReason, SpanRecorder, SpanSink, TraceContext};
 pub use trace::{SpanEvent, TraceCollector};
 pub use window::{WindowKind, WindowRegistry, WindowSnapshot, WindowStats};
 

@@ -122,6 +122,29 @@ pub fn flat_str_field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
     Some(&text[start..end])
 }
 
+/// The unsigned integer of the first `"key": N` member in `text`, read
+/// the same flat way as [`flat_str_field`]: the value runs to the next
+/// `,`, newline or `}`, and anything but an unsigned integer there (a
+/// string, a float, a negative) reads as `None`.
+pub fn flat_u64_field(text: &str, key: &str) -> Option<u64> {
+    let needle = format!("\"{key}\": ");
+    flat_u64_at(text, text.find(&needle)? + needle.len())
+}
+
+/// Like [`flat_u64_field`] but takes the *last* occurrence: a
+/// `/v1/stats` body lists each factor's (or level's) `vertices` and
+/// `edges` before the product's, so the last one is the product's.
+pub fn flat_u64_field_last(text: &str, key: &str) -> Option<u64> {
+    let needle = format!("\"{key}\": ");
+    flat_u64_at(text, text.rfind(&needle)? + needle.len())
+}
+
+fn flat_u64_at(text: &str, start: usize) -> Option<u64> {
+    let rest = &text[start..];
+    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
+    rest[..end].trim().parse().ok()
+}
+
 /// Parse one JSON document (rejecting trailing data) with the shared
 /// minimal reader. See [`JsonValue`] for the supported value kinds.
 pub fn parse_json(input: &str) -> Result<JsonValue, ParseError> {
@@ -541,6 +564,21 @@ mod tests {
         assert_eq!(flat_str_field(access, "target"), Some("access"));
         assert_eq!(flat_str_field(access, "path"), Some("/v1/vertex/{n}"));
         assert_eq!(flat_str_field("{\"path\": \"/v1/cut", "path"), None); // unterminated
+    }
+
+    #[test]
+    fn flat_integer_fields() {
+        let nested = "{\n  \"vertices\": 5,\n  \"inner\": {\n    \"vertices\": 2\n  },\n  \"vertices\": 9\n}\n";
+        assert_eq!(flat_u64_field(nested, "vertices"), Some(5));
+        assert_eq!(flat_u64_field_last(nested, "vertices"), Some(9));
+        assert_eq!(flat_u64_field(nested, "absent"), None);
+        let health = "{\n  \"status\": \"ok\",\n  \"vertices\": 25\n}\n";
+        assert_eq!(flat_u64_field_last(health, "vertices"), Some(25));
+        assert_eq!(flat_u64_field(health, "status"), None); // a string, not a number
+        let stats = "{\"factor_a\": {\"vertices\": 5}, \"vertices\": 125}";
+        assert_eq!(flat_u64_field_last(stats, "vertices"), Some(125));
+        assert_eq!(flat_u64_field(stats, "vertices"), Some(5));
+        assert_eq!(flat_u64_field_last(stats, "edges"), None);
     }
 
     #[test]

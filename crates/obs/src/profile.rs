@@ -1,13 +1,16 @@
 //! Continuous phase-level wall-clock profiling.
 //!
 //! Every thread that opens a phase (via [`crate::Registry::phase`] or the
-//! lightweight [`phase`] guard here) **publishes** its live phase stack
+//! registry-free [`crate::phase`]) **publishes** its live phase stack
 //! into a lock-free slot registry: one `AtomicU64` per thread holding the
 //! interned id of the full collapsed stack (`accept;evaluate;cache`).
-//! Publication is one hash lookup plus one atomic store per phase
-//! transition in the steady state (the (parent, leaf) → id mapping is
-//! cached thread-locally after first use), and a single relaxed load when
-//! profiling is off — cheap enough to leave compiled into every hot path.
+//! The open frames themselves live on the thread's one phase stack
+//! (`frames.rs`); each published frame carries its interned id there, so
+//! the profiler keeps no stack of its own, only the thread's slot and its
+//! `(parent, leaf) → id` cache. Publication is one hash lookup plus one
+//! atomic store per phase transition in the steady state, and a single
+//! relaxed load when profiling is off — cheap enough to leave compiled
+//! into every hot path.
 //!
 //! A dedicated **sampler** thread ([`start_sampler`]) walks the slot
 //! array at a configurable rate (default [`DEFAULT_HZ`] = 99 Hz, chosen
@@ -39,7 +42,6 @@
 //! compatible), and split into per-frame self vs cumulative time
 //! ([`frame_totals`]) for top-table rendering and `perfdiff --profile`.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -74,8 +76,9 @@ const SLOT_IDLE: u64 = 1;
 /// Slot encoding: `node_id + NODE_BASE` = thread is inside that stack.
 const NODE_BASE: u64 = 2;
 
-/// Interner root sentinel (`parent` of depth-1 stacks).
-const ROOT: u32 = u32::MAX;
+/// Interner root sentinel (`parent` of depth-1 stacks); as a frame's
+/// node, "nothing published".
+pub(crate) const ROOT: u32 = u32::MAX;
 
 /// Append-only interner of stack nodes. A node is `(parent, leaf)`;
 /// the collapsed string is recovered by walking the parent chain.
@@ -117,17 +120,16 @@ impl Interner {
     }
 }
 
-/// Per-thread publication state: the claimed slot, the open-phase id
-/// stack, and the `(parent, leaf) → id` cache that keeps steady-state
-/// publication allocation-free (outer map keyed by parent id so the
-/// inner lookup borrows the `&str` leaf directly).
-struct ThreadState {
+/// A thread's publication state: its claimed slot and the
+/// `(parent, leaf) → id` cache that keeps steady-state publication
+/// allocation-free (outer map keyed by parent id so the inner lookup
+/// borrows the `&str` leaf directly). Owned by the thread's phase stack.
+pub(crate) struct ThreadSlot {
     slot: usize,
-    stack: Vec<u32>,
     cache: HashMap<u32, HashMap<String, u32>>,
 }
 
-impl Drop for ThreadState {
+impl Drop for ThreadSlot {
     fn drop(&mut self) {
         // Thread exit: return the slot to the free list so scoped
         // helper threads never exhaust the registry.
@@ -135,10 +137,6 @@ impl Drop for ThreadState {
         p.slots[self.slot].store(SLOT_FREE, Ordering::Release);
         p.free.lock().expect("profiler free list").push(self.slot);
     }
-}
-
-thread_local! {
-    static THREAD: RefCell<Option<ThreadState>> = const { RefCell::new(None) };
 }
 
 /// The process-wide profiler: slot registry, interner, and sample table.
@@ -230,71 +228,61 @@ impl Profiler {
         })
     }
 
-    /// Push `leaf` onto the calling thread's published stack. Returns
-    /// whether a frame was actually pushed (the paired [`exit`] is only
-    /// run then). `#[inline]` so the disarmed path folds into one load.
-    #[inline]
-    pub(crate) fn enter(&self, leaf: &str) -> bool {
-        if !self.is_armed() {
-            return false;
-        }
-        self.enter_slow(leaf)
-    }
-
-    fn enter_slow(&self, leaf: &str) -> bool {
-        THREAD.with(|cell| {
-            let mut borrow = cell.borrow_mut();
-            let state = match borrow.as_mut() {
-                Some(s) => s,
-                None => {
-                    let Some(slot) = self.free.lock().expect("profiler free list").pop() else {
-                        self.slot_exhausted.fetch_add(1, Ordering::Relaxed);
-                        return false;
-                    };
-                    self.slots[slot].store(SLOT_IDLE, Ordering::Release);
-                    borrow.get_or_insert(ThreadState {
-                        slot,
-                        stack: Vec::with_capacity(8),
-                        cache: HashMap::new(),
-                    })
-                }
-            };
-            let parent = state.stack.last().copied().unwrap_or(ROOT);
-            let id = match state.cache.get(&parent).and_then(|m| m.get(leaf)) {
-                Some(&id) => id,
-                None => {
-                    let id = self
-                        .interner
-                        .lock()
-                        .expect("profiler interner")
-                        .intern(parent, leaf);
-                    state
-                        .cache
-                        .entry(parent)
-                        .or_default()
-                        .insert(leaf.to_string(), id);
-                    id
-                }
-            };
-            state.stack.push(id);
-            self.slots[state.slot].store(u64::from(id) + NODE_BASE, Ordering::Release);
-            true
-        })
-    }
-
-    /// Pop the calling thread's published stack (paired with a `true`
-    /// return from [`enter`]).
-    pub(crate) fn exit(&self) {
-        THREAD.with(|cell| {
-            if let Some(state) = cell.borrow_mut().as_mut() {
-                state.stack.pop();
-                let value = state
-                    .stack
-                    .last()
-                    .map_or(SLOT_IDLE, |&id| u64::from(id) + NODE_BASE);
-                self.slots[state.slot].store(value, Ordering::Release);
+    /// Publish `leaf` under the stack `parent` ([`ROOT`] for a
+    /// top-level frame) in the calling thread's slot, claiming one on
+    /// first use. Returns the stack's interned id, or `None` when every
+    /// slot is taken.
+    pub(crate) fn publish(
+        &self,
+        thread: &mut Option<ThreadSlot>,
+        parent: u32,
+        leaf: &str,
+    ) -> Option<u32> {
+        let state = match thread {
+            Some(s) => s,
+            None => {
+                let Some(slot) = self.free.lock().expect("profiler free list").pop() else {
+                    self.slot_exhausted.fetch_add(1, Ordering::Relaxed);
+                    return None;
+                };
+                self.slots[slot].store(SLOT_IDLE, Ordering::Release);
+                thread.insert(ThreadSlot {
+                    slot,
+                    cache: HashMap::new(),
+                })
             }
-        });
+        };
+        let id = match state.cache.get(&parent).and_then(|m| m.get(leaf)) {
+            Some(&id) => id,
+            None => {
+                let id = self
+                    .interner
+                    .lock()
+                    .expect("profiler interner")
+                    .intern(parent, leaf);
+                state
+                    .cache
+                    .entry(parent)
+                    .or_default()
+                    .insert(leaf.to_string(), id);
+                id
+            }
+        };
+        self.slots[state.slot].store(u64::from(id) + NODE_BASE, Ordering::Release);
+        Some(id)
+    }
+
+    /// Show the stack `node` in the calling thread's slot again ([`ROOT`]:
+    /// idle) — a published frame closed and its parent is innermost.
+    pub(crate) fn show(&self, thread: Option<&ThreadSlot>, node: u32) {
+        if let Some(state) = thread {
+            let value = if node == ROOT {
+                SLOT_IDLE
+            } else {
+                u64::from(node) + NODE_BASE
+            };
+            self.slots[state.slot].store(value, Ordering::Release);
+        }
     }
 
     /// One sampler sweep over the slot registry: count every published
@@ -366,38 +354,11 @@ impl Profiler {
     }
 }
 
-/// The process-wide profiler fed by [`crate::Registry::phase`] guards
-/// and [`phase`] guards.
+/// The process-wide profiler fed by [`crate::Registry::phase`] and
+/// [`crate::phase`] frames.
 pub fn profiler() -> &'static Profiler {
     static PROFILER: OnceLock<Profiler> = OnceLock::new();
     PROFILER.get_or_init(Profiler::new)
-}
-
-/// RAII frame on the calling thread's published stack. The lightweight
-/// entry point for hot paths that want profiler attribution *without* a
-/// [`crate::Registry`] timer (no name-lookup mutex, no `format!`): one
-/// relaxed load when profiling is off, one cached hash lookup plus one
-/// atomic store when on.
-#[must_use = "dropping the guard immediately closes the profile frame"]
-pub struct ProfileGuard {
-    pushed: bool,
-}
-
-/// Open a profile frame named `leaf` (collapsed under the thread's
-/// current stack). See [`ProfileGuard`].
-#[inline]
-pub fn phase(leaf: &str) -> ProfileGuard {
-    ProfileGuard {
-        pushed: profiler().enter(leaf),
-    }
-}
-
-impl Drop for ProfileGuard {
-    fn drop(&mut self) {
-        if self.pushed {
-            profiler().exit();
-        }
-    }
 }
 
 /// A point-in-time view of the sample table. Two snapshots subtract
@@ -628,7 +589,7 @@ mod tests {
         p.disarm();
         let before = p.snapshot();
         {
-            let _g = phase("pt_disarmed");
+            let _g = crate::phase("pt_disarmed");
             p.sample_once();
         }
         let after = p.snapshot();
@@ -642,8 +603,8 @@ mod tests {
         let p = profiler();
         p.arm();
         {
-            let _a = phase("pt_outer");
-            let _b = phase("pt_inner");
+            let _a = crate::phase("pt_outer");
+            let _b = crate::phase("pt_inner");
             p.sample_once();
         }
         p.disarm();
@@ -660,9 +621,9 @@ mod tests {
         std::thread::spawn(|| {
             let p = profiler();
             p.arm();
-            let a = phase("pt_restore_a");
+            let a = crate::phase("pt_restore_a");
             {
-                let _b = phase("pt_restore_b");
+                let _b = crate::phase("pt_restore_b");
                 p.sample_once();
             }
             p.sample_once();
@@ -783,7 +744,7 @@ mod tests {
         if let Some(handle) = handle {
             assert!(profiler().is_armed());
             assert_eq!(profiler().sampler_hz(), 500);
-            let _g = phase("pt_sampler_live");
+            let _g = crate::phase("pt_sampler_live");
             std::thread::sleep(Duration::from_millis(40));
             handle.stop();
             assert_eq!(profiler().sampler_hz(), 0);

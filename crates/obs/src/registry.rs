@@ -1,20 +1,13 @@
 //! The [`Registry`]: a named collection of counters, gauges, and phase
 //! timers, snapshottable into a [`Report`].
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
+use crate::frames::PhaseGuard;
 use crate::histogram::Histogram;
 use crate::metrics::{Counter, Gauge, TimerStats};
 use crate::report::Report;
-
-thread_local! {
-    /// Stack of open phase names on this thread — makes nested phases
-    /// record under hierarchical keys ("generate/stream_edges").
-    static PHASE_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
-}
 
 /// A named metric store. Lookup takes a mutex (cheap, once per kernel
 /// invocation); the returned `Arc` handles mutate lock-free, so hot loops
@@ -60,31 +53,16 @@ impl Registry {
     }
 
     /// Open a scoped phase: wall-clock from now until the guard drops is
-    /// recorded under `name`, nested under any phase already open on this
-    /// thread (`outer/inner`). Monotonic ([`Instant`]), panic-safe (the
-    /// guard records on unwind too).
-    pub fn phase(&self, name: &str) -> PhaseGuard<'_> {
-        let full = PHASE_STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            let full = match s.last() {
-                Some(outer) => format!("{outer}/{name}"),
-                None => name.to_string(),
-            };
-            s.push(full.clone());
-            full
-        });
-        // Publish the *leaf* name to the continuous profiler's per-thread
-        // slot (collapsed stacks read `outer;inner` there; one relaxed
-        // load when profiling is off). Like spans, publication targets
-        // the process-wide profiler regardless of which registry timed
-        // the phase.
-        let profiled = crate::profile::profiler().enter(name);
-        PhaseGuard {
-            registry: self,
-            name: full,
-            start: Instant::now(),
-            profiled,
-        }
+    /// recorded under `name`, nested under any registry phase already
+    /// open on this thread (`outer/inner`). Monotonic ([`std::time::Instant`]),
+    /// panic-safe (the guard records on unwind too). The phase is also a
+    /// frame on the thread's one phase stack, so the profiler, the Chrome
+    /// ring and an attached request's span tree see it as well (see
+    /// [`crate::phase`] for the registry-free kind). Like spans, the
+    /// profiler and the Chrome ring are process-wide, whichever registry
+    /// timed the phase.
+    pub fn phase(&self, name: &str) -> PhaseGuard {
+        crate::frames::registry_phase(self, name)
     }
 
     /// Time a closure as a phase: `registry.time("spgemm", || ...)`.
@@ -164,40 +142,6 @@ impl Registry {
         {
             h.reset();
         }
-    }
-}
-
-/// Records elapsed wall-clock for one phase when dropped. Created by
-/// [`Registry::phase`].
-#[must_use = "dropping the guard immediately closes the phase"]
-pub struct PhaseGuard<'a> {
-    registry: &'a Registry,
-    name: String,
-    start: Instant,
-    /// Whether this phase pushed a frame onto the profiler's published
-    /// stack (false while profiling is off — the pop must match).
-    profiled: bool,
-}
-
-impl Drop for PhaseGuard<'_> {
-    fn drop(&mut self) {
-        let ns = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.registry.timer(&self.name).record_ns(ns);
-        if self.profiled {
-            crate::profile::profiler().exit();
-        }
-        // Feed the span collector too (one relaxed load when tracing is
-        // off). Spans go to the process-wide tracer regardless of which
-        // registry timed the phase — a trace is a per-process timeline.
-        crate::trace::tracer().record_span(&self.name, self.start, ns);
-        PHASE_STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            // Pop our own entry; tolerate out-of-order drops from
-            // mem::forget-style misuse by searching from the top.
-            if let Some(pos) = s.iter().rposition(|n| *n == self.name) {
-                s.remove(pos);
-            }
-        });
     }
 }
 

@@ -10,10 +10,13 @@
 //!   from a per-thread xorshift state seeded via [`RandomState`], so no
 //!   external RNG crate is needed and generation costs a few arithmetic
 //!   ops per request.
-//! * [`SpanRecorder`] — one per *traced request*: a shareable recorder
-//!   (interior mutex, so any thread working on the request can record
-//!   into the same tree) collecting [`SpanRecord`]s with
-//!   nanosecond offsets relative to the request start. Bounded at
+//! * [`SpanRecorder`] — one per *traced request*: a plain single-owner
+//!   arena of spans with nanosecond offsets relative to the request's
+//!   first span. The serving pool attaches one to the worker thread that
+//!   handles the request ([`crate::attach_request`]); from then on every
+//!   phase that thread opens records one span into it (see `frames.rs`),
+//!   so no call site threads a recorder through. Span ids are derived
+//!   from the root span id when the trace is finished. Bounded at
 //!   [`MAX_SPANS_PER_REQUEST`]; overflow is dropped *and counted*.
 //! * [`SpanSink`] — a bounded ring of captured [`RequestTrace`]s with
 //!   **tail-based sampling**: after a request completes, its tree is
@@ -49,8 +52,9 @@ pub const MAX_SPANS_PER_REQUEST: usize = 512;
 
 /// W3C `traceparent` identity for one request: who asked (the remote
 /// trace, if a valid header was supplied) and which span of that trace
-/// this server's work is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// this server's work is. The all-zero `Default` is no valid identity;
+/// it stands in until a request's context is known.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceContext {
     /// 128-bit trace id; never zero (all-zero is invalid per W3C).
     pub trace_id: u128,
@@ -205,19 +209,6 @@ pub struct SpanRecord {
     pub end_ns: u64,
 }
 
-/// Handle to an in-flight span: pass back to [`SpanRecorder::end`].
-#[derive(Clone, Copy, Debug)]
-pub struct SpanToken {
-    index: usize,
-    /// The span's id, usable as a parent for children.
-    pub span_id: u64,
-}
-
-struct RecorderInner {
-    spans: Vec<SpanRecord>,
-    next_seq: u64,
-}
-
 /// Why a trace was retained by the sink.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SampleReason {
@@ -301,112 +292,101 @@ impl RequestTrace {
     }
 }
 
-/// Per-request span recorder. Created when a [`SpanSink`] is enabled;
-/// shareable across threads (`&self` methods, interior
-/// mutex — contention is nil because a request records a handful of
-/// spans and batch items record exactly one each).
+/// Per-request span arena, owned by one thread at a time. The serving
+/// pool attaches one (through [`crate::attach_request`]) only when its
+/// [`SpanSink`] is enabled; its identity is zero until the request is
+/// parsed.
+#[derive(Default)]
 pub struct SpanRecorder {
     ctx: TraceContext,
     remote_parent: u64,
-    started: Instant,
-    inner: Mutex<RecorderInner>,
-    overflow: AtomicU64,
+    /// The clock's zero: when the first span began. The pool's first
+    /// span is `accept`, opened as the socket read starts, so `accept`
+    /// covers read time that elapsed *before* the headers (and hence
+    /// the trace identity) were known.
+    started: Option<Instant>,
+    spans: Vec<OpenSpan>,
+    overflow: u64,
+}
+
+/// A span as recorded: parent by index, ids assigned at finish.
+struct OpenSpan {
+    name: String,
+    /// Index of the parent span; `None` for the request's root span.
+    parent: Option<usize>,
+    start_ns: u64,
+    end_ns: u64,
 }
 
 impl SpanRecorder {
-    /// New recorder for a request with identity `ctx`;
-    /// `remote_parent` is the inbound `traceparent`'s parent-id (0 when
-    /// the request started a fresh trace).
-    pub fn new(ctx: TraceContext, remote_parent: u64) -> SpanRecorder {
-        Self::with_start(ctx, remote_parent, Instant::now())
+    /// Set the request's identity; `remote_parent` is the inbound
+    /// `traceparent`'s parent-id (0 when the request started a fresh
+    /// trace). Known only once the request is parsed, so it may come
+    /// after the first spans.
+    pub(crate) fn set_context(&mut self, ctx: TraceContext, remote_parent: u64) {
+        self.ctx = ctx;
+        self.remote_parent = remote_parent;
     }
 
-    /// [`SpanRecorder::new`] with an explicit start instant. The serving
-    /// pool passes the instant it began reading the socket, so the
-    /// `accept` span can cover read time that elapsed *before* the
-    /// headers (and hence the trace identity) were known.
-    pub fn with_start(ctx: TraceContext, remote_parent: u64, started: Instant) -> SpanRecorder {
-        SpanRecorder {
-            ctx,
-            remote_parent,
-            started,
-            inner: Mutex::new(RecorderInner {
-                spans: Vec::with_capacity(8),
-                next_seq: 1,
-            }),
-            overflow: AtomicU64::new(0),
-        }
-    }
-
-    /// The request's trace context.
-    pub fn ctx(&self) -> TraceContext {
-        self.ctx
-    }
-
-    /// Nanoseconds since the recorder was created.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.started.elapsed().as_nanos() as u64
-    }
-
-    /// Begin a span. `parent = None` parents to the request's root span.
-    /// Returns `None` when the per-request cap is hit (the drop is
-    /// counted and folded into the sink's `dropped_spans` at offer).
-    pub fn begin(&self, name: &str, parent: Option<SpanToken>) -> Option<SpanToken> {
-        self.begin_at(name, parent, self.elapsed_ns())
-    }
-
-    /// [`SpanRecorder::begin`] with an explicit start offset —
-    /// retroactive spans for phases measured before later phases ran
-    /// (the pool's `accept` span starts at offset 0 by construction).
-    pub fn begin_at(
-        &self,
-        name: &str,
-        parent: Option<SpanToken>,
-        start_ns: u64,
-    ) -> Option<SpanToken> {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.spans.len() >= MAX_SPANS_PER_REQUEST {
-            self.overflow.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        // Child ids are derived from the root span id and a sequence
-        // number through a splitmix-style mix: unique within the trace,
-        // no extra RNG draw per span.
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        let span_id = mix_span_id(self.ctx.span_id, seq);
-        let parent_id = parent.map_or(self.ctx.span_id, |t| t.span_id);
-        let index = inner.spans.len();
-        inner.spans.push(SpanRecord {
-            name: name.to_string(),
-            span_id,
-            parent_id,
-            start_ns,
-            end_ns: start_ns,
-        });
-        Some(SpanToken { index, span_id })
-    }
-
-    /// End a span, stamping its end offset. `None` tokens (cap overflow)
-    /// are ignored, so callers can thread tokens through unconditionally.
-    pub fn end(&self, token: Option<SpanToken>) {
-        let end_ns = self.elapsed_ns();
-        if let Some(t) = token {
-            let mut inner = self.inner.lock().unwrap();
-            if let Some(s) = inner.spans.get_mut(t.index) {
-                s.end_ns = end_ns;
+    fn now_ns(&mut self) -> u64 {
+        match self.started {
+            Some(started) => started.elapsed().as_nanos() as u64,
+            None => {
+                self.started = Some(Instant::now());
+                0
             }
         }
     }
 
-    /// Spans rejected by the per-request cap.
-    pub fn overflowed(&self) -> u64 {
-        self.overflow.load(Ordering::Relaxed)
+    /// Begin a span named `name` under span `parent` (`None`: the
+    /// request's root span); returns its index for [`SpanRecorder::end`].
+    /// Returns `None` when the per-request cap is hit (the drop is
+    /// counted and folded into the sink's `dropped_spans` at offer).
+    pub(crate) fn begin(&mut self, name: String, parent: Option<usize>) -> Option<usize> {
+        if self.spans.len() >= MAX_SPANS_PER_REQUEST {
+            self.overflow += 1;
+            return None;
+        }
+        let start_ns = self.now_ns();
+        self.spans.push(OpenSpan {
+            name,
+            parent,
+            start_ns,
+            end_ns: start_ns,
+        });
+        Some(self.spans.len() - 1)
     }
 
-    /// Snapshot the recorded spans (test/assembly hook).
+    /// End span `index`, stamping its end offset.
+    pub(crate) fn end(&mut self, index: usize) {
+        let end_ns = self.now_ns();
+        if let Some(s) = self.spans.get_mut(index) {
+            s.end_ns = end_ns;
+        }
+    }
+
+    /// Spans rejected by the per-request cap.
+    pub(crate) fn overflowed(&self) -> u64 {
+        self.overflow
+    }
+
+    /// The recorded spans in begin order, with their ids: span `i` is
+    /// `mix_span_id(root, i + 1)`, so ids are unique within the trace
+    /// and cost no RNG draw.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.inner.lock().unwrap().spans.clone()
+        let root = self.ctx.span_id;
+        let id = |index: usize| mix_span_id(root, index as u64 + 1);
+        self.spans
+            .iter()
+            .enumerate()
+            .map(|(i, s)| SpanRecord {
+                name: s.name.clone(),
+                span_id: id(i),
+                parent_id: s.parent.map_or(root, id),
+                start_ns: s.start_ns,
+                end_ns: s.end_ns,
+            })
+            .collect()
     }
 
     /// Consume the recorder into a [`RequestTrace`] with the given
@@ -431,7 +411,7 @@ impl SpanRecorder {
             reason,
             seq: 0,
             unix_ms: 0,
-            spans: self.inner.into_inner().unwrap().spans,
+            spans: self.spans(),
         }
     }
 }
@@ -450,7 +430,7 @@ fn mix_span_id(root: u64, seq: u64) -> u64 {
 ///
 /// A sink is constructed once per server from `--trace-slow-ms` /
 /// `--trace-sample`; both zero means tracing is disabled and no
-/// recorder is ever allocated ([`SpanSink::enabled`] gates the per-
+/// recorder is ever attached ([`SpanSink::enabled`] gates the per-
 /// request cost down to the id handshake).
 pub struct SpanSink {
     slots: Box<[Mutex<Option<Arc<RequestTrace>>>]>,
@@ -485,8 +465,8 @@ impl SpanSink {
         }
     }
 
-    /// Whether any sampling policy is active (recorders are only
-    /// allocated when true).
+    /// Whether any sampling policy is active (requests are only
+    /// attached a recorder when true).
     pub fn enabled(&self) -> bool {
         self.slow_ns > 0 || self.sample_every > 0
     }
@@ -652,21 +632,32 @@ mod tests {
         assert_ne!(child.span_id, a.span_id);
     }
 
+    /// A recorder with identity `(trace, span)` and remote parent
+    /// `remote`.
+    fn recorder(trace: u128, span: u64, remote: u64) -> SpanRecorder {
+        let mut r = SpanRecorder::default();
+        r.set_context(ctx(trace, span), remote);
+        r
+    }
+
     #[test]
     fn recorder_builds_a_tree() {
-        let r = SpanRecorder::new(ctx(7, 11), 5);
-        let parse = r.begin("parse", None);
+        let mut r = recorder(7, 11, 5);
+        let parse = r.begin("parse".into(), None).unwrap();
         r.end(parse);
-        let eval = r.begin("evaluate", None);
-        let item = r.begin("batch[0] vertex", eval);
+        let eval = r.begin("evaluate".into(), None);
+        let item = r.begin("batch[0] vertex".into(), eval).unwrap();
         r.end(item);
-        r.end(eval);
+        r.end(eval.unwrap());
         let spans = r.spans();
         assert_eq!(spans.len(), 3);
         assert_eq!(spans[0].parent_id, 11, "top-level spans parent to root");
         assert_eq!(spans[2].parent_id, spans[1].span_id);
+        assert_eq!(spans[0].start_ns, 0, "the first span starts the clock");
         assert!(spans.iter().all(|s| s.end_ns >= s.start_ns));
-        // Span ids are unique within the trace.
+        // Span ids are unique within the trace, and derived from the
+        // root span id as the sequence mix.
+        assert_eq!(spans[0].span_id, mix_span_id(11, 1));
         let mut ids: Vec<u64> = spans.iter().map(|s| s.span_id).collect();
         ids.sort_unstable();
         ids.dedup();
@@ -675,56 +666,26 @@ mod tests {
 
     #[test]
     fn recorder_caps_spans_and_counts_overflow() {
-        let r = SpanRecorder::new(ctx(1, 1), 0);
+        let mut r = recorder(1, 1, 0);
         for _ in 0..MAX_SPANS_PER_REQUEST + 10 {
-            let t = r.begin("x", None);
-            r.end(t);
+            if let Some(t) = r.begin("x".into(), None) {
+                r.end(t);
+            }
         }
         assert_eq!(r.spans().len(), MAX_SPANS_PER_REQUEST);
         assert_eq!(r.overflowed(), 10);
-    }
-
-    /// Satellite: span-tree assembly under concurrent recorders — the
-    /// batch fan-out shape. N threads record one child each under a
-    /// shared parent; the tree must hold all of them, uniquely
-    /// identified, correctly parented.
-    #[test]
-    fn concurrent_recording_assembles_one_tree() {
-        let r = Arc::new(SpanRecorder::new(ctx(42, 9), 0));
-        let eval = r.begin("evaluate", None).unwrap();
-        std::thread::scope(|scope| {
-            for i in 0..16 {
-                let r = Arc::clone(&r);
-                scope.spawn(move || {
-                    let t = r.begin(&format!("batch[{i}]"), Some(eval));
-                    r.end(t);
-                });
-            }
-        });
-        r.end(Some(eval));
-        let spans = r.spans();
-        assert_eq!(spans.len(), 17);
-        let children: Vec<&SpanRecord> = spans
-            .iter()
-            .filter(|s| s.parent_id == eval.span_id)
-            .collect();
-        assert_eq!(children.len(), 16);
-        let mut ids: Vec<u64> = spans.iter().map(|s| s.span_id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), 17, "span ids unique under concurrency");
     }
 
     #[test]
     fn sink_tail_samples_slow_requests_only() {
         let sink = SpanSink::new(8, 50, 0);
         assert!(sink.enabled());
-        let fast = SpanRecorder::new(ctx(1, 1), 0);
+        let fast = recorder(1, 1, 0);
         assert_eq!(
             sink.offer(fast, "GET", "/v1/vertex/{n}", 200, 10, 1_000_000),
             None
         );
-        let slow = SpanRecorder::new(ctx(2, 2), 0);
+        let slow = recorder(2, 2, 0);
         assert_eq!(
             sink.offer(slow, "GET", "/v1/admin/stall", 200, 10, 300_000_000),
             Some(SampleReason::Slow)
@@ -744,7 +705,7 @@ mod tests {
         let sink = SpanSink::new(16, 0, 4);
         let mut kept = 0;
         for i in 0..16u128 {
-            let r = SpanRecorder::new(ctx(i + 1, 3), 0);
+            let r = recorder(i + 1, 3, 0);
             if sink.offer(r, "GET", "/v1/stats", 200, 1, 1000).is_some() {
                 kept += 1;
             }
@@ -760,7 +721,7 @@ mod tests {
     fn sink_ring_overwrites_oldest() {
         let sink = SpanSink::new(4, 1, 0);
         for i in 0..10u128 {
-            let r = SpanRecorder::new(ctx(i + 1, 1), 0);
+            let r = recorder(i + 1, 1, 0);
             sink.offer(r, "GET", "/x", 200, 1, 2_000_000);
         }
         let traces = sink.snapshot(0);
@@ -774,10 +735,11 @@ mod tests {
     #[test]
     fn sink_folds_recorder_overflow_into_dropped() {
         let sink = SpanSink::new(4, 1, 0);
-        let r = SpanRecorder::new(ctx(1, 1), 0);
+        let mut r = recorder(1, 1, 0);
         for _ in 0..MAX_SPANS_PER_REQUEST + 3 {
-            let t = r.begin("s", None);
-            r.end(t);
+            if let Some(t) = r.begin("s".into(), None) {
+                r.end(t);
+            }
         }
         sink.offer(r, "POST", "/v1/batch", 200, 1, 2_000_000);
         assert_eq!(sink.dropped_spans(), 3);
@@ -791,8 +753,8 @@ mod tests {
 
     #[test]
     fn trace_json_shape() {
-        let r = SpanRecorder::new(ctx(0xabc, 0xdef), 0x123);
-        let t = r.begin("evaluate", None);
+        let mut r = recorder(0xabc, 0xdef, 0x123);
+        let t = r.begin("evaluate".into(), None).unwrap();
         r.end(t);
         let sink = SpanSink::new(4, 1, 0);
         sink.offer(r, "GET", "/v1/vertex/{n}", 200, 64, 5_000_000);

@@ -2,11 +2,14 @@
 //!
 //! When tracing is enabled (the CLI's `--trace-out FILE` flag, or
 //! [`TraceCollector::enable`] directly), every phase opened through
-//! [`crate::Registry::phase`] additionally records a **span** — name,
-//! numeric thread id, start timestamp, duration — into a fixed-capacity
-//! ring buffer. The buffer never grows and never blocks recorders beyond
-//! one uncontended per-slot lock; once full, the oldest spans are
-//! overwritten and counted as dropped. Export produces the Chrome
+//! [`crate::Registry::phase`] additionally records a **span** — its
+//! `outer/inner` timer path, numeric thread id, start timestamp,
+//! duration — into a fixed-capacity ring buffer when its frame on the
+//! thread's phase stack closes. Registry-free frames
+//! ([`crate::phase`], [`crate::child_span`]) never reach the ring. The
+//! buffer never grows and never blocks recorders beyond one uncontended
+//! per-slot lock; once full, the oldest spans are overwritten and
+//! counted as dropped. Export produces the Chrome
 //! `trace_event` JSON format (complete events, `"ph": "X"`), which
 //! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev) open
 //! directly — the timeline view is how the 21× rank imbalance in
@@ -95,8 +98,8 @@ impl TraceCollector {
     }
 
     /// Record a closed span from its start [`Instant`] and duration in
-    /// nanoseconds. No-op while disabled. Called by
-    /// [`crate::Registry::phase`] guards on drop.
+    /// nanoseconds. No-op while disabled. Called when a
+    /// [`crate::Registry::phase`] frame closes.
     pub fn record_span(&self, name: &str, start: Instant, dur_ns: u64) {
         if !self.is_enabled() {
             return;
@@ -187,8 +190,8 @@ impl TraceCollector {
     }
 }
 
-/// Process-wide collector fed by [`crate::Registry::phase`] on the
-/// global registry. Disabled until [`TraceCollector::enable`] is called
+/// Process-wide collector fed by [`crate::Registry::phase`] frames of
+/// any registry. Disabled until [`TraceCollector::enable`] is called
 /// (the CLI does so when `--trace-out` is present).
 pub fn tracer() -> &'static TraceCollector {
     static TRACER: OnceLock<TraceCollector> = OnceLock::new();

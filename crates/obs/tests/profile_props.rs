@@ -90,10 +90,10 @@ proptest! {
                 scope.spawn(move || {
                     start.wait();
                     for _ in 0..iters {
-                        let root = bikron_obs::profile::phase(&format!("pp{tag}_{t}"));
+                        let root = bikron_obs::phase(&format!("pp{tag}_{t}"));
                         let mut guards = Vec::with_capacity(chain.len());
                         for leaf in chain {
-                            guards.push(bikron_obs::profile::phase(leaf));
+                            guards.push(bikron_obs::phase(leaf));
                             std::hint::spin_loop();
                         }
                         while guards.pop().is_some() {
@@ -190,7 +190,7 @@ fn thread_slots_recycle_across_scoped_threads() {
         std::thread::scope(|scope| {
             for _ in 0..128 {
                 scope.spawn(|| {
-                    let _f = bikron_obs::profile::phase("recycle_probe");
+                    let _f = bikron_obs::phase("recycle_probe");
                 });
             }
         });

@@ -7,15 +7,14 @@
 //! 2. **Mutation rejection** — corrupting any single character of a
 //!    valid header with a non-hex byte makes the parse fail (the parser
 //!    has no "mostly valid" acceptance).
-//! 3. **Concurrent span-tree assembly** — for any fan-out width and
-//!    per-thread span count, a shared recorder assembles exactly one
-//!    tree: all spans present (up to the documented cap), ids unique,
-//!    every recorded child parented to the span that spawned it.
-
-use std::sync::Arc;
+//! 3. **Span-tree assembly** — for any nesting of phases opened on a
+//!    thread with a request attached, the request's single-owner arena
+//!    assembles exactly one tree: every span present (up to the
+//!    documented cap), ids unique, each span parented to the innermost
+//!    frame open around it and lying within that frame's interval.
 
 use bikron_obs::span::MAX_SPANS_PER_REQUEST;
-use bikron_obs::{SpanRecorder, TraceContext};
+use bikron_obs::{PhaseGuard, TraceContext};
 use proptest::prelude::*;
 
 proptest! {
@@ -58,39 +57,52 @@ proptest! {
         prop_assert_eq!(TraceContext::parse_traceparent(&corrupted), None);
     }
 
+    /// `script` op 0 opens a registry-free phase, op 1 a span-only
+    /// child, both nested in the innermost open frame; op 2 closes the
+    /// innermost frame. Frames still open at the end close innermost
+    /// first, as a scope's guards would.
     #[test]
-    fn concurrent_recorders_assemble_a_complete_tree(
-        threads in 1usize..12,
-        per_thread in 1usize..24,
-    ) {
-        let recorder = Arc::new(SpanRecorder::new(TraceContext::generate(), 0));
-        let eval = recorder.begin("evaluate", None).unwrap();
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let recorder = Arc::clone(&recorder);
-                scope.spawn(move || {
-                    for i in 0..per_thread {
-                        let tok = recorder.begin(&format!("batch[{t}:{i}]"), Some(eval));
-                        recorder.end(tok);
-                    }
-                });
+    fn nested_frames_assemble_one_tree(script in proptest::collection::vec(0u32..3, 1..1200)) {
+        let ctx = TraceContext::generate();
+        let request = bikron_obs::attach_request();
+        request.set_context(ctx, 0);
+        // Model: per open frame, the index of its span (None past the cap).
+        let mut open: Vec<(PhaseGuard, Option<usize>)> = Vec::new();
+        let mut parents: Vec<Option<usize>> = Vec::new();
+        for op in script {
+            if op == 2 {
+                open.pop();
+                continue;
             }
-        });
-        recorder.end(Some(eval));
-        let spans = recorder.spans();
-        let expected = (1 + threads * per_thread).min(MAX_SPANS_PER_REQUEST);
-        prop_assert_eq!(spans.len(), expected);
-        // Unique ids.
+            let guard = match op {
+                0 => bikron_obs::phase("p"),
+                _ => bikron_obs::child_span(|| "c".to_string()),
+            };
+            let index = (parents.len() < MAX_SPANS_PER_REQUEST).then_some(parents.len());
+            if index.is_some() {
+                parents.push(open.iter().rev().find_map(|(_, i)| *i));
+            }
+            open.push((guard, index));
+        }
+        while open.pop().is_some() {}
+        let spans = request.finish().spans();
+        prop_assert_eq!(spans.len(), parents.len());
         let mut ids: Vec<u64> = spans.iter().map(|s| s.span_id).collect();
+        ids.push(ctx.span_id);
         ids.sort_unstable();
         ids.dedup();
-        prop_assert_eq!(ids.len(), expected);
-        // Every child is parented to the evaluate span and well-formed
-        // (end after start, start after evaluate's start).
-        for s in spans.iter().filter(|s| s.span_id != eval.span_id) {
-            prop_assert_eq!(s.parent_id, eval.span_id);
+        prop_assert_eq!(ids.len(), spans.len() + 1, "span ids unique and not the root's");
+        for (s, parent) in spans.iter().zip(&parents) {
+            prop_assert!(s.span_id != 0);
             prop_assert!(s.end_ns >= s.start_ns);
-            prop_assert!(s.start_ns >= spans[0].start_ns);
+            match parent {
+                None => prop_assert_eq!(s.parent_id, ctx.span_id),
+                Some(p) => {
+                    let p = &spans[*p];
+                    prop_assert_eq!(s.parent_id, p.span_id);
+                    prop_assert!(s.start_ns >= p.start_ns && s.end_ns <= p.end_ns);
+                }
+            }
         }
     }
 }

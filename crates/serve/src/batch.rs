@@ -37,6 +37,17 @@ pub enum BatchQuery {
     Neighbors(usize, u64, usize),
 }
 
+impl BatchQuery {
+    /// The query's verb, as written in the batch body.
+    fn verb(&self) -> &'static str {
+        match self {
+            BatchQuery::Vertex(_) => "vertex",
+            BatchQuery::Edge(..) => "edge",
+            BatchQuery::Neighbors(..) => "neighbors",
+        }
+    }
+}
+
 /// A parse failure: which 0-based line, and why.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchParseError {
@@ -140,28 +151,14 @@ pub fn parse_batch(body: &str, batch_max: usize) -> Result<Vec<BatchQuery>, Batc
 /// batch on cores whose workers are busy cost more than the items
 /// themselves (DESIGN.md §10.2).
 pub fn eval_batch(state: &ServeState, queries: &[BatchQuery]) -> Response {
-    let trace = crate::state::current_recorder();
     let mut w = JsonWriter::with_buffer(String::with_capacity(queries.len() * 128));
     w.buffer_mut().push('[');
     for (i, q) in queries.iter().enumerate() {
         w.buffer_mut().push_str(if i == 0 { "\n" } else { ",\n" });
-        // A traced request gets one child span per item; the bytes are
-        // identical either way.
-        let span = trace.as_ref().map(|(rec, evaluate)| {
-            let verb = match q {
-                BatchQuery::Vertex(_) => "vertex",
-                BatchQuery::Edge(..) => "edge",
-                BatchQuery::Neighbors(..) => "neighbors",
-            };
-            (
-                rec,
-                rec.begin(&format!("batch[{i}] {verb}"), Some(*evaluate)),
-            )
-        });
+        // A traced request gets one child span per item, under
+        // `evaluate`; the bytes are identical either way.
+        let _item = bikron_obs::child_span(|| format!("batch[{i}] {}", q.verb()));
         eval_into(state, &mut w, q);
-        if let Some((rec, tok)) = span {
-            rec.end(tok);
-        }
     }
     let mut body = w.into_buffer();
     body.push_str("\n]\n");

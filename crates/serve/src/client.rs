@@ -398,30 +398,3 @@ fn read_head_line(r: &mut impl BufRead) -> Result<Option<String>, ClientError> {
         .map(Some)
         .map_err(|_| ClientError::Malformed("non-UTF-8 head"))
 }
-
-/// Last `"key": N` integer field of a JSON body bikron wrote. A
-/// `/v1/stats` body lists each factor's (or level's) `vertices` and
-/// `edges` before the product's, so the last one is the product's.
-pub fn json_u64_field_last(body: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\": ");
-    let start = body.rfind(&needle)? + needle.len();
-    let digits: String = body[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn last_u64_field_is_the_product_field() {
-        let body = "{\n  \"status\": \"ok\",\n  \"vertices\": 25\n}\n";
-        assert_eq!(json_u64_field_last(body, "vertices"), Some(25));
-        let stats = "{\"factor_a\": {\"vertices\": 5}, \"vertices\": 125}";
-        assert_eq!(json_u64_field_last(stats, "vertices"), Some(125));
-        assert_eq!(json_u64_field_last(stats, "edges"), None);
-    }
-}

@@ -21,7 +21,7 @@ use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use bikron_obs::{Gauge, SpanRecorder, SpanSink, TraceContext};
+use bikron_obs::{Gauge, SpanSink, TraceContext};
 
 use crate::http::{parse_request, render_response, write_response, HttpError, Request, Response};
 use crate::state::{self, ServeState};
@@ -265,9 +265,10 @@ impl DeadlineReader {
 impl Read for DeadlineReader {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         // No answer waits behind a read. This runs inside the `accept`
-        // frame, so the nested `write` frame keeps write time apart.
+        // frame, so the nested `write` frame keeps write time apart (and
+        // shows as a `write` child of the next request's `accept` span).
         if !self.out.is_empty() {
-            let _write_frame = bikron_obs::profile::phase("write");
+            let _write_frame = bikron_obs::phase("write");
             self.flush()?;
         }
         let left = self
@@ -328,22 +329,26 @@ fn serve_connection(stream: TcpStream, handler: &impl Handler, read_timeout: Dur
         out: Vec::new(),
     });
     loop {
-        // The recorder's clock is based here, before the read, so the
-        // `accept` span shows real time spent pulling the request off
-        // the wire. On keep-alive connections this includes idle time
-        // between requests — acceptable for a diagnostic span, and kept
-        // out of the latency metrics below.
+        // On keep-alive connections the `accept` frame includes idle
+        // time between requests — acceptable for a diagnostic span and
+        // for the profiler (a quiet server really is parked in the
+        // socket read), and kept out of the latency metrics below.
         let io_started = Instant::now();
         // A pipelined request already in the buffer has had its first byte.
         let pipelined = !reader.buffer().is_empty();
         reader.get_mut().deadline = pipelined.then(|| io_started + REQUEST_DEADLINE);
-        // The profiler's `accept` frame covers the blocking read (and,
-        // on keep-alive connections, idle time between requests — the
-        // sampler attributes a quiet server to `accept`, which is true:
-        // the worker really is parked in the socket read).
-        let accept_frame = bikron_obs::profile::phase("accept");
+        // With tracing on, every phase this worker opens until the answer
+        // is written records a span in the request's tree; the first,
+        // `accept`, starts the tree's clock at the socket read.
+        let request = handler
+            .spans()
+            .is_some_and(SpanSink::enabled)
+            .then(bikron_obs::attach_request);
+        let accept_frame = bikron_obs::phase("accept");
         let parsed = parse_request(&mut reader);
         drop(accept_frame);
+        // `parse` is a zero-width marker: parsing happens inside the read.
+        drop(bikron_obs::child_span(|| "parse".to_string()));
         // Parse failures and timeouts are answered, then the connection
         // is closed: after a framing error the byte stream can't be
         // trusted, and a client that missed the deadline gets no more.
@@ -371,9 +376,9 @@ fn serve_connection(stream: TcpStream, handler: &impl Handler, read_timeout: Dur
         // Held through handling AND the response render or write: the
         // live gauge a dashboard polls must count requests in flight.
         let _inflight = handler.inflight().enter();
-        // Every request gets a trace identity, recorder or not: adopt
-        // the client's `traceparent` when one parses (our root span
-        // becomes a child in the caller's trace), otherwise mint ids.
+        // Every request gets a trace identity, traced or not: adopt the
+        // client's `traceparent` when one parses (our root span becomes
+        // a child in the caller's trace), otherwise mint ids.
         let (ctx, remote_parent) = match parsed
             .as_ref()
             .ok()
@@ -384,35 +389,14 @@ fn serve_connection(stream: TcpStream, handler: &impl Handler, read_timeout: Dur
             None => (TraceContext::generate(), 0),
         };
         let trace_hex = ctx.trace_id_hex();
-        let recorder = handler
-            .spans()
-            .filter(|sink| sink.enabled())
-            .map(|_| Arc::new(SpanRecorder::with_start(ctx, remote_parent, io_started)));
-        if let Some(rec) = &recorder {
-            // `accept` retroactively covers the socket read; `parse` is
-            // a zero-width marker (parsing happens inside the read).
-            let accept = rec.begin_at("accept", None, 0);
-            rec.end(accept);
-            let parse = rec.begin("parse", None);
-            rec.end(parse);
+        if let Some(request) = &request {
+            request.set_context(ctx, remote_parent);
         }
         let (resp, keep_alive, req) = match parsed {
             Ok(req) => {
-                // Install the recorder thread-locally for the duration
-                // of handling so the batch evaluator can hang per-item
-                // child spans off the evaluate span.
-                let evaluate = recorder.as_ref().and_then(|rec| {
-                    let tok = rec.begin("evaluate", None)?;
-                    state::set_current_recorder(Arc::clone(rec), tok);
-                    Some(tok)
-                });
-                let evaluate_frame = bikron_obs::profile::phase("evaluate");
+                let evaluate_frame = bikron_obs::phase("evaluate");
                 let resp = handler.respond(&req, &ctx);
                 drop(evaluate_frame);
-                state::take_current_recorder();
-                if let Some(rec) = &recorder {
-                    rec.end(evaluate);
-                }
                 let keep = !req.wants_close();
                 (resp, keep, Some(req))
             }
@@ -429,8 +413,7 @@ fn serve_connection(stream: TcpStream, handler: &impl Handler, read_timeout: Dur
         };
         let status = resp.status;
         let last = !keep_alive || handler.shutdown_requested();
-        let write = recorder.as_ref().and_then(|rec| rec.begin("write", None));
-        let write_frame = bikron_obs::profile::phase("write");
+        let write_frame = bikron_obs::phase("write");
         let out = &mut reader.get_mut().out;
         let bytes = render_response(out, &resp, keep_alive, Some(&trace_hex));
         let flush_now = last || out.len() >= MAX_PENDING_OUTPUT || reader.buffer().is_empty();
@@ -443,9 +426,6 @@ fn serve_connection(stream: TcpStream, handler: &impl Handler, read_timeout: Dur
         if let Err(e) = flushed {
             return flush_failed(handler, &e);
         }
-        if let Some(rec) = &recorder {
-            rec.end(write);
-        }
         let ns = started.elapsed().as_nanos() as u64;
         handler.record(status, bytes, ns);
         let (method, shape) = match &req {
@@ -454,12 +434,9 @@ fn serve_connection(stream: TcpStream, handler: &impl Handler, read_timeout: Dur
             None => ("-", "malformed".to_string()),
         };
         handler.log_access(method, &shape, status, ns, bytes, Some(&trace_hex));
-        if let (Some(rec), Some(sink)) = (recorder, handler.spans()) {
-            // Sole owner now that the thread-local clone is dropped;
-            // offer the finished tree for tail capture.
-            if let Ok(rec) = Arc::try_unwrap(rec) {
-                sink.offer(rec, method, &shape, status, bytes, ns);
-            }
+        if let (Some(request), Some(sink)) = (request, handler.spans()) {
+            // Offer the finished tree for tail capture.
+            sink.offer(request.finish(), method, &shape, status, bytes, ns);
         }
         if last {
             return;

@@ -22,7 +22,6 @@
 //! of `?s0=…`, and only pair servers stream `/v1/edges` (expression
 //! servers answer 501 there).
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -37,8 +36,8 @@ use bikron_graph::{bipartition, Graph};
 use bikron_obs::span::DEFAULT_TRACE_CAPACITY;
 use bikron_obs::window::{WindowedCounter, WindowedHistogram};
 use bikron_obs::{
-    Counter, EventLogger, Gauge, Histogram, JsonWriter, LogEvent, SpanRecorder, SpanSink,
-    SpanToken, TraceContext, WindowRegistry, WindowSnapshot,
+    Counter, EventLogger, Gauge, Histogram, JsonWriter, LogEvent, SpanSink, TraceContext,
+    WindowRegistry, WindowSnapshot,
 };
 
 use crate::http::{write_error, Request, Response};
@@ -101,7 +100,7 @@ pub struct ServeOptions {
     pub trace_slow_ms: u64,
     /// Additionally head-sample 1-in-N requests into the span ring
     /// (`--trace-sample`; 0 disables head sampling). Tracing is fully
-    /// off — no recorder allocated per request — when both this and
+    /// off — no span arena attached per request — when both this and
     /// `trace_slow_ms` are 0.
     pub trace_sample: u64,
 }
@@ -238,35 +237,6 @@ pub struct ServeState {
     slo_p99_ms: u64,
     slo_err_pct: u64,
     started: Instant,
-}
-
-std::thread_local! {
-    /// The span recorder (and its `evaluate` span token — the parent for
-    /// router-level child spans) of the request currently being handled
-    /// on this worker thread. Requests are handled synchronously on one
-    /// worker, so a thread-local reaches the batch evaluator without
-    /// widening every router signature: the pool installs it around
-    /// `handle()`, and direct `handle()` calls in tests see `None`
-    /// (untraced). Only set when the server's [`SpanSink`] is enabled.
-    static CURRENT_RECORDER: RefCell<Option<(Arc<SpanRecorder>, SpanToken)>> =
-        const { RefCell::new(None) };
-}
-
-/// Install the current request's recorder for this worker thread.
-pub(crate) fn set_current_recorder(recorder: Arc<SpanRecorder>, evaluate: SpanToken) {
-    CURRENT_RECORDER.with(|r| *r.borrow_mut() = Some((recorder, evaluate)));
-}
-
-/// Remove and return the current recorder (pool, after `handle()` —
-/// clearing it before the sink consumes the recorder also drops this
-/// thread's `Arc` so the pool's `try_unwrap` succeeds).
-pub(crate) fn take_current_recorder() -> Option<(Arc<SpanRecorder>, SpanToken)> {
-    CURRENT_RECORDER.with(|r| r.borrow_mut().take())
-}
-
-/// Clone of the current recorder pair, if this request is traced.
-pub(crate) fn current_recorder() -> Option<(Arc<SpanRecorder>, SpanToken)> {
-    CURRENT_RECORDER.with(|r| r.borrow().clone())
 }
 
 /// Collapse a request path to a bounded-cardinality shape for access
