@@ -17,14 +17,21 @@
 //! * `a.par_iter_mut().zip(b.par_iter_mut()).enumerate().for_each(f)`
 //! * [`join`], [`current_num_threads`]
 //!
-//! Work is split into one contiguous chunk per available hardware thread
-//! and each chunk runs on a fresh scoped thread. That trades rayon's
+//! Each parallel region starts up to [`current_num_threads`] scoped
+//! threads, which claim fixed-size chunks of the input from one shared
+//! queue until it is empty; there are about 16 chunks per worker. A
+//! worker that draws cheap chunks takes more of them, so skewed inputs
+//! (power-law rows) keep every core busy to the end, which one contiguous
+//! chunk per thread does not. That trades rayon's
 //! work-stealing pool for zero dependencies; call sites already gate
-//! parallel dispatch behind size thresholds, so the extra spawn cost is
-//! amortised over large inputs only. `collect` preserves input order, so
-//! results are deterministic exactly as with rayon's indexed iterators.
+//! parallel dispatch behind size thresholds, so the spawn cost is
+//! amortised over large inputs only. `collect` reassembles the chunks in
+//! input order, so results are deterministic exactly as with rayon's
+//! indexed iterators.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
 /// Re-exports that mirror `rayon::prelude`.
 pub mod prelude {
@@ -54,40 +61,86 @@ where
     })
 }
 
-/// Split `0..len` into at most [`current_num_threads`] contiguous chunks
-/// and run `work(lo, hi)` for each on its own scoped thread. Returns the
-/// per-chunk results in chunk order.
+/// Chunks per worker in one parallel region: enough that a worker which
+/// draws cheap chunks can take over the rest while another finishes an
+/// expensive one, few enough that claiming stays off the per-item path.
+const CHUNKS_PER_WORKER: usize = 16;
+
+/// Items per chunk for a region over `len` items.
+fn chunk_len(len: usize) -> usize {
+    len.div_ceil(current_num_threads() * CHUNKS_PER_WORKER)
+        .max(1)
+}
+
+/// `0..len` cut into chunks of [`chunk_len`] items.
+fn chunk_ranges(len: usize) -> impl ExactSizeIterator<Item = Range<usize>> + Send {
+    let chunk = chunk_len(len);
+    (0..len.div_ceil(chunk)).map(move |c| c * chunk..((c + 1) * chunk).min(len))
+}
+
+/// Run `work` over `0..len` cut into chunks, and return the per-chunk
+/// results in chunk order.
 fn run_chunked<R, W>(len: usize, work: W) -> Vec<R>
 where
     R: Send,
-    W: Fn(usize, usize) -> R + Sync,
+    W: Fn(Range<usize>) -> R + Sync,
 {
-    if len == 0 {
+    run_jobs(chunk_ranges(len), || (), |_, chunk| work(chunk))
+}
+
+/// Run `work(state, job)` for every job on up to [`current_num_threads`]
+/// scoped threads, and return the results in job order.
+///
+/// The workers share one queue: each claims the next job, runs it, and
+/// claims again until the queue is empty, so the split adapts to uneven
+/// job costs. Each worker builds its `state` with `init` once, before its
+/// first job. With one worker (or one job) everything runs on the caller.
+fn run_jobs<I, S, R, INIT, W>(jobs: I, init: INIT, work: W) -> Vec<R>
+where
+    I: ExactSizeIterator + Send,
+    R: Send,
+    INIT: Fn() -> S + Sync,
+    W: Fn(&mut S, I::Item) -> R + Sync,
+{
+    let njobs = jobs.len();
+    let workers = current_num_threads().min(njobs);
+    if workers == 0 {
         return Vec::new();
     }
-    let threads = current_num_threads().min(len);
-    if threads <= 1 {
-        return vec![work(0, len)];
+    if workers == 1 {
+        let mut state = init();
+        return jobs.map(|job| work(&mut state, job)).collect();
     }
-    let chunk = len.div_ceil(threads);
-    let mut bounds = Vec::new();
-    let mut lo = 0;
-    while lo < len {
-        let hi = (lo + chunk).min(len);
-        bounds.push((lo, hi));
-        lo = hi;
-    }
-    let work = &work;
+    let queue = Mutex::new(jobs.enumerate());
+    let (init, work) = (&init, &work);
+    let mut results: Vec<Option<R>> = (0..njobs).map(|_| None).collect();
     std::thread::scope(|s| {
-        let handles: Vec<_> = bounds
-            .into_iter()
-            .map(|(lo, hi)| s.spawn(move || work(lo, hi)))
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut state = init();
+                    let mut done = Vec::new();
+                    loop {
+                        // The guard drops at the end of this statement, so
+                        // no job runs under the lock.
+                        let next = queue.lock().expect("rayon-shim: queue poisoned").next();
+                        let Some((idx, job)) = next else { break };
+                        done.push((idx, work(&mut state, job)));
+                    }
+                    done
+                })
+            })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rayon-shim: worker panicked"))
-            .collect()
-    })
+        for h in handles {
+            for (idx, r) in h.join().expect("rayon-shim: worker panicked") {
+                results[idx] = Some(r);
+            }
+        }
+    });
+    results
+        .into_iter()
+        .map(|r| r.expect("rayon-shim: every job runs once"))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -196,20 +249,6 @@ impl ParRange {
             f,
         }
     }
-
-    /// Apply `f` to each index in parallel.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        let start = self.range.start;
-        let len = self.range.len();
-        run_chunked(len, |lo, hi| {
-            for i in lo..hi {
-                f(start + i);
-            }
-        });
-    }
 }
 
 /// `ParRange::map` adapter.
@@ -227,10 +266,9 @@ impl<F> MapRange<F> {
         C: FromIterator<R>,
     {
         let start = self.range.start;
-        let len = self.range.len();
         let f = &self.f;
-        run_chunked(len, |lo, hi| {
-            (lo..hi).map(|i| f(start + i)).collect::<Vec<R>>()
+        run_chunked(self.range.len(), |chunk| {
+            chunk.map(|i| f(start + i)).collect::<Vec<R>>()
         })
         .into_iter()
         .flatten()
@@ -247,14 +285,21 @@ impl<F> MapRange<F> {
         OP: Fn(T, T) -> Option<T> + Sync,
     {
         let start = self.range.start;
-        let len = self.range.len();
         let f = &self.f;
-        let op = &op;
-        let identity = &identity;
-        let partials = run_chunked(len, |lo, hi| -> Option<T> {
+        // Set by the first chunk that meets a `None`; chunks claimed after
+        // that return at once.
+        let failed = AtomicBool::new(false);
+        let partials = run_chunked(self.range.len(), |chunk| {
+            if failed.load(Ordering::Relaxed) {
+                return None;
+            }
             let mut acc = identity();
-            for i in lo..hi {
-                acc = op(acc, f(start + i)?)?;
+            for i in chunk {
+                let Some(next) = f(start + i).and_then(|x| op(acc, x)) else {
+                    failed.store(true, Ordering::Relaxed);
+                    return None;
+                };
+                acc = next;
             }
             Some(acc)
         });
@@ -275,7 +320,7 @@ pub struct MapInitRange<INIT, F> {
 
 impl<INIT, F> MapInitRange<INIT, F> {
     /// Collect the mapped results, preserving index order. `init` runs
-    /// once per worker chunk.
+    /// once per worker, before its first chunk.
     pub fn collect<C, S, R>(self) -> C
     where
         INIT: Fn() -> S + Sync,
@@ -284,15 +329,12 @@ impl<INIT, F> MapInitRange<INIT, F> {
         C: FromIterator<R>,
     {
         let start = self.range.start;
-        let len = self.range.len();
         let f = &self.f;
-        let init = &self.init;
-        run_chunked(len, |lo, hi| {
-            let mut state = init();
-            (lo..hi)
-                .map(|i| f(&mut state, start + i))
-                .collect::<Vec<R>>()
-        })
+        run_jobs(
+            chunk_ranges(self.range.len()),
+            &self.init,
+            |state, chunk| chunk.map(|i| f(state, start + i)).collect::<Vec<R>>(),
+        )
         .into_iter()
         .flatten()
         .collect()
@@ -316,19 +358,6 @@ impl<T: Copy + Send + Sync> ParVec<T> {
             f,
         }
     }
-
-    /// Apply `f` to each element in parallel.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(T) + Sync,
-    {
-        let items = &self.items;
-        run_chunked(items.len(), |lo, hi| {
-            for &x in &items[lo..hi] {
-                f(x);
-            }
-        });
-    }
 }
 
 /// `ParVec::map` adapter.
@@ -347,8 +376,8 @@ impl<T: Copy + Send + Sync, F> MapVec<T, F> {
     {
         let items = &self.items;
         let f = &self.f;
-        run_chunked(items.len(), |lo, hi| {
-            items[lo..hi].iter().map(|&x| f(x)).collect::<Vec<R>>()
+        run_chunked(items.len(), |chunk| {
+            items[chunk].iter().map(|&x| f(x)).collect::<Vec<R>>()
         })
         .into_iter()
         .flatten()
@@ -380,8 +409,8 @@ impl<'a, T: Sync> ParSlice<'a, T> {
         F: Fn(&'a T) + Sync,
     {
         let slice = self.slice;
-        run_chunked(slice.len(), |lo, hi| {
-            for x in &slice[lo..hi] {
+        run_chunked(slice.len(), |chunk| {
+            for x in &slice[chunk] {
                 f(x);
             }
         });
@@ -404,8 +433,8 @@ impl<'a, T: Sync, F> MapSlice<'a, T, F> {
     {
         let slice = self.slice;
         let f = &self.f;
-        run_chunked(slice.len(), |lo, hi| {
-            slice[lo..hi].iter().map(f).collect::<Vec<R>>()
+        run_chunked(slice.len(), |chunk| {
+            slice[chunk].iter().map(f).collect::<Vec<R>>()
         })
         .into_iter()
         .flatten()
@@ -431,25 +460,6 @@ impl<'a, T: Send> ParSliceMut<'a, T> {
             b: other.slice,
         }
     }
-
-    /// Apply `f` to each `&mut T` in parallel.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&mut T) + Sync,
-    {
-        let len = self.slice.len();
-        let chunk = len.div_ceil(current_num_threads().max(1)).max(1);
-        let f = &f;
-        std::thread::scope(|s| {
-            for part in self.slice.chunks_mut(chunk) {
-                s.spawn(move || {
-                    for x in part {
-                        f(x);
-                    }
-                });
-            }
-        });
-    }
 }
 
 /// Zip of two mutable-slice parallel iterators.
@@ -466,14 +476,6 @@ impl<'a, T: Send, U: Send> ZipMut<'a, T, U> {
             b: self.b,
         }
     }
-
-    /// Apply `f` to each `(&mut T, &mut U)` pair in parallel.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn((&mut T, &mut U)) + Sync,
-    {
-        self.enumerate().for_each(|(_, pair)| f(pair));
-    }
 }
 
 /// Enumerated zip of two mutable-slice parallel iterators.
@@ -488,28 +490,21 @@ impl<'a, T: Send, U: Send> EnumerateZipMut<'a, T, U> {
     where
         F: Fn((usize, (&mut T, &mut U))) + Sync,
     {
-        let len = self.a.len();
-        let chunk = len.div_ceil(current_num_threads().max(1)).max(1);
-        let f = &f;
-        std::thread::scope(|s| {
-            let mut base = 0usize;
-            let mut ra = self.a;
-            let mut rb = self.b;
-            while !ra.is_empty() {
-                let take = chunk.min(ra.len());
-                let (ha, ta) = ra.split_at_mut(take);
-                let (hb, tb) = rb.split_at_mut(take);
-                ra = ta;
-                rb = tb;
-                let lo = base;
-                base += take;
-                s.spawn(move || {
-                    for (off, (x, y)) in ha.iter_mut().zip(hb.iter_mut()).enumerate() {
-                        f((lo + off, (x, y)));
-                    }
-                });
-            }
-        });
+        let chunk = chunk_len(self.a.len());
+        let jobs = self
+            .a
+            .chunks_mut(chunk)
+            .zip(self.b.chunks_mut(chunk))
+            .enumerate();
+        run_jobs(
+            jobs,
+            || (),
+            |_, (c, (ha, hb))| {
+                for (off, (x, y)) in ha.iter_mut().zip(hb).enumerate() {
+                    f((c * chunk + off, (x, y)));
+                }
+            },
+        );
     }
 }
 
@@ -517,7 +512,8 @@ impl<'a, T: Send, U: Send> EnumerateZipMut<'a, T, U> {
 mod tests {
     use super::prelude::*;
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::AtomicUsize;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn range_map_collect_ordered() {
@@ -583,6 +579,151 @@ mod tests {
             .map(|i| if i == 50 { None } else { Some(i) })
             .try_reduce(|| 0, |a, b| Some(a.max(b)));
         assert_eq!(none, None);
+    }
+
+    /// Cost that varies by item: the first few items of the input sleep,
+    /// so their chunks finish after chunks claimed later.
+    fn uneven(i: usize) -> usize {
+        if i < 3 {
+            std::thread::sleep(Duration::from_millis(20));
+        } else if i.is_multiple_of(97) {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        i * 3
+    }
+
+    #[test]
+    fn collect_keeps_order_under_uneven_cost_and_a_ragged_last_chunk() {
+        // 10_007 is prime: never a multiple of the chunk length.
+        let len = 10_007;
+        assert_ne!(len % chunk_len(len), 0);
+        let want: Vec<usize> = (0..len).map(|i| i * 3).collect();
+        let range: Vec<usize> = (0..len).into_par_iter().map(uneven).collect();
+        assert_eq!(range, want);
+        let init: Vec<usize> = (0..len)
+            .into_par_iter()
+            .map_init(
+                || 0usize,
+                |calls, i| {
+                    *calls += 1;
+                    uneven(i)
+                },
+            )
+            .collect();
+        assert_eq!(init, want);
+        let items: Vec<usize> = (0..len).collect();
+        let slice: Vec<usize> = items.par_iter().map(|&i| uneven(i)).collect();
+        assert_eq!(slice, want);
+        let owned: Vec<usize> = items.into_par_iter().map(uneven).collect();
+        assert_eq!(owned, want);
+    }
+
+    #[test]
+    fn try_reduce_stops_claiming_after_a_none() {
+        let len = 2_000;
+        let calls = AtomicUsize::new(0);
+        let zero_ran = AtomicBool::new(false);
+        let out: Option<usize> = (0..len)
+            .into_par_iter()
+            .map(|i| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                if i == 0 {
+                    zero_ran.store(true, Ordering::SeqCst);
+                    return None;
+                }
+                // No other item finishes before item 0 has failed, however
+                // the workers start; a 10 s timeout keeps a bug from hanging.
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !zero_ran.load(Ordering::SeqCst) && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                std::thread::sleep(Duration::from_micros(100));
+                Some(i)
+            })
+            .try_reduce(|| 0, |a, b| Some(a.max(b)));
+        assert_eq!(out, None);
+        // Chunk 0 is the first claimed and fails on its first item; each
+        // other worker finishes at most the chunk it holds, then claims
+        // only chunks that return at once.
+        let ran = calls.load(Ordering::SeqCst);
+        assert!(
+            ran <= 1 + current_num_threads() * chunk_len(len),
+            "{ran} of {len} items ran after the None"
+        );
+        // An op that fails short-circuits too.
+        let capped: Option<usize> = (0..len)
+            .into_par_iter()
+            .map(Some)
+            .try_reduce(|| 0, |a, b| (b < 1_000).then_some(a.max(b)));
+        assert_eq!(capped, None);
+    }
+
+    #[test]
+    fn zip_enumerate_indices_for_short_and_long_inputs() {
+        let threads = current_num_threads();
+        for len in [1, threads.saturating_sub(1).max(1), threads + 1, 10_007] {
+            let mut a = vec![usize::MAX; len];
+            let mut b = vec![usize::MAX; len];
+            let mut sa: Vec<&mut usize> = a.iter_mut().collect();
+            let mut sb: Vec<&mut usize> = b.iter_mut().collect();
+            sa.par_iter_mut()
+                .zip(sb.par_iter_mut())
+                .enumerate()
+                .for_each(|(p, (x, y))| {
+                    **x = p;
+                    **y = len - p;
+                });
+            assert!(a.iter().enumerate().all(|(i, &x)| x == i), "len {len}");
+            assert!(
+                b.iter().enumerate().all(|(i, &y)| y == len - i),
+                "len {len}"
+            );
+        }
+    }
+
+    /// Item 0 of a region blocks until three quarters of all items are
+    /// done, or until a 10 s timeout. With one contiguous chunk per
+    /// thread the other workers run out of items at `len / threads`, so
+    /// only self-scheduling reaches three quarters on two threads.
+    fn wait_for_three_quarters(i: usize, len: usize, done: &AtomicUsize, timed_out: &AtomicBool) {
+        if i == 0 {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while done.load(Ordering::SeqCst) < len * 3 / 4 {
+                if Instant::now() > deadline {
+                    timed_out.store(true, Ordering::SeqCst);
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        done.fetch_add(1, Ordering::SeqCst);
+    }
+
+    #[test]
+    fn idle_workers_take_over_the_rest_of_a_skewed_region() {
+        if current_num_threads() < 2 {
+            return;
+        }
+        let len = 4096;
+        let (done, timed_out) = (AtomicUsize::new(0), AtomicBool::new(false));
+        let _: Vec<()> = (0..len)
+            .into_par_iter()
+            .map(|i| wait_for_three_quarters(i, len, &done, &timed_out))
+            .collect();
+        assert!(!timed_out.load(Ordering::SeqCst), "range map stayed static");
+
+        let (done, timed_out) = (AtomicUsize::new(0), AtomicBool::new(false));
+        let mut a = vec![0u8; len];
+        let mut b = vec![0u8; len];
+        a.par_iter_mut()
+            .zip(b.par_iter_mut())
+            .enumerate()
+            .for_each(|(i, _)| wait_for_three_quarters(i, len, &done, &timed_out));
+        assert!(
+            !timed_out.load(Ordering::SeqCst),
+            "zip for_each stayed static"
+        );
+        assert_eq!(done.load(Ordering::SeqCst), len);
     }
 
     #[test]
