@@ -576,16 +576,34 @@ impl KronChain {
     /// neighbor list, in ascending order. Each level's effective row is
     /// borrowed from its factor, and a rank decomposes in mixed radix over
     /// the row lengths, level 0 most significant: O(Σ log d_i + k·limit).
+    /// Chains of up to 16 levels keep the rows on the stack, so the walk
+    /// allocates nothing.
     pub fn for_each_neighbor(&self, p: Ix, offset: u64, limit: usize, mut f: impl FnMut(Ix)) {
+        const INLINE_ROWS: usize = 16;
+        let empty = EffRow {
+            nbrs: &[],
+            splice: None,
+        };
+        let mut inline = [empty; INLINE_ROWS];
+        let mut spilled = Vec::new();
+        let rows = match inline.get_mut(..self.levels.len()) {
+            Some(rows) => rows,
+            None => {
+                spilled.resize(self.levels.len(), empty);
+                &mut spilled[..]
+            }
+        };
         // Last level first, matching `strides` reversed.
-        let mut rows = Vec::with_capacity(self.levels.len());
+        let mut filled = 0;
         self.walk(p, |i, v| {
             let nbrs = self.level_graph(i).neighbors(v);
             let splice = self.levels[i]
                 .plus_identity
                 .then(|| (nbrs.partition_point(|&w| w < v), v));
-            rows.push(EffRow { nbrs, splice });
+            rows[filled] = EffRow { nbrs, splice };
+            filled += 1;
         });
+        let rows = &rows[..];
         let total: u64 = rows.iter().map(|row| row.len() as u64).product();
         let end = total.min(offset.saturating_add(limit as u64));
         for rank in offset.min(end)..end {
@@ -908,6 +926,42 @@ mod tests {
         .unwrap();
         assert_eq!(chain.canonical(), "A⊗A⊗A");
         check_against_materialized(&chain);
+    }
+
+    /// A chain longer than `for_each_neighbor`'s 16 inline rows walks its
+    /// spilled rows. Single-vertex `+I` levels keep the product small;
+    /// the levels past the sixteenth still have rows of length 1 to 3.
+    #[test]
+    fn long_chain_pages_match_materialized() {
+        let mut levels = vec![("K", true), ("P", false)];
+        levels.extend(std::iter::repeat_n(("S", true), 12));
+        levels.extend([("K", false), ("C", true), ("S", true), ("K", false)]);
+        let chain = KronChain::new(
+            bind(&[
+                ("K", path(2)),
+                ("P", path(3)),
+                ("C", cycle(3)),
+                ("S", path(1)),
+            ]),
+            &spec(&levels),
+        )
+        .unwrap();
+        assert_eq!(chain.num_levels(), 18);
+        check_against_materialized(&chain);
+        let mat = chain.materialize();
+        for p in 0..chain.num_vertices() {
+            let all = mat.neighbors(p);
+            for offset in 0..=all.len() + 1 {
+                for limit in [0, 1, 2, 5, usize::MAX] {
+                    let expect: Vec<Ix> = all.iter().skip(offset).take(limit).copied().collect();
+                    assert_eq!(
+                        chain.neighbors_page(p, offset as u64, limit),
+                        expect,
+                        "page ({p}, {offset}, {limit})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

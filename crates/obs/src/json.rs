@@ -51,20 +51,28 @@ pub fn escape_into(out: &mut String, s: &str) {
     out.push_str(&s[plain..]);
 }
 
-/// Append the decimal digits of `value` to `out` without an intermediate
-/// `String`.
-fn push_u64(out: &mut String, mut value: u64) {
-    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
-    let mut at = digits.len();
+/// Render the decimal digits of `value` into the end of `buf` and return
+/// them, so callers writing a `String` or a byte buffer share one digit
+/// loop and allocate nothing.
+pub fn u64_digits(mut value: u64, buf: &mut [u8; 20]) -> &[u8] {
+    // u64::MAX has 20 digits.
+    let mut at = buf.len();
     loop {
         at -= 1;
-        digits[at] = b'0' + (value % 10) as u8;
+        buf[at] = b'0' + (value % 10) as u8;
         value /= 10;
         if value == 0 {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    &buf[at..]
+}
+
+/// Append the decimal digits of `value` to `out` without an intermediate
+/// `String`.
+fn push_u64(out: &mut String, value: u64) {
+    let mut buf = [0u8; 20];
+    out.extend(u64_digits(value, &mut buf).iter().map(|&d| char::from(d)));
 }
 
 /// Streaming writer for pretty-printed JSON objects and arrays.
@@ -78,30 +86,26 @@ fn push_u64(out: &mut String, mut value: u64) {
 /// written at depth 0 follow each other with nothing in between, and
 /// [`JsonWriter::buffer_mut`] lets the caller put its own separators
 /// there — how a batch answer renders every item into one body.
+///
+/// The writer keeps no per-container state: inside a container, the
+/// byte before a member is the container's own `{` or `[` exactly when
+/// the member is its first (no value ends in either), so the comma and
+/// the closing newline follow from the buffer itself.
 #[derive(Default)]
 pub struct JsonWriter {
     out: String,
     depth: usize,
-    /// Whether the current container already has a member (comma needed).
-    has_member: Vec<bool>,
 }
 
 impl JsonWriter {
     /// New writer with an empty buffer.
     pub fn new() -> Self {
-        JsonWriter {
-            out: String::new(),
-            depth: 0,
-            has_member: Vec::new(),
-        }
+        JsonWriter::default()
     }
 
     /// Writer that appends to `out` after its existing content.
     pub fn with_buffer(out: String) -> Self {
-        JsonWriter {
-            out,
-            ..JsonWriter::new()
-        }
+        JsonWriter { out, depth: 0 }
     }
 
     /// The buffer written so far, for raw bytes between depth-0 values.
@@ -123,50 +127,51 @@ impl JsonWriter {
         }
     }
 
+    /// Whether the buffer ends with the opening bracket `open`: the
+    /// innermost container, closed by that bracket's partner, is empty.
+    fn ends_with_open(&self, open: u8) -> bool {
+        self.out.as_bytes().last() == Some(&open)
+    }
+
     fn begin_member(&mut self) {
-        if let Some(last) = self.has_member.last_mut() {
-            if *last {
-                self.out.push(',');
-            }
-            *last = true;
+        if self.depth == 0 {
+            return;
         }
-        if self.depth > 0 {
-            self.newline_indent();
+        if !self.ends_with_open(b'{') && !self.ends_with_open(b'[') {
+            self.out.push(',');
         }
+        self.newline_indent();
     }
 
     /// Open a `{` container; the next member call writes inside it.
     pub fn open_object(&mut self) {
         self.out.push('{');
         self.depth += 1;
-        self.has_member.push(false);
     }
 
     /// Close the innermost object.
     pub fn close_object(&mut self) {
-        let had = self.has_member.pop().unwrap_or(false);
-        self.depth -= 1;
-        if had {
-            self.newline_indent();
-        }
-        self.out.push('}');
+        self.close(b'{', '}');
     }
 
     /// Open a `[` container.
     pub fn open_array(&mut self) {
         self.out.push('[');
         self.depth += 1;
-        self.has_member.push(false);
     }
 
     /// Close the innermost array.
     pub fn close_array(&mut self) {
-        let had = self.has_member.pop().unwrap_or(false);
+        self.close(b'[', ']');
+    }
+
+    fn close(&mut self, open: u8, close: char) {
+        let empty = self.ends_with_open(open);
         self.depth -= 1;
-        if had {
+        if !empty {
             self.newline_indent();
         }
-        self.out.push(']');
+        self.out.push(close);
     }
 
     /// Begin an array element (objects call `open_object` right after).
@@ -302,6 +307,212 @@ mod tests {
             escape_into(&mut out, &s);
             prop_assert_eq!(out, format!("prefix{}", escape_reference(&s)));
         }
+    }
+
+    /// The writer as it was before it dropped its per-container
+    /// `has_member` stack, kept as the byte-level reference.
+    #[derive(Default)]
+    struct ReferenceWriter {
+        out: String,
+        depth: usize,
+        has_member: Vec<bool>,
+    }
+
+    impl ReferenceWriter {
+        fn newline_indent(&mut self) {
+            self.out.push('\n');
+            for _ in 0..self.depth {
+                self.out.push_str("  ");
+            }
+        }
+        fn begin_member(&mut self) {
+            if let Some(last) = self.has_member.last_mut() {
+                if *last {
+                    self.out.push(',');
+                }
+                *last = true;
+            }
+            if self.depth > 0 {
+                self.newline_indent();
+            }
+        }
+        fn open(&mut self, bracket: char) {
+            self.out.push(bracket);
+            self.depth += 1;
+            self.has_member.push(false);
+        }
+        fn close(&mut self, bracket: char) {
+            let had = self.has_member.pop().unwrap_or(false);
+            self.depth -= 1;
+            if had {
+                self.newline_indent();
+            }
+            self.out.push(bracket);
+        }
+        fn push_string(&mut self, s: &str) {
+            self.out.push('"');
+            escape_into(&mut self.out, s);
+            self.out.push('"');
+        }
+        fn key(&mut self, key: &str) {
+            self.begin_member();
+            self.push_string(key);
+            self.out.push_str(": ");
+        }
+    }
+
+    /// Drive both writers through the document that `ops` spells: each
+    /// op picks one of the calls valid where the document stands, so
+    /// every sequence is a balanced document of random nesting. Strings
+    /// (keys and values alike) come from `texts`.
+    fn write_both(ops: &[u32], texts: &[String]) -> (String, String) {
+        let mut new = JsonWriter::with_buffer(String::from("prefix"));
+        let mut old = ReferenceWriter {
+            out: String::from("prefix"),
+            ..ReferenceWriter::default()
+        };
+        // Innermost container last: true for an object.
+        let mut stack: Vec<bool> = Vec::new();
+        let text = |i: u32| texts[i as usize % texts.len()].as_str();
+        for (at, &op) in ops.iter().enumerate() {
+            let t = text(op / 16 + at as u32);
+            let number = u64::from(op).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (op % 64);
+            let Some(&in_object) = stack.last() else {
+                // Depth 0: a separator, or a new top-level container.
+                if op % 3 == 0 {
+                    new.buffer_mut().push_str(",\n");
+                    old.out.push_str(",\n");
+                }
+                let object = op % 2 == 0;
+                if object {
+                    new.open_object();
+                    old.open('{');
+                } else {
+                    new.open_array();
+                    old.open('[');
+                }
+                stack.push(object);
+                continue;
+            };
+            if op % 8 == 7 {
+                stack.pop();
+                if in_object {
+                    new.close_object();
+                    old.close('}');
+                } else {
+                    new.close_array();
+                    old.close(']');
+                }
+                continue;
+            }
+            if in_object {
+                match op % 8 {
+                    0 => {
+                        new.string_field(t, text(op));
+                        old.key(t);
+                        old.push_string(text(op));
+                    }
+                    1 => {
+                        new.u64_field(t, number);
+                        old.key(t);
+                        old.out.push_str(&number.to_string());
+                    }
+                    2 => {
+                        new.bool_field(t, op % 16 < 8);
+                        old.key(t);
+                        old.out.push_str(if op % 16 < 8 { "true" } else { "false" });
+                    }
+                    3 => {
+                        new.null_field(t);
+                        old.key(t);
+                        old.out.push_str("null");
+                    }
+                    4 => {
+                        let v = number as f64 / 7.0;
+                        new.f64_field(t, v);
+                        old.key(t);
+                        old.out.push_str(&format!("{v}"));
+                    }
+                    5 => {
+                        new.key(t);
+                        new.open_object();
+                        old.key(t);
+                        old.open('{');
+                        stack.push(true);
+                    }
+                    _ => {
+                        new.key(t);
+                        new.open_array();
+                        old.key(t);
+                        old.open('[');
+                        stack.push(false);
+                    }
+                }
+            } else {
+                match op % 8 {
+                    0 | 1 => {
+                        new.u64_element(number);
+                        old.begin_member();
+                        old.out.push_str(&number.to_string());
+                    }
+                    2 | 3 => {
+                        new.string_element(t);
+                        old.begin_member();
+                        old.push_string(t);
+                    }
+                    4 | 5 => {
+                        new.array_element();
+                        new.open_object();
+                        old.begin_member();
+                        old.open('{');
+                        stack.push(true);
+                    }
+                    _ => {
+                        new.array_element();
+                        new.open_array();
+                        old.begin_member();
+                        old.open('[');
+                        stack.push(false);
+                    }
+                }
+            }
+        }
+        while let Some(object) = stack.pop() {
+            if object {
+                new.close_object();
+                old.close('}');
+            } else {
+                new.close_array();
+                old.close(']');
+            }
+        }
+        old.out.push('\n');
+        (new.finish(), old.out)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The stateless writer emits the reference writer's bytes over
+        /// random nestings, keys that need escaping, and raw separators
+        /// between top-level values.
+        #[test]
+        fn writer_matches_the_reference_over_random_nestings(
+            ops in proptest::collection::vec(0u32..4096, 0..160),
+            texts in proptest::collection::vec(arb_text(), 1..6),
+        ) {
+            let (new, old) = write_both(&ops, &texts);
+            prop_assert_eq!(new, old);
+        }
+    }
+
+    /// Forty levels of nesting indent two spaces a level.
+    #[test]
+    fn deep_nesting_matches_the_reference() {
+        let ops: Vec<u32> = std::iter::repeat_n(5, 40).chain([1, 7, 7]).collect();
+        let (new, old) = write_both(&ops, &["k".to_string()]);
+        assert_eq!(new, old);
+        assert!(new.contains(&format!("\n{}\"k\": ", "  ".repeat(40))));
     }
 
     /// Integers render without `to_string()`; the edges of the digit

@@ -76,7 +76,7 @@ pub mod trace;
 pub mod window;
 
 pub use frames::{attach_request, child_span, phase, AttachedRequest, PhaseGuard};
-pub use histogram::{Histogram, HistogramSnapshot, NUM_BUCKETS};
+pub use histogram::{Histogram, HistogramSnapshot, LocalHistogram, NUM_BUCKETS};
 pub use json::JsonWriter;
 pub use log::{EventLogger, LogEvent, LogValue};
 pub use metrics::{Counter, Gauge, GaugeGuard, TimerStats};

@@ -122,7 +122,18 @@ impl TraceContext {
     /// The 32-hex-char trace id, as surfaced in `x-bikron-trace-id`
     /// response headers, error bodies, and access-log records.
     pub fn trace_id_hex(&self) -> String {
-        format!("{:032x}", self.trace_id)
+        self.trace_id_hex_into(&mut [0; 32]).to_string()
+    }
+
+    /// [`TraceContext::trace_id_hex`] written into `buf`, without
+    /// allocating.
+    pub fn trace_id_hex_into<'a>(&self, buf: &'a mut [u8; 32]) -> &'a str {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        for (i, digit) in buf.iter_mut().enumerate() {
+            let nibble = (self.trace_id >> (4 * (31 - i))) & 0xf;
+            *digit = HEX[nibble as usize];
+        }
+        std::str::from_utf8(buf).expect("hex digits are ASCII")
     }
 
     /// Generate a fresh context (new trace id, new root span id,
@@ -563,6 +574,16 @@ mod tests {
         let s = c.to_traceparent();
         assert_eq!(s, "00-0af7651916cd43dd8448eb211c80319c-00f067aa0ba902b7-01");
         assert_eq!(TraceContext::parse_traceparent(&s), Some(c));
+    }
+
+    /// The buffer-rendered trace id is the zero-padded `{:032x}` form.
+    #[test]
+    fn trace_id_hex_matches_the_formatted_id() {
+        for trace in [1u128, 0x0af7_6519_16cd_43dd_8448_eb21_1c80_319c, u128::MAX] {
+            let c = ctx(trace, 1);
+            assert_eq!(c.trace_id_hex_into(&mut [0; 32]), format!("{trace:032x}"));
+            assert_eq!(c.trace_id_hex(), format!("{trace:032x}"));
+        }
     }
 
     /// The W3C fuzz matrix: every malformed class the spec calls out

@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::histogram::{Histogram, HistogramSnapshot};
+use crate::histogram::{Histogram, HistogramSnapshot, LocalHistogram};
 use crate::metrics::Counter;
 use crate::registry::Registry;
 use crate::report::Report;
@@ -298,6 +298,18 @@ impl WindowedHistogram {
         let slot = &self.slots[(epoch % RING_SLOTS as u64) as usize];
         claim_slot(&slot.tag, epoch, || slot.hist.reset());
         slot.hist.record(v);
+    }
+
+    /// Add a [`LocalHistogram`]'s observations at the current epoch.
+    pub fn record_local(&self, local: &LocalHistogram) {
+        if local.count() == 0 {
+            return;
+        }
+        let epoch = self.clock.epoch();
+        self.total.add_local(local);
+        let slot = &self.slots[(epoch % RING_SLOTS as u64) as usize];
+        claim_slot(&slot.tag, epoch, || slot.hist.reset());
+        slot.hist.add_local(local);
     }
 
     /// The shadowed cumulative histogram.

@@ -18,7 +18,9 @@ use bikron_obs::{
     flat_str_field, Counter, Gauge, Histogram, JsonWriter, Registry, Report, TraceContext,
 };
 use bikron_serve::client::{self, ClientError};
-use bikron_serve::http::{Request, Response};
+use bikron_serve::http::{Answer, Request, Response};
+use bikron_serve::pool::{RequestTally, StatusCounters};
+use bikron_serve::state::first_n;
 use bikron_serve::{without_snapshot_field, Handler};
 
 use crate::aggregate::shard_labelled_exposition;
@@ -113,17 +115,13 @@ pub struct RouterMetrics {
     connections: Arc<Counter>,
     shed: Arc<Counter>,
     timeouts: Arc<Counter>,
-    status: Vec<(u16, Arc<Counter>)>,
+    status: StatusCounters,
 }
 
 impl RouterMetrics {
     fn new(num_replicas: usize) -> Self {
         let registry = Arc::new(Registry::new());
         let windows = WindowRegistry::new();
-        let status = [200u16, 400, 404, 405, 413, 431, 500, 503]
-            .iter()
-            .map(|&c| (c, registry.counter(&format!("router.status.{c}"))))
-            .collect();
         let replica_requests = (0..num_replicas)
             .map(|i| registry.counter(&format!("router.shard{i}.requests")))
             .collect();
@@ -145,7 +143,7 @@ impl RouterMetrics {
             connections: registry.counter("router.connections"),
             shed: registry.counter("router.shed"),
             timeouts: registry.counter("router.timeouts"),
-            status,
+            status: StatusCounters::new(&registry, "router"),
             registry,
             windows,
         }
@@ -272,14 +270,16 @@ impl RouterState {
     /// `traceparent` (the router's own span context, rendered) is
     /// forwarded so replica spans hang off the router's trace.
     pub fn handle(&self, req: &Request, traceparent: Option<&str>) -> Response {
-        let segs: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-        if req.method == "POST" {
-            return match segs.as_slice() {
+        // The longest route has four segments; a fifth means no route.
+        let (segs, len) = first_n::<5>(req.path().split('/').filter(|s| !s.is_empty()));
+        let segs = &segs[..len];
+        if req.method() == "POST" {
+            return match segs {
                 ["v1", "batch"] => self.relay(req, traceparent),
                 _ => Response::error(405, "POST is only accepted on /v1/batch"),
             };
         }
-        match segs.as_slice() {
+        match segs {
             ["metrics"] => self.metrics_response(req, traceparent),
             ["v1", "health"] => self.health_response(traceparent),
             // Every replica answers every query from the same factors.
@@ -293,7 +293,7 @@ impl RouterState {
             // the router process attributes relay and fan-out time, not
             // replica-side evaluation.
             ["v1", "admin", "profile"] => self.profile_endpoint(req),
-            _ => Response::error(404, &format!("no route for {}", req.path)),
+            _ => Response::error(404, &format!("no route for {}", req.path())),
         }
     }
 
@@ -327,7 +327,7 @@ impl RouterState {
     /// failed attempt, never a partial body.
     fn relay(&self, req: &Request, traceparent: Option<&str>) -> Response {
         let target = render_target(req);
-        let body = (req.method == "POST").then_some(req.body.as_slice());
+        let body = (req.method() == "POST").then_some(req.body());
         let first = self.rr.fetch_add(1, Ordering::Relaxed);
         let deadline = Instant::now() + self.upstream_timeout;
         self.metrics.fanout_size.record(1);
@@ -336,7 +336,7 @@ impl RouterState {
             let index = (first + attempt) % self.replicas.len();
             let replica = &self.replicas[index];
             let started = Instant::now();
-            let result = replica.request(&req.method, &target, body, traceparent);
+            let result = replica.request(req.method(), &target, body, traceparent);
             self.metrics
                 .record_upstream(index, started.elapsed().as_nanos() as u64);
             match result {
@@ -502,8 +502,9 @@ fn gather(
 impl Handler for RouterState {
     /// Route under the request's own context: its rendered
     /// `traceparent` travels upstream so replica spans join the trace.
-    fn respond(&self, req: &Request, ctx: &TraceContext) -> Response {
+    fn respond(&self, req: &Request, ctx: &TraceContext, body: &mut String) -> Answer {
         self.handle(req, Some(&ctx.to_traceparent()))
+            .into_answer(body)
     }
 
     fn shutdown_requested(&self) -> bool {
@@ -512,27 +513,27 @@ impl Handler for RouterState {
 
     /// A 408 is the transport's request deadline firing, so it also
     /// counts a timeout.
-    fn record(&self, status: u16, bytes: u64, ns: u64) {
+    fn record(&self, tally: &RequestTally) {
         let m = &self.metrics;
-        m.requests.inc();
-        m.bytes_out.add(bytes);
-        m.request_ns.record(ns);
-        if status >= 500 {
-            m.errors.inc();
+        m.requests.add(tally.requests());
+        m.bytes_out.add(tally.bytes());
+        m.request_ns.record_local(tally.latency_ns());
+        let errors = tally.errors_5xx();
+        if errors > 0 {
+            m.errors.add(errors);
         }
-        if status == 408 {
-            m.timeouts.inc();
+        let timeouts = tally.count(408);
+        if timeouts > 0 {
+            m.timeouts.add(timeouts);
         }
-        if let Some((_, c)) = m.status.iter().find(|(s, _)| *s == status) {
-            c.inc();
-        } else {
-            m.registry.counter(&format!("router.status.{status}")).inc();
-        }
+        m.status.add(&m.registry, tally);
     }
 
     fn record_shed(&self, bytes: u64) {
         self.metrics.shed.inc();
-        self.record(503, bytes, 0);
+        let mut tally = RequestTally::default();
+        tally.add(503, bytes, 0);
+        Handler::record(self, &tally);
     }
 
     fn record_timeout(&self) {
@@ -572,8 +573,8 @@ pub fn parse_replica_url(url: &str) -> Result<String, String> {
 /// path survives verbatim (relayed paths are ASCII segment names and
 /// indices); query values are re-encoded conservatively.
 fn render_target(req: &Request) -> String {
-    let mut target = req.path.clone();
-    for (i, (k, v)) in req.query.iter().enumerate() {
+    let mut target = req.path().to_string();
+    for (i, (k, v)) in req.query_pairs().enumerate() {
         target.push(if i == 0 { '?' } else { '&' });
         encode_component(&mut target, k);
         target.push('=');
@@ -623,20 +624,47 @@ mod tests {
         assert!(parse_replica_url("").is_err());
     }
 
+    fn get(target: &str) -> Request {
+        let raw = format!("GET {target} HTTP/1.1\r\n\r\n");
+        bikron_serve::http::parse_request(&mut raw.as_bytes()).unwrap()
+    }
+
     #[test]
     fn target_rendering_roundtrips_queries() {
-        let req = Request {
-            method: "GET".into(),
-            path: "/v1/neighbors/5".into(),
-            query: vec![("offset".into(), "2".into()), ("limit".into(), "10".into())],
-            headers: vec![],
-            body: vec![],
-        };
+        let req = get("/v1/neighbors/5?offset=2&limit=10");
         assert_eq!(render_target(&req), "/v1/neighbors/5?offset=2&limit=10");
-        let plain = Request {
-            query: vec![],
-            ..req
+        assert_eq!(render_target(&get("/v1/neighbors/5")), "/v1/neighbors/5");
+        assert_eq!(render_target(&get("/v1/x?a=b%20c")), "/v1/x?a=b%20c");
+    }
+
+    /// A path one segment longer than the longest route is no route,
+    /// not a truncated match relayed upstream.
+    #[test]
+    fn an_overlong_path_is_no_route() {
+        let state = RouterState {
+            replicas: vec![],
+            upstream_timeout: Duration::from_secs(1),
+            admin_token: None,
+            metrics: RouterMetrics::new(0),
+            shutdown: AtomicBool::new(false),
+            started: Instant::now(),
+            rr: AtomicUsize::new(0),
         };
-        assert_eq!(render_target(&plain), "/v1/neighbors/5");
+        let resp = state.handle(&get("/v1/edge/1/2/3"), None);
+        assert_eq!(resp.status, 404);
+        assert!(
+            resp.body.contains("no route for /v1/edge/1/2/3"),
+            "{}",
+            resp.body
+        );
+    }
+
+    /// Every status with a reason phrase has a pre-resolved counter.
+    #[test]
+    fn every_named_status_has_a_preresolved_counter() {
+        let metrics = RouterMetrics::new(1);
+        for &(code, _) in &bikron_serve::http::STATUSES {
+            assert!(metrics.status.get(code).is_some(), "{code}");
+        }
     }
 }

@@ -177,14 +177,14 @@ fn serve(
         let Ok(req) = parse_request(&mut reader) else {
             return;
         };
-        let body = match (req.method.as_str(), req.path.as_str()) {
+        let body = match (req.method(), req.path()) {
             ("GET", "/v1/health") => {
                 format!("{{\"status\": \"ok\", \"pad\": \"{}\"}}\n", "x".repeat(pad))
             }
             ("GET", "/v1/stats") => "{\"vertices\": 100}\n".to_string(),
             ("POST", "/v1/batch") => {
                 batches.fetch_add(1, Ordering::SeqCst);
-                let lines = String::from_utf8(req.body).unwrap();
+                let lines = std::str::from_utf8(req.body()).unwrap();
                 let items: Vec<String> = lines.lines().map(|l| item(l, pad)).collect();
                 format!("[\n{}\n]\n", items.join(",\n"))
             }
@@ -241,13 +241,11 @@ fn router(replicas: &[&FakeReplica], upstream_timeout: Duration) -> RouterState 
 }
 
 fn request(method: &str, path: &str, body: &str) -> Request {
-    Request {
-        method: method.into(),
-        path: path.into(),
-        query: vec![],
-        headers: vec![],
-        body: body.as_bytes().to_vec(),
-    }
+    let raw = format!(
+        "{method} {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    parse_request(&mut raw.as_bytes()).unwrap()
 }
 
 const LINES: [&str; 3] = ["vertex 0", "edge 60 1", "neighbors 99 0 4"];

@@ -22,7 +22,7 @@
 
 use bikron_obs::JsonWriter;
 
-use crate::http::Response;
+use crate::http::{Answer, Response};
 use crate::state::{first_n, ServeState, DEFAULT_LIMIT, MAX_LIMIT};
 
 /// One parsed batch query line.
@@ -145,13 +145,14 @@ pub fn parse_batch(body: &str, batch_max: usize) -> Result<Vec<BatchQuery>, Batc
 }
 
 /// Evaluate `queries` in order on the calling pool worker and render
-/// the single JSON-array response. Batches are not split across threads:
-/// every answer is an O(1)–O(deg) lookup, the pool already runs requests
-/// from different connections in parallel, and starting threads per
-/// batch on cores whose workers are busy cost more than the items
-/// themselves (DESIGN.md §10.2).
-pub fn eval_batch(state: &ServeState, queries: &[BatchQuery]) -> Response {
-    let mut w = JsonWriter::with_buffer(String::with_capacity(queries.len() * 128));
+/// the single JSON-array answer onto `body`. Batches are not split
+/// across threads: every answer is an O(1)–O(deg) lookup, the pool
+/// already runs requests from different connections in parallel, and
+/// starting threads per batch on cores whose workers are busy cost more
+/// than the items themselves (DESIGN.md §10.2).
+pub fn eval_batch(state: &ServeState, queries: &[BatchQuery], body: &mut String) -> Answer {
+    body.reserve(queries.len() * 128);
+    let mut w = JsonWriter::with_buffer(std::mem::take(body));
     w.buffer_mut().push('[');
     for (i, q) in queries.iter().enumerate() {
         w.buffer_mut().push_str(if i == 0 { "\n" } else { ",\n" });
@@ -160,9 +161,9 @@ pub fn eval_batch(state: &ServeState, queries: &[BatchQuery]) -> Response {
         let _item = bikron_obs::child_span(|| format!("batch[{i}] {}", q.verb()));
         eval_into(state, &mut w, q);
     }
-    let mut body = w.into_buffer();
+    *body = w.into_buffer();
     body.push_str("\n]\n");
-    Response::json(200, body)
+    Answer::json(200)
 }
 
 /// Render one query's answer into `w` — exactly the single-endpoint body

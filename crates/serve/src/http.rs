@@ -10,7 +10,13 @@
 //! overflow) instead of unbounded buffering. That bounding is what keeps
 //! per-request memory O(1): the parser never holds more than one line
 //! plus at most [`MAX_BODY`] body bytes.
+//!
+//! A connection parses every request into one [`Request`]
+//! ([`Request::read_from`]) and renders every answer head with
+//! [`render_answer`]; neither allocates once the connection's buffers
+//! have grown to its requests' size.
 
+use std::fmt;
 use std::io::{self, BufRead, Write};
 
 use bikron_obs::json::escape_into;
@@ -26,12 +32,33 @@ pub const MAX_HEADERS: usize = 64;
 /// drained so keep-alive framing stays intact.
 pub const MAX_BODY: usize = 65536;
 
+/// Every status this server emits with a reason phrase: the table
+/// behind [`status_text`] and the pre-resolved per-status counters.
+pub const STATUSES: [(u16, &str); 11] = [
+    (200, "OK"),
+    (400, "Bad Request"),
+    (403, "Forbidden"),
+    (404, "Not Found"),
+    (405, "Method Not Allowed"),
+    (408, "Request Timeout"),
+    (413, "Payload Too Large"),
+    (431, "Request Header Fields Too Large"),
+    (500, "Internal Server Error"),
+    (501, "Not Implemented"),
+    (503, "Service Unavailable"),
+];
+
+/// Position of `code` in [`STATUSES`].
+pub fn status_index(code: u16) -> Option<usize> {
+    STATUSES.iter().position(|&(c, _)| c == code)
+}
+
 /// Everything that can go wrong while reading one request.
 #[derive(Debug)]
 pub enum HttpError {
     /// Malformed request line, header, or percent-encoding → 400.
     BadRequest(String),
-    /// Syntactically valid but unsupported method (POST, PUT, …) → 405.
+    /// Syntactically valid but unsupported method (PUT, DELETE, …) → 405.
     MethodNotAllowed(String),
     /// Request line or declared body exceeds its bound → 413.
     TooLarge(&'static str),
@@ -60,7 +87,9 @@ impl HttpError {
     pub fn detail(&self) -> String {
         match self {
             HttpError::BadRequest(m) => m.clone(),
-            HttpError::MethodNotAllowed(m) => format!("method {m} not allowed (GET only)"),
+            HttpError::MethodNotAllowed(m) => {
+                format!("method {m} not allowed (GET, or POST on /v1/batch)")
+            }
             HttpError::TooLarge(what) => format!("{what} exceeds the configured bound"),
             HttpError::HeadersTooLarge(what) => format!("{what} exceeds the configured bound"),
             HttpError::Closed => "connection closed".to_string(),
@@ -69,38 +98,67 @@ impl HttpError {
     }
 }
 
-/// One parsed request: method (`GET` or `POST` on success),
-/// percent-decoded path, raw query pairs, lower-cased headers, and the
-/// (bounded) body bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A byte range of [`Request`]'s text.
+type Span = (usize, usize);
+
+/// One parsed request: method (`GET` or `POST`), percent-decoded path,
+/// decoded query pairs, lower-cased headers, and the (bounded) body.
+///
+/// The decoded strings live back to back in one buffer, so a
+/// connection that parses every request into the same `Request`
+/// ([`Request::read_from`]) allocates nothing once its buffers fit.
+#[derive(Clone, Default)]
 pub struct Request {
-    /// The request method (only `GET` and `POST` survive parsing).
-    pub method: String,
-    /// Percent-decoded path, query stripped (e.g. `/v1/vertex/17`).
-    pub path: String,
-    /// Decoded `key=value` query pairs in order of appearance.
-    pub query: Vec<(String, String)>,
-    /// Headers with lower-cased names, original-case values.
-    pub headers: Vec<(String, String)>,
-    /// Raw body bytes, at most [`MAX_BODY`] of them.
-    pub body: Vec<u8>,
+    /// `"GET"` or `"POST"`; empty before the first parse.
+    method: &'static str,
+    /// The path, query keys and values, header names and values.
+    text: String,
+    path: Span,
+    query: Vec<(Span, Span)>,
+    headers: Vec<(Span, Span)>,
+    body: Vec<u8>,
+    /// The line being read.
+    line: Vec<u8>,
 }
 
 impl Request {
+    /// The request method (only `GET` and `POST` survive parsing).
+    pub fn method(&self) -> &str {
+        self.method
+    }
+
+    /// Percent-decoded path, query stripped (e.g. `/v1/vertex/17`).
+    pub fn path(&self) -> &str {
+        self.at(self.path)
+    }
+
+    /// Decoded `key=value` query pairs in order of appearance.
+    pub fn query_pairs(&self) -> impl Iterator<Item = (&str, &str)> + '_ {
+        self.query.iter().map(|&(k, v)| (self.at(k), self.at(v)))
+    }
+
+    /// Headers with lower-cased names and original-case values, in order.
+    pub fn headers(&self) -> impl Iterator<Item = (&str, &str)> + '_ {
+        self.headers.iter().map(|&(k, v)| (self.at(k), self.at(v)))
+    }
+
+    /// Raw body bytes, at most [`MAX_BODY`] of them.
+    pub fn body(&self) -> &[u8] {
+        &self.body
+    }
+
+    fn at(&self, (start, end): Span) -> &str {
+        &self.text[start..end]
+    }
+
     /// First query value for `key`, if present.
     pub fn query_param(&self, key: &str) -> Option<&str> {
-        self.query
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+        self.query_pairs().find(|&(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// First header value for the lower-case `name`, if present.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+        self.headers().find(|&(k, _)| k == name).map(|(_, v)| v)
     }
 
     /// Whether the client asked to close the connection after this
@@ -109,7 +167,169 @@ impl Request {
         self.header("connection")
             .is_some_and(|v| v.eq_ignore_ascii_case("close"))
     }
+
+    /// Release each buffer whose capacity grew past `max` bytes, so one
+    /// large request does not pin its memory for the connection's life.
+    pub fn release_over(&mut self, max: usize) {
+        if self.text.capacity() > max {
+            self.text = String::new();
+        }
+        for buf in [&mut self.body, &mut self.line] {
+            if buf.capacity() > max {
+                *buf = Vec::new();
+            }
+        }
+        for pairs in [&mut self.query, &mut self.headers] {
+            if pairs.capacity() * std::mem::size_of::<(Span, Span)>() > max {
+                *pairs = Vec::new();
+            }
+        }
+    }
+
+    /// Parse the next request from `r` into `self`, replacing what it
+    /// held and reusing its buffers. Blocks until a full head arrives,
+    /// the configured bounds trip, or the transport errors. Any declared
+    /// body up to [`MAX_BODY`] is drained so the next keep-alive request
+    /// starts at a clean frame boundary. After an error `self` holds
+    /// no request worth reading.
+    pub fn read_from<R: BufRead>(&mut self, r: &mut R) -> Result<(), HttpError> {
+        let Request {
+            method: out_method,
+            text,
+            path: out_path,
+            query,
+            headers,
+            body,
+            line,
+        } = self;
+        text.clear();
+        text.reserve(INITIAL_CAPACITY);
+        query.clear();
+        headers.clear();
+        body.clear();
+        let first = read_line_bounded(r, line, MAX_REQUEST_LINE, || {
+            HttpError::TooLarge("request line")
+        })?
+        .ok_or(HttpError::Closed)?;
+        if first.is_empty() {
+            return Err(HttpError::BadRequest("empty request line".into()));
+        }
+        let mut parts = first.split(' ');
+        let (method, target, version) =
+            match (parts.next(), parts.next(), parts.next(), parts.next()) {
+                (Some(m), Some(t), Some(v), None) => (m, t, v),
+                _ => {
+                    return Err(HttpError::BadRequest(format!(
+                        "malformed request line {first:?}"
+                    )))
+                }
+            };
+        *out_method = match method {
+            "GET" => "GET",
+            "POST" => "POST",
+            _ if KNOWN_METHODS.contains(&method) => {
+                return Err(HttpError::MethodNotAllowed(method.to_string()))
+            }
+            _ => return Err(HttpError::BadRequest(format!("unknown method {method:?}"))),
+        };
+        if !version.starts_with("HTTP/1.") {
+            return Err(HttpError::BadRequest(format!(
+                "unsupported version {version:?}"
+            )));
+        }
+        if !target.starts_with('/') {
+            return Err(HttpError::BadRequest(format!(
+                "request target must be absolute, got {target:?}"
+            )));
+        }
+
+        let (raw_path, raw_query) = match target.split_once('?') {
+            Some((p, q)) => (p, Some(q)),
+            None => (target, None),
+        };
+        *out_path = decode_span(text, raw_path, false)?;
+        if let Some(q) = raw_query {
+            for pair in q.split('&').filter(|p| !p.is_empty()) {
+                let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
+                query.push((decode_span(text, k, true)?, decode_span(text, v, true)?));
+            }
+        }
+
+        let mut content_length = 0usize;
+        loop {
+            let header = read_line_bounded(r, line, MAX_HEADER_LINE, || {
+                HttpError::HeadersTooLarge("header line")
+            })?
+            .ok_or_else(|| HttpError::BadRequest("EOF inside headers".into()))?;
+            if header.is_empty() {
+                break;
+            }
+            if headers.len() >= MAX_HEADERS {
+                return Err(HttpError::HeadersTooLarge("header count"));
+            }
+            let (name, value) = header.split_once(':').ok_or_else(|| {
+                HttpError::BadRequest(format!("header without colon: {header:?}"))
+            })?;
+            let name = push_span(text, name.trim());
+            text.as_mut_str()[name.0..name.1].make_ascii_lowercase();
+            let value = value.trim();
+            if &text[name.0..name.1] == "content-length" {
+                content_length = value
+                    .parse()
+                    .map_err(|_| HttpError::BadRequest("bad content-length".into()))?;
+            }
+            let value = push_span(text, value);
+            headers.push((name, value));
+        }
+
+        if content_length > MAX_BODY {
+            return Err(HttpError::TooLarge("request body"));
+        }
+        // Read the (bounded) body: batch requests use it, and on GET the
+        // drain keeps keep-alive framing intact for stray payloads.
+        body.reserve(content_length);
+        let mut remaining = content_length;
+        while remaining > 0 {
+            let chunk = r.fill_buf().map_err(HttpError::Io)?;
+            if chunk.is_empty() {
+                return Err(HttpError::BadRequest("EOF inside body".into()));
+            }
+            let take = chunk.len().min(remaining);
+            body.extend_from_slice(&chunk[..take]);
+            r.consume(take);
+            remaining -= take;
+        }
+        Ok(())
+    }
 }
+
+impl PartialEq for Request {
+    fn eq(&self, other: &Request) -> bool {
+        self.method == other.method
+            && self.path() == other.path()
+            && self.query_pairs().eq(other.query_pairs())
+            && self.headers().eq(other.headers())
+            && self.body == other.body
+    }
+}
+
+impl Eq for Request {}
+
+impl fmt::Debug for Request {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Request")
+            .field("method", &self.method)
+            .field("path", &self.path())
+            .field("query", &self.query_pairs().collect::<Vec<_>>())
+            .field("headers", &self.headers().collect::<Vec<_>>())
+            .field("body", &String::from_utf8_lossy(&self.body))
+            .finish()
+    }
+}
+
+/// Bytes a new request's line and text buffers start with: one
+/// allocation each holds a typical request.
+const INITIAL_CAPACITY: usize = 128;
 
 /// Methods we recognise as valid HTTP but do not serve → 405. Anything
 /// else on the method position is a malformed request → 400.
@@ -118,15 +338,17 @@ const KNOWN_METHODS: [&str; 7] = [
 ];
 
 /// Read one `\n`-terminated line of at most `limit` bytes (excluding the
-/// terminator), stripping `\r\n`/`\n`. Returns `Ok(None)` on immediate
-/// EOF; an overlong line is reported via `over` without draining the
-/// rest (the connection is torn down anyway).
-fn read_line_bounded<R: BufRead>(
+/// terminator) into `buf`, stripping `\r\n`/`\n`. Returns `Ok(None)` on
+/// immediate EOF; an overlong line is reported via `over` without
+/// draining the rest (the connection is torn down anyway).
+fn read_line_bounded<'b, R: BufRead>(
     r: &mut R,
+    buf: &'b mut Vec<u8>,
     limit: usize,
     over: impl FnOnce() -> HttpError,
-) -> Result<Option<String>, HttpError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(128);
+) -> Result<Option<&'b str>, HttpError> {
+    buf.clear();
+    buf.reserve(INITIAL_CAPACITY);
     loop {
         let chunk = r.fill_buf().map_err(HttpError::Io)?;
         if chunk.is_empty() {
@@ -150,16 +372,35 @@ fn read_line_bounded<R: BufRead>(
     while matches!(buf.last(), Some(b'\n') | Some(b'\r')) {
         buf.pop();
     }
-    String::from_utf8(buf)
+    std::str::from_utf8(buf)
         .map(Some)
         .map_err(|_| HttpError::BadRequest("request is not valid UTF-8".into()))
 }
 
-/// Percent-decode `s`; `plus_space` additionally maps `+` → space (query
-/// semantics). Rejects truncated or non-hex escapes and encoded NUL.
-pub fn percent_decode(s: &str, plus_space: bool) -> Result<String, HttpError> {
+/// Append `s` to `text`, returning where it landed.
+fn push_span(text: &mut String, s: &str) -> Span {
+    let start = text.len();
+    text.push_str(s);
+    (start, text.len())
+}
+
+/// Percent-decode `s` onto `text`, returning where it landed.
+fn decode_span(text: &mut String, s: &str, plus_space: bool) -> Result<Span, HttpError> {
+    let start = text.len();
+    decode_into(text, s, plus_space)?;
+    Ok((start, text.len()))
+}
+
+/// Percent-decode `s` onto `out`; `plus_space` additionally maps `+` →
+/// space (query semantics). Text with nothing to decode is copied as
+/// is. Rejects truncated or non-hex escapes and encoded NUL.
+fn decode_into(out: &mut String, s: &str, plus_space: bool) -> Result<(), HttpError> {
+    if !s.bytes().any(|b| b == b'%' || (plus_space && b == b'+')) {
+        out.push_str(s);
+        return Ok(());
+    }
     let bytes = s.as_bytes();
-    let mut out: Vec<u8> = Vec::with_capacity(bytes.len());
+    let mut decoded: Vec<u8> = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
         match bytes[i] {
@@ -177,126 +418,51 @@ pub fn percent_decode(s: &str, plus_space: bool) -> Result<String, HttpError> {
                 if b == 0 {
                     return Err(HttpError::BadRequest("encoded NUL rejected".into()));
                 }
-                out.push(b);
+                decoded.push(b);
                 i += 3;
             }
             b'+' if plus_space => {
-                out.push(b' ');
+                decoded.push(b' ');
                 i += 1;
             }
             b => {
-                out.push(b);
+                decoded.push(b);
                 i += 1;
             }
         }
     }
-    String::from_utf8(out).map_err(|_| HttpError::BadRequest("decoded path is not UTF-8".into()))
+    let decoded = std::str::from_utf8(&decoded)
+        .map_err(|_| HttpError::BadRequest("decoded path is not UTF-8".into()))?;
+    out.push_str(decoded);
+    Ok(())
 }
 
-/// Parse one request from `r`. Blocks until a full head arrives, the
-/// configured bounds trip, or the transport errors. Any declared body up
-/// to [`MAX_BODY`] is drained so the next keep-alive request starts at a
-/// clean frame boundary.
+/// Parse one request from `r` into a new [`Request`] (see
+/// [`Request::read_from`], which a connection uses to reuse one).
 pub fn parse_request<R: BufRead>(r: &mut R) -> Result<Request, HttpError> {
-    let line = match read_line_bounded(r, MAX_REQUEST_LINE, || HttpError::TooLarge("request line"))?
-    {
-        None => return Err(HttpError::Closed),
-        Some(l) => l,
-    };
-    if line.is_empty() {
-        return Err(HttpError::BadRequest("empty request line".into()));
-    }
-    let mut parts = line.split(' ');
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v), None) => (m, t, v),
-        _ => {
-            return Err(HttpError::BadRequest(format!(
-                "malformed request line {line:?}"
-            )))
-        }
-    };
-    if method != "GET" && method != "POST" {
-        return if KNOWN_METHODS.contains(&method) {
-            Err(HttpError::MethodNotAllowed(method.to_string()))
-        } else {
-            Err(HttpError::BadRequest(format!("unknown method {method:?}")))
-        };
-    }
-    if !version.starts_with("HTTP/1.") {
-        return Err(HttpError::BadRequest(format!(
-            "unsupported version {version:?}"
-        )));
-    }
-    if !target.starts_with('/') {
-        return Err(HttpError::BadRequest(format!(
-            "request target must be absolute, got {target:?}"
-        )));
-    }
+    let mut req = Request::default();
+    req.read_from(r)?;
+    Ok(req)
+}
 
-    let (raw_path, raw_query) = match target.split_once('?') {
-        Some((p, q)) => (p, Some(q)),
-        None => (target, None),
-    };
-    let path = percent_decode(raw_path, false)?;
-    let mut query = Vec::new();
-    if let Some(q) = raw_query {
-        for pair in q.split('&').filter(|p| !p.is_empty()) {
-            let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-            query.push((percent_decode(k, true)?, percent_decode(v, true)?));
-        }
-    }
+/// The head of an answer whose body was rendered into a caller's
+/// buffer: what [`render_answer`] needs besides the body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Answer {
+    /// HTTP status code.
+    pub status: u16,
+    /// `Content-Type` header value.
+    pub content_type: &'static str,
+}
 
-    let mut headers = Vec::new();
-    let mut content_length = 0usize;
-    loop {
-        let line = read_line_bounded(r, MAX_HEADER_LINE, || {
-            HttpError::HeadersTooLarge("header line")
-        })?
-        .ok_or_else(|| HttpError::BadRequest("EOF inside headers".into()))?;
-        if line.is_empty() {
-            break;
+impl Answer {
+    /// A JSON answer.
+    pub fn json(status: u16) -> Answer {
+        Answer {
+            status,
+            content_type: "application/json",
         }
-        if headers.len() >= MAX_HEADERS {
-            return Err(HttpError::HeadersTooLarge("header count"));
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| HttpError::BadRequest(format!("header without colon: {line:?}")))?;
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim().to_string();
-        if name == "content-length" {
-            content_length = value
-                .parse()
-                .map_err(|_| HttpError::BadRequest("bad content-length".into()))?;
-        }
-        headers.push((name, value));
     }
-
-    if content_length > MAX_BODY {
-        return Err(HttpError::TooLarge("request body"));
-    }
-    // Read the (bounded) body: batch requests use it, and on GET the
-    // drain keeps keep-alive framing intact for stray payloads.
-    let mut body = Vec::with_capacity(content_length);
-    let mut remaining = content_length;
-    while remaining > 0 {
-        let chunk = r.fill_buf().map_err(HttpError::Io)?;
-        if chunk.is_empty() {
-            return Err(HttpError::BadRequest("EOF inside body".into()));
-        }
-        let take = chunk.len().min(remaining);
-        body.extend_from_slice(&chunk[..take]);
-        r.consume(take);
-        remaining -= take;
-    }
-
-    Ok(Request {
-        method: method.to_string(),
-        path,
-        query,
-        headers,
-        body,
-    })
 }
 
 /// A response ready for serialisation.
@@ -327,28 +493,41 @@ impl Response {
         Response::json(status, w.finish())
     }
 
-    /// Append a `"trace_id"` field to this response's JSON body — error
-    /// statuses only. The connection loop applies this to the *outermost*
-    /// response it serves, so live error bodies are self-correlating
-    /// (headers alone don't survive copy-paste into a bug report) while
-    /// success bodies, batch item bodies, and direct-`handle()` test
-    /// responses keep their byte-exact contracts.
-    pub fn with_trace_id(mut self, trace_id: &str) -> Response {
-        if self.status < 400 || self.content_type != "application/json" {
-            return self;
+    /// Its status and content type.
+    pub fn answer(&self) -> Answer {
+        Answer {
+            status: self.status,
+            content_type: self.content_type,
         }
-        let Some(brace) = self.body.rfind('}') else {
-            return self;
-        };
-        let mut body = String::with_capacity(self.body.len() + trace_id.len() + 24);
-        body.push_str(self.body[..brace].trim_end_matches('\n'));
-        body.push_str(",\n  \"trace_id\": \"");
-        escape_into(&mut body, trace_id);
-        body.push_str("\"\n");
-        body.push_str(&self.body[brace..]);
-        self.body = body;
-        self
     }
+
+    /// Append the body to `body` and return the head: a handler's way
+    /// to answer with a response built on its own.
+    pub fn into_answer(self, body: &mut String) -> Answer {
+        body.push_str(&self.body);
+        self.answer()
+    }
+}
+
+/// Append a `"trace_id"` field to a JSON error body — error statuses
+/// only. The connection loop applies this to every answer it serves, so
+/// live error bodies are self-correlating (headers alone don't survive
+/// copy-paste into a bug report) while success bodies, batch item
+/// bodies, and direct-`handle()` test responses keep their byte-exact
+/// contracts.
+pub fn stamp_trace_id(answer: Answer, body: &mut String, trace_id: &str) {
+    if answer.status < 400 || answer.content_type != "application/json" {
+        return;
+    }
+    let Some(brace) = body.rfind('}') else {
+        return;
+    };
+    let cut = body[..brace].trim_end_matches('\n').len();
+    let mut field = String::with_capacity(trace_id.len() + 24);
+    field.push_str(",\n  \"trace_id\": \"");
+    escape_into(&mut field, trace_id);
+    field.push_str("\"\n");
+    body.replace_range(cut..brace, &field);
 }
 
 /// Write the error object `{"error": status, "status": text, "detail": …}`
@@ -362,22 +541,10 @@ pub fn write_error(w: &mut bikron_obs::JsonWriter, status: u16, detail: &str) {
     w.close_object();
 }
 
-/// Reason phrase for the status codes this server emits.
+/// Reason phrase for the status codes this server emits ([`STATUSES`]);
+/// `Unknown` for any other.
 pub fn status_text(code: u16) -> &'static str {
-    match code {
-        200 => "OK",
-        400 => "Bad Request",
-        403 => "Forbidden",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        408 => "Request Timeout",
-        413 => "Payload Too Large",
-        431 => "Request Header Fields Too Large",
-        500 => "Internal Server Error",
-        501 => "Not Implemented",
-        503 => "Service Unavailable",
-        _ => "Unknown",
-    }
+    status_index(code).map_or("Unknown", |i| STATUSES[i].1)
 }
 
 /// Serialise `resp` to `w` in one `write_all`. Returns the total bytes
@@ -386,36 +553,37 @@ pub fn status_text(code: u16) -> &'static str {
 /// a shed, not a failure.
 pub fn write_response<W: Write>(w: &mut W, resp: &Response, keep_alive: bool) -> io::Result<u64> {
     let mut out = Vec::with_capacity(resp.body.len() + 128);
-    let n = render_response(&mut out, resp, keep_alive, None);
+    let n = render_answer(&mut out, resp.answer(), &resp.body, keep_alive, None);
     w.write_all(&out)?;
     w.flush()?;
     Ok(n)
 }
 
-/// Append `resp`, head and body, to `out`, returning the bytes appended.
-/// Same bytes as [`write_response`], plus an optional
+/// Append the answer, head and body, to `out`, returning the bytes
+/// appended. Same bytes as [`write_response`], plus an optional
 /// `x-bikron-trace-id` header: the serving path always has a trace id
 /// (propagated from an inbound `traceparent` or generated), so every
 /// live response is correlatable even when the span ring is disabled.
 /// The header is additive and the body untouched, preserving the
 /// byte-exact body contract the batch and differential suites assert on.
-pub fn render_response(
+pub fn render_answer(
     out: &mut Vec<u8>,
-    resp: &Response,
+    answer: Answer,
+    body: &str,
     keep_alive: bool,
     trace_id: Option<&str>,
 ) -> u64 {
     let start = out.len();
-    write!(
-        out,
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
-        resp.status,
-        status_text(resp.status),
-        resp.content_type,
-        resp.body.len(),
-    )
-    .expect("writing to a Vec cannot fail");
-    if resp.status == 503 {
+    out.extend_from_slice(b"HTTP/1.1 ");
+    push_decimal(out, u64::from(answer.status));
+    out.push(b' ');
+    out.extend_from_slice(status_text(answer.status).as_bytes());
+    out.extend_from_slice(b"\r\nContent-Type: ");
+    out.extend_from_slice(answer.content_type.as_bytes());
+    out.extend_from_slice(b"\r\nContent-Length: ");
+    push_decimal(out, body.len() as u64);
+    out.extend_from_slice(b"\r\n");
+    if answer.status == 503 {
         out.extend_from_slice(b"Retry-After: 1\r\n");
     }
     if let Some(id) = trace_id {
@@ -428,8 +596,14 @@ pub fn render_response(
     } else {
         b"Connection: close\r\n\r\n"
     });
-    out.extend_from_slice(resp.body.as_bytes());
+    out.extend_from_slice(body.as_bytes());
     (out.len() - start) as u64
+}
+
+/// Append the decimal digits of `value` to `out`.
+fn push_decimal(out: &mut Vec<u8>, value: u64) {
+    let mut buf = [0u8; 20];
+    out.extend_from_slice(bikron_obs::json::u64_digits(value, &mut buf));
 }
 
 #[cfg(test)]
@@ -444,9 +618,9 @@ mod tests {
     #[test]
     fn parses_simple_get() {
         let req = parse("GET /v1/stats HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        assert_eq!(req.method, "GET");
-        assert_eq!(req.path, "/v1/stats");
-        assert!(req.query.is_empty());
+        assert_eq!(req.method(), "GET");
+        assert_eq!(req.path(), "/v1/stats");
+        assert_eq!(req.query_pairs().count(), 0);
         assert_eq!(req.header("host"), Some("x"));
         assert!(!req.wants_close());
     }
@@ -455,7 +629,7 @@ mod tests {
     fn parses_query_and_percent_encoding() {
         let req =
             parse("GET /v1/nei%67hbors/5?offset=2&limit=10&x=a%2Bb+c HTTP/1.1\r\n\r\n").unwrap();
-        assert_eq!(req.path, "/v1/neighbors/5");
+        assert_eq!(req.path(), "/v1/neighbors/5");
         assert_eq!(req.query_param("offset"), Some("2"));
         assert_eq!(req.query_param("limit"), Some("10"));
         assert_eq!(req.query_param("x"), Some("a+b c"));
@@ -468,19 +642,42 @@ mod tests {
         assert_eq!(parse("BLAH /x HTTP/1.1\r\n\r\n").unwrap_err().status(), 400);
     }
 
+    /// The 405 detail names both served methods: `POST /v1/batch` is
+    /// served too, so "GET only" would mislead.
+    #[test]
+    fn method_not_allowed_detail_names_get_and_batch_post() {
+        let err = parse("PUT /v1/batch HTTP/1.1\r\n\r\n").unwrap_err();
+        assert_eq!(
+            err.detail(),
+            "method PUT not allowed (GET, or POST on /v1/batch)"
+        );
+    }
+
+    /// The status table is the one source of reason phrases.
+    #[test]
+    fn status_table_drives_status_text() {
+        for (i, &(code, text)) in STATUSES.iter().enumerate() {
+            assert_eq!(status_index(code), Some(i));
+            assert_eq!(status_text(code), text);
+        }
+        assert_eq!(status_text(408), "Request Timeout");
+        assert_eq!(status_index(299), None);
+        assert_eq!(status_text(299), "Unknown");
+    }
+
     #[test]
     fn post_parses_with_body() {
         let raw = "POST /v1/batch HTTP/1.1\r\nContent-Length: 9\r\n\r\nvertex 42";
         let req = parse(raw).unwrap();
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/v1/batch");
-        assert_eq!(req.body, b"vertex 42");
+        assert_eq!(req.method(), "POST");
+        assert_eq!(req.path(), "/v1/batch");
+        assert_eq!(req.body(), b"vertex 42");
     }
 
     #[test]
     fn post_without_body_is_empty_body() {
         let req = parse("POST /v1/batch HTTP/1.1\r\n\r\n").unwrap();
-        assert!(req.body.is_empty());
+        assert!(req.body().is_empty());
     }
 
     #[test]
@@ -550,12 +747,174 @@ mod tests {
     fn small_body_is_drained_for_keep_alive() {
         let raw = "GET /a HTTP/1.1\r\nContent-Length: 3\r\n\r\nxyzGET /b HTTP/1.1\r\n\r\n";
         let mut r = BufReader::new(raw.as_bytes());
-        assert_eq!(parse_request(&mut r).unwrap().path, "/a");
-        assert_eq!(parse_request(&mut r).unwrap().path, "/b");
+        assert_eq!(parse_request(&mut r).unwrap().path(), "/a");
+        assert_eq!(parse_request(&mut r).unwrap().path(), "/b");
         assert!(matches!(
             parse_request(&mut r).unwrap_err(),
             HttpError::Closed
         ));
+    }
+
+    /// One request of a random pipelined stream, spelled by `(kind, a,
+    /// b)`: well-formed GETs and batch POSTs, refused methods, percent
+    /// escapes good and bad, and every bound at, just under and just
+    /// over its limit.
+    fn stream_request(kind: u32, a: u32, b: u32) -> Vec<u8> {
+        const PATHS: [&str; 5] = [
+            "/v1/vertex/17",
+            "/v1/edge/3/9",
+            "/v1/neighbors/5",
+            "/v1/stats",
+            "/",
+        ];
+        let near = |limit: usize| limit + (a % 5) as usize - 2; // limit-2 ..= limit+2
+        let mut headers = String::new();
+        for i in 0..b % 4 {
+            headers.push_str(&format!("X-H{i}: v{a}\r\n"));
+        }
+        match kind % 10 {
+            0..=4 => {
+                let mut target = PATHS[(a % 5) as usize].to_string();
+                for i in 0..b % 3 {
+                    target.push(if i == 0 { '?' } else { '&' });
+                    target.push_str(&format!("k{i}=v{}", a + i));
+                }
+                let close = if a.is_multiple_of(7) {
+                    "Connection: close\r\n"
+                } else {
+                    ""
+                };
+                format!("GET {target} HTTP/1.1\r\nHost: x\r\n{headers}{close}\r\n").into_bytes()
+            }
+            5 => {
+                let body = "vertex 1\n".repeat((a % 5) as usize);
+                format!(
+                    "POST /v1/batch HTTP/1.1\r\n{headers}Content-Length: {}\r\n\r\n{body}",
+                    body.len()
+                )
+                .into_bytes()
+            }
+            6 => {
+                let method = ["PUT", "BLAH", "get", "DELETE"][(a % 4) as usize];
+                format!("{method} /x HTTP/1.1\r\n\r\n").into_bytes()
+            }
+            7 => {
+                let target = [
+                    "/v1/nei%67hbors/5?x=a%2Bb+c",
+                    "/%zz",
+                    "/%2",
+                    "/a%00b",
+                    "/%C3%A9?q=%FF",
+                ][(a % 5) as usize];
+                format!("GET {target} HTTP/1.1\r\n\r\n").into_bytes()
+            }
+            8 => match b % 4 {
+                // Request line: "GET " + path + " HTTP/1.1".
+                0 => {
+                    let path = format!("/{}", "a".repeat(near(MAX_REQUEST_LINE) - 14));
+                    format!("GET {path} HTTP/1.1\r\n\r\n").into_bytes()
+                }
+                // One header line: "X-Pad: " + value.
+                1 => {
+                    let value = "v".repeat(near(MAX_HEADER_LINE) - 7);
+                    format!("GET / HTTP/1.1\r\nX-Pad: {value}\r\n\r\n").into_bytes()
+                }
+                2 => {
+                    let many = "X-H: 1\r\n".repeat(near(MAX_HEADERS));
+                    format!("GET / HTTP/1.1\r\n{many}\r\n").into_bytes()
+                }
+                _ => {
+                    let len = near(MAX_BODY);
+                    let mut raw =
+                        format!("POST /v1/batch HTTP/1.1\r\nContent-Length: {len}\r\n\r\n")
+                            .into_bytes();
+                    raw.resize(raw.len() + len, b'x');
+                    raw
+                }
+            },
+            _ => match a % 3 {
+                0 => b"GET /x\r\n\r\n".to_vec(),
+                1 => b"GET /x HTTP/1.1\r\nno-colon-here\r\n\r\n".to_vec(),
+                _ => b"GET /x HTTP/1.1\r\nContent-Length: 1x\r\n\r\n".to_vec(),
+            },
+        }
+    }
+
+    /// Everything a parse outcome shows: the request, or the error's
+    /// status and detail.
+    fn outcome(result: Result<&Request, &HttpError>) -> Result<Request, (u16, String)> {
+        result.cloned().map_err(|e| (e.status(), e.detail()))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// A pipelined stream parsed through one reused `Request` gives
+        /// the same requests, and the same error at every bound, as a
+        /// fresh `parse_request` per request, whatever the read-buffer
+        /// size.
+        #[test]
+        fn a_reused_request_parses_like_a_fresh_one(
+            specs in proptest::collection::vec((0u32..10, 0u32..1000, 0u32..1000), 1..8),
+            capacity in 1usize..300,
+        ) {
+            let stream: Vec<u8> = specs
+                .iter()
+                .flat_map(|&(kind, a, b)| stream_request(kind, a, b))
+                .collect();
+            let mut fresh_reader = BufReader::with_capacity(capacity, &stream[..]);
+            let mut reused_reader = BufReader::with_capacity(capacity, &stream[..]);
+            let mut reused = Request::default();
+            loop {
+                let fresh = parse_request(&mut fresh_reader);
+                let again = reused.read_from(&mut reused_reader);
+                let fresh = outcome(fresh.as_ref());
+                let again = outcome(again.as_ref().map(|()| &reused));
+                proptest::prop_assert_eq!(&fresh, &again);
+                if fresh.is_err() {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// A request whose headers grew the text buffer past the bound
+    /// releases it, and the same `Request` parses the next one.
+    #[test]
+    fn release_over_frees_only_grown_buffers() {
+        let big = "X-Pad: ".to_string() + &"v".repeat(4000) + "\r\n";
+        let raw = format!(
+            "GET /a HTTP/1.1\r\n{}\r\nGET /b HTTP/1.1\r\n\r\n",
+            big.repeat(20)
+        );
+        let mut r = BufReader::new(raw.as_bytes());
+        let mut req = Request::default();
+        req.read_from(&mut r).unwrap();
+        assert_eq!(req.headers().count(), 20);
+        assert!(req.text.capacity() > 64 * 1024);
+        let line = req.line.capacity();
+        req.release_over(64 * 1024);
+        assert_eq!(req.text.capacity(), 0);
+        assert_eq!(req.line.capacity(), line, "a small buffer is kept");
+        req.read_from(&mut r).unwrap();
+        assert_eq!(req.path(), "/b");
+        assert_eq!(req.headers().count(), 0);
+
+        // A request line of thousands of `&`-separated pairs grows the
+        // query list past the bound, though its text stays small.
+        let target = "/?".to_string() + &"a&".repeat(4000);
+        let raw = format!("GET {target} HTTP/1.1\r\n\r\nGET /c?k=v HTTP/1.1\r\n\r\n");
+        let mut r = BufReader::new(raw.as_bytes());
+        req.read_from(&mut r).unwrap();
+        assert_eq!(req.query_pairs().count(), 4000);
+        assert!(req.query.capacity() * std::mem::size_of::<(Span, Span)>() > 64 * 1024);
+        let headers = req.headers.capacity();
+        req.release_over(64 * 1024);
+        assert_eq!(req.query.capacity(), 0);
+        assert_eq!(req.headers.capacity(), headers, "a small list is kept");
+        req.read_from(&mut r).unwrap();
+        assert_eq!(req.path(), "/c");
+        assert_eq!(req.query_param("k"), Some("v"));
     }
 
     #[test]
@@ -587,10 +946,26 @@ mod tests {
         assert!(text2.contains("\"error\": 503"));
     }
 
+    fn render_response(
+        out: &mut Vec<u8>,
+        resp: &Response,
+        keep_alive: bool,
+        trace_id: Option<&str>,
+    ) -> u64 {
+        render_answer(out, resp.answer(), &resp.body, keep_alive, trace_id)
+    }
+
+    fn with_trace_id(mut resp: Response, trace_id: &str) -> Response {
+        stamp_trace_id(resp.answer(), &mut resp.body, trace_id);
+        resp
+    }
+
     #[test]
     fn with_trace_id_extends_error_bodies_only() {
-        let err = Response::error(404, "no route for /nope")
-            .with_trace_id("0af7651916cd43dd8448eb211c80319c");
+        let err = with_trace_id(
+            Response::error(404, "no route for /nope"),
+            "0af7651916cd43dd8448eb211c80319c",
+        );
         assert!(
             err.body
                 .contains(",\n  \"trace_id\": \"0af7651916cd43dd8448eb211c80319c\"\n}"),
@@ -601,7 +976,7 @@ mod tests {
         // Success bodies are byte-exact contracts; never touched.
         let ok = Response::json(200, "{\n  \"vertex\": 1\n}\n".to_string());
         let body_before = ok.body.clone();
-        assert_eq!(ok.with_trace_id("deadbeef").body, body_before);
+        assert_eq!(with_trace_id(ok, "deadbeef").body, body_before);
     }
 
     #[test]

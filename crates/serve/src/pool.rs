@@ -21,9 +21,12 @@ use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use bikron_obs::{Gauge, SpanSink, TraceContext};
+use bikron_obs::{Counter, Gauge, LocalHistogram, Registry, SpanSink, TraceContext};
 
-use crate::http::{parse_request, render_response, write_response, HttpError, Request, Response};
+use crate::http::{
+    render_answer, stamp_trace_id, status_index, write_response, Answer, HttpError, Request,
+    Response, STATUSES,
+};
 use crate::state::{self, ServeState};
 
 /// How long the nonblocking acceptor sleeps between polls before
@@ -41,6 +44,11 @@ pub const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 /// pipelined requests wait in its read buffer; at this size they are
 /// flushed even mid-burst.
 const MAX_PENDING_OUTPUT: usize = 64 * 1024;
+
+/// The largest capacity a connection's request, body and output buffers
+/// keep between requests; a buffer that one large request or answer grew
+/// past this is released after it.
+const MAX_RETAINED: usize = 64 * 1024;
 
 /// Server configuration (transport-level knobs only; request behaviour
 /// lives in the [`Handler`]).
@@ -75,28 +83,30 @@ impl Default for ServerConfig {
 /// deadline, trace identity and profiler phases stay in the loop.
 pub trait Handler: Send + Sync + 'static {
     /// Answer one parsed request under its trace context (adopted from
-    /// the request's `traceparent` as a child span, or newly minted).
-    fn respond(&self, req: &Request, ctx: &TraceContext) -> Response;
+    /// the request's `traceparent` as a child span, or newly minted):
+    /// render the body onto `body`, which is empty on entry, and return
+    /// the status and content type.
+    fn respond(&self, req: &Request, ctx: &TraceContext, body: &mut String) -> Answer;
     /// Whether the accept loop and its workers should stop.
     fn shutdown_requested(&self) -> bool;
     /// Where finished per-request span trees go; `None` records none.
     fn spans(&self) -> Option<&SpanSink> {
         None
     }
-    /// Publish one access-log event. `shape` is the request's
-    /// [`path_shape`](state::path_shape).
+    /// Publish one access-log event for `req` (`None`: the request did
+    /// not parse, or timed out). [`request_shape`] names it.
     fn log_access(
         &self,
-        _method: &str,
-        _shape: &str,
+        _req: Option<&Request>,
         _status: u16,
         _latency_ns: u64,
         _bytes: u64,
-        _trace_id: Option<&str>,
+        _trace_id: &str,
     ) {
     }
-    /// Record one answered request (status, bytes written, latency).
-    fn record(&self, status: u16, bytes: u64, ns: u64);
+    /// Record answered requests: one call per flushed burst, made by
+    /// the flush that wrote their answers.
+    fn record(&self, tally: &RequestTally);
     /// Record a connection shed with 503 at the accept gate.
     fn record_shed(&self, bytes: u64);
     /// Count a connection closed because its answers could not be
@@ -104,8 +114,126 @@ pub trait Handler: Send + Sync + 'static {
     fn record_timeout(&self);
     /// Count an accepted connection.
     fn connection_opened(&self);
-    /// The in-flight request gauge.
+    /// The in-flight gauge: one per connection while it has a request
+    /// being answered or an answer not yet written.
     fn inflight(&self) -> &Gauge;
+}
+
+/// How an access-log line or a captured trace names a request: its
+/// method and [`path_shape`](state::path_shape), or `-` and `timeout`
+/// (a 408) or `malformed` for one that did not parse.
+pub fn request_shape(req: Option<&Request>, status: u16) -> (&str, String) {
+    match req {
+        Some(req) => (req.method(), state::path_shape(req.path())),
+        None if status == 408 => ("-", "timeout".to_string()),
+        None => ("-", "malformed".to_string()),
+    }
+}
+
+/// The metrics of a run of answered requests, folded on the worker that
+/// answered them and handed to [`Handler::record`] in one call: request
+/// and byte totals, per-status counts, and the latency distribution.
+#[derive(Debug, Clone, Default)]
+pub struct RequestTally {
+    /// Requests per [`STATUSES`] entry.
+    listed: [u64; STATUSES.len()],
+    /// One entry per request whose status is not in [`STATUSES`].
+    unlisted: Vec<u16>,
+    bytes: u64,
+    latency_ns: LocalHistogram,
+}
+
+impl RequestTally {
+    /// Count one answered request.
+    pub fn add(&mut self, status: u16, bytes: u64, ns: u64) {
+        match status_index(status) {
+            Some(i) => self.listed[i] += 1,
+            None => self.unlisted.push(status),
+        }
+        self.bytes += bytes;
+        self.latency_ns.record(ns);
+    }
+
+    /// Requests counted.
+    pub fn requests(&self) -> u64 {
+        self.latency_ns.count()
+    }
+
+    /// Requests answered with `status`.
+    pub fn count(&self, status: u16) -> u64 {
+        match status_index(status) {
+            Some(i) => self.listed[i],
+            None => self.unlisted.iter().filter(|&&s| s == status).count() as u64,
+        }
+    }
+
+    /// Requests answered with a 5xx status.
+    pub fn errors_5xx(&self) -> u64 {
+        let listed: u64 = STATUSES
+            .iter()
+            .zip(&self.listed)
+            .filter(|((code, _), _)| *code >= 500)
+            .map(|(_, n)| n)
+            .sum();
+        listed + self.unlisted.iter().filter(|&&s| s >= 500).count() as u64
+    }
+
+    /// Response bytes written.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// Request latencies, in nanoseconds.
+    pub fn latency_ns(&self) -> &LocalHistogram {
+        &self.latency_ns
+    }
+
+    /// Empty it again, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.listed = [0; STATUSES.len()];
+        self.unlisted.clear();
+        self.bytes = 0;
+        self.latency_ns.clear();
+    }
+}
+
+/// One counter per [`STATUSES`] entry, `{prefix}.status.{code}`,
+/// resolved once so that counting a status never takes the registry's
+/// name-lookup mutex.
+pub struct StatusCounters {
+    prefix: &'static str,
+    counters: Vec<Arc<Counter>>,
+}
+
+impl StatusCounters {
+    /// Resolve the counters in `registry`.
+    pub fn new(registry: &Registry, prefix: &'static str) -> StatusCounters {
+        let counters = STATUSES
+            .iter()
+            .map(|&(code, _)| registry.counter(&format!("{prefix}.status.{code}")))
+            .collect();
+        StatusCounters { prefix, counters }
+    }
+
+    /// The pre-resolved counter for `status`, if it is in [`STATUSES`].
+    pub fn get(&self, status: u16) -> Option<&Counter> {
+        status_index(status).map(|i| &*self.counters[i])
+    }
+
+    /// Add `tally`'s per-status counts; a status outside [`STATUSES`] is
+    /// looked up in `registry` by name.
+    pub fn add(&self, registry: &Registry, tally: &RequestTally) {
+        for (counter, &n) in self.counters.iter().zip(&tally.listed) {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
+        for &status in &tally.unlisted {
+            registry
+                .counter(&format!("{}.status.{status}", self.prefix))
+                .inc();
+        }
+    }
 }
 
 /// A bound, not-yet-running server.
@@ -211,8 +339,10 @@ fn worker_loop(pending: &Mutex<Receiver<TcpStream>>, handler: &impl Handler, idl
 /// One connection's socket: reads under [`REQUEST_DEADLINE`] (a read
 /// waits up to `idle` for a request's first byte, later ones no longer
 /// than the request's deadline), and the answers rendered but not yet
-/// written, which go out before the next blocking read.
-struct DeadlineReader {
+/// written, with their requests' metrics, which go out (and are
+/// recorded) before the next blocking read.
+struct DeadlineReader<'h, H: Handler> {
+    handler: &'h H,
     stream: TcpStream,
     idle: Duration,
     /// The timeout set on the socket; a request that arrives within one
@@ -227,14 +357,25 @@ struct DeadlineReader {
     /// wrote all of them, so bytes left here after an error mean the
     /// write failed, not the read.
     out: Vec<u8>,
+    /// The requests answered since the last flush.
+    tally: RequestTally,
+    /// Whether this connection holds one count of the in-flight gauge.
+    inflight: bool,
 }
 
-impl DeadlineReader {
+impl<H: Handler> DeadlineReader<'_, H> {
+    /// Write every pending answer, then record their requests.
+    fn flush(&mut self) -> io::Result<()> {
+        let written = self.write_out();
+        self.record();
+        written
+    }
+
     /// Write every pending answer in one `write(2)`, within
     /// [`REQUEST_DEADLINE`]. The socket's write timeout is the deadline,
     /// so only a write the peer's full buffers cut short (a client that
     /// does not read) shortens it, and costs a `setsockopt`.
-    fn flush(&mut self) -> io::Result<()> {
+    fn write_out(&mut self) -> io::Result<()> {
         let deadline = Instant::now() + REQUEST_DEADLINE;
         let mut sent = 0;
         let mut shortened = false;
@@ -258,11 +399,34 @@ impl DeadlineReader {
             self.stream.set_write_timeout(Some(REQUEST_DEADLINE))?;
         }
         self.out.clear();
+        if self.out.capacity() > MAX_RETAINED {
+            self.out = Vec::new();
+        }
         Ok(())
+    }
+
+    /// Hand the answered requests' metrics to the handler in one call
+    /// and give back the in-flight count: the flush that writes a
+    /// burst's answers (or fails to) ends it.
+    fn record(&mut self) {
+        if self.tally.requests() > 0 {
+            self.handler.record(&self.tally);
+            self.tally.clear();
+        }
+        if self.inflight {
+            self.handler.inflight().lower(1);
+            self.inflight = false;
+        }
     }
 }
 
-impl Read for DeadlineReader {
+impl<H: Handler> Drop for DeadlineReader<'_, H> {
+    fn drop(&mut self) {
+        self.record();
+    }
+}
+
+impl<H: Handler> Read for DeadlineReader<'_, H> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         // No answer waits behind a read. This runs inside the `accept`
         // frame, so the nested `write` frame keeps write time apart (and
@@ -304,16 +468,22 @@ fn flush_failed(handler: &impl Handler, e: &io::Error) {
     }
 }
 
-/// One keep-alive session: parse → respond → render, recording metrics,
-/// one access-log event, and (when the handler has an enabled span sink)
-/// one span tree per request, until close/error/timeout/shutdown.
+/// One keep-alive session: parse → respond → render, until
+/// close/error/timeout/shutdown. Each request is counted in the
+/// connection's [`RequestTally`], recorded by the flush that writes its
+/// answer, and gets one access-log event and (when the handler has an
+/// enabled span sink) one span tree.
 ///
 /// A rendered answer is written at once when no further request bytes
 /// are buffered, when the connection is about to close, or when
 /// [`MAX_PENDING_OUTPUT`] bytes are pending; otherwise it waits for the
 /// answers to the rest of the pipelined burst, and all of them leave in
 /// one write before the next blocking read.
-fn serve_connection(stream: TcpStream, handler: &impl Handler, read_timeout: Duration) {
+///
+/// The request, its body and the output are one buffer each for the
+/// whole connection, so a steady run of requests allocates nothing;
+/// a buffer grown past [`MAX_RETAINED`] is released after its request.
+fn serve_connection<H: Handler>(stream: TcpStream, handler: &H, read_timeout: Duration) {
     if stream.set_read_timeout(Some(read_timeout)).is_err()
         || stream.set_write_timeout(Some(REQUEST_DEADLINE)).is_err()
         || stream.set_nodelay(true).is_err()
@@ -321,13 +491,18 @@ fn serve_connection(stream: TcpStream, handler: &impl Handler, read_timeout: Dur
         return;
     }
     let mut reader = BufReader::new(DeadlineReader {
+        handler,
         stream,
         idle: read_timeout,
         timeout: read_timeout,
         deadline: None,
         expired: false,
         out: Vec::new(),
+        tally: RequestTally::default(),
+        inflight: false,
     });
+    let mut req = Request::default();
+    let mut body = String::new();
     loop {
         // On keep-alive connections the `accept` frame includes idle
         // time between requests — acceptable for a diagnostic span and
@@ -345,20 +520,20 @@ fn serve_connection(stream: TcpStream, handler: &impl Handler, read_timeout: Dur
             .is_some_and(SpanSink::enabled)
             .then(bikron_obs::attach_request);
         let accept_frame = bikron_obs::phase("accept");
-        let parsed = parse_request(&mut reader);
+        let parsed = req.read_from(&mut reader);
         drop(accept_frame);
         // `parse` is a zero-width marker: parsing happens inside the read.
         drop(bikron_obs::child_span(|| "parse".to_string()));
         // Parse failures and timeouts are answered, then the connection
         // is closed: after a framing error the byte stream can't be
         // trusted, and a client that missed the deadline gets no more.
-        let parsed = match parsed {
-            Ok(req) => Ok(req),
+        let refused = match parsed {
+            Ok(()) => None,
             // The flush before a read failed: the answers cannot go out.
             Err(HttpError::Io(e)) if !reader.get_ref().out.is_empty() => {
                 return flush_failed(handler, &e);
             }
-            Err(HttpError::Io(_)) if reader.get_ref().expired => Err(Response::error(
+            Err(HttpError::Io(_)) if reader.get_ref().expired => Some(Response::error(
                 408,
                 &format!(
                     "request not complete within {} s of its first byte",
@@ -366,80 +541,129 @@ fn serve_connection(stream: TcpStream, handler: &impl Handler, read_timeout: Dur
                 ),
             )),
             Err(HttpError::Closed) | Err(HttpError::Io(_)) => return,
-            Err(e) => Err(Response::error(e.status(), &e.detail())),
+            Err(e) => Some(Response::error(e.status(), &e.detail())),
         };
         // The latency clock starts once a full request has been read, so
         // keep-alive idle time between requests never pollutes the
         // windowed p99 the health endpoint alarms on (nor the slow-trace
         // capture decision, which uses the same total).
         let started = Instant::now();
-        // Held through handling AND the response render or write: the
-        // live gauge a dashboard polls must count requests in flight.
-        let _inflight = handler.inflight().enter();
+        // Held from the first answer of a burst to the flush that writes
+        // it: the live gauge a dashboard polls must count work in flight.
+        let conn = reader.get_mut();
+        if !conn.inflight {
+            handler.inflight().raise(1);
+            conn.inflight = true;
+        }
         // Every request gets a trace identity, traced or not: adopt the
         // client's `traceparent` when one parses (our root span becomes
         // a child in the caller's trace), otherwise mint ids.
+        let parsed = refused.is_none().then_some(&req);
         let (ctx, remote_parent) = match parsed
-            .as_ref()
-            .ok()
             .and_then(|req| req.header("traceparent"))
             .and_then(TraceContext::parse_traceparent)
         {
             Some(remote) => (TraceContext::child_of(remote), remote.span_id),
             None => (TraceContext::generate(), 0),
         };
-        let trace_hex = ctx.trace_id_hex();
+        let mut trace_buf = [0; 32];
+        let trace_hex = ctx.trace_id_hex_into(&mut trace_buf);
         if let Some(request) = &request {
             request.set_context(ctx, remote_parent);
         }
-        let (resp, keep_alive, req) = match parsed {
-            Ok(req) => {
+        body.clear();
+        let (answer, keep_alive) = match refused {
+            None => {
                 let evaluate_frame = bikron_obs::phase("evaluate");
-                let resp = handler.respond(&req, &ctx);
+                let answer = handler.respond(&req, &ctx, &mut body);
                 drop(evaluate_frame);
-                let keep = !req.wants_close();
-                (resp, keep, Some(req))
+                (answer, !req.wants_close())
             }
-            Err(resp) => (resp, false, None),
+            Some(resp) => (resp.into_answer(&mut body), false),
         };
         // Error bodies carry the trace id so a client pasting a failure
         // into a bug report hands over the lookup key; success bodies
         // stay byte-identical to the untraced server (the id travels in
         // the `x-bikron-trace-id` header instead).
-        let resp = if resp.status >= 400 {
-            resp.with_trace_id(&trace_hex)
-        } else {
-            resp
-        };
-        let status = resp.status;
+        stamp_trace_id(answer, &mut body, trace_hex);
+        let status = answer.status;
         let last = !keep_alive || handler.shutdown_requested();
         let write_frame = bikron_obs::phase("write");
-        let out = &mut reader.get_mut().out;
-        let bytes = render_response(out, &resp, keep_alive, Some(&trace_hex));
-        let flush_now = last || out.len() >= MAX_PENDING_OUTPUT || reader.buffer().is_empty();
-        let flushed = if flush_now {
-            reader.get_mut().flush()
-        } else {
-            Ok(())
-        };
+        let buffered = !reader.buffer().is_empty();
+        let conn = reader.get_mut();
+        let bytes = render_answer(&mut conn.out, answer, &body, keep_alive, Some(trace_hex));
+        let flush_now = last || conn.out.len() >= MAX_PENDING_OUTPUT || !buffered;
+        let written = if flush_now { conn.write_out() } else { Ok(()) };
         drop(write_frame);
-        if let Err(e) = flushed {
+        let ns = started.elapsed().as_nanos() as u64;
+        conn.tally.add(status, bytes, ns);
+        if flush_now {
+            conn.record();
+        }
+        if let Err(e) = written {
             return flush_failed(handler, &e);
         }
-        let ns = started.elapsed().as_nanos() as u64;
-        handler.record(status, bytes, ns);
-        let (method, shape) = match &req {
-            Some(req) => (req.method.as_str(), state::path_shape(&req.path)),
-            None if status == 408 => ("-", "timeout".to_string()),
-            None => ("-", "malformed".to_string()),
-        };
-        handler.log_access(method, &shape, status, ns, bytes, Some(&trace_hex));
+        handler.log_access(parsed, status, ns, bytes, trace_hex);
         if let (Some(request), Some(sink)) = (request, handler.spans()) {
             // Offer the finished tree for tail capture.
+            let (method, shape) = request_shape(parsed, status);
             sink.offer(request.finish(), method, &shape, status, bytes, ns);
         }
         if last {
             return;
         }
+        if body.capacity() > MAX_RETAINED {
+            body = String::new();
+        }
+        req.release_over(MAX_RETAINED);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A tally counts listed and unlisted statuses, 5xx and bytes, and
+    /// starts over when cleared.
+    #[test]
+    fn tally_counts_statuses_bytes_and_latency() {
+        let mut tally = RequestTally::default();
+        for (status, bytes, ns) in [(200, 10, 5), (503, 20, 7), (409, 30, 9), (408, 1, 1)] {
+            tally.add(status, bytes, ns);
+        }
+        assert_eq!(tally.requests(), 4);
+        assert_eq!(
+            (tally.count(200), tally.count(409), tally.count(408)),
+            (1, 1, 1)
+        );
+        assert_eq!(tally.errors_5xx(), 1);
+        assert_eq!(tally.bytes(), 61);
+        assert_eq!(tally.latency_ns().count(), 4);
+        tally.clear();
+        assert_eq!(
+            (tally.requests(), tally.count(409), tally.bytes()),
+            (0, 0, 0)
+        );
+    }
+
+    /// Every status with a reason phrase has a pre-resolved counter, so
+    /// no emitted status (408 included) takes the registry mutex.
+    #[test]
+    fn every_named_status_has_a_preresolved_counter() {
+        let registry = Registry::new();
+        let counters = StatusCounters::new(&registry, "t");
+        let mut tally = RequestTally::default();
+        for &(code, _) in &STATUSES {
+            assert!(counters.get(code).is_some(), "{code}");
+            tally.add(code, 0, 0);
+        }
+        assert!(counters.get(408).is_some());
+        tally.add(409, 0, 0);
+        counters.add(&registry, &tally);
+        let report = registry.snapshot();
+        for &(code, _) in &STATUSES {
+            assert_eq!(report.counter(&format!("t.status.{code}")), Some(1));
+        }
+        assert_eq!(report.counter("t.status.409"), Some(1));
     }
 }

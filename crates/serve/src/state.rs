@@ -40,8 +40,8 @@ use bikron_obs::{
     WindowRegistry, WindowSnapshot,
 };
 
-use crate::http::{write_error, Request, Response};
-use crate::pool::Handler;
+use crate::http::{write_error, Answer, Request, Response};
+use crate::pool::{request_shape, Handler, RequestTally, StatusCounters};
 
 /// Default page size for `/v1/neighbors` and `/v1/edges`.
 pub const DEFAULT_LIMIT: usize = 100;
@@ -138,8 +138,8 @@ pub struct ServeMetrics {
     timeouts: Arc<Counter>,
     batch_size: Arc<Histogram>,
     batch_items: Arc<Counter>,
-    /// `(code, counter)` for every status the server can emit.
-    status: Vec<(u16, Arc<Counter>)>,
+    /// `serve.status.{code}` for every status with a reason phrase.
+    status: StatusCounters,
     /// The epoch-ring registry behind the windowed handles above.
     windows: WindowRegistry,
 }
@@ -148,10 +148,6 @@ impl ServeMetrics {
     fn new() -> Self {
         let obs = bikron_obs::global();
         let windows = WindowRegistry::new();
-        let status = [200u16, 400, 403, 404, 405, 413, 431, 500, 501, 503]
-            .iter()
-            .map(|&c| (c, obs.counter(&format!("serve.status.{c}"))))
-            .collect();
         ServeMetrics {
             requests: windows.counter(obs, "serve.requests"),
             errors_5xx: windows.counter(obs, "serve.errors_5xx"),
@@ -163,7 +159,7 @@ impl ServeMetrics {
             timeouts: obs.counter("serve.timeouts"),
             batch_size: obs.histogram("serve.batch_size"),
             batch_items: obs.counter("serve.batch.items"),
-            status,
+            status: StatusCounters::new(obs, "serve"),
             windows,
         }
     }
@@ -174,25 +170,33 @@ impl ServeMetrics {
         self.batch_items.add(items);
     }
 
-    /// Record one completed request. A 408 is the transport's
-    /// whole-request deadline firing, so it also counts a timeout.
+    /// Record one completed request (see [`ServeMetrics::record_tally`]).
     pub fn record(&self, status: u16, bytes: u64, ns: u64) {
-        self.requests.inc();
-        if status >= 500 {
-            self.errors_5xx.inc();
+        let mut tally = RequestTally::default();
+        tally.add(status, bytes, ns);
+        self.record_tally(&tally);
+    }
+
+    /// Record a run of completed requests: one update per metric,
+    /// however many requests the tally holds. A 408 is the transport's
+    /// whole-request deadline firing, so it also counts a timeout.
+    pub fn record_tally(&self, tally: &RequestTally) {
+        let requests = tally.requests();
+        if requests == 0 {
+            return;
         }
-        if status == 408 {
-            self.timeouts.inc();
+        self.requests.add(requests);
+        let errors = tally.errors_5xx();
+        if errors > 0 {
+            self.errors_5xx.add(errors);
         }
-        self.bytes_out.add(bytes);
-        self.request_ns.record(ns);
-        if let Some((_, c)) = self.status.iter().find(|(s, _)| *s == status) {
-            c.inc();
-        } else {
-            bikron_obs::global()
-                .counter(&format!("serve.status.{status}"))
-                .inc();
+        let timeouts = tally.count(408);
+        if timeouts > 0 {
+            self.timeouts.add(timeouts);
         }
+        self.bytes_out.add(tally.bytes());
+        self.request_ns.record_local(tally.latency_ns());
+        self.status.add(bikron_obs::global(), tally);
     }
 
     /// The window registry backing this state's rolling metrics.
@@ -476,26 +480,43 @@ impl ServeState {
     }
 
     /// Route and answer one request. Pure: no I/O, no blocking — the
-    /// pool owns transport and metrics.
+    /// pool owns transport and metrics. The body [`ServeState::answer`]
+    /// renders, as a [`Response`].
     pub fn handle(&self, req: &Request) -> Response {
+        let mut body = String::with_capacity(256);
+        let answer = self.answer(req, &mut body);
+        Response {
+            status: answer.status,
+            content_type: answer.content_type,
+            body,
+        }
+    }
+
+    /// Route and answer one request, rendering its body onto `body`.
+    /// The keyed queries, `/v1/stats` and batches render straight into
+    /// it; the rest build a [`Response`] and copy its body in.
+    pub fn answer(&self, req: &Request, body: &mut String) -> Answer {
         // The longest route has four segments; a fifth means no route.
-        let (segs, len) = first_n::<5>(req.path.split('/').filter(|s| !s.is_empty()));
+        let (segs, len) = first_n::<5>(req.path().split('/').filter(|s| !s.is_empty()));
         let segs = &segs[..len];
-        if req.method == "POST" {
+        if req.method() == "POST" {
             return match segs {
-                ["v1", "batch"] => self.batch(req),
-                _ => Response::error(405, "POST is only accepted on /v1/batch"),
+                ["v1", "batch"] => self.batch(req, body),
+                _ => Response::error(405, "POST is only accepted on /v1/batch").into_answer(body),
             };
         }
-        match segs {
+        let resp = match segs {
+            ["v1", "stats"] => {
+                body.push_str(&self.stats_json);
+                return Answer::json(200);
+            }
+            ["v1", "vertex", p] => return self.vertex(p, body),
+            ["v1", "edge", p, q] => return self.edge(p, q, body),
+            ["v1", "neighbors", p] => return self.neighbors(p, req, body),
+            ["v1", "clustering", p, q] => return self.clustering(p, q, body),
             ["metrics"] => self.metrics_response(req),
-            ["v1", "stats"] => Response::json(200, self.stats_json.clone()),
             ["v1", "health"] => self.health_response(),
-            ["v1", "vertex", p] => self.vertex(p),
-            ["v1", "edge", p, q] => self.edge(p, q),
-            ["v1", "neighbors", p] => self.neighbors(p, req),
             ["v1", "edges", part, parts] => self.edges(part, parts, req),
-            ["v1", "clustering", p, q] => self.clustering(p, q),
             ["v1", "community"] => self.community(req),
             ["v1", "scatter", "degree-squares"] => self.scatter_degree_squares(req),
             ["v1", "batch"] => Response::error(405, "batch requires POST"),
@@ -503,27 +524,30 @@ impl ServeState {
             ["v1", "admin", "stall"] => self.stall_endpoint(req),
             ["v1", "admin", "traces"] => self.traces_endpoint(req),
             ["v1", "admin", "profile"] => self.profile_endpoint(req),
-            _ => Response::error(404, &format!("no route for {}", req.path)),
-        }
+            _ => Response::error(404, &format!("no route for {}", req.path())),
+        };
+        resp.into_answer(body)
     }
 
-    fn batch(&self, req: &Request) -> Response {
-        let body = match std::str::from_utf8(&req.body) {
+    fn batch(&self, req: &Request, out: &mut String) -> Answer {
+        let body = match std::str::from_utf8(req.body()) {
             Ok(s) => s,
-            Err(_) => return Response::error(400, "batch body is not valid UTF-8"),
+            Err(_) => {
+                return Response::error(400, "batch body is not valid UTF-8").into_answer(out)
+            }
         };
         let queries = match crate::batch::parse_batch(body, self.batch_max) {
             Ok(qs) => qs,
-            Err(e) => return e.response(),
+            Err(e) => return e.response().into_answer(out),
         };
         self.metrics.record_batch(queries.len() as u64);
-        crate::batch::eval_batch(self, &queries)
+        crate::batch::eval_batch(self, &queries, out)
     }
 
-    fn vertex(&self, raw: &str) -> Response {
+    fn vertex(&self, raw: &str, body: &mut String) -> Answer {
         match parse_index(raw, self.num_vertices()) {
-            Ok(p) => render(|w| self.vertex_into(w, p)),
-            Err(resp) => resp,
+            Ok(p) => render(body, |w| self.vertex_into(w, p)),
+            Err(resp) => resp.into_answer(body),
         }
     }
 
@@ -557,11 +581,11 @@ impl ServeState {
         200
     }
 
-    fn edge(&self, raw_p: &str, raw_q: &str) -> Response {
+    fn edge(&self, raw_p: &str, raw_q: &str, body: &mut String) -> Answer {
         let n = self.num_vertices();
         match (parse_index(raw_p, n), parse_index(raw_q, n)) {
-            (Ok(p), Ok(q)) => render(|w| self.edge_into(w, p, q)),
-            (Err(resp), _) | (_, Err(resp)) => resp,
+            (Ok(p), Ok(q)) => render(body, |w| self.edge_into(w, p, q)),
+            (Err(resp), _) | (_, Err(resp)) => resp.into_answer(body),
         }
     }
 
@@ -586,14 +610,14 @@ impl ServeState {
         200
     }
 
-    fn neighbors(&self, raw: &str, req: &Request) -> Response {
+    fn neighbors(&self, raw: &str, req: &Request, body: &mut String) -> Answer {
         let p = match parse_index(raw, self.num_vertices()) {
             Ok(p) => p,
-            Err(resp) => return resp,
+            Err(resp) => return resp.into_answer(body),
         };
         match parse_page(req) {
-            Ok((offset, limit)) => render(|w| self.neighbors_into(w, p, offset, limit)),
-            Err(resp) => resp,
+            Ok((offset, limit)) => render(body, |w| self.neighbors_into(w, p, offset, limit)),
+            Err(resp) => resp.into_answer(body),
         }
     }
 
@@ -706,11 +730,11 @@ impl ServeState {
         Response::json(200, w.finish())
     }
 
-    fn clustering(&self, raw_p: &str, raw_q: &str) -> Response {
+    fn clustering(&self, raw_p: &str, raw_q: &str, body: &mut String) -> Answer {
         let n = self.num_vertices();
         match (parse_index(raw_p, n), parse_index(raw_q, n)) {
-            (Ok(p), Ok(q)) => render(|w| self.clustering_into(w, p, q)),
-            (Err(resp), _) | (_, Err(resp)) => resp,
+            (Ok(p), Ok(q)) => render(body, |w| self.clustering_into(w, p, q)),
+            (Err(resp), _) | (_, Err(resp)) => resp.into_answer(body),
         }
     }
 
@@ -1087,9 +1111,7 @@ impl ServeState {
 
 /// The first `N` items of `items` and how many there were (at most
 /// `N`) — path segments and batch tokens, split without a `Vec`.
-pub(crate) fn first_n<'a, const N: usize>(
-    items: impl Iterator<Item = &'a str>,
-) -> ([&'a str; N], usize) {
+pub fn first_n<'a, const N: usize>(items: impl Iterator<Item = &'a str>) -> ([&'a str; N], usize) {
     let mut out = [""; N];
     let mut len = 0;
     for (slot, item) in out.iter_mut().zip(items) {
@@ -1099,11 +1121,14 @@ pub(crate) fn first_n<'a, const N: usize>(
     (out, len)
 }
 
-/// A JSON response whose body `render` writes, returning its status.
-fn render(render: impl FnOnce(&mut JsonWriter) -> u16) -> Response {
-    let mut w = JsonWriter::new();
+/// A JSON answer whose body `render` writes onto `body`, returning its
+/// status. The writer borrows `body`'s buffer, so nothing is allocated
+/// once it has grown to the answer's size.
+fn render(body: &mut String, render: impl FnOnce(&mut JsonWriter) -> u16) -> Answer {
+    let mut w = JsonWriter::with_buffer(std::mem::take(body));
     let status = render(&mut w);
-    Response::json(status, w.finish())
+    *body = w.finish();
+    Answer::json(status)
 }
 
 /// A refused keyed query: the status and detail of its error body.
@@ -1393,8 +1418,8 @@ pub fn profile_response(req: &Request) -> Response {
 /// The serve side of the transport loop: span trees and the access log
 /// are serve-only bookkeeping.
 impl Handler for ServeState {
-    fn respond(&self, req: &Request, _ctx: &TraceContext) -> Response {
-        self.handle(req)
+    fn respond(&self, req: &Request, _ctx: &TraceContext, body: &mut String) -> Answer {
+        self.answer(req, body)
     }
 
     fn shutdown_requested(&self) -> bool {
@@ -1410,29 +1435,29 @@ impl Handler for ServeState {
     /// span trees and upstream traces.
     fn log_access(
         &self,
-        method: &str,
-        path_shape: &str,
+        req: Option<&Request>,
         status: u16,
         latency_ns: u64,
         bytes: u64,
-        trace_id: Option<&str>,
+        trace_id: &str,
     ) {
         let Some(logger) = &self.logger else {
             return;
         };
+        let (method, shape) = request_shape(req, status);
         logger.publish(
             LogEvent::new("access")
                 .field("method", method)
-                .field("path", path_shape)
+                .field("path", shape.as_str())
                 .field("status", status as u64)
                 .field("latency_ns", latency_ns)
                 .field("bytes", bytes)
-                .field("trace_id", trace_id.unwrap_or("-")),
+                .field("trace_id", trace_id),
         );
     }
 
-    fn record(&self, status: u16, bytes: u64, ns: u64) {
-        self.metrics.record(status, bytes, ns);
+    fn record(&self, tally: &RequestTally) {
+        self.metrics.record_tally(tally);
     }
 
     fn record_shed(&self, bytes: u64) {
@@ -1876,24 +1901,37 @@ mod tests {
         )
         .unwrap();
         st.log_access(
-            "GET",
-            "/v1/vertex/{n}",
+            Some(&get("/v1/vertex/17")),
             200,
             1_234,
             99,
-            Some("00f067aa0ba902b7deadbeefcafef00d"),
+            "00f067aa0ba902b7deadbeefcafef00d",
         );
-        st.log_access("GET", "/metrics", 200, 5_678, 400, None);
+        st.log_access(None, 408, 5_678, 400, "0af7651916cd43dd8448eb211c80319c");
         st.flush_logs();
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2, "{text}");
         assert!(lines[0].contains("\"target\": \"access\""));
+        assert!(lines[0].contains("\"method\": \"GET\""));
         assert!(lines[0].contains("\"path\": \"/v1/vertex/{n}\""));
         assert!(lines[0].contains("\"trace_id\": \"00f067aa0ba902b7deadbeefcafef00d\""));
-        assert!(lines[1].contains("\"trace_id\": \"-\""));
+        assert!(lines[1].contains("\"method\": \"-\""));
+        assert!(lines[1].contains("\"path\": \"timeout\""));
+        assert!(lines[1].contains("\"trace_id\": \"0af7651916cd43dd8448eb211c80319c\""));
         assert!(lines.iter().all(|l| !l.contains("\"cache\"")), "{text}");
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Every status with a reason phrase, 408 included, has a
+    /// pre-resolved `serve.status.*` counter.
+    #[test]
+    fn every_named_status_has_a_preresolved_counter() {
+        let metrics = ServeMetrics::new();
+        for &(code, _) in &crate::http::STATUSES {
+            assert!(metrics.status.get(code).is_some(), "{code}");
+        }
+        assert!(metrics.status.get(408).is_some());
     }
 
     #[test]

@@ -281,11 +281,11 @@ fn post_bodies_are_framed_with_content_length() {
     let addr = listener.local_addr().unwrap().to_string();
     let handle = std::thread::spawn(move || {
         let (stream, _) = listener.accept().unwrap();
-        let mut req =
+        let req =
             bikron_serve::http::parse_request(&mut BufReader::new(stream.try_clone().unwrap()))
                 .unwrap();
         let mut w: TcpStream = stream;
-        let body = String::from_utf8(std::mem::take(&mut req.body)).unwrap();
+        let body = String::from_utf8(req.body().to_vec()).unwrap();
         w.write_all(ok_response(&body, "").as_bytes()).unwrap();
         req
     });
@@ -300,8 +300,8 @@ fn post_bodies_are_framed_with_content_length() {
         .unwrap();
     assert_eq!(resp.body, "vertex 1\nvertex 2");
     let req = handle.join().unwrap();
-    assert_eq!(req.method, "POST");
-    assert_eq!(req.path, "/v1/batch");
+    assert_eq!(req.method(), "POST");
+    assert_eq!(req.path(), "/v1/batch");
     assert_eq!(req.header("traceparent"), Some("00-tp"));
 }
 

@@ -28,9 +28,9 @@ fn assert_parse_is_total(stream: &[u8]) {
         match parse_request(&mut reader) {
             Ok(req) => {
                 assert!(
-                    req.method == "GET" || req.method == "POST",
+                    req.method() == "GET" || req.method() == "POST",
                     "parser let through method {:?}",
-                    req.method
+                    req.method()
                 );
             }
             Err(e) => {

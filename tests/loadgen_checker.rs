@@ -14,7 +14,8 @@ use bikron_bench::check::{Outcome, Reference, Workload};
 use bikron_core::SelfLoopMode;
 use bikron_generators::{complete_bipartite, crown, cycle};
 use bikron_obs::{Gauge, TraceContext};
-use bikron_serve::http::{Request, Response};
+use bikron_serve::http::{Answer, Request};
+use bikron_serve::pool::RequestTally;
 use bikron_serve::{Handler, ServeOptions, ServeState, Server, ServerConfig};
 
 const EXPR: &str = "(A+I)⊗B⊗C";
@@ -49,18 +50,18 @@ fn bindings() -> Vec<(String, bikron_graph::Graph)> {
 struct InflatedSquares(ServeState);
 
 impl Handler for InflatedSquares {
-    fn respond(&self, req: &Request, _ctx: &TraceContext) -> Response {
-        let mut resp = self.0.handle(req);
-        if req.path.starts_with("/v1/vertex/") || req.path == "/v1/batch" {
-            resp.body = inflate_squares(&resp.body);
+    fn respond(&self, req: &Request, ctx: &TraceContext, body: &mut String) -> Answer {
+        let answer = self.0.respond(req, ctx, body);
+        if req.path().starts_with("/v1/vertex/") || req.path() == "/v1/batch" {
+            *body = inflate_squares(body);
         }
-        resp
+        answer
     }
     fn shutdown_requested(&self) -> bool {
         self.0.shutdown_requested()
     }
-    fn record(&self, status: u16, bytes: u64, ns: u64) {
-        Handler::record(&self.0, status, bytes, ns)
+    fn record(&self, tally: &RequestTally) {
+        Handler::record(&self.0, tally)
     }
     fn record_shed(&self, bytes: u64) {
         Handler::record_shed(&self.0, bytes)

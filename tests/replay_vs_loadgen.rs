@@ -19,7 +19,8 @@ use bikron_cli::replay::{parse_access_log, ReplayConfig};
 use bikron_core::SelfLoopMode;
 use bikron_generators::{complete_bipartite, cycle};
 use bikron_obs::{Gauge, TraceContext};
-use bikron_serve::http::{Request, Response};
+use bikron_serve::http::{Answer, Request};
+use bikron_serve::pool::RequestTally;
 use bikron_serve::{Handler, ServeOptions, ServeState, Server, ServerConfig};
 
 /// Minimal keep-alive HTTP client (same shape as the serve test suite's).
@@ -258,15 +259,15 @@ struct Recording {
 }
 
 impl Handler for Recording {
-    fn respond(&self, req: &Request, _ctx: &TraceContext) -> Response {
-        self.paths.lock().unwrap().push(req.path.clone());
-        self.state.handle(req)
+    fn respond(&self, req: &Request, ctx: &TraceContext, body: &mut String) -> Answer {
+        self.paths.lock().unwrap().push(req.path().to_string());
+        self.state.respond(req, ctx, body)
     }
     fn shutdown_requested(&self) -> bool {
         self.state.shutdown_requested()
     }
-    fn record(&self, status: u16, bytes: u64, ns: u64) {
-        Handler::record(&self.state, status, bytes, ns)
+    fn record(&self, tally: &RequestTally) {
+        Handler::record(&self.state, tally)
     }
     fn record_shed(&self, bytes: u64) {
         Handler::record_shed(&self.state, bytes)
