@@ -90,14 +90,24 @@ pub use span::{RequestTrace, SampleReason, SpanRecorder, SpanSink, TraceContext}
 pub use trace::{SpanEvent, TraceCollector};
 pub use window::{WindowKind, WindowRegistry, WindowSnapshot, WindowStats};
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The process-wide registry. Hot paths in `bikron-sparse`, `bikron-core`,
 /// `bikron-analytics`, and `bikron-distsim` record here; the CLI's
 /// `--metrics-out` and the `perf_report` binary snapshot it.
 pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
+    global_shared_ref()
+}
+
+/// A shared handle on the process-wide registry, for an owner that may
+/// equally hold a private one (a server's transport metrics).
+pub fn global_shared() -> Arc<Registry> {
+    Arc::clone(global_shared_ref())
+}
+
+fn global_shared_ref() -> &'static Arc<Registry> {
+    static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
+    GLOBAL.get_or_init(Arc::default)
 }
 
 /// Schema identifier emitted in every JSON report. [`Report::from_json`]

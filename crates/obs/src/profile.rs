@@ -43,6 +43,7 @@
 //! ([`frame_totals`]) for top-table rendering and `perfdiff --profile`.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -122,11 +123,45 @@ impl Interner {
 
 /// A thread's publication state: its claimed slot and the
 /// `(parent, leaf) → id` cache that keeps steady-state publication
-/// allocation-free (outer map keyed by parent id so the inner lookup
-/// borrows the `&str` leaf directly). Owned by the thread's phase stack.
+/// allocation-free. Owned by the thread's phase stack.
 pub(crate) struct ThreadSlot {
     slot: usize,
-    cache: HashMap<u32, HashMap<String, u32>>,
+    /// One flat map keyed by [`pair_hash`]; each entry keeps its pair, so
+    /// a lookup checks it. Two pairs with one hash evict each other,
+    /// which costs a trip to the interner, never a wrong id.
+    cache: HashMap<u64, (u32, Box<str>, u32), BuildHasherDefault<PreHashed>>,
+}
+
+/// An FxHash-style mix of `(parent, leaf)`: a few multiplies instead of
+/// SipHash, computed once per lookup. Phase names come from the
+/// program, never from a request, so no one can craft colliding keys.
+fn pair_hash(parent: u32, leaf: &str) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mut h = (u64::from(parent) << 32 | leaf.len() as u64).wrapping_mul(K);
+    for chunk in leaf.as_bytes().chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        h = (h.rotate_left(5) ^ u64::from_le_bytes(word)).wrapping_mul(K);
+    }
+    h
+}
+
+/// The hasher of a map whose `u64` keys are already hashes.
+#[derive(Default)]
+struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("keys are pre-hashed u64s")
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
 }
 
 impl Drop for ThreadSlot {
@@ -248,23 +283,20 @@ impl Profiler {
                 self.slots[slot].store(SLOT_IDLE, Ordering::Release);
                 thread.insert(ThreadSlot {
                     slot,
-                    cache: HashMap::new(),
+                    cache: HashMap::default(),
                 })
             }
         };
-        let id = match state.cache.get(&parent).and_then(|m| m.get(leaf)) {
-            Some(&id) => id,
-            None => {
+        let key = pair_hash(parent, leaf);
+        let id = match state.cache.get(&key) {
+            Some((p, l, id)) if *p == parent && **l == *leaf => *id,
+            _ => {
                 let id = self
                     .interner
                     .lock()
                     .expect("profiler interner")
                     .intern(parent, leaf);
-                state
-                    .cache
-                    .entry(parent)
-                    .or_default()
-                    .insert(leaf.to_string(), id);
+                state.cache.insert(key, (parent, leaf.into(), id));
                 id
             }
         };

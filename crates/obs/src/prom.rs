@@ -19,8 +19,15 @@
 //! * `windows` entries → gauges labelled `window="1m"|"5m"`:
 //!   `_rate_per_sec` and `_window_count` for every kind, and
 //!   `_window_p50/_p90/_p99` for histogram-kind entries.
+//!
+//! One family renderer, [`write_families`], does the mapping for any
+//! number of reports at once, each with its own label: no label for a
+//! process's own report ([`to_prometheus`]), `shard="i"` for each
+//! replica report the cluster router scrapes.
 
-use crate::report::Report;
+use std::collections::BTreeSet;
+
+use crate::report::{Report, TimerSnapshot};
 use crate::window::{WindowKind, WindowStats};
 
 /// Escape a label value per the exposition format: backslash, double
@@ -82,110 +89,157 @@ fn type_line(out: &mut String, name: &str, kind: &str) {
     out.push('\n');
 }
 
-fn sample(out: &mut String, name: &str, labels: &str, value: u64) {
+/// One sample line: `{name}{suffix}`, then the label set made of
+/// `first` and `label` (each a `key="value"` pair or empty; no braces
+/// when both are), then the value.
+fn sample(out: &mut String, name: &str, suffix: &str, first: &str, label: &str, value: u64) {
     out.push_str(name);
-    out.push_str(labels);
+    out.push_str(suffix);
+    if !first.is_empty() || !label.is_empty() {
+        out.push('{');
+        out.push_str(first);
+        if !first.is_empty() && !label.is_empty() {
+            out.push(',');
+        }
+        out.push_str(label);
+        out.push('}');
+    }
     out.push(' ');
     out.push_str(&value.to_string());
     out.push('\n');
 }
 
-fn window_gauge(
-    out: &mut String,
-    name: &str,
-    pick: impl Fn(&WindowStats) -> u64,
-    windows: [(&str, &WindowStats); 2],
-) {
-    type_line(out, name, "gauge");
-    for (label, stats) in windows {
-        sample(out, name, &format!("{{window=\"{label}\"}}"), pick(stats));
-    }
-}
+/// Reads one sample's value off a series' snapshot.
+type Pick<T> = fn(&T) -> u64;
 
-/// Render a [`Report`] in Prometheus text exposition format 0.0.4.
+/// Render a [`Report`] in Prometheus text exposition format 0.0.4: the
+/// `bikron_report_info` gauge carrying its meta, then its families
+/// unlabelled ([`write_families`]).
 pub fn to_prometheus(report: &Report) -> String {
     let mut out = String::new();
 
     // meta → one info gauge with all pairs as labels (sorted: BTreeMap).
-    let meta: Vec<(String, String)> = report
+    let labels = report
         .meta_pairs()
-        .map(|(k, v)| (sanitize_label(k), escape_label_value(v)))
-        .collect();
+        .map(|(k, v)| format!("{}=\"{}\"", sanitize_label(k), escape_label_value(v)))
+        .collect::<Vec<_>>()
+        .join(",");
     type_line(&mut out, "bikron_report_info", "gauge");
-    if meta.is_empty() {
-        sample(&mut out, "bikron_report_info", "", 1);
-    } else {
-        let labels = meta
-            .iter()
-            .map(|(k, v)| format!("{k}=\"{v}\""))
-            .collect::<Vec<_>>()
-            .join(",");
-        sample(&mut out, "bikron_report_info", &format!("{{{labels}}}"), 1);
+    sample(&mut out, "bikron_report_info", "", &labels, "", 1);
+
+    write_families(&mut out, &[(String::new(), report)]);
+    out
+}
+
+/// Append the metric families of `reports` to `out`, each report's
+/// samples carrying its label (a `key="value"` pair, or empty for
+/// none). A family present in several reports gets one `# TYPE` line
+/// followed by one sample per report that has it, in `reports` order,
+/// since the format allows each family exactly one `# TYPE`. Families
+/// come in name order within each kind: counters, gauges, timers,
+/// histograms, windows. Meta is not rendered here (see
+/// [`to_prometheus`]).
+pub fn write_families(out: &mut String, reports: &[(String, &Report)]) {
+    /// Every name of one kind across `reports`, sorted.
+    fn names<'r>(
+        reports: &[(String, &'r Report)],
+        kind: fn(&'r Report) -> Vec<&'r str>,
+    ) -> BTreeSet<&'r str> {
+        reports.iter().flat_map(|&(_, r)| kind(r)).collect()
     }
 
-    for (name, value) in report.counters() {
+    for name in names(reports, |r| r.counters().map(|(n, _)| n).collect()) {
         let n = sanitize_name(name);
-        type_line(&mut out, &n, "counter");
-        sample(&mut out, &n, "", value);
-    }
-
-    for (name, (value, peak)) in report.gauges() {
-        let n = sanitize_name(name);
-        type_line(&mut out, &n, "gauge");
-        sample(&mut out, &n, "", value);
-        let peak_name = format!("{n}_peak");
-        type_line(&mut out, &peak_name, "gauge");
-        sample(&mut out, &peak_name, "", peak);
-    }
-
-    for (name, t) in report.timers() {
-        let n = sanitize_name(name);
-        let count_name = format!("{n}_count");
-        type_line(&mut out, &count_name, "counter");
-        sample(&mut out, &count_name, "", t.count);
-        let total_name = format!("{n}_ns_total");
-        type_line(&mut out, &total_name, "counter");
-        sample(&mut out, &total_name, "", t.total_ns);
-    }
-
-    for (name, h) in report.histograms() {
-        let n = sanitize_name(name);
-        type_line(&mut out, &n, "histogram");
-        let mut cumulative = 0u64;
-        for &(le, count) in &h.buckets {
-            cumulative += count;
-            sample(&mut out, &n, &format!("_bucket{{le=\"{le}\"}}"), cumulative);
-        }
-        sample(&mut out, &n, "_bucket{le=\"+Inf\"}", h.count);
-        sample(&mut out, &n, "_sum", h.sum);
-        sample(&mut out, &n, "_count", h.count);
-    }
-
-    for (name, w) in report.windows() {
-        let n = sanitize_name(name);
-        let windows = [("1m", &w.w1m), ("5m", &w.w5m)];
-        window_gauge(
-            &mut out,
-            &format!("{n}_rate_per_sec"),
-            |s| s.rate_per_sec,
-            windows,
-        );
-        window_gauge(&mut out, &format!("{n}_window_count"), |s| s.count, windows);
-        if w.kind == WindowKind::Histogram {
-            for (suffix, pick) in [
-                (
-                    "_window_p50",
-                    (|s: &WindowStats| s.p50) as fn(&WindowStats) -> u64,
-                ),
-                ("_window_p90", |s| s.p90),
-                ("_window_p99", |s| s.p99),
-            ] {
-                window_gauge(&mut out, &format!("{n}{suffix}"), pick, windows);
+        type_line(out, &n, "counter");
+        for (label, r) in reports {
+            if let Some(v) = r.counter(name) {
+                sample(out, &n, "", "", label, v);
             }
         }
     }
 
-    out
+    for name in names(reports, |r| r.gauges().map(|(n, _)| n).collect()) {
+        let n = sanitize_name(name);
+        let picks: [(&str, Pick<(u64, u64)>); 2] = [("", |g| g.0), ("_peak", |g| g.1)];
+        for (suffix, pick) in picks {
+            let family = format!("{n}{suffix}");
+            type_line(out, &family, "gauge");
+            for (label, r) in reports {
+                if let Some(g) = r.gauge(name) {
+                    sample(out, &family, "", "", label, pick(&g));
+                }
+            }
+        }
+    }
+
+    for name in names(reports, |r| r.timers().map(|(n, _)| n).collect()) {
+        let n = sanitize_name(name);
+        let picks: [(&str, Pick<TimerSnapshot>); 2] =
+            [("_count", |t| t.count), ("_ns_total", |t| t.total_ns)];
+        for (suffix, pick) in picks {
+            let family = format!("{n}{suffix}");
+            type_line(out, &family, "counter");
+            for (label, r) in reports {
+                if let Some(t) = r.timer(name) {
+                    sample(out, &family, "", "", label, pick(t));
+                }
+            }
+        }
+    }
+
+    for name in names(reports, |r| r.histograms().map(|(n, _)| n).collect()) {
+        let n = sanitize_name(name);
+        type_line(out, &n, "histogram");
+        for (label, r) in reports {
+            let Some(h) = r.histogram(name) else {
+                continue;
+            };
+            let mut cumulative = 0u64;
+            for &(le, count) in &h.buckets {
+                cumulative += count;
+                sample(
+                    out,
+                    &n,
+                    "_bucket",
+                    &format!("le=\"{le}\""),
+                    label,
+                    cumulative,
+                );
+            }
+            sample(out, &n, "_bucket", "le=\"+Inf\"", label, h.count);
+            sample(out, &n, "_sum", "", label, h.sum);
+            sample(out, &n, "_count", "", label, h.count);
+        }
+    }
+
+    for name in names(reports, |r| r.windows().map(|(n, _)| n).collect()) {
+        let n = sanitize_name(name);
+        // Percentile families exist when any report keeps a
+        // distribution under this name.
+        let distribution = reports
+            .iter()
+            .filter_map(|(_, r)| r.window(name))
+            .any(|w| w.kind == WindowKind::Histogram);
+        let picks: [(&str, Pick<WindowStats>); 5] = [
+            ("_rate_per_sec", |s| s.rate_per_sec),
+            ("_window_count", |s| s.count),
+            ("_window_p50", |s| s.p50),
+            ("_window_p90", |s| s.p90),
+            ("_window_p99", |s| s.p99),
+        ];
+        for (suffix, pick) in &picks[..if distribution { 5 } else { 2 }] {
+            let family = format!("{n}{suffix}");
+            type_line(out, &family, "gauge");
+            for (label, r) in reports {
+                let Some(w) = r.window(name) else {
+                    continue;
+                };
+                for (window, stats) in [("window=\"1m\"", &w.w1m), ("window=\"5m\"", &w.w5m)] {
+                    sample(out, &family, "", window, label, pick(stats));
+                }
+            }
+        }
+    }
 }
 
 /// Validate `text` against the exposition-format grammar this module

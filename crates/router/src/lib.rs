@@ -38,6 +38,6 @@ pub mod aggregate;
 pub mod state;
 pub mod upstream;
 
-pub use aggregate::{shard_labelled_exposition, split_batch_items};
+pub use aggregate::split_batch_items;
 pub use state::{parse_replica_url, ReplicaHealth, RouterMetrics, RouterOptions, RouterState};
 pub use upstream::Upstream;

@@ -9,21 +9,18 @@
 //! that read the request: send to every replica, then read each answer
 //! in replica order. No thread starts per request.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bikron_obs::window::{WindowRegistry, WindowedCounter, WindowedHistogram};
 use bikron_obs::{
-    flat_str_field, Counter, Gauge, Histogram, JsonWriter, Registry, Report, TraceContext,
+    flat_str_field, prom, Counter, Gauge, Histogram, JsonWriter, Registry, Report, TraceContext,
 };
 use bikron_serve::client::{self, ClientError};
 use bikron_serve::http::{Answer, Request, Response};
-use bikron_serve::pool::{RequestTally, StatusCounters};
 use bikron_serve::state::first_n;
-use bikron_serve::{without_snapshot_field, Handler};
+use bikron_serve::{check_admin, profile_response, without_snapshot_field, Handler, Transport};
 
-use crate::aggregate::shard_labelled_exposition;
 use crate::upstream::Upstream;
 
 /// How long [`RouterState::connect`] keeps re-dialling a not-yet-up
@@ -91,61 +88,34 @@ impl ReplicaHealth {
     }
 }
 
-/// Pre-resolved handles for the router's own metrics, on a **private**
-/// registry (a router process may share an address space with serve
-/// states in tests; private registries keep their series apart):
-/// `router.requests`, `router.fanout_size`, `router.upstream_ns`,
-/// `router.errors`, `router.load_imbalance`, plus the transport series
-/// every bikron server exports. Per-replica series
-/// keep their `router.shard{i}.*` names, which `bikron monitor` and the
-/// benchmark read.
+/// Pre-resolved handles for the router's own series: the fan-out
+/// (`router.fanout_size`), upstream (`router.upstream_ns`) and
+/// per-replica ones. They live in the same **private** registry as the
+/// router's [`Transport`] (a router process may share an address space
+/// with serve states in tests; private registries keep their series
+/// apart). Per-replica series keep their `router.shard{i}.*` names,
+/// which `bikron monitor` and the benchmark read.
 pub struct RouterMetrics {
-    registry: Arc<Registry>,
-    windows: WindowRegistry,
-    requests: Arc<WindowedCounter>,
-    request_ns: Arc<WindowedHistogram>,
-    errors: Arc<Counter>,
-    bytes_out: Arc<Counter>,
     fanout_size: Arc<Histogram>,
     upstream_ns: Arc<Histogram>,
     replica_requests: Vec<Arc<Counter>>,
     replica_health: Vec<Arc<Gauge>>,
     load_imbalance: Arc<Gauge>,
-    inflight: Arc<Gauge>,
-    connections: Arc<Counter>,
-    shed: Arc<Counter>,
-    timeouts: Arc<Counter>,
-    status: StatusCounters,
 }
 
 impl RouterMetrics {
-    fn new(num_replicas: usize) -> Self {
-        let registry = Arc::new(Registry::new());
-        let windows = WindowRegistry::new();
-        let replica_requests = (0..num_replicas)
-            .map(|i| registry.counter(&format!("router.shard{i}.requests")))
-            .collect();
-        let replica_health = (0..num_replicas)
-            .map(|i| registry.gauge(&format!("router.shard{i}.health")))
-            .collect();
+    fn new(registry: &Registry, num_replicas: usize) -> Self {
         registry.gauge("router.shards").set(num_replicas as u64);
         RouterMetrics {
-            requests: windows.counter(&registry, "router.requests"),
-            request_ns: windows.histogram(&registry, "router.request_ns"),
-            errors: registry.counter("router.errors"),
-            bytes_out: registry.counter("router.bytes_out"),
             fanout_size: registry.histogram("router.fanout_size"),
             upstream_ns: registry.histogram("router.upstream_ns"),
-            replica_requests,
-            replica_health,
+            replica_requests: (0..num_replicas)
+                .map(|i| registry.counter(&format!("router.shard{i}.requests")))
+                .collect(),
+            replica_health: (0..num_replicas)
+                .map(|i| registry.gauge(&format!("router.shard{i}.health")))
+                .collect(),
             load_imbalance: registry.gauge("router.load_imbalance"),
-            inflight: registry.gauge("router.inflight"),
-            connections: registry.counter("router.connections"),
-            shed: registry.counter("router.shed"),
-            timeouts: registry.counter("router.timeouts"),
-            status: StatusCounters::new(&registry, "router"),
-            registry,
-            windows,
         }
     }
 
@@ -176,8 +146,8 @@ pub struct RouterState {
     replicas: Vec<Upstream>,
     upstream_timeout: Duration,
     admin_token: Option<String>,
+    transport: Transport,
     metrics: RouterMetrics,
-    shutdown: AtomicBool,
     started: Instant,
     /// Round-robin cursor: each relay starts at the next replica.
     rr: AtomicUsize,
@@ -235,15 +205,30 @@ impl RouterState {
                 replicas[index].addr()
             ));
         }
-        Ok(RouterState {
-            metrics: RouterMetrics::new(replicas.len()),
+        Ok(RouterState::new(
             replicas,
-            upstream_timeout: options.upstream_timeout,
-            admin_token: options.admin_token,
-            shutdown: AtomicBool::new(false),
+            options.upstream_timeout,
+            options.admin_token,
+        ))
+    }
+
+    /// A router over `replicas`, with its metrics in a fresh private
+    /// registry.
+    fn new(
+        replicas: Vec<Upstream>,
+        upstream_timeout: Duration,
+        admin_token: Option<String>,
+    ) -> RouterState {
+        let registry = Arc::new(Registry::new());
+        RouterState {
+            metrics: RouterMetrics::new(&registry, replicas.len()),
+            transport: Transport::new(registry, "router", "router.errors"),
+            replicas,
+            upstream_timeout,
+            admin_token,
             started: Instant::now(),
             rr: AtomicUsize::new(0),
-        })
+        }
     }
 
     /// Number of replicas fronted.
@@ -263,7 +248,7 @@ impl RouterState {
 
     /// Request shutdown programmatically (tests, orderly teardown).
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.transport.request_shutdown();
     }
 
     /// Route and answer one request. Upstream I/O happens here;
@@ -298,22 +283,13 @@ impl RouterState {
     }
 
     /// `GET /v1/admin/profile` (token-gated): the router's own sampled
-    /// CPU profile. Same contract as the serve-side endpoint
+    /// CPU profile. Same gate and contract as the serve-side endpoint
     /// ([`bikron_serve::profile_response`]).
     fn profile_endpoint(&self, req: &Request) -> Response {
-        let Some(expected) = &self.admin_token else {
-            return Response::error(
-                403,
-                "admin endpoints are disabled; restart with --admin-token",
-            );
-        };
-        let presented = req
-            .query_param("token")
-            .or_else(|| req.header("x-admin-token"));
-        if presented != Some(expected.as_str()) {
-            return Response::error(403, "missing or invalid admin token");
+        match check_admin(self.admin_token.as_deref(), req) {
+            Ok(()) => profile_response(req),
+            Err(refused) => refused,
         }
-        bikron_serve::profile_response(req)
     }
 
     /// Relay `req` whole (a `POST` body verbatim) to the next replica in
@@ -348,7 +324,7 @@ impl RouterState {
                     }
                 }
                 Err(e) => {
-                    self.metrics.errors.inc();
+                    self.transport.errors().inc();
                     failures.push(format!("replica {index} ({}): {e}", replica.addr()));
                     if !e.unanswered() || Instant::now() >= deadline {
                         break;
@@ -356,7 +332,7 @@ impl RouterState {
                 }
             }
         }
-        // `render_response` adds `Retry-After: 1` to every 503.
+        // The head of every 503 carries `Retry-After: 1`.
         Response::error(
             503,
             &format!("no replica answered ({})", failures.join("; ")),
@@ -405,13 +381,12 @@ impl RouterState {
             .collect();
         self.replica_verdicts(traceparent);
         self.metrics.refresh_imbalance();
-        self.metrics
-            .registry
+        self.transport
+            .registry()
             .gauge("router.uptime_ms")
             .set(self.started.elapsed().as_millis() as u64);
 
-        let mut report = self.metrics.registry.snapshot();
-        self.metrics.windows.snapshot_into(&mut report);
+        let mut report = self.transport.report();
         // The profiler is process-wide (unlike the router's private
         // metric registry), so its attribution rides the router report
         // when a sampler is running.
@@ -434,13 +409,18 @@ impl RouterState {
                 Response::json(200, report.to_json())
             }
             Some("prometheus") => {
-                let mut out = bikron_obs::prom::to_prometheus(&report);
-                let labelled: Vec<(usize, &Report)> = scrapes
+                // Replica series (`bikron_serve_*`) are disjoint from
+                // the router's own (`bikron_router_*`), so the labelled
+                // families follow the router's without a second TYPE
+                // line; replica meta is dropped, since a second
+                // `bikron_report_info` would be one.
+                let mut out = prom::to_prometheus(&report);
+                let labelled: Vec<(String, &Report)> = scrapes
                     .iter()
                     .enumerate()
-                    .filter_map(|(i, r)| r.as_ref().map(|r| (i, r)))
+                    .filter_map(|(i, r)| Some((format!("shard=\"{i}\""), r.as_ref()?)))
                     .collect();
-                out.push_str(&shard_labelled_exposition(&labelled));
+                prom::write_families(&mut out, &labelled);
                 Response {
                     status: 200,
                     content_type: "text/plain; version=0.0.4; charset=utf-8",
@@ -507,45 +487,8 @@ impl Handler for RouterState {
             .into_answer(body)
     }
 
-    fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst) || bikron_serve::signal::ctrl_c_received()
-    }
-
-    /// A 408 is the transport's request deadline firing, so it also
-    /// counts a timeout.
-    fn record(&self, tally: &RequestTally) {
-        let m = &self.metrics;
-        m.requests.add(tally.requests());
-        m.bytes_out.add(tally.bytes());
-        m.request_ns.record_local(tally.latency_ns());
-        let errors = tally.errors_5xx();
-        if errors > 0 {
-            m.errors.add(errors);
-        }
-        let timeouts = tally.count(408);
-        if timeouts > 0 {
-            m.timeouts.add(timeouts);
-        }
-        m.status.add(&m.registry, tally);
-    }
-
-    fn record_shed(&self, bytes: u64) {
-        self.metrics.shed.inc();
-        let mut tally = RequestTally::default();
-        tally.add(503, bytes, 0);
-        Handler::record(self, &tally);
-    }
-
-    fn record_timeout(&self) {
-        self.metrics.timeouts.inc();
-    }
-
-    fn connection_opened(&self) {
-        self.metrics.connections.inc();
-    }
-
-    fn inflight(&self) -> &Gauge {
-        &self.metrics.inflight
+    fn transport(&self) -> &Transport {
+        &self.transport
     }
 }
 
@@ -641,15 +584,7 @@ mod tests {
     /// not a truncated match relayed upstream.
     #[test]
     fn an_overlong_path_is_no_route() {
-        let state = RouterState {
-            replicas: vec![],
-            upstream_timeout: Duration::from_secs(1),
-            admin_token: None,
-            metrics: RouterMetrics::new(0),
-            shutdown: AtomicBool::new(false),
-            started: Instant::now(),
-            rr: AtomicUsize::new(0),
-        };
+        let state = RouterState::new(vec![], Duration::from_secs(1), None);
         let resp = state.handle(&get("/v1/edge/1/2/3"), None);
         assert_eq!(resp.status, 404);
         assert!(
@@ -657,14 +592,5 @@ mod tests {
             "{}",
             resp.body
         );
-    }
-
-    /// Every status with a reason phrase has a pre-resolved counter.
-    #[test]
-    fn every_named_status_has_a_preresolved_counter() {
-        let metrics = RouterMetrics::new(1);
-        for &(code, _) in &bikron_serve::http::STATUSES {
-            assert!(metrics.status.get(code).is_some(), "{code}");
-        }
     }
 }

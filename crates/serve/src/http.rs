@@ -34,13 +34,14 @@ pub const MAX_BODY: usize = 65536;
 
 /// Every status this server emits with a reason phrase: the table
 /// behind [`status_text`] and the pre-resolved per-status counters.
-pub const STATUSES: [(u16, &str); 11] = [
+pub const STATUSES: [(u16, &str); 12] = [
     (200, "OK"),
     (400, "Bad Request"),
     (403, "Forbidden"),
     (404, "Not Found"),
     (405, "Method Not Allowed"),
     (408, "Request Timeout"),
+    (409, "Conflict"),
     (413, "Payload Too Large"),
     (431, "Request Header Fields Too Large"),
     (500, "Internal Server Error"),

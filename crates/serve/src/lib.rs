@@ -77,10 +77,10 @@ pub mod snapshot;
 pub mod state;
 
 pub use cache::{CacheKey, ShardedCache};
-pub use pool::{Handler, Server, ServerConfig};
+pub use pool::{Handler, Server, ServerConfig, Transport};
 pub use snapshot::{Snapshot, SnapshotError};
 pub use state::{
-    profile_response, without_snapshot_field, ServeOptions, ServeState, WarmInfo,
+    check_admin, profile_response, without_snapshot_field, ServeOptions, ServeState, WarmInfo,
     DEFAULT_BATCH_MAX, DEFAULT_LIMIT, MAX_LIMIT, MAX_PROFILE_SECONDS,
 };
 

@@ -17,11 +17,15 @@
 
 use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use bikron_obs::{Counter, Gauge, LocalHistogram, Registry, SpanSink, TraceContext};
+use bikron_obs::window::{WindowedCounter, WindowedHistogram};
+use bikron_obs::{
+    Counter, Gauge, LocalHistogram, Registry, Report, SpanSink, TraceContext, WindowRegistry,
+};
 
 use crate::http::{
     render_answer, stamp_trace_id, status_index, write_response, Answer, HttpError, Request,
@@ -77,18 +81,19 @@ impl Default for ServerConfig {
     }
 }
 
-/// What the transport loop needs from a server: an answer, plus the
-/// bookkeeping that differs between a serve process ([`ServeState`])
-/// and the router. Framing, keep-alive, shedding, the request
-/// deadline, trace identity and profiler phases stay in the loop.
+/// What the transport loop needs from a server: an answer, the
+/// [`Transport`] it keeps for the server, and the request bookkeeping
+/// only a serve process does. Framing, keep-alive, shedding, the request
+/// deadline, trace identity, profiler phases, the transport metrics and
+/// the shutdown flag stay in the loop and its [`Transport`].
 pub trait Handler: Send + Sync + 'static {
     /// Answer one parsed request under its trace context (adopted from
     /// the request's `traceparent` as a child span, or newly minted):
     /// render the body onto `body`, which is empty on entry, and return
     /// the status and content type.
     fn respond(&self, req: &Request, ctx: &TraceContext, body: &mut String) -> Answer;
-    /// Whether the accept loop and its workers should stop.
-    fn shutdown_requested(&self) -> bool;
+    /// The server's transport metrics and shutdown flag.
+    fn transport(&self) -> &Transport;
     /// Where finished per-request span trees go; `None` records none.
     fn spans(&self) -> Option<&SpanSink> {
         None
@@ -104,19 +109,128 @@ pub trait Handler: Send + Sync + 'static {
         _trace_id: &str,
     ) {
     }
-    /// Record answered requests: one call per flushed burst, made by
-    /// the flush that wrote their answers.
-    fn record(&self, tally: &RequestTally);
-    /// Record a connection shed with 503 at the accept gate.
-    fn record_shed(&self, bytes: u64);
-    /// Count a connection closed because its answers could not be
-    /// written within [`REQUEST_DEADLINE`].
-    fn record_timeout(&self);
-    /// Count an accepted connection.
-    fn connection_opened(&self);
-    /// The in-flight gauge: one per connection while it has a request
-    /// being answered or an answer not yet written.
-    fn inflight(&self) -> &Gauge;
+}
+
+/// What every bikron server keeps about its transport, whatever it
+/// answers: the request series `{prefix}.requests` and
+/// `{prefix}.request_ns` (windowed), its 5xx counter (windowed),
+/// `{prefix}.bytes_out`, `.inflight`, `.connections`, `.shed`,
+/// `.timeouts` and `.status.{code}`, and the shutdown flag. Every
+/// handle is resolved once, so recording never takes the registry's
+/// name-lookup mutex for a status in [`STATUSES`].
+pub struct Transport {
+    registry: Arc<Registry>,
+    prefix: &'static str,
+    windows: WindowRegistry,
+    requests: Arc<WindowedCounter>,
+    request_ns: Arc<WindowedHistogram>,
+    errors: Arc<WindowedCounter>,
+    bytes_out: Arc<Counter>,
+    inflight: Arc<Gauge>,
+    connections: Arc<Counter>,
+    shed: Arc<Counter>,
+    timeouts: Arc<Counter>,
+    /// `{prefix}.status.{code}`, one per [`STATUSES`] entry.
+    status: Vec<Arc<Counter>>,
+    shutdown: AtomicBool,
+}
+
+impl Transport {
+    /// Resolve the series `{prefix}.*` in `registry`, with 5xx answers
+    /// counted under `errors`: `serve.errors_5xx` on a serve process,
+    /// and on the router `router.errors`, which also counts its failed
+    /// upstream attempts.
+    pub fn new(registry: Arc<Registry>, prefix: &'static str, errors: &str) -> Transport {
+        let windows = WindowRegistry::new();
+        let name = |series: &str| format!("{prefix}.{series}");
+        Transport {
+            requests: windows.counter(&registry, &name("requests")),
+            request_ns: windows.histogram(&registry, &name("request_ns")),
+            errors: windows.counter(&registry, errors),
+            bytes_out: registry.counter(&name("bytes_out")),
+            inflight: registry.gauge(&name("inflight")),
+            connections: registry.counter(&name("connections")),
+            shed: registry.counter(&name("shed")),
+            timeouts: registry.counter(&name("timeouts")),
+            status: STATUSES
+                .iter()
+                .map(|&(code, _)| registry.counter(&name(&format!("status.{code}"))))
+                .collect(),
+            shutdown: AtomicBool::new(false),
+            windows,
+            registry,
+            prefix,
+        }
+    }
+
+    /// The registry the series live in.
+    pub fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
+    /// A snapshot of the registry with the windowed series attached.
+    pub fn report(&self) -> Report {
+        let mut report = self.registry.snapshot();
+        self.windows.snapshot_into(&mut report);
+        report
+    }
+
+    /// Answered requests (windowed).
+    pub fn requests(&self) -> &WindowedCounter {
+        &self.requests
+    }
+
+    /// Request latency, in nanoseconds (windowed).
+    pub fn request_ns(&self) -> &WindowedHistogram {
+        &self.request_ns
+    }
+
+    /// The 5xx counter (windowed); the router also counts failed
+    /// upstream attempts here.
+    pub fn errors(&self) -> &WindowedCounter {
+        &self.errors
+    }
+
+    /// Record answered requests: one update per metric, however many
+    /// requests the tally holds. A 408 is the loop's request deadline
+    /// firing, so it also counts a timeout.
+    pub fn record(&self, tally: &RequestTally) {
+        if tally.requests() == 0 {
+            return;
+        }
+        self.requests.add(tally.requests());
+        let errors = tally.errors_5xx();
+        if errors > 0 {
+            self.errors.add(errors);
+        }
+        let timeouts = tally.count(408);
+        if timeouts > 0 {
+            self.timeouts.add(timeouts);
+        }
+        self.bytes_out.add(tally.bytes());
+        self.request_ns.record_local(tally.latency_ns());
+        for (counter, &n) in self.status.iter().zip(&tally.listed) {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
+        for &status in &tally.unlisted {
+            self.registry
+                .counter(&format!("{}.status.{status}", self.prefix))
+                .inc();
+        }
+    }
+
+    /// Whether the accept loop and its workers should stop: shutdown
+    /// was requested, or the process got SIGINT/SIGTERM.
+    pub fn shutdown_requested(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst) || crate::signal::ctrl_c_received()
+    }
+
+    /// Ask the server to stop (admin endpoint, tests, orderly teardown).
+    pub fn request_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+    }
 }
 
 /// How an access-log line or a captured trace names a request: its
@@ -131,7 +245,7 @@ pub fn request_shape(req: Option<&Request>, status: u16) -> (&str, String) {
 }
 
 /// The metrics of a run of answered requests, folded on the worker that
-/// answered them and handed to [`Handler::record`] in one call: request
+/// answered them and handed to [`Transport::record`] in one call: request
 /// and byte totals, per-status counts, and the latency distribution.
 #[derive(Debug, Clone, Default)]
 pub struct RequestTally {
@@ -197,45 +311,6 @@ impl RequestTally {
     }
 }
 
-/// One counter per [`STATUSES`] entry, `{prefix}.status.{code}`,
-/// resolved once so that counting a status never takes the registry's
-/// name-lookup mutex.
-pub struct StatusCounters {
-    prefix: &'static str,
-    counters: Vec<Arc<Counter>>,
-}
-
-impl StatusCounters {
-    /// Resolve the counters in `registry`.
-    pub fn new(registry: &Registry, prefix: &'static str) -> StatusCounters {
-        let counters = STATUSES
-            .iter()
-            .map(|&(code, _)| registry.counter(&format!("{prefix}.status.{code}")))
-            .collect();
-        StatusCounters { prefix, counters }
-    }
-
-    /// The pre-resolved counter for `status`, if it is in [`STATUSES`].
-    pub fn get(&self, status: u16) -> Option<&Counter> {
-        status_index(status).map(|i| &*self.counters[i])
-    }
-
-    /// Add `tally`'s per-status counts; a status outside [`STATUSES`] is
-    /// looked up in `registry` by name.
-    pub fn add(&self, registry: &Registry, tally: &RequestTally) {
-        for (counter, &n) in self.counters.iter().zip(&tally.listed) {
-            if n > 0 {
-                counter.add(n);
-            }
-        }
-        for &status in &tally.unlisted {
-            registry
-                .counter(&format!("{}.status.{status}", self.prefix))
-                .inc();
-        }
-    }
-}
-
 /// A bound, not-yet-running server.
 pub struct Server<H: Handler = ServeState> {
     listener: TcpListener,
@@ -287,14 +362,15 @@ impl<H: Handler> Server<H> {
             })
             .collect();
 
-        while !handler.shutdown_requested() {
+        let transport = handler.transport();
+        while !transport.shutdown_requested() {
             match listener.accept() {
                 Ok((stream, _)) => {
-                    handler.connection_opened();
+                    transport.connections.inc();
                     if let Err(TrySendError::Full(shed) | TrySendError::Disconnected(shed)) =
                         queue.try_send(stream)
                     {
-                        shed_connection(shed, &*handler);
+                        shed_connection(shed, transport);
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -316,12 +392,15 @@ impl<H: Handler> Server<H> {
 }
 
 /// Write the 503 load-shed response on a fresh socket and close it.
-fn shed_connection(mut stream: TcpStream, handler: &impl Handler) {
+fn shed_connection(mut stream: TcpStream, transport: &Transport) {
     let resp = Response::error(503, "pending-connection queue is full; retry shortly");
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
     let bytes = write_response(&mut stream, &resp, false).unwrap_or(0);
     let _ = stream.flush();
-    handler.record_shed(bytes);
+    transport.shed.inc();
+    let mut tally = RequestTally::default();
+    tally.add(503, bytes, 0);
+    transport.record(&tally);
 }
 
 /// Worker: pull connections until the acceptor closes the queue,
@@ -405,16 +484,17 @@ impl<H: Handler> DeadlineReader<'_, H> {
         Ok(())
     }
 
-    /// Hand the answered requests' metrics to the handler in one call
-    /// and give back the in-flight count: the flush that writes a
-    /// burst's answers (or fails to) ends it.
+    /// Record the answered requests' metrics in one call and give back
+    /// the in-flight count: the flush that writes a burst's answers (or
+    /// fails to) ends it.
     fn record(&mut self) {
+        let transport = self.handler.transport();
         if self.tally.requests() > 0 {
-            self.handler.record(&self.tally);
+            transport.record(&self.tally);
             self.tally.clear();
         }
         if self.inflight {
-            self.handler.inflight().lower(1);
+            transport.inflight.lower(1);
             self.inflight = false;
         }
     }
@@ -464,7 +544,7 @@ fn flush_failed(handler: &impl Handler, e: &io::Error) {
         e.kind(),
         io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
     ) {
-        handler.record_timeout();
+        handler.transport().timeouts.inc();
     }
 }
 
@@ -552,7 +632,7 @@ fn serve_connection<H: Handler>(stream: TcpStream, handler: &H, read_timeout: Du
         // it: the live gauge a dashboard polls must count work in flight.
         let conn = reader.get_mut();
         if !conn.inflight {
-            handler.inflight().raise(1);
+            handler.transport().inflight.raise(1);
             conn.inflight = true;
         }
         // Every request gets a trace identity, traced or not: adopt the
@@ -587,7 +667,7 @@ fn serve_connection<H: Handler>(stream: TcpStream, handler: &H, read_timeout: Du
         // the `x-bikron-trace-id` header instead).
         stamp_trace_id(answer, &mut body, trace_hex);
         let status = answer.status;
-        let last = !keep_alive || handler.shutdown_requested();
+        let last = !keep_alive || handler.transport().shutdown_requested();
         let write_frame = bikron_obs::phase("write");
         let buffered = !reader.buffer().is_empty();
         let conn = reader.get_mut();
@@ -628,12 +708,12 @@ mod tests {
     #[test]
     fn tally_counts_statuses_bytes_and_latency() {
         let mut tally = RequestTally::default();
-        for (status, bytes, ns) in [(200, 10, 5), (503, 20, 7), (409, 30, 9), (408, 1, 1)] {
+        for (status, bytes, ns) in [(200, 10, 5), (503, 20, 7), (418, 30, 9), (408, 1, 1)] {
             tally.add(status, bytes, ns);
         }
         assert_eq!(tally.requests(), 4);
         assert_eq!(
-            (tally.count(200), tally.count(409), tally.count(408)),
+            (tally.count(200), tally.count(418), tally.count(408)),
             (1, 1, 1)
         );
         assert_eq!(tally.errors_5xx(), 1);
@@ -641,29 +721,42 @@ mod tests {
         assert_eq!(tally.latency_ns().count(), 4);
         tally.clear();
         assert_eq!(
-            (tally.requests(), tally.count(409), tally.bytes()),
+            (tally.requests(), tally.count(418), tally.bytes()),
             (0, 0, 0)
         );
     }
 
     /// Every status with a reason phrase has a pre-resolved counter, so
-    /// no emitted status (408 included) takes the registry mutex.
+    /// no emitted status (408 included) takes the registry mutex; a
+    /// status outside [`STATUSES`] is still counted, by name.
     #[test]
     fn every_named_status_has_a_preresolved_counter() {
-        let registry = Registry::new();
-        let counters = StatusCounters::new(&registry, "t");
+        let registry = Arc::new(Registry::new());
+        let transport = Transport::new(Arc::clone(&registry), "t", "t.errors");
+        assert_eq!(transport.status.len(), STATUSES.len());
         let mut tally = RequestTally::default();
         for &(code, _) in &STATUSES {
-            assert!(counters.get(code).is_some(), "{code}");
             tally.add(code, 0, 0);
         }
-        assert!(counters.get(408).is_some());
-        tally.add(409, 0, 0);
-        counters.add(&registry, &tally);
-        let report = registry.snapshot();
+        assert!(status_index(408).is_some());
+        assert!(status_index(418).is_none());
+        tally.add(418, 0, 0);
+        transport.record(&tally);
+        let report = transport.report();
         for &(code, _) in &STATUSES {
             assert_eq!(report.counter(&format!("t.status.{code}")), Some(1));
         }
-        assert_eq!(report.counter("t.status.409"), Some(1));
+        assert_eq!(report.counter("t.status.418"), Some(1));
+        assert_eq!(
+            report.counter("t.requests"),
+            Some(STATUSES.len() as u64 + 1)
+        );
+        assert_eq!(report.counter("t.timeouts"), Some(1));
+        let fives = STATUSES.iter().filter(|(code, _)| *code >= 500).count();
+        assert_eq!(report.counter("t.errors"), Some(fives as u64));
+        assert_eq!(
+            report.window("t.errors").map(|w| w.w1m.count),
+            Some(fives as u64)
+        );
     }
 }

@@ -22,7 +22,6 @@
 //! of `?s0=…`, and only pair servers stream `/v1/edges` (expression
 //! servers answer 501 there).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -34,14 +33,10 @@ use bikron_core::{
 };
 use bikron_graph::{bipartition, Graph};
 use bikron_obs::span::DEFAULT_TRACE_CAPACITY;
-use bikron_obs::window::{WindowedCounter, WindowedHistogram};
-use bikron_obs::{
-    Counter, EventLogger, Gauge, Histogram, JsonWriter, LogEvent, SpanSink, TraceContext,
-    WindowRegistry, WindowSnapshot,
-};
+use bikron_obs::{Counter, EventLogger, Histogram, JsonWriter, LogEvent, SpanSink, TraceContext};
 
 use crate::http::{write_error, Answer, Request, Response};
-use crate::pool::{request_shape, Handler, RequestTally, StatusCounters};
+use crate::pool::{request_shape, Handler, Transport};
 
 /// Default page size for `/v1/neighbors` and `/v1/edges`.
 pub const DEFAULT_LIMIT: usize = 100;
@@ -121,46 +116,20 @@ impl Default for ServeOptions {
     }
 }
 
-/// Pre-resolved handles for every metric the hot path touches, so a
-/// request never takes the registry's name-lookup mutex. Requests,
-/// server errors, and request latency are **windowed** wrappers: one
-/// `record` call updates both the cumulative global series and this
-/// state's private epoch ring, so `/metrics` and `/v1/health` can report
-/// 1m/5m rates and percentiles alongside the since-boot totals.
+/// The serve-only series, `serve.batch_size` and `serve.batch.items`,
+/// pre-resolved; the transport series live in the pool's
+/// [`Transport`].
 pub struct ServeMetrics {
-    requests: Arc<WindowedCounter>,
-    errors_5xx: Arc<WindowedCounter>,
-    bytes_out: Arc<Counter>,
-    request_ns: Arc<WindowedHistogram>,
-    inflight: Arc<Gauge>,
-    connections: Arc<Counter>,
-    shed: Arc<Counter>,
-    timeouts: Arc<Counter>,
     batch_size: Arc<Histogram>,
     batch_items: Arc<Counter>,
-    /// `serve.status.{code}` for every status with a reason phrase.
-    status: StatusCounters,
-    /// The epoch-ring registry behind the windowed handles above.
-    windows: WindowRegistry,
 }
 
 impl ServeMetrics {
     fn new() -> Self {
         let obs = bikron_obs::global();
-        let windows = WindowRegistry::new();
         ServeMetrics {
-            requests: windows.counter(obs, "serve.requests"),
-            errors_5xx: windows.counter(obs, "serve.errors_5xx"),
-            bytes_out: obs.counter("serve.bytes_out"),
-            request_ns: windows.histogram(obs, "serve.request_ns"),
-            inflight: obs.gauge("serve.inflight"),
-            connections: obs.counter("serve.connections"),
-            shed: obs.counter("serve.shed"),
-            timeouts: obs.counter("serve.timeouts"),
             batch_size: obs.histogram("serve.batch_size"),
             batch_items: obs.counter("serve.batch.items"),
-            status: StatusCounters::new(obs, "serve"),
-            windows,
         }
     }
 
@@ -168,55 +137,6 @@ impl ServeMetrics {
     pub fn record_batch(&self, items: u64) {
         self.batch_size.record(items);
         self.batch_items.add(items);
-    }
-
-    /// Record one completed request (see [`ServeMetrics::record_tally`]).
-    pub fn record(&self, status: u16, bytes: u64, ns: u64) {
-        let mut tally = RequestTally::default();
-        tally.add(status, bytes, ns);
-        self.record_tally(&tally);
-    }
-
-    /// Record a run of completed requests: one update per metric,
-    /// however many requests the tally holds. A 408 is the transport's
-    /// whole-request deadline firing, so it also counts a timeout.
-    pub fn record_tally(&self, tally: &RequestTally) {
-        let requests = tally.requests();
-        if requests == 0 {
-            return;
-        }
-        self.requests.add(requests);
-        let errors = tally.errors_5xx();
-        if errors > 0 {
-            self.errors_5xx.add(errors);
-        }
-        let timeouts = tally.count(408);
-        if timeouts > 0 {
-            self.timeouts.add(timeouts);
-        }
-        self.bytes_out.add(tally.bytes());
-        self.request_ns.record_local(tally.latency_ns());
-        self.status.add(bikron_obs::global(), tally);
-    }
-
-    /// The window registry backing this state's rolling metrics.
-    pub fn windows(&self) -> &WindowRegistry {
-        &self.windows
-    }
-
-    /// Windowed request counts (1m/5m).
-    pub fn requests_window(&self) -> WindowSnapshot {
-        self.requests.snapshot()
-    }
-
-    /// Windowed 5xx counts (1m/5m).
-    pub fn errors_window(&self) -> WindowSnapshot {
-        self.errors_5xx.snapshot()
-    }
-
-    /// Windowed request-latency distribution (1m/5m).
-    pub fn latency_window(&self) -> WindowSnapshot {
-        self.request_ns.snapshot()
     }
 }
 
@@ -232,7 +152,7 @@ pub struct ServeState {
     stats_json: String,
     admin_token: Option<String>,
     batch_max: usize,
-    shutdown: AtomicBool,
+    transport: Transport,
     metrics: ServeMetrics,
     logger: Option<EventLogger>,
     /// Captured slow/sampled request traces (per server instance, so
@@ -435,7 +355,7 @@ impl ServeState {
             stats_json,
             admin_token: options.admin_token,
             batch_max: options.batch_max.max(1),
-            shutdown: AtomicBool::new(false),
+            transport: Transport::new(bikron_obs::global_shared(), "serve", "serve.errors_5xx"),
             metrics: ServeMetrics::new(),
             logger,
             spans: SpanSink::new(
@@ -454,7 +374,7 @@ impl ServeState {
         self.chain.canonical()
     }
 
-    /// The hot-path metric handles.
+    /// The serve-only metric handles.
     pub fn metrics(&self) -> &ServeMetrics {
         &self.metrics
     }
@@ -466,12 +386,12 @@ impl ServeState {
 
     /// Whether shutdown has been requested (admin endpoint or signal).
     pub fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst) || crate::signal::ctrl_c_received()
+        self.transport.shutdown_requested()
     }
 
     /// Request shutdown programmatically.
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.transport.request_shutdown();
     }
 
     /// Product vertex count.
@@ -933,10 +853,9 @@ impl ServeState {
             .set(self.spans.dropped_spans());
         obs.gauge("serve.log.dropped_lines")
             .set(self.logger.as_ref().map_or(0, EventLogger::dropped));
-        let mut report = bikron_obs::global().snapshot();
+        let mut report = self.transport.report();
         report.set_meta("tool", "bikron-serve");
         report.set_meta("endpoint", "/metrics");
-        self.metrics.windows().snapshot_into(&mut report);
         // Ride the cumulative profile along when a sampler is running,
         // so `--metrics-out` files and scrapes carry attribution too.
         let prof = bikron_obs::profile::profiler();
@@ -960,9 +879,9 @@ impl ServeState {
     /// `GET /v1/health`: readiness plus windowed SLO signals. `degraded`
     /// when any window that saw traffic violates either threshold.
     fn health_response(&self) -> Response {
-        let requests = self.metrics.requests_window();
-        let errors = self.metrics.errors_window();
-        let latency = self.metrics.latency_window();
+        let requests = self.transport.requests().snapshot();
+        let errors = self.transport.errors().snapshot();
+        let latency = self.transport.request_ns().snapshot();
         let windows = [
             ("1m", requests.w1m, errors.w1m, latency.w1m),
             ("5m", requests.w5m, errors.w5m, latency.w5m),
@@ -1012,7 +931,7 @@ impl ServeState {
     /// test — latency recorded for this request spikes the windowed p99
     /// so `/v1/health` demonstrably flips to `degraded`.
     fn stall_endpoint(&self, req: &Request) -> Response {
-        if let Err(resp) = self.check_admin(req) {
+        if let Err(resp) = check_admin(self.admin_token.as_deref(), req) {
             return resp;
         }
         let ms: u64 = match req.query_param("ms").map(str::parse) {
@@ -1032,7 +951,7 @@ impl ServeState {
     /// span trees, newest first, plus the sink's policy and counters —
     /// what `bikron trace` renders as waterfalls.
     fn traces_endpoint(&self, req: &Request) -> Response {
-        if let Err(resp) = self.check_admin(req) {
+        if let Err(resp) = check_admin(self.admin_token.as_deref(), req) {
             return resp;
         }
         let min_ms: u64 = match req.query_param("min_ms").map(str::parse) {
@@ -1065,7 +984,7 @@ impl ServeState {
     /// a sample-on-demand window over the process-wide continuous
     /// profiler. See [`profile_response`] for the contract.
     fn profile_endpoint(&self, req: &Request) -> Response {
-        if let Err(resp) = self.check_admin(req) {
+        if let Err(resp) = check_admin(self.admin_token.as_deref(), req) {
             return resp;
         }
         profile_response(req)
@@ -1079,25 +998,8 @@ impl ServeState {
         }
     }
 
-    /// Validate the admin token on `req` (`?token=` or `x-admin-token`).
-    fn check_admin(&self, req: &Request) -> Result<(), Response> {
-        let Some(expected) = &self.admin_token else {
-            return Err(Response::error(
-                403,
-                "admin endpoints are disabled; restart with --admin-token",
-            ));
-        };
-        let presented = req
-            .query_param("token")
-            .or_else(|| req.header("x-admin-token"));
-        if presented != Some(expected.as_str()) {
-            return Err(Response::error(403, "missing or invalid admin token"));
-        }
-        Ok(())
-    }
-
     fn shutdown_endpoint(&self, req: &Request) -> Response {
-        if let Err(resp) = self.check_admin(req) {
+        if let Err(resp) = check_admin(self.admin_token.as_deref(), req) {
             return resp;
         }
         self.request_shutdown();
@@ -1341,6 +1243,25 @@ fn stats_body_chain(chain: &KronChain) -> String {
     w.finish()
 }
 
+/// The admin gate of every bikron server: `req` must present `token`
+/// as `?token=` or `x-admin-token`. `None` (no `--admin-token`)
+/// disables the admin endpoints. The refusal is a 403 naming which.
+pub fn check_admin(token: Option<&str>, req: &Request) -> Result<(), Response> {
+    let Some(expected) = token else {
+        return Err(Response::error(
+            403,
+            "admin endpoints are disabled; restart with --admin-token",
+        ));
+    };
+    let presented = req
+        .query_param("token")
+        .or_else(|| req.header("x-admin-token"));
+    if presented != Some(expected) {
+        return Err(Response::error(403, "missing or invalid admin token"));
+    }
+    Ok(())
+}
+
 /// Answer a (pre-authorised) `/v1/admin/profile` request against the
 /// process-wide sampling profiler. Shared by the serve process and
 /// the cluster router, which gate it behind their own admin tokens.
@@ -1422,8 +1343,8 @@ impl Handler for ServeState {
         self.answer(req, body)
     }
 
-    fn shutdown_requested(&self) -> bool {
-        ServeState::shutdown_requested(self)
+    fn transport(&self) -> &Transport {
+        &self.transport
     }
 
     fn spans(&self) -> Option<&SpanSink> {
@@ -1455,27 +1376,6 @@ impl Handler for ServeState {
                 .field("trace_id", trace_id),
         );
     }
-
-    fn record(&self, tally: &RequestTally) {
-        self.metrics.record_tally(tally);
-    }
-
-    fn record_shed(&self, bytes: u64) {
-        self.metrics.shed.inc();
-        self.metrics.record(503, bytes, 0);
-    }
-
-    fn record_timeout(&self) {
-        self.metrics.timeouts.inc();
-    }
-
-    fn connection_opened(&self) {
-        self.metrics.connections.inc();
-    }
-
-    fn inflight(&self) -> &Gauge {
-        &self.metrics.inflight
-    }
 }
 
 #[cfg(test)]
@@ -1486,6 +1386,13 @@ mod tests {
     use bikron_core::truth::squares_vertex::vertex_squares_at;
     use bikron_core::truth::FactorStats;
     use bikron_generators::{complete_bipartite, crown, cycle};
+
+    /// Record one answered request, as the pool's flush does.
+    fn record(st: &ServeState, status: u16, bytes: u64, ns: u64) {
+        let mut tally = crate::pool::RequestTally::default();
+        tally.add(status, bytes, ns);
+        st.transport().record(&tally);
+    }
 
     fn get(path: &str) -> Request {
         let raw = format!("GET {path} HTTP/1.1\r\n\r\n");
@@ -1696,9 +1603,9 @@ mod tests {
     #[test]
     fn metrics_endpoint_returns_obs_report() {
         let st = state();
-        // `record` is the pool's per-request hook; invoke it directly so the
-        // windowed series carry a sample.
-        st.metrics().record(200, 64, 1_000_000);
+        // Record a request as the pool would, so the windowed series
+        // carry a sample.
+        record(&st, 200, 64, 1_000_000);
         let resp = st.handle(&get("/metrics"));
         assert_eq!(resp.status, 200);
         assert!(resp.body.contains("\"schema\": \"bikron-obs/4\""));
@@ -1763,13 +1670,13 @@ mod tests {
 
         // Fast, successful traffic stays ok.
         for _ in 0..10 {
-            st.metrics().record(200, 100, 1_000_000); // 1ms
+            record(&st, 200, 100, 1_000_000); // 1ms
         }
         let resp = st.handle(&get("/v1/health"));
         assert!(resp.body.contains("\"status\": \"ok\""), "{}", resp.body);
 
         // One 200ms outlier pushes windowed p99 past the 50ms SLO.
-        st.metrics().record(200, 100, 200_000_000);
+        record(&st, 200, 100, 200_000_000);
         let resp = st.handle(&get("/v1/health"));
         assert!(
             resp.body.contains("\"status\": \"degraded\""),
@@ -1793,11 +1700,11 @@ mod tests {
         )
         .unwrap();
         for _ in 0..9 {
-            st.metrics().record(200, 100, 1_000_000);
+            record(&st, 200, 100, 1_000_000);
         }
         assert!(st.handle(&get("/v1/health")).body.contains("\"ok\": true"));
         // 1 error in 10 requests = 10% > the 5% budget.
-        st.metrics().record(500, 100, 1_000_000);
+        record(&st, 500, 100, 1_000_000);
         let resp = st.handle(&get("/v1/health"));
         assert!(
             resp.body.contains("\"status\": \"degraded\""),
@@ -1830,16 +1737,26 @@ mod tests {
         let st = state();
         assert_eq!(st.handle(&get("/v1/admin/profile")).status, 403);
         assert_eq!(st.handle(&get("/v1/admin/profile?token=wrong")).status, 403);
-        match bikron_obs::profile::start_sampler(500) {
-            None => {
-                // No sampler could start (hz race with a concurrent
-                // test): the endpoint must say so, not serve zeros.
-                if bikron_obs::profile::profiler().sampler_hz() == 0 {
-                    let resp = st.handle(&get("/v1/admin/profile?token=sesame"));
-                    assert_eq!(resp.status, 409);
-                    assert!(resp.body.contains("profiling is disabled"));
-                }
+        // With no sampler running the endpoint must say so, not serve
+        // zeros: a 409 Conflict, head and body.
+        let refused_while_disabled = || {
+            if bikron_obs::profile::profiler().sampler_hz() == 0 {
+                let resp = st.handle(&get("/v1/admin/profile?token=sesame"));
+                assert_eq!(resp.status, 409);
+                assert!(resp.body.contains("profiling is disabled"));
+                assert!(
+                    resp.body.contains("\"status\": \"Conflict\""),
+                    "{}",
+                    resp.body
+                );
+                let mut head = Vec::new();
+                crate::http::write_response(&mut head, &resp, false).unwrap();
+                assert!(head.starts_with(b"HTTP/1.1 409 Conflict\r\n"));
             }
+        };
+        match bikron_obs::profile::start_sampler(500) {
+            // No sampler could start (hz race with a concurrent test).
+            None => refused_while_disabled(),
             Some(sampler) => {
                 // Generate some attributable work, then read the
                 // cumulative profile (seconds=0: no capture sleep).
@@ -1867,6 +1784,7 @@ mod tests {
                     400
                 );
                 sampler.stop();
+                refused_while_disabled();
             }
         }
     }
@@ -1921,17 +1839,6 @@ mod tests {
         assert!(lines[1].contains("\"trace_id\": \"0af7651916cd43dd8448eb211c80319c\""));
         assert!(lines.iter().all(|l| !l.contains("\"cache\"")), "{text}");
         let _ = std::fs::remove_file(&path);
-    }
-
-    /// Every status with a reason phrase, 408 included, has a
-    /// pre-resolved `serve.status.*` counter.
-    #[test]
-    fn every_named_status_has_a_preresolved_counter() {
-        let metrics = ServeMetrics::new();
-        for &(code, _) in &crate::http::STATUSES {
-            assert!(metrics.status.get(code).is_some(), "{code}");
-        }
-        assert!(metrics.status.get(408).is_some());
     }
 
     #[test]

@@ -13,10 +13,9 @@ use std::thread::JoinHandle;
 use bikron_bench::check::{Outcome, Reference, Workload};
 use bikron_core::SelfLoopMode;
 use bikron_generators::{complete_bipartite, crown, cycle};
-use bikron_obs::{Gauge, TraceContext};
+use bikron_obs::TraceContext;
 use bikron_serve::http::{Answer, Request};
-use bikron_serve::pool::RequestTally;
-use bikron_serve::{Handler, ServeOptions, ServeState, Server, ServerConfig};
+use bikron_serve::{Handler, ServeOptions, ServeState, Server, ServerConfig, Transport};
 
 const EXPR: &str = "(A+I)⊗B⊗C";
 
@@ -57,23 +56,8 @@ impl Handler for InflatedSquares {
         }
         answer
     }
-    fn shutdown_requested(&self) -> bool {
-        self.0.shutdown_requested()
-    }
-    fn record(&self, tally: &RequestTally) {
-        Handler::record(&self.0, tally)
-    }
-    fn record_shed(&self, bytes: u64) {
-        Handler::record_shed(&self.0, bytes)
-    }
-    fn record_timeout(&self) {
-        Handler::record_timeout(&self.0)
-    }
-    fn connection_opened(&self) {
-        Handler::connection_opened(&self.0)
-    }
-    fn inflight(&self) -> &Gauge {
-        Handler::inflight(&self.0)
+    fn transport(&self) -> &Transport {
+        self.0.transport()
     }
 }
 

@@ -18,10 +18,9 @@ use std::time::Duration;
 use bikron_cli::replay::{parse_access_log, ReplayConfig};
 use bikron_core::SelfLoopMode;
 use bikron_generators::{complete_bipartite, cycle};
-use bikron_obs::{Gauge, TraceContext};
+use bikron_obs::TraceContext;
 use bikron_serve::http::{Answer, Request};
-use bikron_serve::pool::RequestTally;
-use bikron_serve::{Handler, ServeOptions, ServeState, Server, ServerConfig};
+use bikron_serve::{Handler, ServeOptions, ServeState, Server, ServerConfig, Transport};
 
 /// Minimal keep-alive HTTP client (same shape as the serve test suite's).
 struct Client {
@@ -263,23 +262,8 @@ impl Handler for Recording {
         self.paths.lock().unwrap().push(req.path().to_string());
         self.state.respond(req, ctx, body)
     }
-    fn shutdown_requested(&self) -> bool {
-        self.state.shutdown_requested()
-    }
-    fn record(&self, tally: &RequestTally) {
-        Handler::record(&self.state, tally)
-    }
-    fn record_shed(&self, bytes: u64) {
-        Handler::record_shed(&self.state, bytes)
-    }
-    fn record_timeout(&self) {
-        Handler::record_timeout(&self.state)
-    }
-    fn connection_opened(&self) {
-        Handler::connection_opened(&self.state)
-    }
-    fn inflight(&self) -> &Gauge {
-        Handler::inflight(&self.state)
+    fn transport(&self) -> &Transport {
+        self.state.transport()
     }
 }
 
