@@ -85,7 +85,7 @@ fn push_u64(out: &mut String, value: u64) {
 /// ([`JsonWriter::with_buffer`] / [`JsonWriter::into_buffer`]): values
 /// written at depth 0 follow each other with nothing in between, and
 /// [`JsonWriter::buffer_mut`] lets the caller put its own separators
-/// there — how a batch answer renders every item into one body.
+/// there.
 ///
 /// The writer keeps no per-container state: inside a container, the
 /// byte before a member is the container's own `{` or `[` exactly when

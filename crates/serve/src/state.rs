@@ -65,6 +65,25 @@ pub const MAX_STALL_MS: u64 = 2_000;
 /// a worker thread (snapshot, sleep, snapshot) for its whole duration.
 pub const MAX_PROFILE_SECONDS: u64 = 30;
 
+/// The opening brace and first member key of a keyed answer (`{`, a
+/// newline, a two-space indent, `"key": `), as one constant piece.
+macro_rules! first_member {
+    ($key:literal) => {
+        concat!("{\n  \"", $key, "\": ")
+    };
+}
+
+/// The separator and key of a later top-level member (`,`, a newline, a
+/// two-space indent, `"key": `), as one constant piece.
+macro_rules! member {
+    ($key:literal) => {
+        concat!(",\n  \"", $key, "\": ")
+    };
+}
+
+/// The newline and brace that close a keyed answer.
+const CLOSE_OBJECT: &str = "\n}";
+
 /// Behavioural knobs for [`ServeState::build_with`]. Transport-level
 /// knobs (address, pool size, queue) stay in
 /// [`ServerConfig`](crate::ServerConfig).
@@ -456,77 +475,86 @@ impl ServeState {
                 return Response::error(400, "batch body is not valid UTF-8").into_answer(out)
             }
         };
-        let queries = match crate::batch::parse_batch(body, self.batch_max) {
-            Ok(qs) => qs,
+        let batch = match crate::batch::parse_batch(body, self.batch_max) {
+            Ok(batch) => batch,
             Err(e) => return e.response().into_answer(out),
         };
-        self.metrics.record_batch(queries.len() as u64);
-        crate::batch::eval_batch(self, &queries, out)
+        self.metrics.record_batch(batch.num_queries() as u64);
+        crate::batch::eval_batch(self, &batch, out)
     }
 
     fn vertex(&self, raw: &str, body: &mut String) -> Answer {
         match parse_index(raw, self.num_vertices()) {
-            Ok(p) => render(body, |w| self.vertex_into(w, p)),
+            Ok(p) => render(body, |out| self.vertex_into(out, p)),
             Err(resp) => resp.into_answer(body),
         }
     }
 
     /// Render the `GET /v1/vertex/{p}` body for an already-parsed index
-    /// into `w` and return its status (shared with the batch evaluator —
-    /// both produce identical bytes). Pair servers report the two
-    /// coordinates as `"alpha"`/`"beta"`; expression servers report the
-    /// per-level `"coords"` array.
-    pub(crate) fn vertex_into(&self, w: &mut JsonWriter, p: usize) -> u16 {
+    /// onto `out`, without its newline, and return its status (shared
+    /// with the batch evaluator — both produce identical bytes). Pair
+    /// servers report the two coordinates as `"alpha"`/`"beta"`;
+    /// expression servers report the per-level `"coords"` array.
+    pub(crate) fn vertex_into(&self, out: &mut String, p: usize) -> u16 {
         if let Err(refusal) = check_range(p, self.num_vertices()) {
-            return refusal.write(w);
+            return refusal.write_into(out);
         }
         let truth = self.chain.vertex_at(p);
-        w.open_object();
-        w.u64_field("vertex", p as u64);
+        out.push_str(first_member!("vertex"));
+        push_u64(out, p as u64);
         if self.pair_form {
-            for (key, c) in ["alpha", "beta"].into_iter().zip(self.chain.coords(p)) {
-                w.u64_field(key, c as u64);
+            let keys = [member!("alpha"), member!("beta")];
+            for (key, c) in keys.into_iter().zip(self.chain.coords(p)) {
+                out.push_str(key);
+                push_u64(out, c as u64);
             }
         } else {
-            w.key("coords");
-            w.open_array();
+            out.push_str(member!("coords"));
+            let mut coords = IntArray::open(out);
             for c in self.chain.coords(p) {
-                w.u64_element(c as u64);
+                coords.push(c as u64);
             }
-            w.close_array();
+            coords.close();
         }
-        w.u64_field("degree", truth.degree);
-        w.u64_field("squares", truth.squares);
-        w.close_object();
+        out.push_str(member!("degree"));
+        push_u64(out, truth.degree);
+        out.push_str(member!("squares"));
+        push_u64(out, truth.squares);
+        out.push_str(CLOSE_OBJECT);
         200
     }
 
     fn edge(&self, raw_p: &str, raw_q: &str, body: &mut String) -> Answer {
         let n = self.num_vertices();
         match (parse_index(raw_p, n), parse_index(raw_q, n)) {
-            (Ok(p), Ok(q)) => render(body, |w| self.edge_into(w, p, q)),
+            (Ok(p), Ok(q)) => render(body, |out| self.edge_into(out, p, q)),
             (Err(resp), _) | (_, Err(resp)) => resp.into_answer(body),
         }
     }
 
-    /// Render the `GET /v1/edge/{p}/{q}` body for already-parsed indices.
-    pub(crate) fn edge_into(&self, w: &mut JsonWriter, p: usize, q: usize) -> u16 {
+    /// Render the `GET /v1/edge/{p}/{q}` body for already-parsed indices
+    /// onto `out`, without its newline.
+    pub(crate) fn edge_into(&self, out: &mut String, p: usize, q: usize) -> u16 {
         let n = self.num_vertices();
         if let Err(refusal) = check_range(p, n).and_then(|()| check_range(q, n)) {
-            return refusal.write(w);
+            return refusal.write_into(out);
         }
         let edge = self.chain.edge_at(p, q);
-        w.open_object();
-        w.u64_field("p", p as u64);
-        w.u64_field("q", q as u64);
-        w.bool_field("edge", edge.squares.is_some());
-        w.u64_field("degree_p", edge.degree_p);
-        w.u64_field("degree_q", edge.degree_q);
-        match edge.squares {
-            Some(s) => w.u64_field("squares", s),
-            None => w.null_field("squares"),
-        }
-        w.close_object();
+        out.push_str(first_member!("p"));
+        push_u64(out, p as u64);
+        out.push_str(member!("q"));
+        push_u64(out, q as u64);
+        out.push_str(match edge.squares {
+            Some(_) => concat!(member!("edge"), "true"),
+            None => concat!(member!("edge"), "false"),
+        });
+        out.push_str(member!("degree_p"));
+        push_u64(out, edge.degree_p);
+        out.push_str(member!("degree_q"));
+        push_u64(out, edge.degree_q);
+        out.push_str(member!("squares"));
+        push_u64_or_null(out, edge.squares);
+        out.push_str(CLOSE_OBJECT);
         200
     }
 
@@ -536,44 +564,44 @@ impl ServeState {
             Err(resp) => return resp.into_answer(body),
         };
         match parse_page(req) {
-            Ok((offset, limit)) => render(body, |w| self.neighbors_into(w, p, offset, limit)),
+            Ok((offset, limit)) => render(body, |out| self.neighbors_into(out, p, offset, limit)),
             Err(resp) => resp.into_answer(body),
         }
     }
 
     /// Render the `GET /v1/neighbors/{p}?offset&limit` body for
-    /// already-parsed values (`limit` must respect [`MAX_LIMIT`]; both
-    /// entry points enforce it). The page goes straight from the chain
-    /// into the body.
+    /// already-parsed values onto `out`, without its newline (`limit`
+    /// must respect [`MAX_LIMIT`]; both entry points enforce it). The
+    /// page goes straight from the chain into the body.
     pub(crate) fn neighbors_into(
         &self,
-        w: &mut JsonWriter,
+        out: &mut String,
         p: usize,
         offset: u64,
         limit: usize,
     ) -> u16 {
         if let Err(refusal) = check_range(p, self.num_vertices()) {
-            return refusal.write(w);
+            return refusal.write_into(out);
         }
         let degree = self.chain.degree(p);
         let count = degree.saturating_sub(offset).min(limit as u64);
-        w.open_object();
-        w.u64_field("vertex", p as u64);
-        w.u64_field("degree", degree);
-        w.u64_field("offset", offset);
-        w.u64_field("count", count);
         let next = offset + count;
-        if next < degree && count > 0 {
-            w.u64_field("next_offset", next);
-        } else {
-            w.null_field("next_offset");
-        }
-        w.key("neighbors");
-        w.open_array();
+        out.push_str(first_member!("vertex"));
+        push_u64(out, p as u64);
+        out.push_str(member!("degree"));
+        push_u64(out, degree);
+        out.push_str(member!("offset"));
+        push_u64(out, offset);
+        out.push_str(member!("count"));
+        push_u64(out, count);
+        out.push_str(member!("next_offset"));
+        push_u64_or_null(out, (next < degree && count > 0).then_some(next));
+        out.push_str(member!("neighbors"));
+        let mut page = IntArray::open(out);
         self.chain
-            .for_each_neighbor(p, offset, limit, |q| w.u64_element(q as u64));
-        w.close_array();
-        w.close_object();
+            .for_each_neighbor(p, offset, limit, |q| page.push(q as u64));
+        page.close();
+        out.push_str(CLOSE_OBJECT);
         200
     }
 
@@ -653,7 +681,9 @@ impl ServeState {
     fn clustering(&self, raw_p: &str, raw_q: &str, body: &mut String) -> Answer {
         let n = self.num_vertices();
         match (parse_index(raw_p, n), parse_index(raw_q, n)) {
-            (Ok(p), Ok(q)) => render(body, |w| self.clustering_into(w, p, q)),
+            (Ok(p), Ok(q)) => render(body, |out| {
+                with_writer(out, |w| self.clustering_into(w, p, q))
+            }),
             (Err(resp), _) | (_, Err(resp)) => resp.into_answer(body),
         }
     }
@@ -1024,13 +1054,62 @@ pub fn first_n<'a, const N: usize>(items: impl Iterator<Item = &'a str>) -> ([&'
 }
 
 /// A JSON answer whose body `render` writes onto `body`, returning its
-/// status. The writer borrows `body`'s buffer, so nothing is allocated
-/// once it has grown to the answer's size.
-fn render(body: &mut String, render: impl FnOnce(&mut JsonWriter) -> u16) -> Answer {
-    let mut w = JsonWriter::with_buffer(std::mem::take(body));
-    let status = render(&mut w);
-    *body = w.finish();
+/// status, ended with the newline every response body carries.
+fn render(body: &mut String, render: impl FnOnce(&mut String) -> u16) -> Answer {
+    let status = render(body);
+    body.push('\n');
     Answer::json(status)
+}
+
+/// Run `render` on a [`JsonWriter`] that appends to `out` and return its
+/// status. The writer borrows `out`'s buffer, so nothing is allocated
+/// once it has grown to the answer's size.
+fn with_writer(out: &mut String, render: impl FnOnce(&mut JsonWriter) -> u16) -> u16 {
+    let mut w = JsonWriter::with_buffer(std::mem::take(out));
+    let status = render(&mut w);
+    *out = w.into_buffer();
+    status
+}
+
+/// Append the decimal digits of `value` to `out`.
+fn push_u64(out: &mut String, value: u64) {
+    let mut buf = [0u8; 20];
+    let digits = bikron_obs::json::u64_digits(value, &mut buf);
+    out.extend(digits.iter().map(|&d| char::from(d)));
+}
+
+/// Append `value`'s digits, or `null` for `None`.
+fn push_u64_or_null(out: &mut String, value: Option<u64>) {
+    match value {
+        Some(v) => push_u64(out, v),
+        None => out.push_str("null"),
+    }
+}
+
+/// An array of integers that is the value of a top-level member of a
+/// keyed answer, written in [`JsonWriter`]'s layout: one element per
+/// line, indented two levels, and `[]` when empty.
+struct IntArray<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> IntArray<'a> {
+    fn open(out: &'a mut String) -> Self {
+        out.push('[');
+        IntArray { out, empty: true }
+    }
+
+    fn push(&mut self, value: u64) {
+        self.out
+            .push_str(if self.empty { "\n    " } else { ",\n    " });
+        self.empty = false;
+        push_u64(self.out, value);
+    }
+
+    fn close(self) {
+        self.out.push_str(if self.empty { "]" } else { "\n  ]" });
+    }
 }
 
 /// A refused keyed query: the status and detail of its error body.
@@ -1044,6 +1123,11 @@ impl Refusal {
     fn write(&self, w: &mut JsonWriter) -> u16 {
         write_error(w, self.status, &self.detail);
         self.status
+    }
+
+    /// Write the error body onto `out`; returns the status.
+    fn write_into(&self, out: &mut String) -> u16 {
+        with_writer(out, |w| self.write(w))
     }
 }
 

@@ -1,4 +1,4 @@
-//! The steady-state keep-alive GET path allocates nothing.
+//! The steady-state keep-alive GET and batch paths allocate nothing.
 //!
 //! An in-process pair server for the Table-I product `(A+I)⊗A` answers
 //! one keep-alive connection. After 1,000 warm-up requests have grown
@@ -6,6 +6,9 @@
 //! and stats GETs (the same cycle of requests, in the same bursts) must
 //! cause zero heap allocations anywhere in the process, and every body
 //! must equal the one `ServeState::handle` renders for the same request.
+//! The same holds for 1,000 pipelined `POST /v1/batch` requests of 64
+//! queries each, in the Table-I batch mix (vertex 60%, edge 25%,
+//! neighbors 15%).
 //!
 //! A counting global allocator sees every thread, so the client side of
 //! the measured window allocates nothing either: the bursts are rendered
@@ -16,7 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use bikron_core::SelfLoopMode;
 use bikron_generators::unicode_like::unicode_like;
@@ -61,6 +64,9 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
+
+/// The counter sees every thread, so the tests take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 const WARM_UP: usize = 1_000;
 const MEASURED: usize = 10_000;
@@ -139,18 +145,19 @@ fn frame(bytes: &[u8]) -> Option<(usize, usize)> {
     Some((head_end, len))
 }
 
-#[test]
-fn steady_state_pipelined_gets_allocate_nothing() {
-    let a = unicode_like();
-    let state = Arc::new(
-        ServeState::build(a.clone(), a, SelfLoopMode::FactorA, None).expect("Table-I pair"),
-    );
-    let targets = targets(state.num_vertices());
-    let raw: Vec<Vec<u8>> = targets
-        .iter()
-        .map(|t| format!("GET {t} HTTP/1.1\r\nHost: bench\r\n\r\n").into_bytes())
-        .collect();
-    let expected: Vec<Vec<u8>> = raw
+/// Serve `requests` (rendered once each) on one keep-alive connection,
+/// pipelined `burst` at a time, and return how many allocations the
+/// process made over the `measured` requests that follow `warm_up`
+/// requests of the same cycle. Every body must equal the one
+/// `ServeState::handle` renders for the same request.
+fn count_allocations(
+    state: Arc<ServeState>,
+    requests: &[Vec<u8>],
+    burst: usize,
+    warm_up: usize,
+    measured: usize,
+) -> u64 {
+    let expected: Vec<Vec<u8>> = requests
         .iter()
         .map(|r| {
             let resp = state.handle(&parse_request(&mut &r[..]).expect("parse"));
@@ -160,7 +167,7 @@ fn steady_state_pipelined_gets_allocate_nothing() {
         .collect();
     let expected: Vec<&[u8]> = expected.iter().map(Vec::as_slice).collect();
     // Every burst of the cycle, rendered once.
-    let bursts: Vec<Vec<u8>> = raw.chunks(BURST).map(|c| c.concat()).collect();
+    let bursts: Vec<Vec<u8>> = requests.chunks(burst).map(|c| c.concat()).collect();
 
     let server = Server::bind(
         ServerConfig {
@@ -178,22 +185,108 @@ fn steady_state_pipelined_gets_allocate_nothing() {
     stream.set_nodelay(true).expect("nodelay");
     let mut buf = vec![0u8; 1 << 20];
     let mut send = |stream: &mut TcpStream, requests: usize| {
-        for k in 0..requests / BURST {
+        for k in 0..requests / burst {
             let b = k % bursts.len();
             stream.write_all(&bursts[b]).expect("write burst");
-            read_answers(stream, &mut buf, &expected[b * BURST..(b + 1) * BURST]);
+            read_answers(stream, &mut buf, &expected[b * burst..(b + 1) * burst]);
         }
     };
-    send(&mut stream, WARM_UP);
+    send(&mut stream, warm_up);
     let before = ALLOCATIONS.load(Ordering::SeqCst);
-    send(&mut stream, MEASURED);
+    send(&mut stream, measured);
     let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
 
     drop(stream);
     state.request_shutdown();
     running.join().expect("server thread");
+    allocations
+}
+
+fn table1_state() -> Arc<ServeState> {
+    let a = unicode_like();
+    Arc::new(ServeState::build(a.clone(), a, SelfLoopMode::FactorA, None).expect("Table-I pair"))
+}
+
+#[test]
+fn steady_state_pipelined_gets_allocate_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let state = table1_state();
+    let requests: Vec<Vec<u8>> = targets(state.num_vertices())
+        .iter()
+        .map(|t| format!("GET {t} HTTP/1.1\r\nHost: bench\r\n\r\n").into_bytes())
+        .collect();
+    let allocations = count_allocations(state, &requests, BURST, WARM_UP, MEASURED);
     assert_eq!(
         allocations, 0,
         "{MEASURED} steady-state GETs allocated {allocations} times"
+    );
+}
+
+/// Queries per batch, as in the benchmark's batch workloads.
+const BATCH_LINES: usize = 64;
+/// Distinct batches in the repeated cycle; a multiple of `BATCH_BURST`.
+const BATCHES: usize = 16;
+/// Batches per pipelined burst.
+const BATCH_BURST: usize = 4;
+const BATCH_WARM_UP: usize = 100;
+const BATCH_MEASURED: usize = 1_000;
+
+/// One 64-line batch body in the Table-I mix: vertex 60%, edge 25% (half
+/// of them known edges), neighbors 15% at offsets and limits of 1 to 64.
+fn batch_body(state: &ServeState, batch: usize) -> String {
+    let n = state.num_vertices();
+    let mut body = String::new();
+    for line in 0..BATCH_LINES {
+        let i = batch * BATCH_LINES + line;
+        let p = (i * 7_919 + 13) % n;
+        let q = (i * 104_729 + 1) % n;
+        let query = match i % 20 {
+            0..=11 => format!("vertex {p}"),
+            12..=13 => format!("edge {p} {q}"),
+            14..=16 => match first_neighbor(state, p) {
+                Some(q) => format!("edge {p} {q}"),
+                None => format!("vertex {p}"),
+            },
+            _ => format!("neighbors {p} {} {}", i % 3, 1 + i % 64),
+        };
+        body.push_str(&query);
+        body.push('\n');
+    }
+    body
+}
+
+/// The first neighbor of `p`, if any, read from its neighbors answer.
+fn first_neighbor(state: &ServeState, p: usize) -> Option<usize> {
+    let raw = format!("GET /v1/neighbors/{p}?limit=1 HTTP/1.1\r\n\r\n");
+    let body = state
+        .handle(&parse_request(&mut raw.as_bytes()).expect("parse"))
+        .body;
+    const KEY: &str = "\"neighbors\": [";
+    let list = &body[body.find(KEY).expect("neighbors member") + KEY.len()..];
+    list.trim_start()
+        .split(|c: char| !c.is_ascii_digit())
+        .next()
+        .and_then(|d| d.parse().ok())
+}
+
+#[test]
+fn steady_state_pipelined_batches_allocate_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let state = table1_state();
+    let requests: Vec<Vec<u8>> = (0..BATCHES)
+        .map(|b| {
+            let body = batch_body(&state, b);
+            format!(
+                "POST /v1/batch HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .into_bytes()
+        })
+        .collect();
+    let allocations =
+        count_allocations(state, &requests, BATCH_BURST, BATCH_WARM_UP, BATCH_MEASURED);
+    assert_eq!(
+        allocations, 0,
+        "{BATCH_MEASURED} steady-state batches of {BATCH_LINES} allocated {allocations} times"
     );
 }
