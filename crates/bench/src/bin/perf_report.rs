@@ -32,8 +32,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bikron_analytics::butterflies_global;
-use bikron_core::truth::walks::FactorStats;
-use bikron_core::{GroundTruth, KroneckerProduct, SelfLoopMode};
+use bikron_core::{GroundTruth, KronChain, KroneckerProduct, SelfLoopMode};
 use bikron_generators::unicode_like::{unicode_like, DEFAULT_SEED};
 
 fn main() {
@@ -104,8 +103,9 @@ fn main() {
 
     // Distributed-generation simulation, 4 ranks (drives the per-rank
     // counters and tree-reduction timers).
-    let sa = FactorStats::compute(&a).unwrap();
-    let reduced = bikron_distsim::distributed_generate(&prod, &sa, &sa, 4);
+    let tower = [("A".to_string(), true), ("A".to_string(), false)];
+    let chain = KronChain::new(vec![("A".to_string(), a.clone())], &tower).unwrap();
+    let reduced = bikron_distsim::distributed_generate(&chain, 4);
     assert_eq!(reduced.edges, prod.num_edges());
     assert_eq!(reduced.square_mass, 4 * global_squares);
 

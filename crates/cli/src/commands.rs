@@ -4,9 +4,11 @@
 use std::io::Write;
 
 use bikron_core::connectivity::product_bipartition;
-use bikron_core::stream::PartitionedStream;
+use bikron_core::stream::EdgeStream;
 use bikron_core::truth::FactorStats;
-use bikron_core::{pair_levels, predict_structure, GroundTruth, KroneckerProduct, SelfLoopMode};
+use bikron_core::{
+    pair_levels, predict_structure, GroundTruth, KronChain, KroneckerProduct, SelfLoopMode,
+};
 use bikron_graph::{bipartition, connected_components, Graph};
 use bikron_serve::snapshot::{Snapshot, SnapshotError};
 use bikron_serve::{ServeOptions, ServeState, Server, ServerConfig, WarmInfo};
@@ -135,10 +137,11 @@ pub fn generate(
     annotate: bool,
     log: &mut dyn Write,
 ) -> Result<u64, Box<dyn std::error::Error>> {
-    let prod = KroneckerProduct::new(a, b, mode)?;
-    let sa = FactorStats::compute(a)?;
-    let sb = FactorStats::compute(b)?;
-    let ps = PartitionedStream::new(&prod, &sa, &sb, parts);
+    // The two-factor checks first, so their errors name factor A or B.
+    KroneckerProduct::new(a, b, mode)?;
+    let bindings = vec![("A".to_string(), a.clone()), ("B".to_string(), b.clone())];
+    let chain = KronChain::new(bindings, &pair_levels(mode))?;
+    let stream = EdgeStream::new(&chain, parts);
     let mut total = 0u64;
     for part in 0..parts {
         let ext = if annotate { "tsv" } else { "el" };
@@ -146,14 +149,14 @@ pub fn generate(
         let file = std::fs::File::create(&path)?;
         let mut w = std::io::BufWriter::new(file);
         let n = if annotate {
-            ps.write_annotated(part, &mut w)?
+            stream.write_annotated(part, &mut w)?
         } else {
-            ps.write_edges(part, &mut w)?
+            stream.write_edges(part, &mut w)?
         };
         writeln!(log, "wrote {n} edges to {path}")?;
         total += n;
     }
-    assert_eq!(total, prod.num_edges(), "partition coverage invariant");
+    assert_eq!(total, chain.num_edges(), "partition coverage invariant");
     Ok(total)
 }
 

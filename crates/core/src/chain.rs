@@ -32,6 +32,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 use bikron_graph::Graph;
 use bikron_sparse::{Ix, SparseError};
@@ -255,6 +256,51 @@ impl EffRow<'_> {
                 }
             }
             _ => self.nbrs[j],
+        }
+    }
+}
+
+/// One level of a [`mixed_radix_runs`] walk: a list of `len` items and
+/// the walk's position in it.
+#[derive(Clone, Copy)]
+pub(crate) struct Wheel<R> {
+    pub(crate) row: R,
+    pub(crate) len: usize,
+    pub(crate) pos: usize,
+}
+
+/// The one mixed-radix walk behind neighbor pages
+/// ([`KronChain::for_each_neighbor`]) and edge-stream pages
+/// ([`crate::stream::EdgeStream`]): ranks `first..first + count` of the
+/// wheels' count, the last wheel least significant (every `len` > 0).
+/// `first` is decomposed once; then each run of ranks along the last
+/// wheel is one `visit(upper, last, range)` call, with the other wheels
+/// at their positions, and the run's end carries into them — no division.
+pub(crate) fn mixed_radix_runs<R>(
+    wheels: &mut [Wheel<R>],
+    mut first: u64,
+    mut count: u64,
+    mut visit: impl FnMut(&[Wheel<R>], &R, Range<usize>),
+) {
+    for w in wheels.iter_mut().rev() {
+        w.pos = (first % w.len as u64) as usize;
+        first /= w.len as u64;
+    }
+    let (last, upper) = wheels.split_last_mut().expect("a wheel");
+    while count > 0 {
+        let run = ((last.len - last.pos) as u64).min(count);
+        visit(upper, &last.row, last.pos..last.pos + run as usize);
+        count -= run;
+        last.pos += run as usize;
+        if last.pos == last.len {
+            last.pos = 0;
+            for w in upper.iter_mut().rev() {
+                w.pos += 1;
+                if w.pos < w.len {
+                    break;
+                }
+                w.pos = 0;
+            }
         }
     }
 }
@@ -537,6 +583,11 @@ impl KronChain {
         &self.atoms[self.levels[i].atom].stats
     }
 
+    /// Row-major stride of level `i`: `Π_{j>i} n_j`.
+    pub(crate) fn stride(&self, i: usize) -> usize {
+        self.strides[i]
+    }
+
     /// Effective degree of level `i` at factor vertex `v`.
     fn level_degree(&self, i: usize, v: Ix) -> u64 {
         self.level_graph(i).degree(v) as u64 + u64::from(self.levels[i].plus_identity)
@@ -574,48 +625,57 @@ impl KronChain {
 
     /// Call `f` on ranks `offset..offset + limit` of `p`'s sorted
     /// neighbor list, in ascending order. Each level's effective row is
-    /// borrowed from its factor, and a rank decomposes in mixed radix over
-    /// the row lengths, level 0 most significant: O(Σ log d_i + k·limit).
-    /// Chains of up to 16 levels keep the rows on the stack, so the walk
-    /// allocates nothing.
+    /// borrowed from its factor, and the ranks are [`mixed_radix_runs`]
+    /// over the row lengths, level 0 most significant: one division per
+    /// level per page, so a page costs O(Σ log d_i + k·limit). Chains of
+    /// up to 16 levels keep the rows on the stack, so the walk allocates
+    /// nothing.
     pub fn for_each_neighbor(&self, p: Ix, offset: u64, limit: usize, mut f: impl FnMut(Ix)) {
         const INLINE_ROWS: usize = 16;
-        let empty = EffRow {
-            nbrs: &[],
-            splice: None,
+        let empty = Wheel {
+            row: EffRow {
+                nbrs: &[],
+                splice: None,
+            },
+            len: 0,
+            pos: 0,
         };
         let mut inline = [empty; INLINE_ROWS];
         let mut spilled = Vec::new();
-        let rows = match inline.get_mut(..self.levels.len()) {
-            Some(rows) => rows,
+        let wheels = match inline.get_mut(..self.levels.len()) {
+            Some(wheels) => wheels,
             None => {
                 spilled.resize(self.levels.len(), empty);
                 &mut spilled[..]
             }
         };
-        // Last level first, matching `strides` reversed.
-        let mut filled = 0;
         self.walk(p, |i, v| {
             let nbrs = self.level_graph(i).neighbors(v);
             let splice = self.levels[i]
                 .plus_identity
                 .then(|| (nbrs.partition_point(|&w| w < v), v));
-            rows[filled] = EffRow { nbrs, splice };
-            filled += 1;
+            let row = EffRow { nbrs, splice };
+            wheels[i] = Wheel {
+                row,
+                len: row.len(),
+                pos: 0,
+            };
         });
-        let rows = &rows[..];
-        let total: u64 = rows.iter().map(|row| row.len() as u64).product();
+        let total: u64 = wheels.iter().map(|w| w.len as u64).product();
         let end = total.min(offset.saturating_add(limit as u64));
-        for rank in offset.min(end)..end {
-            let mut rest = rank;
-            let mut q = 0;
-            for (row, &stride) in rows.iter().zip(self.strides.iter().rev()) {
-                let len = row.len() as u64;
-                q += row.get((rest % len) as usize) * stride;
-                rest /= len;
-            }
-            f(q);
+        if offset >= end {
+            return;
         }
+        // The last level's stride is 1: a run is its row shifted by the
+        // other levels' contribution.
+        mixed_radix_runs(wheels, offset, end - offset, |upper, last, run| {
+            let above: Ix = upper
+                .iter()
+                .zip(&self.strides)
+                .map(|(w, &stride)| w.row.get(w.pos) * stride)
+                .sum();
+            run.for_each(|j| f(above + last.get(j)));
+        });
     }
 
     /// Thm 3/4 chained: degree and 4-cycles at product vertex `p`, the

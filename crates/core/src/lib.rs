@@ -50,7 +50,6 @@ pub mod chain;
 pub mod connectivity;
 pub mod index;
 pub mod partition;
-pub mod power;
 pub mod product;
 pub mod sample;
 pub mod snap;
@@ -63,6 +62,5 @@ pub use chain::{
 };
 pub use connectivity::{predict_structure, ProductStructure};
 pub use index::KronIndexer;
-pub use power::KroneckerPower;
 pub use product::{KroneckerProduct, ProductError, SelfLoopMode};
 pub use sample::GroundTruth;

@@ -1,10 +1,9 @@
-//! Contiguous block partition arithmetic shared by every layer that
-//! splits an index space into `parts` ranks: [`PartitionedStream`]
-//! (edge streaming), `bikron-distsim` (simulated rank decomposition),
-//! the sharded `bikron-serve` backend (`--shard I/N`), and the
-//! `bikron-router` scatter-gather front. One implementation means the
-//! simulation, the shard ownership gate, and the router's routing table
-//! can never disagree about who owns an index.
+//! Contiguous block partition arithmetic: [`block_range`] splits an
+//! index space into `parts` ranks. [`EdgeStream`] tiles a chain's level-0
+//! entries with it, so `/v1/edges`, `bikron generate --parts` and
+//! `bikron-distsim`'s ranks agree on who owns an edge.
+//! [`imbalance_pct`] is the one load-imbalance definition behind
+//! distsim's per-rank gauge and the router's per-replica one.
 //!
 //! The scheme is the `div_ceil` block partition: with `n` items and
 //! `parts` ranks, every rank owns `per = ceil(n / parts)` consecutive
@@ -12,7 +11,7 @@
 //! empty when `parts` does not divide `n`). Blocks tile `0..n` exactly:
 //! disjoint, complete, and in index order.
 //!
-//! [`PartitionedStream`]: crate::stream::PartitionedStream
+//! [`EdgeStream`]: crate::stream::EdgeStream
 
 /// Half-open index range `[lo, hi)` owned by `part` of `parts` over an
 /// `n`-item space. Ranges tile `0..n`: `block_range(n, parts, 0)`
@@ -30,21 +29,6 @@ pub fn block_range(n: usize, parts: usize, part: usize) -> (usize, usize) {
     let lo = (part * per).min(n);
     let hi = ((part + 1) * per).min(n);
     (lo, hi)
-}
-
-/// The rank that owns `index` under [`block_range`]'s tiling of `0..n`
-/// into `parts` blocks. Inverse of `block_range`: for every in-range
-/// `index`, `block_range(n, parts, owner_of(n, parts, index))` contains
-/// `index`.
-///
-/// # Panics
-///
-/// Panics when `parts == 0`, `n == 0`, or `index >= n`.
-pub fn owner_of(n: usize, parts: usize, index: usize) -> usize {
-    assert!(parts > 0, "partition into zero parts");
-    assert!(index < n, "index {index} out of range for {n} items");
-    let per = n.div_ceil(parts);
-    index / per
 }
 
 /// Load imbalance as a percentage: `max * 100 / mean`, where 100 means
@@ -80,42 +64,6 @@ mod tests {
                 }
                 assert_eq!(cursor, n, "blocks must end at n");
                 assert_eq!(seen, n, "blocks must cover every index once");
-            }
-        }
-    }
-
-    #[test]
-    fn owner_inverts_block_range() {
-        for n in [1usize, 5, 12, 13, 100] {
-            for parts in [1usize, 2, 3, 5, 7, 16] {
-                for index in 0..n {
-                    let owner = owner_of(n, parts, index);
-                    assert!(owner < parts);
-                    let (lo, hi) = block_range(n, parts, owner);
-                    assert!(
-                        (lo..hi).contains(&index),
-                        "n={n} parts={parts} index={index} owner={owner} range={lo}..{hi}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn owner_matches_linear_scan() {
-        // Independent oracle: owner is the unique part whose range holds
-        // the index.
-        for n in [7usize, 13, 64] {
-            for parts in [2usize, 3, 4, 10] {
-                for index in 0..n {
-                    let scan = (0..parts)
-                        .find(|&part| {
-                            let (lo, hi) = block_range(n, parts, part);
-                            (lo..hi).contains(&index)
-                        })
-                        .expect("blocks tile the space");
-                    assert_eq!(owner_of(n, parts, index), scan);
-                }
             }
         }
     }

@@ -22,7 +22,6 @@
 //! these factor-sized objects are ever stored.
 
 use bikron_graph::Graph;
-use bikron_sparse::semiring::Times;
 use bikron_sparse::{
     ewise_mult, spgemm, spgemm_masked, u64_plus_times, Coo, Csr, SparseError, SparseResult,
 };
@@ -148,51 +147,6 @@ impl FactorStats {
     pub fn global_squares(&self) -> i128 {
         self.squares.iter().sum::<i128>() / 4
     }
-
-    /// Compose statistics under the (loop-free) Kronecker product:
-    /// `FactorStats(A ⊗ B)` from `FactorStats(A)` and `FactorStats(B)`,
-    /// **without ever forming `A ⊗ B`'s walk matrices**.
-    ///
-    /// Every component factors by the mixed-product property:
-    /// `d_{A⊗B} = d_A ⊗ d_B`, `w² = w²_A ⊗ w²_B`,
-    /// `diag((A⊗B)^h) = diag(A^h) ⊗ diag(B^h)`,
-    /// `(A⊗B)³∘(A⊗B) = (A³∘A) ⊗ (B³∘B)`, etc.
-    ///
-    /// Iterating this gives exact ground truth for Kronecker **powers**
-    /// `A^{⊗k}` (the construction of the prior-work generators this paper
-    /// extends) at cost proportional to the *output* sizes only.
-    pub fn kron_compose(&self, other: &FactorStats) -> SparseResult<FactorStats> {
-        let kv = |x: &[i128], y: &[i128]| bikron_sparse::kron_vec(x, y);
-        let degrees = kv(&self.degrees, &other.degrees);
-        let w2 = kv(&self.w2, &other.w2);
-        let diag_a3 = kv(&self.diag_a3, &other.diag_a3);
-        let diag_a4 = kv(&self.diag_a4, &other.diag_a4);
-        let squares: Vec<i128> = (0..degrees.len())
-            .map(|i| {
-                let v = diag_a4[i] - degrees[i] * degrees[i] - w2[i] + degrees[i];
-                debug_assert!(v >= 0 && v % 2 == 0);
-                v / 2
-            })
-            .collect();
-        let edge_w3 = bikron_sparse::kron(&Times, &self.edge_w3, &other.edge_w3)?;
-        let edge_w2 = bikron_sparse::kron(&Times, &self.edge_w2, &other.edge_w2)?;
-        let n = degrees.len();
-        let mut coo = Coo::with_capacity(n, n, edge_w3.nnz());
-        for (i, j, w3) in edge_w3.iter() {
-            coo.push(i, j, w3 - degrees[i] - degrees[j] + 1)?;
-        }
-        let edge_squares = Csr::from_coo(coo, |x, _| x, |_| false);
-        Ok(FactorStats {
-            degrees,
-            w2,
-            diag_a3,
-            diag_a4,
-            squares,
-            edge_w3,
-            edge_w2,
-            edge_squares,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -283,49 +237,6 @@ mod tests {
         let fs = FactorStats::compute(&bip).unwrap();
         assert!(fs.diag_a3.iter().all(|&x| x == 0));
         assert_eq!(fs.edge_w2.nnz(), 0);
-    }
-
-    #[test]
-    fn kron_compose_matches_direct_product_stats() {
-        let a = cycle(5);
-        let b = complete_bipartite(2, 3);
-        let fa = FactorStats::compute(&a).unwrap();
-        let fb = FactorStats::compute(&b).unwrap();
-        let composed = fa.kron_compose(&fb).unwrap();
-        // Reference: materialise A ⊗ B and compute stats directly.
-        let prod =
-            crate::product::KroneckerProduct::new(&a, &b, crate::product::SelfLoopMode::None)
-                .unwrap();
-        let g = prod.materialize();
-        let direct = FactorStats::compute(&g).unwrap();
-        assert_eq!(composed.degrees, direct.degrees);
-        assert_eq!(composed.w2, direct.w2);
-        assert_eq!(composed.diag_a3, direct.diag_a3);
-        assert_eq!(composed.diag_a4, direct.diag_a4);
-        assert_eq!(composed.squares, direct.squares);
-        assert_eq!(composed.edge_w3.to_dense(), direct.edge_w3.to_dense());
-        assert_eq!(
-            composed.edge_squares.to_dense(),
-            direct.edge_squares.to_dense()
-        );
-    }
-
-    #[test]
-    fn kron_power_three_factors() {
-        // Third Kronecker power of a path: stats composed twice equal the
-        // stats of the materialised triple product.
-        let a = path(3);
-        let fa = FactorStats::compute(&a).unwrap();
-        let f2 = fa.kron_compose(&fa).unwrap();
-        let f3 = f2.kron_compose(&fa).unwrap();
-        // Materialise ((A⊗A)⊗A) directly via the sparse kernel.
-        let k2 = bikron_sparse::kron(&Times, a.adjacency(), a.adjacency()).unwrap();
-        let k3 = bikron_sparse::kron(&Times, &k2, a.adjacency()).unwrap();
-        let g = Graph::from_adjacency(k3).unwrap();
-        let direct = FactorStats::compute(&g).unwrap();
-        assert_eq!(f3.squares, direct.squares);
-        assert_eq!(f3.global_squares(), direct.global_squares());
-        assert_eq!(f3.degrees, direct.degrees);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for the two paged enumeration APIs the serving layer
 //! is built on: [`KroneckerProduct::neighbors_page`] and
-//! [`PartitionedStream::edges_page`].
+//! [`EdgeStream::edges_page`].
 //!
 //! The invariant under test is the one `bikron-serve` (and any client
 //! resuming a paged download) relies on: walking the pages in order, for
@@ -9,9 +9,8 @@
 //! reordered. The reference enumeration comes from the materialised
 //! product, so these double as factor-state-vs-materialised checks.
 
-use bikron_core::stream::PartitionedStream;
-use bikron_core::truth::FactorStats;
-use bikron_core::{KroneckerProduct, SelfLoopMode};
+use bikron_core::stream::EdgeStream;
+use bikron_core::{pair_levels, KronChain, KroneckerProduct, SelfLoopMode};
 use bikron_graph::Graph;
 use proptest::prelude::*;
 
@@ -77,9 +76,9 @@ proptest! {
         limit in 1usize..=9,
     ) {
         let prod = KroneckerProduct::new(&a, &b, mode).unwrap();
-        let sa = FactorStats::compute(&a).unwrap();
-        let sb = FactorStats::compute(&b).unwrap();
-        let stream = PartitionedStream::new(&prod, &sa, &sb, parts);
+        let bindings = vec![("A".to_string(), a.clone()), ("B".to_string(), b.clone())];
+        let chain = KronChain::new(bindings, &pair_levels(mode)).unwrap();
+        let stream = EdgeStream::new(&chain, parts);
         let mat = prod.materialize();
 
         let mut all: Vec<(usize, usize)> = Vec::new();

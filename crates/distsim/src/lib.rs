@@ -13,9 +13,9 @@
 //! 1. receives the (tiny) factor graphs — in a real deployment these are
 //!    broadcast once; product-sized data never moves;
 //! 2. streams **its own partition** of the product's edges
-//!    ([`bikron_core::stream::PartitionedStream`]), accumulating local
-//!    statistics (edge count, 4-cycle edge-participation mass, degree
-//!    histogram contributions);
+//!    ([`bikron_core::stream::EdgeStream`] over any [`KronChain`]
+//!    program), accumulating local statistics (edge count, 4-cycle
+//!    edge-participation mass, degree histogram contributions);
 //! 3. participates in a binary-tree reduction over crossbeam channels.
 //!
 //! The root's reduced statistics are then asserted against the
@@ -29,9 +29,8 @@ use std::thread;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 
-use bikron_core::stream::PartitionedStream;
-use bikron_core::truth::walks::FactorStats;
-use bikron_core::KroneckerProduct;
+use bikron_core::stream::EdgeStream;
+use bikron_core::KronChain;
 
 /// Statistics a rank accumulates over its partition.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -62,17 +61,12 @@ impl RankStats {
 ///
 /// Panics if a worker thread panics (a failed rank fails the job, as in
 /// any bulk-synchronous run).
-pub fn distributed_generate(
-    prod: &KroneckerProduct<'_>,
-    stats_a: &FactorStats,
-    stats_b: &FactorStats,
-    num_ranks: usize,
-) -> RankStats {
+pub fn distributed_generate(chain: &KronChain, num_ranks: usize) -> RankStats {
     assert!(num_ranks >= 1);
     let obs = bikron_obs::global();
     let _phase = obs.phase("distsim.run");
     obs.gauge("distsim.ranks").set(num_ranks as u64);
-    let ps = PartitionedStream::new(prod, stats_a, stats_b, num_ranks);
+    let stream = EdgeStream::new(chain, num_ranks);
 
     // Tree reduction: rank r receives from children 2r+1, 2r+2 (when they
     // exist), merges, and sends to its parent. Channels are created
@@ -105,16 +99,16 @@ pub fn distributed_generate(
             } else {
                 senders[rank].take().expect("unclaimed sender").clone()
             };
-            let ps = &ps;
+            let stream = &stream;
             let run_masses = &run_masses;
             scope.spawn(move || {
                 let obs = bikron_obs::global();
                 // Local generation with in-flight ground truth.
                 let mut local = RankStats::default();
                 obs.time("distsim.generate", || {
-                    for e in ps.annotated_edges(rank) {
+                    for (_, _, e) in stream.annotated_edges(rank) {
                         local.edges += 1;
-                        local.square_mass += e.squares;
+                        local.square_mass += e.squares.expect("streamed pairs are edges");
                         *local.endpoint_degree_hist.entry(e.degree_p).or_insert(0) += 1;
                         *local.endpoint_degree_hist.entry(e.degree_q).or_insert(0) += 1;
                     }
@@ -167,23 +161,31 @@ mod tests {
     use super::*;
     use bikron_analytics::butterflies_per_edge;
     use bikron_core::truth::squares_vertex::global_squares_with;
-    use bikron_core::SelfLoopMode;
+    use bikron_core::truth::walks::FactorStats;
+    use bikron_core::{pair_levels, KroneckerProduct, SelfLoopMode};
     use bikron_generators::{complete_bipartite, crown, cycle, path};
+    use bikron_graph::Graph;
 
-    fn run(a: &bikron_graph::Graph, b: &bikron_graph::Graph, mode: SelfLoopMode, ranks: usize) {
+    fn run(a: &Graph, b: &Graph, mode: SelfLoopMode, ranks: usize) {
         let prod = KroneckerProduct::new(a, b, mode).unwrap();
         let sa = FactorStats::compute(a).unwrap();
         let sb = FactorStats::compute(b).unwrap();
-        let reduced = distributed_generate(&prod, &sa, &sb, ranks);
-        // Edge count and square mass match closed forms.
+        let bindings = vec![("A".to_string(), a.clone()), ("B".to_string(), b.clone())];
+        let chain = KronChain::new(bindings, &pair_levels(mode)).unwrap();
+        let reduced = distributed_generate(&chain, ranks);
+        // Edge count and square mass match the two-factor closed forms.
         assert_eq!(reduced.edges, prod.num_edges());
         let global = global_squares_with(&prod, &sa, &sb).unwrap();
         assert_eq!(reduced.square_mass, 4 * global, "Σ◇ = 4·global");
-        // Endpoint histogram mass = 2·|E| and matches the materialised
-        // product's edge-endpoint census.
+        check_census(&reduced, &prod.materialize());
+    }
+
+    /// Endpoint histogram mass = 2·|E| and matches the materialised
+    /// product's edge-endpoint census; the square mass matches direct
+    /// per-edge counting.
+    fn check_census(reduced: &RankStats, g: &Graph) {
         let total: u64 = reduced.endpoint_degree_hist.values().sum();
-        assert_eq!(total, 2 * prod.num_edges());
-        let g = prod.materialize();
+        assert_eq!(total, 2 * g.num_edges() as u64);
         let mut direct: std::collections::BTreeMap<u64, u64> = Default::default();
         for (u, v) in g.edges() {
             *direct.entry(g.degree(u) as u64).or_insert(0) += 1;
@@ -191,8 +193,25 @@ mod tests {
         }
         assert_eq!(reduced.endpoint_degree_hist, direct);
         // And the per-edge annotations were individually right (spot).
-        let pe = butterflies_per_edge(&g);
+        let pe = butterflies_per_edge(g);
         assert_eq!(pe.total(), reduced.square_mass);
+    }
+
+    #[test]
+    fn three_level_program_reduces_to_its_truth() {
+        let bindings = vec![
+            ("A".to_string(), path(3)),
+            ("B".to_string(), cycle(4)),
+            ("C".to_string(), complete_bipartite(1, 2)),
+        ];
+        let levels = [("A", true), ("B", false), ("C", true)].map(|(n, l)| (n.to_string(), l));
+        let chain = KronChain::new(bindings, &levels).unwrap();
+        for ranks in [1, 3, 5] {
+            let reduced = distributed_generate(&chain, ranks);
+            assert_eq!(reduced.edges, chain.num_edges());
+            assert_eq!(reduced.square_mass, 4 * chain.global_squares());
+            check_census(&reduced, &chain.materialize());
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use bikron_core::truth::squares_vertex::global_squares_with;
 use bikron_core::truth::walks::FactorStats;
-use bikron_core::{KroneckerProduct, SelfLoopMode};
+use bikron_core::{pair_levels, KronChain, KroneckerProduct, SelfLoopMode};
 use bikron_generators::{complete_bipartite, crown};
 
 #[test]
@@ -21,11 +21,13 @@ fn per_rank_counters_sum_to_closed_form() {
     let prod = KroneckerProduct::new(&a, &b, SelfLoopMode::FactorA).unwrap();
     let sa = FactorStats::compute(&a).unwrap();
     let sb = FactorStats::compute(&b).unwrap();
+    let bindings = vec![("A".to_string(), a.clone()), ("B".to_string(), b.clone())];
+    let chain = KronChain::new(bindings, &pair_levels(SelfLoopMode::FactorA)).unwrap();
 
     let num_ranks = 4;
     let obs = bikron_obs::global();
     obs.reset();
-    let reduced = bikron_distsim::distributed_generate(&prod, &sa, &sb, num_ranks);
+    let reduced = bikron_distsim::distributed_generate(&chain, num_ranks);
 
     let report = obs.snapshot();
     let rank_counter = |name: String| {

@@ -83,9 +83,8 @@ fn push_u64(out: &mut String, value: u64) {
 ///
 /// A writer can also append to a caller-owned buffer
 /// ([`JsonWriter::with_buffer`] / [`JsonWriter::into_buffer`]): values
-/// written at depth 0 follow each other with nothing in between, and
-/// [`JsonWriter::buffer_mut`] lets the caller put its own separators
-/// there.
+/// written at depth 0 follow each other with nothing in between, so a
+/// caller puts its own separators there between writers.
 ///
 /// The writer keeps no per-container state: inside a container, the
 /// byte before a member is the container's own `{` or `[` exactly when
@@ -106,12 +105,6 @@ impl JsonWriter {
     /// Writer that appends to `out` after its existing content.
     pub fn with_buffer(out: String) -> Self {
         JsonWriter { out, depth: 0 }
-    }
-
-    /// The buffer written so far, for raw bytes between depth-0 values.
-    /// Writing into it inside an open container breaks the output.
-    pub fn buffer_mut(&mut self) -> &mut String {
-        &mut self.out
     }
 
     /// Consume the writer, returning the buffer as written (no trailing
@@ -380,7 +373,9 @@ mod tests {
             let Some(&in_object) = stack.last() else {
                 // Depth 0: a separator, or a new top-level container.
                 if op % 3 == 0 {
-                    new.buffer_mut().push_str(",\n");
+                    let mut out = new.into_buffer();
+                    out.push_str(",\n");
+                    new = JsonWriter::with_buffer(out);
                     old.out.push_str(",\n");
                 }
                 let object = op % 2 == 0;
@@ -552,14 +547,15 @@ mod tests {
     /// puts nothing between depth-0 values, and adds no newline.
     #[test]
     fn appends_to_a_caller_owned_buffer() {
-        let mut w = JsonWriter::with_buffer(String::from("["));
+        let mut out = String::from("[");
         for v in [1, 2] {
-            w.buffer_mut().push('\n');
+            out.push('\n');
+            let mut w = JsonWriter::with_buffer(out);
             w.open_object();
             w.u64_field("v", v);
             w.close_object();
+            out = w.into_buffer();
         }
-        let mut out = w.into_buffer();
         out.push_str("\n]");
         assert_eq!(out, "[\n{\n  \"v\": 1\n}\n{\n  \"v\": 2\n}\n]");
     }

@@ -11,8 +11,7 @@
 //! truth. The **expression server** (`--expr "(A+I)⊗B⊗C"`) runs any
 //! chain; the classic pair server (`A B MODE` positional factors) runs
 //! the 2-level chain `(A+I)⊗B` or `A⊗B` and keeps the pair wire format
-//! (`alpha`/`beta`, `?a=&b=`, the Table-I `/v1/stats` body,
-//! `/v1/edges`):
+//! (`alpha`/`beta`, `?a=&b=`, the Table-I `/v1/stats` body):
 //!
 //! | endpoint | cost | answer |
 //! |---|---|---|
@@ -24,7 +23,7 @@
 //! | `GET /v1/scatter/degree-squares` | O(limit) | Fig-5-style `(vertex, degree, squares)` rows, JSON or CSV |
 //! | `POST /v1/batch` | Σ per-item cost | up to `batch_max` of vertex/edge/neighbors, one JSON array |
 //! | `GET /v1/stats` | O(1), cached | Table-I summary + canonicalised `expr` |
-//! | `GET /v1/edges/{part}/{parts}` | O(factor + limit) | resumable edge stream (pair servers only; 501 on expression servers) |
+//! | `GET /v1/edges/{part}/{parts}` | O(factor + k·limit) | resumable edge stream, optionally annotated (Thm 5) |
 //! | `GET /metrics` | O(metrics) | live `bikron-obs/4` report (`?format=prometheus` for text exposition) |
 //! | `GET /v1/health` | O(1) | `ok`/`degraded` from windowed SLO signals |
 //! | `GET /v1/shutdown` | O(1) | graceful stop (token-gated) |

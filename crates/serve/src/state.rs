@@ -18,14 +18,14 @@
 //! at construction, keeps the pair wire format where it differs: pair
 //! vertex bodies report `"alpha"`/`"beta"` where expression servers
 //! report per-level `"coords"`, the `/v1/stats` body is the Table-I
-//! summary, community sets are `?a=&b=` (with Cor 1–2 densities) instead
-//! of `?s0=…`, and only pair servers stream `/v1/edges` (expression
-//! servers answer 501 there).
+//! summary, and community sets are `?a=&b=` (with Cor 1–2 densities)
+//! instead of `?s0=…`. Every server streams `/v1/edges` from the chain
+//! ([`EdgeStream`]).
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use bikron_core::stream::PartitionedStream;
+use bikron_core::stream::EdgeStream;
 use bikron_core::truth::community::{product_community, FactorCommunity};
 use bikron_core::truth::squares_vertex::global_squares_with;
 use bikron_core::{
@@ -629,22 +629,9 @@ impl ServeState {
             Err(resp) => return resp,
         };
         let annotate = matches!(req.query_param("annotate"), Some("1") | Some("true"));
-        if !self.pair_form {
-            return Response::error(
-                501,
-                "/v1/edges streaming is not implemented for expression servers; \
-                 page adjacency via /v1/neighbors instead",
-            );
-        }
-        let prod = pair_product(&self.chain);
-        let ps = PartitionedStream::new(
-            &prod,
-            self.chain.level_stats(0),
-            self.chain.level_stats(1),
-            parts,
-        );
-        let total = ps.part_len(part);
-        let page = ps.edges_page(part, offset, limit);
+        let stream = EdgeStream::new(&self.chain, parts);
+        let total = stream.part_len(part);
+        let page = stream.edges_page(part, offset, limit);
         let mut w = JsonWriter::new();
         w.open_object();
         w.u64_field("part", part as u64);
@@ -1658,10 +1645,10 @@ mod tests {
         let prod = KroneckerProduct::new(&a, &b, SelfLoopMode::None).unwrap();
         let sa = FactorStats::compute(&a).unwrap();
         let sb = FactorStats::compute(&b).unwrap();
-        let ps = PartitionedStream::new(&prod, &sa, &sb, 1);
         let resp = st.handle(&get("/v1/edges/0/1?limit=5&annotate=1"));
         assert_eq!(resp.status, 200);
-        for (n, (p, q)) in ps.edges_page(0, 0, 5).into_iter().enumerate() {
+        let stream = EdgeStream::new(&st.chain, 1);
+        for (n, (p, q)) in stream.edges_page(0, 0, 5).into_iter().enumerate() {
             let s = edge_squares_at(&prod, &sa, &sb, p, q).unwrap();
             let row = format!(
                 "[\n      {p},\n      {q},\n      {},\n      {},\n      {s}\n    ]",
@@ -2092,14 +2079,6 @@ mod tests {
         assert!(resp
             .body
             .contains(&format!("\"global_squares\": {}", chain.global_squares())));
-    }
-
-    #[test]
-    fn expr_edges_stream_is_501() {
-        let st = chain_state();
-        let resp = st.handle(&get("/v1/edges/0/2"));
-        assert_eq!(resp.status, 501);
-        assert!(resp.body.contains("/v1/neighbors"), "{}", resp.body);
     }
 
     #[test]

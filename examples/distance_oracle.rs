@@ -7,7 +7,7 @@
 
 use std::time::Instant;
 
-use bikron::core::{GroundTruth, KroneckerPower, KroneckerProduct, SelfLoopMode};
+use bikron::core::{GroundTruth, KronChain, KroneckerProduct, SelfLoopMode};
 use bikron::generators::{complete_bipartite, crown, cycle};
 use bikron::graph::{diameter as bfs_diameter, Graph};
 
@@ -52,19 +52,20 @@ fn main() {
     );
     assert_eq!(diam, direct);
 
-    // Kronecker powers: the classical construction, with the same oracle.
+    // Kronecker powers: the classical construction, as a chain tower.
     let seed = cycle(5); // non-bipartite ⇒ powers stay connected
-    let p3 = KroneckerPower::new(seed.clone(), 3).expect("valid power");
-    let stats = p3.stats().expect("composed stats");
+    let tower = vec![("C".to_string(), false); 3];
+    let p3 = KronChain::new(vec![("C".to_string(), seed)], &tower).expect("valid power");
     println!(
-        "\nC5^(3): {} vertices, {} edges, {} squares (composed, graph never built)",
+        "\n{}: {} vertices, {} edges, {} squares (composed, graph never built)",
+        p3.canonical(),
         p3.num_vertices(),
         p3.num_edges(),
-        stats.global_squares()
+        p3.global_squares()
     );
     let direct_graph: Graph = p3.materialize();
     assert_eq!(
-        stats.global_squares() as u64,
+        p3.global_squares(),
         bikron::analytics::butterflies_global(&direct_graph)
     );
     println!("verified against direct counting on the materialised power.");

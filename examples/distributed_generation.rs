@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use bikron::core::truth::squares_vertex::global_squares_with;
 use bikron::core::truth::FactorStats;
-use bikron::core::{KroneckerProduct, SelfLoopMode};
+use bikron::core::{KronChain, KroneckerProduct, SelfLoopMode};
 use bikron::distsim::distributed_generate;
 use bikron::generators::unicode_like::unicode_like;
 
@@ -20,15 +20,18 @@ fn main() {
     let prod = KroneckerProduct::new(&a, &a, SelfLoopMode::FactorA).expect("valid factors");
     let sa = FactorStats::compute(&a).expect("stats");
     let sb = sa.clone();
+    let tower = [("A".to_string(), true), ("A".to_string(), false)];
+    let chain = KronChain::new(vec![("A".to_string(), a.clone())], &tower).expect("valid program");
     println!(
-        "product: {} vertices, {} edges — streamed, never stored",
-        prod.num_vertices(),
-        prod.num_edges()
+        "product {}: {} vertices, {} edges — streamed, never stored",
+        chain.canonical(),
+        chain.num_vertices(),
+        chain.num_edges()
     );
 
     for ranks in [1usize, 2, 4, 8] {
         let t = Instant::now();
-        let reduced = distributed_generate(&prod, &sa, &sb, ranks);
+        let reduced = distributed_generate(&chain, ranks);
         let dt = t.elapsed();
         assert_eq!(reduced.edges, prod.num_edges());
         let global = global_squares_with(&prod, &sa, &sb).expect("closed form");

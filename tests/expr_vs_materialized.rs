@@ -7,8 +7,8 @@
 //! `A^{⊗3}` tower, and a bare chain where Thm 6's hypotheses hold — and
 //! recounts 4-cycles with the direct butterfly algorithms. Bodies are
 //! compared at the byte level wherever the expectation is fully
-//! derivable from the replica (vertex, edge, neighbors, community,
-//! scatter), and field-by-field for the clustering surface, whose
+//! derivable from the replica (vertex, edge, neighbors, edge-stream
+//! pages, community, scatter), and field-by-field for the clustering surface, whose
 //! Thm 6 `bound ≤ Γ` invariant gets its own failure-injection check:
 //! a comparator that cannot catch a violated bound proves nothing.
 
@@ -38,6 +38,8 @@ struct Fixture {
     squares_vertex: Vec<u64>,
     squares_edge: EdgeButterflies,
     canonical: String,
+    /// Each level's factor graph and whether it is `+I`.
+    levels: Vec<(Graph, bool)>,
 }
 
 impl Fixture {
@@ -79,6 +81,15 @@ fn fixture(
         .map(|i| chain.level_info(i).1.num_vertices())
         .collect();
     let canonical = chain.canonical().to_string();
+    let levels = levels
+        .iter()
+        .map(|(n, lifted)| {
+            (
+                bindings.iter().find(|(b, _)| b == n).unwrap().1.clone(),
+                *lifted,
+            )
+        })
+        .collect();
     Fixture {
         state: ServeState::build_expr(owned, &level_spec, options).unwrap(),
         squares_vertex: butterflies_per_vertex(&mat),
@@ -86,6 +97,7 @@ fn fixture(
         mat,
         sizes,
         canonical,
+        levels,
     }
 }
 
@@ -246,6 +258,127 @@ fn expected_scatter_body(fx: &Fixture, offset: u64, limit: usize) -> String {
         w.u64_element(p);
         w.u64_element(fx.mat.degree(p as usize) as u64);
         w.u64_element(fx.squares_vertex[p as usize]);
+        w.close_array();
+    }
+    w.close_array();
+    w.close_object();
+    w.finish()
+}
+
+/// Level `i`'s effective entries in stream order, read off the factor
+/// itself: its adjacency rows in order, then the diagonal when the level
+/// is `+I`.
+fn level_entries(fx: &Fixture, i: usize) -> Vec<(usize, usize)> {
+    let (g, lifted) = &fx.levels[i];
+    let mut out: Vec<(usize, usize)> = (0..g.num_vertices())
+        .flat_map(|u| g.neighbors(u).iter().map(move |&v| (u, v)))
+        .collect();
+    if *lifted {
+        out.extend((0..g.num_vertices()).map(|v| (v, v)));
+    }
+    out
+}
+
+/// Prepend one level's coordinates to a tail's.
+fn prepend(u: usize, v: usize, (s, t): &(Vec<usize>, Vec<usize>)) -> (Vec<usize>, Vec<usize>) {
+    let mut s2 = vec![u];
+    s2.extend(s);
+    let mut t2 = vec![v];
+    t2.extend(t);
+    (s2, t2)
+}
+
+/// Every entry of levels `from..` as coordinate pairs, the last level
+/// fastest.
+fn all_entries(fx: &Fixture, from: usize) -> Vec<(Vec<usize>, Vec<usize>)> {
+    if from == fx.levels.len() {
+        return vec![(Vec::new(), Vec::new())];
+    }
+    let rest = all_entries(fx, from + 1);
+    level_entries(fx, from)
+        .into_iter()
+        .flat_map(|(u, v)| rest.iter().map(move |tail| prepend(u, v, tail)))
+        .collect()
+}
+
+/// The stream order of levels `from..`, one group per canonical entry of
+/// level `from`: each `i < j` entry over every entry of the later
+/// levels, then each diagonal entry over the later levels' own order.
+fn canonical_groups(fx: &Fixture, from: usize) -> Vec<Vec<(Vec<usize>, Vec<usize>)>> {
+    let entries = level_entries(fx, from);
+    let mut groups: Vec<Vec<_>> = entries
+        .iter()
+        .filter(|(i, j)| i < j)
+        .map(|&(i, j)| {
+            all_entries(fx, from + 1)
+                .iter()
+                .map(|t| prepend(i, j, t))
+                .collect()
+        })
+        .collect();
+    for &(i, _) in entries.iter().filter(|(i, j)| i == j) {
+        let tail = canonical_groups(fx, from + 1).concat();
+        groups.push(tail.iter().map(|t| prepend(i, i, t)).collect());
+    }
+    groups
+}
+
+/// Each part's edges for `parts` parts: level-0 groups in contiguous
+/// blocks of `ceil(groups / parts)`.
+fn expected_parts(fx: &Fixture, parts: usize) -> Vec<Vec<(usize, usize)>> {
+    let groups = canonical_groups(fx, 0);
+    let per = groups.len().div_ceil(parts);
+    (0..parts)
+        .map(|part| {
+            let lo = (part * per).min(groups.len());
+            let hi = ((part + 1) * per).min(groups.len());
+            groups[lo..hi]
+                .iter()
+                .flatten()
+                .map(|(s, t)| (fx.combine(s), fx.combine(t)))
+                .collect()
+        })
+        .collect()
+}
+
+/// The exact annotated `/v1/edges/{part}/{parts}` page body: degrees
+/// from the replica, squares by direct per-edge counting.
+fn expected_edges_body(
+    fx: &Fixture,
+    (part, parts): (usize, usize),
+    edges: &[(usize, usize)],
+    offset: u64,
+    limit: usize,
+) -> String {
+    let total = edges.len() as u64;
+    let page = &edges[(offset as usize).min(edges.len())..edges.len().min(offset as usize + limit)];
+    let mut w = JsonWriter::new();
+    w.open_object();
+    w.u64_field("part", part as u64);
+    w.u64_field("parts", parts as u64);
+    w.u64_field("part_edges", total);
+    w.u64_field("offset", offset);
+    w.u64_field("count", page.len() as u64);
+    let next = offset + page.len() as u64;
+    if next < total && !page.is_empty() {
+        w.u64_field("next_offset", next);
+    } else {
+        w.null_field("next_offset");
+    }
+    w.key("edges");
+    w.open_array();
+    for &(p, q) in page {
+        w.array_element();
+        w.open_array();
+        for value in [
+            p as u64,
+            q as u64,
+            fx.mat.degree(p) as u64,
+            fx.mat.degree(q) as u64,
+            fx.squares_edge.get(p, q).expect("streamed pairs are edges"),
+        ] {
+            w.u64_element(value);
+        }
         w.close_array();
     }
     w.close_array();
@@ -521,6 +654,58 @@ fn scatter_pages_match_materialized_truth() {
                 "[{}] csv row {p}",
                 fx.canonical
             );
+        }
+    }
+}
+
+/// Every annotated `/v1/edges` page, for 1–7 parts, against the stream
+/// order enumerated here from the factors; the parts together are the
+/// materialised edge set, each edge once.
+#[test]
+fn every_edges_page_matches_materialized_truth() {
+    let mut fxs = fixtures();
+    let atoms = || {
+        vec![
+            ("A", crown(3)),
+            ("B", cycle(3)),
+            ("C", complete_bipartite(1, 2)),
+        ]
+    };
+    for levels in [
+        [("A", true), ("B", true), ("C", false)],
+        [("B", false), ("A", true), ("C", true)],
+    ] {
+        fxs.push(fixture(atoms(), &levels, ServeOptions::default()));
+    }
+    for fx in &fxs {
+        let mut expected: Vec<(usize, usize)> = fx.mat.edges().collect();
+        expected.sort_unstable();
+        for parts in [1, 2, 3, 7] {
+            let edges = expected_parts(fx, parts);
+            let mut union: Vec<(usize, usize)> = edges.concat();
+            union.sort_unstable();
+            assert_eq!(union, expected, "[{}] {parts} parts", fx.canonical);
+            for (part, edges) in edges.iter().enumerate() {
+                for limit in [7usize, 1000] {
+                    let mut offset = 0u64;
+                    loop {
+                        let resp = fx.state.handle(&get(&format!(
+                            "/v1/edges/{part}/{parts}?offset={offset}&limit={limit}&annotate=1"
+                        )));
+                        assert_eq!(resp.status, 200);
+                        assert_eq!(
+                            resp.body,
+                            expected_edges_body(fx, (part, parts), edges, offset, limit),
+                            "[{}] part {part}/{parts} offset={offset} limit={limit}",
+                            fx.canonical
+                        );
+                        offset += limit as u64;
+                        if offset >= edges.len() as u64 {
+                            break;
+                        }
+                    }
+                }
+            }
         }
     }
 }

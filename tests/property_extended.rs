@@ -1,17 +1,17 @@
 //! Property tests for the extended ground-truth surfaces: distances,
 //! triangles, degree histograms, component counts, streaming partitions
-//! and Kronecker-power composition — all against direct computation on
-//! materialised products, with proptest shrinking.
+//! and the chain evaluator's per-vertex and per-edge counts — all against
+//! direct computation on materialised products, with proptest shrinking.
 
 use std::collections::BTreeMap;
 
 use bikron::analytics::triangles::triangles_per_vertex;
-use bikron::core::stream::PartitionedStream;
+use bikron::core::stream::EdgeStream;
 use bikron::core::truth::degrees::{degree_histogram, max_degree};
 use bikron::core::truth::distance::{diameter, hops_at, ParityTables};
 use bikron::core::truth::triangles::vertex_triangles;
 use bikron::core::truth::FactorStats;
-use bikron::core::{predict_structure, KroneckerProduct, SelfLoopMode};
+use bikron::core::{pair_levels, predict_structure, KronChain, KroneckerProduct, SelfLoopMode};
 use bikron::graph::traversal::bfs_distances;
 use bikron::graph::{connected_components, Graph};
 use proptest::prelude::*;
@@ -23,6 +23,12 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
             Graph::from_edges(n, &edges).unwrap()
         })
     })
+}
+
+/// The two-factor product as the chain that serves it.
+fn pair(a: &Graph, b: &Graph, mode: SelfLoopMode) -> KronChain {
+    let bindings = vec![("A".to_string(), a.clone()), ("B".to_string(), b.clone())];
+    KronChain::new(bindings, &pair_levels(mode)).unwrap()
 }
 
 fn arb_mode() -> impl Strategy<Value = SelfLoopMode> {
@@ -92,12 +98,11 @@ proptest! {
         parts in 1usize..=5,
     ) {
         let prod = KroneckerProduct::new(&a, &b, mode).unwrap();
-        let sa = FactorStats::compute(&a).unwrap();
-        let sb = FactorStats::compute(&b).unwrap();
-        let ps = PartitionedStream::new(&prod, &sa, &sb, parts);
+        let chain = pair(&a, &b, mode);
+        let stream = EdgeStream::new(&chain, parts);
         let mut all: Vec<(usize, usize)> = Vec::new();
         for part in 0..parts {
-            all.extend(ps.edges(part));
+            all.extend(stream.edges(part));
         }
         all.sort_unstable();
         let before = all.len();
@@ -109,18 +114,18 @@ proptest! {
     }
 
     #[test]
-    fn kron_compose_matches_product_stats(a in arb_graph(5), b in arb_graph(5)) {
-        let fa = FactorStats::compute(&a).unwrap();
-        let fb = FactorStats::compute(&b).unwrap();
-        let composed = fa.kron_compose(&fb).unwrap();
+    fn chain_truth_matches_product_stats(a in arb_graph(5), b in arb_graph(5)) {
+        let chain = pair(&a, &b, SelfLoopMode::None);
         let prod = KroneckerProduct::new(&a, &b, SelfLoopMode::None).unwrap();
         let direct = FactorStats::compute(&prod.materialize()).unwrap();
-        prop_assert_eq!(composed.squares, direct.squares);
-        prop_assert_eq!(composed.degrees, direct.degrees);
-        prop_assert_eq!(composed.diag_a3, direct.diag_a3);
-        prop_assert_eq!(
-            composed.edge_squares.to_dense(),
-            direct.edge_squares.to_dense()
-        );
+        for p in 0..chain.num_vertices() {
+            let v = chain.vertex_at(p);
+            prop_assert_eq!(i128::from(v.squares), direct.squares[p]);
+            prop_assert_eq!(i128::from(v.degree), direct.degrees[p]);
+            for q in 0..chain.num_vertices() {
+                let expect = direct.edge_squares.get(p, q).map(|s| s as u64);
+                prop_assert_eq!(chain.edge_squares_at(p, q), expect, "({}, {})", p, q);
+            }
+        }
     }
 }
