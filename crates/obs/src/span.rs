@@ -113,10 +113,19 @@ impl TraceContext {
 
     /// Render as a version-00 `traceparent` header value.
     pub fn to_traceparent(&self) -> String {
-        format!(
-            "00-{:032x}-{:016x}-{:02x}",
-            self.trace_id, self.span_id, self.flags
-        )
+        self.traceparent_into(&mut [0; 55]).to_string()
+    }
+
+    /// [`TraceContext::to_traceparent`] written into `buf`, without
+    /// allocating: `00-{trace id}-{span id}-{flags}` in lowercase hex.
+    pub fn traceparent_into<'a>(&self, buf: &'a mut [u8; 55]) -> &'a str {
+        buf[..3].copy_from_slice(b"00-");
+        hex_into(&mut buf[3..35], self.trace_id);
+        buf[35] = b'-';
+        hex_into(&mut buf[36..52], u128::from(self.span_id));
+        buf[52] = b'-';
+        hex_into(&mut buf[53..55], u128::from(self.flags));
+        std::str::from_utf8(buf).expect("hex digits are ASCII")
     }
 
     /// The 32-hex-char trace id, as surfaced in `x-bikron-trace-id`
@@ -128,11 +137,7 @@ impl TraceContext {
     /// [`TraceContext::trace_id_hex`] written into `buf`, without
     /// allocating.
     pub fn trace_id_hex_into<'a>(&self, buf: &'a mut [u8; 32]) -> &'a str {
-        const HEX: &[u8; 16] = b"0123456789abcdef";
-        for (i, digit) in buf.iter_mut().enumerate() {
-            let nibble = (self.trace_id >> (4 * (31 - i))) & 0xf;
-            *digit = HEX[nibble as usize];
-        }
+        hex_into(buf, self.trace_id);
         std::str::from_utf8(buf).expect("hex digits are ASCII")
     }
 
@@ -158,6 +163,17 @@ impl TraceContext {
             span_id: next_random().max(1),
             flags: remote.flags,
         }
+    }
+}
+
+/// Write the low `out.len()` nibbles of `value` into `out` as lowercase
+/// hex digits, most significant first.
+fn hex_into(out: &mut [u8], value: u128) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let digits = out.len();
+    for (i, digit) in out.iter_mut().enumerate() {
+        let nibble = (value >> (4 * (digits - 1 - i))) & 0xf;
+        *digit = HEX[nibble as usize];
     }
 }
 
@@ -583,6 +599,22 @@ mod tests {
             let c = ctx(trace, 1);
             assert_eq!(c.trace_id_hex_into(&mut [0; 32]), format!("{trace:032x}"));
             assert_eq!(c.trace_id_hex(), format!("{trace:032x}"));
+        }
+    }
+
+    /// The buffer-rendered `traceparent` is the zero-padded formatted one.
+    #[test]
+    fn traceparent_into_matches_the_formatted_header() {
+        for (trace, span, flags) in [(1u128, 1u64, 0u8), (u128::MAX, u64::MAX, 0xff), (7, 9, 1)] {
+            let c = TraceContext {
+                trace_id: trace,
+                span_id: span,
+                flags,
+            };
+            assert_eq!(
+                c.traceparent_into(&mut [0; 55]),
+                format!("00-{trace:032x}-{span:016x}-{flags:02x}")
+            );
         }
     }
 

@@ -15,8 +15,10 @@
 //!   `/v1/clustering`, `/v1/edges`, `/v1/stats`, `/v1/community`,
 //!   `/v1/scatter/degree-squares` and `POST /v1/batch`) are relayed
 //!   whole, body and all, to one replica chosen round-robin over pooled
-//!   keep-alive connections. The replica's answer comes back verbatim,
-//!   so the client sees exactly the bytes a single node produces.
+//!   keep-alive connections; the consecutive queries of a client's
+//!   pipelined burst go to it as one run, in one write. The replica's
+//!   answers come back verbatim and in order, so the client sees
+//!   exactly the bytes a single node produces.
 //! - **`/metrics`** aggregates: the router's own series plus every
 //!   replica's report, prefixed `shard{i}.` in JSON and labelled
 //!   `shard="i"` in Prometheus exposition.
@@ -29,8 +31,9 @@
 //! [`bikron_serve::client`].
 //!
 //! Failure policy (DESIGN.md §13): a dead replica costs capacity, never
-//! a key range. A request whose replica sends no response byte goes once
-//! to the next replica; a 503 means no replica answered. `traceparent`
+//! a key range. A request whose answer had not begun when its replica
+//! failed goes once to the next replica; a 503 means no replica
+//! answered. `traceparent`
 //! is adopted from the client and propagated to replicas, so
 //! `bikron trace` shows router→replica span parentage.
 

@@ -1,13 +1,19 @@
-//! Router state: the whole-request relay to one replica, and the three
-//! fan-outs that remain: the startup handshake and the aggregated
-//! `/metrics` and `/v1/health` views.
+//! Router state: the relay of runs to replicas, and the three fan-outs
+//! that remain: the startup handshake and the aggregated `/metrics` and
+//! `/v1/health` views.
 //!
-//! A relay forwards the client's request, body and all, to the next
-//! replica in round-robin order and hands back its answer verbatim. If
-//! that replica sent no response byte, the request goes once to the
-//! next replica (DESIGN.md §13). A fan-out is one `gather` on the worker
-//! that read the request: send to every replica, then read each answer
-//! in replica order. No thread starts per request.
+//! The transport loop hands the router a client's pipelined burst at
+//! once. Each maximal run of consecutive relayed requests in it goes, as
+//! one run, to the next replica in round-robin order: written on one
+//! pooled connection in one `write`, its answers read back in order,
+//! verbatim, straight into the burst's answer bodies. Requests the
+//! router answers itself (`/metrics`, `/v1/health`,
+//! `/v1/admin/profile`, 404 and 405) keep their place between runs. The
+//! requests of a run whose answers had not begun when its replica sent
+//! nothing more go once, as one run, to the next replica (DESIGN.md
+//! §13). A fan-out is one `gather` on the worker that read the request:
+//! send to every replica, then read each answer in replica order. No
+//! thread starts per request.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -17,9 +23,11 @@ use bikron_obs::{
     flat_str_field, prom, Counter, Gauge, Histogram, JsonWriter, Registry, Report, TraceContext,
 };
 use bikron_serve::client::{self, ClientError};
-use bikron_serve::http::{Answer, Request, Response};
+use bikron_serve::http::{Request, Response};
 use bikron_serve::state::first_n;
-use bikron_serve::{check_admin, profile_response, without_snapshot_field, Handler, Transport};
+use bikron_serve::{
+    check_admin, profile_response, without_snapshot_field, Exchange, Handler, Transport,
+};
 
 use crate::upstream::Upstream;
 
@@ -251,27 +259,32 @@ impl RouterState {
         self.transport.request_shutdown();
     }
 
-    /// Route and answer one request. Upstream I/O happens here;
-    /// `traceparent` (the router's own span context, rendered) is
-    /// forwarded so replica spans hang off the router's trace.
+    /// Route and answer one request: a burst of one. `traceparent` (the
+    /// router's own span context, rendered) is forwarded so replica
+    /// spans hang off the router's trace; without one, a fresh context is
+    /// forwarded.
     pub fn handle(&self, req: &Request, traceparent: Option<&str>) -> Response {
-        // The longest route has four segments; a fifth means no route.
-        let (segs, len) = first_n::<5>(req.path().split('/').filter(|s| !s.is_empty()));
-        let segs = &segs[..len];
-        if req.method() == "POST" {
-            return match segs {
-                ["v1", "batch"] => self.relay(req, traceparent),
-                _ => Response::error(405, "POST is only accepted on /v1/batch"),
-            };
+        let mut x = Exchange::new(req.clone());
+        if let Some(ctx) = traceparent.and_then(TraceContext::parse_traceparent) {
+            x.ctx = ctx;
         }
-        match segs {
-            ["metrics"] => self.metrics_response(req, traceparent),
-            ["v1", "health"] => self.health_response(traceparent),
-            // Every replica answers every query from the same factors.
-            ["v1", "stats" | "community"]
-            | ["v1", "scatter", "degree-squares"]
-            | ["v1", "vertex" | "neighbors", _]
-            | ["v1", "edge" | "clustering" | "edges", _, _] => self.relay(req, traceparent),
+        self.respond(std::slice::from_mut(&mut x));
+        Response {
+            status: x.answer.status,
+            content_type: x.answer.content_type,
+            body: x.body,
+        }
+    }
+
+    /// Answer a request the router does not relay.
+    fn answer_locally(&self, req: &Request, traceparent: &str) -> Response {
+        if req.method() == "POST" {
+            return Response::error(405, "POST is only accepted on /v1/batch");
+        }
+        let (segs, len) = first_n::<5>(req.path().split('/').filter(|s| !s.is_empty()));
+        match &segs[..len] {
+            ["metrics"] => self.metrics_response(req, Some(traceparent)),
+            ["v1", "health"] => self.health_response(Some(traceparent)),
             ["v1", "batch"] => Response::error(405, "batch requires POST"),
             // The router answers this itself (it shares the process-wide
             // profiler and the serve-side endpoint logic): a profile of
@@ -292,51 +305,55 @@ impl RouterState {
         }
     }
 
-    /// Relay `req` whole (a `POST` body verbatim) to the next replica in
-    /// round-robin order and return its answer verbatim.
+    /// Relay `run`, consecutive requests of one burst, as one run to the
+    /// next replica in round-robin order, and hand back its answers
+    /// verbatim, in order.
     ///
-    /// Retry rule (DESIGN.md §13): when that replica sent no response
-    /// byte and did not time out ([`ClientError::unanswered`]), and the
-    /// first attempt's deadline has time left, the request goes once to
-    /// the next replica. A failure after a response byte, or a timeout,
-    /// is final. Either way the answer is then a 503 naming every
-    /// failed attempt, never a partial body.
-    fn relay(&self, req: &Request, traceparent: Option<&str>) -> Response {
-        let target = render_target(req);
-        let body = (req.method() == "POST").then_some(req.body());
+    /// Retry rule (DESIGN.md §13): the requests whose answers had not
+    /// begun when that replica failed without timing out
+    /// ([`ClientError::unanswered`]) go once, as one run, to the next
+    /// replica, while the first attempt's deadline has time left. Any
+    /// other failure is final. Each request that gets no answer is a 503
+    /// naming every failed attempt, never a partial body.
+    fn relay(&self, run: &mut [Exchange]) {
+        for _ in 0..run.len() {
+            self.metrics.fanout_size.record(1);
+        }
         let first = self.rr.fetch_add(1, Ordering::Relaxed);
         let deadline = Instant::now() + self.upstream_timeout;
-        self.metrics.fanout_size.record(1);
-        let mut failures = Vec::new();
+        let mut done = 0;
+        let mut failures = String::new();
         for attempt in 0..self.replicas.len().min(2) {
             let index = (first + attempt) % self.replicas.len();
             let replica = &self.replicas[index];
             let started = Instant::now();
-            let result = replica.request(req.method(), &target, body, traceparent);
-            self.metrics
-                .record_upstream(index, started.elapsed().as_nanos() as u64);
-            match result {
-                Ok(up) => {
-                    return Response {
-                        status: up.status,
-                        content_type: static_content_type(&up.content_type),
-                        body: up.body,
-                    }
-                }
-                Err(e) => {
-                    self.transport.errors().inc();
-                    failures.push(format!("replica {index} ({}): {e}", replica.addr()));
-                    if !e.unanswered() || Instant::now() >= deadline {
-                        break;
-                    }
-                }
+            let upstream_ns = || started.elapsed().as_nanos() as u64;
+            let result = replica.relay(&mut run[done..], || {
+                self.metrics.record_upstream(index, upstream_ns());
+            });
+            let Err((answered, e)) = result else {
+                return;
+            };
+            done += answered;
+            for _ in done..run.len() {
+                self.metrics.record_upstream(index, upstream_ns());
+            }
+            self.transport.errors().add((run.len() - done) as u64);
+            if !failures.is_empty() {
+                failures.push_str("; ");
+            }
+            failures.push_str(&format!("replica {index} ({}): {e}", replica.addr()));
+            if !e.unanswered() || Instant::now() >= deadline {
+                break;
             }
         }
         // The head of every 503 carries `Retry-After: 1`.
-        Response::error(
-            503,
-            &format!("no replica answered ({})", failures.join("; ")),
-        )
+        let refused = Response::error(503, &format!("no replica answered ({failures})"));
+        for x in &mut run[done..] {
+            x.body.clear();
+            x.answer = refused.answer();
+            x.body.push_str(&refused.body);
+        }
     }
 
     /// `GET /v1/health`: cluster verdict = worst replica verdict, with a
@@ -480,15 +497,50 @@ fn gather(
 }
 
 impl Handler for RouterState {
-    /// Route under the request's own context: its rendered
-    /// `traceparent` travels upstream so replica spans join the trace.
-    fn respond(&self, req: &Request, ctx: &TraceContext, body: &mut String) -> Answer {
-        self.handle(req, Some(&ctx.to_traceparent()))
-            .into_answer(body)
+    /// Answer the burst in order. Each maximal run of consecutive
+    /// relayed requests goes to one replica as one run ([`Self::relay`]);
+    /// `/metrics`, `/v1/health`, `/v1/admin/profile`, 404s and 405s are
+    /// answered here, in their place. Every request's own context travels
+    /// upstream as its `traceparent`, so replica spans join its trace.
+    fn respond(&self, burst: &mut [Exchange]) {
+        let mut rest = burst;
+        while !rest.is_empty() {
+            let relayed = rest.iter().take_while(|x| relayed(&x.req)).count();
+            let (now, later) = rest.split_at_mut(relayed.max(1));
+            if relayed > 0 {
+                self.relay(now);
+            } else {
+                let x = &mut now[0];
+                let mut traceparent = [0; 55];
+                let traceparent = x.ctx.traceparent_into(&mut traceparent);
+                x.answer = self
+                    .answer_locally(&x.req, traceparent)
+                    .into_answer(&mut x.body);
+            }
+            rest = later;
+        }
     }
 
     fn transport(&self) -> &Transport {
         &self.transport
+    }
+}
+
+/// Whether `req` is relayed to a replica: every query endpoint is, since
+/// every replica answers every query from the same factors.
+fn relayed(req: &Request) -> bool {
+    // The longest route has four segments; a fifth means no route.
+    let (segs, len) = first_n::<5>(req.path().split('/').filter(|s| !s.is_empty()));
+    match (req.method(), &segs[..len]) {
+        ("POST", segs) => segs == ["v1", "batch"],
+        (
+            _,
+            ["v1", "stats" | "community"]
+            | ["v1", "scatter", "degree-squares"]
+            | ["v1", "vertex" | "neighbors", _]
+            | ["v1", "edge" | "clustering" | "edges", _, _],
+        ) => true,
+        _ => false,
     }
 }
 
@@ -510,42 +562,6 @@ pub fn parse_replica_url(url: &str) -> Result<String, String> {
         return Err(format!("{url:?}: bad host or port"));
     }
     Ok(rest.to_string())
-}
-
-/// Rebuild the request target (`path?query`) for upstream relay. The
-/// path survives verbatim (relayed paths are ASCII segment names and
-/// indices); query values are re-encoded conservatively.
-fn render_target(req: &Request) -> String {
-    let mut target = req.path().to_string();
-    for (i, (k, v)) in req.query_pairs().enumerate() {
-        target.push(if i == 0 { '?' } else { '&' });
-        encode_component(&mut target, k);
-        target.push('=');
-        encode_component(&mut target, v);
-    }
-    target
-}
-
-/// Percent-encode everything outside the unreserved set.
-fn encode_component(out: &mut String, s: &str) {
-    for b in s.bytes() {
-        match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
-                out.push(b as char)
-            }
-            _ => out.push_str(&format!("%{b:02X}")),
-        }
-    }
-}
-
-/// Map an upstream `Content-Type` onto the static strings [`Response`]
-/// carries. Replicas only emit these two; anything else degrades to JSON.
-fn static_content_type(ct: &str) -> &'static str {
-    if ct.starts_with("text/plain") {
-        "text/plain; version=0.0.4; charset=utf-8"
-    } else {
-        "application/json"
-    }
 }
 
 #[cfg(test)]
@@ -570,14 +586,6 @@ mod tests {
     fn get(target: &str) -> Request {
         let raw = format!("GET {target} HTTP/1.1\r\n\r\n");
         bikron_serve::http::parse_request(&mut raw.as_bytes()).unwrap()
-    }
-
-    #[test]
-    fn target_rendering_roundtrips_queries() {
-        let req = get("/v1/neighbors/5?offset=2&limit=10");
-        assert_eq!(render_target(&req), "/v1/neighbors/5?offset=2&limit=10");
-        assert_eq!(render_target(&get("/v1/neighbors/5")), "/v1/neighbors/5");
-        assert_eq!(render_target(&get("/v1/x?a=b%20c")), "/v1/x?a=b%20c");
     }
 
     /// A path one segment longer than the longest route is no route,

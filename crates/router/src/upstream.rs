@@ -11,6 +11,8 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use bikron_serve::client::{Client, ClientError, Conn, Pending, Response};
+use bikron_serve::http::{Answer, Request};
+use bikron_serve::Exchange;
 
 /// Idle connections pooled per replica; more concurrent checkouts than
 /// this simply dial extra sockets that are dropped on check-in.
@@ -28,7 +30,7 @@ impl Upstream {
     pub fn new(addr: String, connect_timeout: Duration, io_timeout: Duration) -> Upstream {
         Upstream {
             client: Client::new(addr, connect_timeout, io_timeout),
-            pool: Mutex::new(Vec::new()),
+            pool: Mutex::new(Vec::with_capacity(POOL_CAP)),
         }
     }
 
@@ -37,17 +39,19 @@ impl Upstream {
         self.client.addr()
     }
 
-    /// Issue one request on a pooled connection when one is idle; the
-    /// connection returns to the pool unless the replica asked to close.
-    pub fn request(
-        &self,
-        method: &str,
-        target: &str,
-        body: Option<&[u8]>,
-        traceparent: Option<&str>,
-    ) -> Result<Response, ClientError> {
-        let pending = self.send(method, target, body, traceparent)?;
-        self.finish(pending)
+    /// An idle pooled connection, if there is one.
+    fn checkout(&self) -> Option<Conn> {
+        self.pool.lock().expect("pool lock poisoned").pop()
+    }
+
+    /// Return `conn` to the pool, unless the pool is full.
+    fn checkin(&self, conn: Option<Conn>) {
+        if let Some(conn) = conn {
+            let mut pool = self.pool.lock().expect("pool lock poisoned");
+            if pool.len() < POOL_CAP {
+                pool.push(conn);
+            }
+        }
     }
 
     /// Write one request on a pooled connection when one is idle (else a
@@ -59,20 +63,123 @@ impl Upstream {
         body: Option<&[u8]>,
         traceparent: Option<&str>,
     ) -> Result<Pending, ClientError> {
-        let pooled = self.pool.lock().expect("pool lock poisoned").pop();
-        self.client.send(pooled, method, target, body, traceparent)
+        self.client
+            .send(self.checkout(), method, target, body, traceparent)
     }
 
     /// Read the answer to a [`send`](Upstream::send); the connection
     /// returns to the pool unless the replica asked to close.
     pub fn finish(&self, pending: Pending) -> Result<Response, ClientError> {
         let (resp, conn) = self.client.finish(pending)?;
-        if let Some(conn) = conn {
-            let mut pool = self.pool.lock().expect("pool lock poisoned");
-            if pool.len() < POOL_CAP {
-                pool.push(conn);
-            }
-        }
+        self.checkin(conn);
         Ok(resp)
+    }
+
+    /// Relay `run` to the replica as one run on a pooled connection
+    /// (else a fresh dial): each request whole, a `POST` body verbatim,
+    /// with its trace context as `traceparent`. The answers are read in
+    /// order straight into the exchanges, status, content type and body
+    /// verbatim, and `answered` runs as each answer is in. On a
+    /// failure, returns how many answers were read and the error; the
+    /// exchanges from there on hold no answer.
+    pub fn relay(
+        &self,
+        run: &mut [Exchange],
+        mut answered: impl FnMut(),
+    ) -> Result<(), (usize, ClientError)> {
+        let mut pending = self
+            .client
+            .send_run(self.checkout(), |requests| {
+                for x in run.iter() {
+                    let body = (x.req.method() == "POST").then_some(x.req.body());
+                    requests.push(
+                        x.req.method(),
+                        |out| write_target(out, &x.req),
+                        body,
+                        Some(x.ctx.traceparent_into(&mut [0; 55])),
+                    );
+                }
+            })
+            .map_err(|e| (0, e))?;
+        for (k, x) in run.iter_mut().enumerate() {
+            x.body.clear();
+            let mut content_type = "application/json";
+            let head = self
+                .client
+                .read_answer(&mut pending, &mut x.body, |name, value| {
+                    if name.eq_ignore_ascii_case("content-type") {
+                        content_type = static_content_type(value);
+                    }
+                })
+                .map_err(|e| {
+                    x.body.clear();
+                    (k, e)
+                })?;
+            x.answer = Answer {
+                status: head.status,
+                content_type,
+            };
+            answered();
+        }
+        self.checkin(pending.into_conn());
+        Ok(())
+    }
+}
+
+/// Write the request target (`path?query`) for relay. The path survives
+/// verbatim (relayed paths are ASCII segment names and indices); query
+/// values are re-encoded conservatively.
+fn write_target(out: &mut Vec<u8>, req: &Request) {
+    out.extend_from_slice(req.path().as_bytes());
+    for (i, (k, v)) in req.query_pairs().enumerate() {
+        out.push(if i == 0 { b'?' } else { b'&' });
+        encode_component(out, k);
+        out.push(b'=');
+        encode_component(out, v);
+    }
+}
+
+/// Percent-encode everything outside the unreserved set.
+fn encode_component(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789ABCDEF";
+    for b in s.bytes() {
+        match b {
+            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => out.push(b),
+            _ => out.extend_from_slice(&[b'%', HEX[usize::from(b >> 4)], HEX[usize::from(b & 15)]]),
+        }
+    }
+}
+
+/// Map an upstream `Content-Type` onto the static strings [`Answer`]
+/// carries. Replicas only emit these two; anything else degrades to JSON.
+fn static_content_type(ct: &str) -> &'static str {
+    if ct.starts_with("text/plain") {
+        "text/plain; version=0.0.4; charset=utf-8"
+    } else {
+        "application/json"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn target(raw: &str) -> String {
+        let raw = format!("GET {raw} HTTP/1.1\r\n\r\n");
+        let req = bikron_serve::http::parse_request(&mut raw.as_bytes()).unwrap();
+        let mut out = Vec::new();
+        write_target(&mut out, &req);
+        String::from_utf8(out).unwrap()
+    }
+
+    #[test]
+    fn target_rendering_roundtrips_queries() {
+        assert_eq!(
+            target("/v1/neighbors/5?offset=2&limit=10"),
+            "/v1/neighbors/5?offset=2&limit=10"
+        );
+        assert_eq!(target("/v1/neighbors/5"), "/v1/neighbors/5");
+        assert_eq!(target("/v1/x?a=b%20c"), "/v1/x?a=b%20c");
+        assert_eq!(target("/v1/x?k=%C3%A9+%2F"), "/v1/x?k=%C3%A9%20%2F");
     }
 }

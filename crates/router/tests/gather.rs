@@ -1,11 +1,13 @@
 //! The router against in-process fake replicas: relays, the one retry,
 //! and the `/v1/health` fan-out.
 //!
-//! A relay goes whole to one replica, round-robin from replica 0. When
-//! that replica sends no response byte, the request goes once to the
-//! next replica; any other failure is a 503 that names it, never a
-//! wrong 200. A fan-out sends to every replica before reading any
-//! answer, then reads them in order under one deadline.
+//! A relay goes whole to one replica, round-robin from replica 0; the
+//! consecutive relayed requests of a pipelined burst go to it as one
+//! run. The requests whose answers had not begun when that replica sent
+//! nothing more go once, as one run, to the next replica; any other
+//! failure is a 503 that names it, never a wrong 200. A fan-out sends to
+//! every replica before reading any answer, then reads them in order
+//! under one deadline.
 //!
 //! A fake replica answers the startup handshake (`/v1/stats`), answers
 //! `/v1/health` with `"status": "ok"`, and answers each batch line `L`
@@ -13,7 +15,7 @@
 //! padded to a per-replica length, so a body names the replica that
 //! wrote it.
 
-use std::io::{BufReader, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -22,6 +24,7 @@ use std::time::{Duration, Instant};
 
 use bikron_router::{RouterOptions, RouterState};
 use bikron_serve::http::{parse_request, Request};
+use bikron_serve::{Exchange, Handler, Server, ServerConfig};
 
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum Mode {
@@ -39,6 +42,14 @@ enum Mode {
     LongLength,
     /// Declare 5 fewer body bytes than are sent.
     ShortLength,
+    /// Declare 5 fewer body bytes than are sent for the batch with this
+    /// index (counted from 0 over all batches the replica reads).
+    ShortLengthOnBatch(usize),
+    /// Answer this many batches, then close the connection cleanly,
+    /// leaving later requests on it unanswered.
+    CloseAfterBatches(usize),
+    /// Answer this many batches, then read requests and never answer.
+    HangAfterBatches(usize),
 }
 
 struct FakeReplica {
@@ -165,8 +176,8 @@ fn serve(
     let mut w = stream;
     loop {
         // Wait for the next request without reading it, so a reset
-        // leaves it unread.
-        if !matches!(w.peek(&mut [0u8; 1]), Ok(n) if n > 0) {
+        // leaves it unread; a pipelined one may already be buffered.
+        if reader.buffer().is_empty() && !matches!(w.peek(&mut [0u8; 1]), Ok(n) if n > 0) {
             return;
         }
         let current = *mode.lock().unwrap();
@@ -177,13 +188,14 @@ fn serve(
         let Ok(req) = parse_request(&mut reader) else {
             return;
         };
+        let mut batch = None;
         let body = match (req.method(), req.path()) {
             ("GET", "/v1/health") => {
                 format!("{{\"status\": \"ok\", \"pad\": \"{}\"}}\n", "x".repeat(pad))
             }
             ("GET", "/v1/stats") => "{\"vertices\": 100}\n".to_string(),
             ("POST", "/v1/batch") => {
-                batches.fetch_add(1, Ordering::SeqCst);
+                batch = Some(batches.fetch_add(1, Ordering::SeqCst));
                 let lines = std::str::from_utf8(req.body()).unwrap();
                 let items: Vec<String> = lines.lines().map(|l| item(l, pad)).collect();
                 format!("[\n{}\n]\n", items.join(",\n"))
@@ -191,7 +203,18 @@ fn serve(
             _ => "{}\n".to_string(),
         };
         let (declared, sent) = match current {
-            Mode::Normal | Mode::Reset => (body.len(), body.len()),
+            Mode::ShortLengthOnBatch(n) if batch == Some(n) => (body.len() - 5, body.len()),
+            Mode::HangAfterBatches(n) if batch.is_some_and(|i| i >= n) => {
+                while *mode.lock().unwrap() == current && !stop.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                return;
+            }
+            Mode::Normal
+            | Mode::Reset
+            | Mode::ShortLengthOnBatch(_)
+            | Mode::CloseAfterBatches(_)
+            | Mode::HangAfterBatches(_) => (body.len(), body.len()),
             Mode::Delay(d) => {
                 std::thread::sleep(d);
                 (body.len(), body.len())
@@ -217,6 +240,18 @@ fn serve(
         }
         if matches!(current, Mode::Truncate | Mode::LongLength) {
             return forget(conns, &w);
+        }
+        if let (Mode::CloseAfterBatches(n), Some(i)) = (current, batch) {
+            if i + 1 == n {
+                // A clean close: FIN after the last answer, then drain
+                // what the router sent until it hangs up, so closing
+                // with unread bytes sends no reset.
+                let _ = w.shutdown(Shutdown::Write);
+                forget(conns, &w);
+                let _ = w.set_read_timeout(Some(Duration::from_secs(5)));
+                let _ = std::io::copy(&mut reader, &mut std::io::sink());
+                return;
+            }
         }
     }
 }
@@ -427,4 +462,185 @@ fn a_stale_pooled_connection_costs_one_fresh_dial() {
     }
     assert_eq!((r0.accepted(), r1.accepted()), (2, 2));
     assert_eq!((r0.batches(), r1.batches()), (1, 1));
+}
+
+/// Answer `requests` as one burst, the way the transport loop hands a
+/// pipelined burst to the router: `(status, body)` per request, in order.
+fn burst(router: &RouterState, requests: Vec<Request>) -> Vec<(u16, String)> {
+    let mut burst: Vec<Exchange> = requests.into_iter().map(Exchange::new).collect();
+    router.respond(&mut burst);
+    burst
+        .into_iter()
+        .map(|x| (x.answer.status, x.body))
+        .collect()
+}
+
+fn batches(n: usize) -> Vec<Request> {
+    (0..n)
+        .map(|_| request("POST", "/v1/batch", &LINES.join("\n")))
+        .collect()
+}
+
+/// Every answer is a 503 naming replica 0's failure as `what`.
+fn assert_refused(answers: &[(u16, String)], what: &str) {
+    for (status, body) in answers {
+        assert_eq!(*status, 503, "{body}");
+        assert!(
+            body.contains("no replica answered (replica 0") && body.contains(what),
+            "{body}"
+        );
+    }
+}
+
+#[test]
+fn an_undercounted_answer_mid_run_fails_it_and_the_rest_of_the_run() {
+    let r0 = FakeReplica::start(8);
+    let r1 = FakeReplica::start(16);
+    let router = router(&[&r0, &r1], Duration::from_secs(5));
+    r0.set_mode(Mode::ShortLengthOnBatch(1));
+    let answers = burst(&router, batches(3));
+    assert_eq!(answers[0], (200, expected_batch(&LINES, 8)));
+    assert_refused(
+        &answers[1..],
+        "malformed response: bytes beyond Content-Length",
+    );
+    assert_eq!(r1.batches(), 0, "an answered run is not retried");
+}
+
+#[test]
+fn a_replica_that_closes_mid_run_hands_the_rest_to_the_next_once() {
+    let r0 = FakeReplica::start(8);
+    let r1 = FakeReplica::start(16);
+    let router = router(&[&r0, &r1], Duration::from_secs(5));
+    r0.set_mode(Mode::CloseAfterBatches(2));
+    let answers = burst(&router, batches(4));
+    let from = |pad| (200, expected_batch(&LINES, pad));
+    assert_eq!(answers, [from(8), from(8), from(16), from(16)]);
+    assert_eq!((r0.batches(), r1.batches()), (2, 2));
+}
+
+#[test]
+fn a_replica_that_hangs_mid_run_costs_one_upstream_timeout() {
+    let timeout = Duration::from_millis(800);
+    let r0 = FakeReplica::start(8);
+    let r1 = FakeReplica::start(16);
+    let router = router(&[&r0, &r1], timeout);
+    r0.set_mode(Mode::HangAfterBatches(1));
+    let started = Instant::now();
+    let answers = burst(&router, batches(3));
+    let elapsed = started.elapsed();
+    assert_eq!(answers[0], (200, expected_batch(&LINES, 8)));
+    assert_refused(&answers[1..], "timed out");
+    assert!(elapsed >= timeout, "answered in {elapsed:?}");
+    assert!(
+        elapsed < timeout + Duration::from_millis(500),
+        "answered in {elapsed:?}"
+    );
+    assert_eq!(r1.batches(), 0, "a timeout is not retried");
+    r0.set_mode(Mode::Normal);
+}
+
+#[test]
+fn a_stale_pooled_connection_costs_one_fresh_dial_for_a_whole_run() {
+    let r0 = FakeReplica::start(8);
+    let r1 = FakeReplica::start(16);
+    let router = router(&[&r0, &r1], Duration::from_secs(5));
+    assert_eq!((r0.accepted(), r1.accepted()), (1, 1));
+    r0.drop_connections();
+    r1.drop_connections();
+    for pad in [8, 16] {
+        let answers = burst(&router, batches(3));
+        assert_eq!(answers, vec![(200, expected_batch(&LINES, pad)); 3]);
+    }
+    assert_eq!((r0.accepted(), r1.accepted()), (2, 2));
+    assert_eq!((r0.batches(), r1.batches()), (3, 3));
+}
+
+#[test]
+fn a_burst_keeps_local_answers_in_their_places() {
+    let r0 = FakeReplica::start(8);
+    let r1 = FakeReplica::start(16);
+    let router = router(&[&r0, &r1], Duration::from_secs(5));
+    let mut requests = batches(2);
+    requests.push(request("GET", "/v1/health", ""));
+    requests.extend(batches(1));
+    requests.push(request("GET", "/nope", ""));
+    requests.push(request("GET", "/v1/stats", ""));
+    let answers = burst(&router, requests);
+    let statuses: Vec<u16> = answers.iter().map(|(status, _)| *status).collect();
+    assert_eq!(statuses, [200, 200, 200, 200, 404, 200]);
+    // Runs go to the replicas in turn: two batches, then one, then stats.
+    assert_eq!(answers[0].1, expected_batch(&LINES, 8));
+    assert_eq!(answers[1].1, expected_batch(&LINES, 8));
+    assert!(
+        answers[2].1.contains("\"role\": \"router\""),
+        "{}",
+        answers[2].1
+    );
+    assert_eq!(answers[3].1, expected_batch(&LINES, 16));
+    assert!(
+        answers[4].1.contains("no route for /nope"),
+        "{}",
+        answers[4].1
+    );
+    assert_eq!(answers[5].1, "{\"vertices\": 100}\n");
+    assert_eq!((r0.batches(), r1.batches()), (2, 1));
+}
+
+/// Read one `Content-Length`-framed answer: its status and body.
+fn read_answer(r: &mut impl BufRead) -> (u16, String) {
+    let mut line = String::new();
+    r.read_line(&mut line).unwrap();
+    let status = line[9..12].parse().unwrap();
+    let mut length = 0;
+    loop {
+        line.clear();
+        r.read_line(&mut line).unwrap();
+        if line == "\r\n" {
+            break;
+        }
+        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
+            length = v.trim().parse().unwrap();
+        }
+    }
+    let mut body = vec![0; length];
+    r.read_exact(&mut body).unwrap();
+    (status, String::from_utf8(body).unwrap())
+}
+
+#[test]
+fn a_pipelined_burst_reaches_one_replica_as_one_run() {
+    let r0 = FakeReplica::start(8);
+    let r1 = FakeReplica::start(16);
+    let router = Arc::new(router(&[&r0, &r1], Duration::from_secs(5)));
+    let server = Server::bind(ServerConfig::default(), Arc::clone(&router)).unwrap();
+    let addr = server.local_addr().unwrap();
+    let running = std::thread::spawn(move || server.run().unwrap());
+    let accepted = r0.accepted();
+
+    let body = LINES.join("\n");
+    let one = format!(
+        "POST /v1/batch HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(one.repeat(8).as_bytes()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    for i in 0..8 {
+        assert_eq!(
+            read_answer(&mut reader),
+            (200, expected_batch(&LINES, 8)),
+            "answer {i}"
+        );
+    }
+    assert_eq!((r0.batches(), r1.batches()), (8, 0));
+    assert!(
+        r0.accepted() - accepted <= 1,
+        "{} dials",
+        r0.accepted() - accepted
+    );
+
+    drop((reader, stream));
+    router.request_shutdown();
+    running.join().unwrap();
 }

@@ -446,6 +446,48 @@ pub fn parse_request<R: BufRead>(r: &mut R) -> Result<Request, HttpError> {
     Ok(req)
 }
 
+/// Whether `bytes` begin with a whole request: a head that ends in an
+/// empty line, followed by all of the body its `Content-Length`
+/// declares. For such bytes [`Request::read_from`] returns without
+/// another read, whether the request parses or not. A connection takes
+/// further requests into a burst only when this holds, so no read
+/// blocks while an earlier request of the burst waits for its answer.
+pub fn request_is_buffered(bytes: &[u8]) -> bool {
+    let mut content_length = 0usize;
+    let mut rest = bytes;
+    let mut first = true;
+    while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
+        let mut line = &rest[..nl];
+        rest = &rest[nl + 1..];
+        while let [kept @ .., b'\r'] = line {
+            line = kept;
+        }
+        // The parser refuses the request at a line that is not UTF-8, an
+        // empty request line and an unparsable length, reading no more.
+        let Ok(line) = std::str::from_utf8(line) else {
+            return true;
+        };
+        if std::mem::take(&mut first) {
+            if line.is_empty() {
+                return true;
+            }
+            continue;
+        }
+        if line.is_empty() {
+            return content_length > MAX_BODY || rest.len() >= content_length;
+        }
+        if let Some((name, value)) = line.split_once(':') {
+            if name.trim().eq_ignore_ascii_case("content-length") {
+                match value.trim().parse() {
+                    Ok(n) => content_length = n,
+                    Err(_) => return true,
+                }
+            }
+        }
+    }
+    false
+}
+
 /// The head of an answer whose body was rendered into a caller's
 /// buffer: what [`render_answer`] needs besides the body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -515,7 +557,9 @@ impl Response {
 /// live error bodies are self-correlating (headers alone don't survive
 /// copy-paste into a bug report) while success bodies, batch item
 /// bodies, and direct-`handle()` test responses keep their byte-exact
-/// contracts.
+/// contracts. Stamping is idempotent: a body whose last field is
+/// already this trace id (an error a replica stamped, relayed by the
+/// router under the same trace) is left as it is.
 pub fn stamp_trace_id(answer: Answer, body: &mut String, trace_id: &str) {
     if answer.status < 400 || answer.content_type != "application/json" {
         return;
@@ -524,6 +568,13 @@ pub fn stamp_trace_id(answer: Answer, body: &mut String, trace_id: &str) {
         return;
     };
     let cut = body[..brace].trim_end_matches('\n').len();
+    let stamped = body[..cut]
+        .strip_suffix('"')
+        .and_then(|rest| rest.strip_suffix(trace_id))
+        .is_some_and(|rest| rest.ends_with("\"trace_id\": \""));
+    if stamped {
+        return;
+    }
     let mut field = String::with_capacity(trace_id.len() + 24);
     field.push_str(",\n  \"trace_id\": \"");
     escape_into(&mut field, trace_id);
@@ -974,6 +1025,11 @@ mod tests {
             err.body
         );
         assert!(err.body.contains("\"detail\": \"no route for /nope\""));
+        // A relayed error comes stamped already; it is stamped once.
+        let again = with_trace_id(err.clone(), "0af7651916cd43dd8448eb211c80319c");
+        assert_eq!(again.body, err.body);
+        let other = with_trace_id(err.clone(), "1");
+        assert_eq!(other.body.matches("\"trace_id\"").count(), 2);
         // Success bodies are byte-exact contracts; never touched.
         let ok = Response::json(200, "{\n  \"vertex\": 1\n}\n".to_string());
         let body_before = ok.body.clone();
@@ -1088,5 +1144,59 @@ mod tests {
             assert_eq!(n as usize, w.bytes);
             assert_eq!(w.bytes, head_then_body(&resp, true, None).len());
         }
+    }
+
+    /// A reader that fails every read: parsing that reaches it would
+    /// have blocked on a socket.
+    struct WouldBlock;
+
+    impl io::Read for WouldBlock {
+        fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::WouldBlock.into())
+        }
+    }
+
+    /// Every prefix the burst check accepts parses without another read,
+    /// and each whole request is accepted.
+    #[test]
+    fn a_buffered_request_parses_without_another_read() {
+        let huge = format!(
+            "POST /v1/batch HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY + 1
+        );
+        let requests = [
+            "GET /v1/vertex/3 HTTP/1.1\r\nHost: x\r\n\r\n",
+            "POST /v1/batch HTTP/1.1\r\ncontent-LENGTH:  9 \r\n\r\nvertex 1\n",
+            "GET /v1/stats HTTP/1.1\nHost: x\n\n",
+            "POST /v1/batch HTTP/1.1\r\nContent-Length: x\r\n\r\n",
+            "BLAH / HTTP/1.1\r\n\r\n",
+            "\r\nGET / HTTP/1.1\r\n\r\n",
+            &huge,
+        ];
+        for raw in requests {
+            let raw = raw.as_bytes();
+            let whole = raw.len();
+            assert!(
+                request_is_buffered(raw),
+                "{:?}",
+                String::from_utf8_lossy(raw)
+            );
+            for end in 0..=whole {
+                if !request_is_buffered(&raw[..end]) {
+                    continue;
+                }
+                let mut r = BufReader::new(io::Read::chain(&raw[..end], WouldBlock));
+                let parsed = Request::default().read_from(&mut r);
+                assert!(
+                    !matches!(parsed, Err(HttpError::Io(_))),
+                    "{end} of {whole} bytes of {:?}",
+                    String::from_utf8_lossy(raw)
+                );
+            }
+        }
+        let get = b"GET / HTTP/1.1\r\n\r\n";
+        assert!(!request_is_buffered(&get[..get.len() - 1]));
+        let post = b"POST /v1/batch HTTP/1.1\r\nContent-Length: 4\r\n\r\nabc";
+        assert!(!request_is_buffered(post));
     }
 }

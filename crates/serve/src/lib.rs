@@ -76,7 +76,7 @@ pub mod snapshot;
 pub mod state;
 
 pub use cache::{CacheKey, ShardedCache};
-pub use pool::{Handler, Server, ServerConfig, Transport};
+pub use pool::{Exchange, Handler, Server, ServerConfig, Transport};
 pub use snapshot::{Snapshot, SnapshotError};
 pub use state::{
     check_admin, profile_response, without_snapshot_field, ServeOptions, ServeState, WarmInfo,

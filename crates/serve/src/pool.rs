@@ -28,8 +28,8 @@ use bikron_obs::{
 };
 
 use crate::http::{
-    render_answer, stamp_trace_id, status_index, write_response, Answer, HttpError, Request,
-    Response, STATUSES,
+    render_answer, request_is_buffered, stamp_trace_id, status_index, write_response, Answer,
+    HttpError, Request, Response, STATUSES,
 };
 use crate::state::{self, ServeState};
 
@@ -48,6 +48,16 @@ pub const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 /// pipelined requests wait in its read buffer; at this size they are
 /// flushed even mid-burst.
 const MAX_PENDING_OUTPUT: usize = 64 * 1024;
+
+/// The most requests one burst holds: the first, read with a blocking
+/// read, and those already whole in the read buffer behind it.
+const MAX_BURST: usize = 16;
+
+/// A connection's read buffer, bytes: room for a pipelined burst of
+/// eight 64-line batches, so it arrives as one burst, and far below a
+/// socket buffer, so a run the router relays on it (at most one request
+/// plus this many bytes) is never left half written (DESIGN.md §13).
+const READ_BUFFER: usize = 16 << 10;
 
 /// The largest capacity a connection's request, body and output buffers
 /// keep between requests; a buffer that one large request or answer grew
@@ -81,17 +91,49 @@ impl Default for ServerConfig {
     }
 }
 
-/// What the transport loop needs from a server: an answer, the
+/// One request of a burst and its answer: the parsed request, its trace
+/// context, and the body and head a [`Handler`] answers it with. A
+/// connection keeps one per burst slot and reuses its buffers.
+pub struct Exchange {
+    /// The parsed request.
+    pub req: Request,
+    /// The request's trace context: adopted from its `traceparent` as a
+    /// child span, or newly minted.
+    pub ctx: TraceContext,
+    /// The answer's body; empty when the handler is called.
+    pub body: String,
+    /// The answer's status and content type, set by the handler.
+    pub answer: Answer,
+}
+
+impl Exchange {
+    /// An exchange for `req` under a newly minted trace context.
+    pub fn new(req: Request) -> Exchange {
+        Exchange {
+            req,
+            ctx: TraceContext::generate(),
+            body: String::new(),
+            answer: Answer::json(500),
+        }
+    }
+}
+
+impl Default for Exchange {
+    fn default() -> Exchange {
+        Exchange::new(Request::default())
+    }
+}
+
+/// What the transport loop needs from a server: answers, the
 /// [`Transport`] it keeps for the server, and the request bookkeeping
 /// only a serve process does. Framing, keep-alive, shedding, the request
 /// deadline, trace identity, profiler phases, the transport metrics and
 /// the shutdown flag stay in the loop and its [`Transport`].
 pub trait Handler: Send + Sync + 'static {
-    /// Answer one parsed request under its trace context (adopted from
-    /// the request's `traceparent` as a child span, or newly minted):
-    /// render the body onto `body`, which is empty on entry, and return
-    /// the status and content type.
-    fn respond(&self, req: &Request, ctx: &TraceContext, body: &mut String) -> Answer;
+    /// Answer a burst of parsed requests, each under its own trace
+    /// context: render every exchange's body onto its `body` and set its
+    /// `answer`. The answers leave in burst order.
+    fn respond(&self, burst: &mut [Exchange]);
     /// The server's transport metrics and shutdown flag.
     fn transport(&self) -> &Transport;
     /// Where finished per-request span trees go; `None` records none.
@@ -548,21 +590,32 @@ fn flush_failed(handler: &impl Handler, e: &io::Error) {
     }
 }
 
-/// One keep-alive session: parse → respond → render, until
-/// close/error/timeout/shutdown. Each request is counted in the
-/// connection's [`RequestTally`], recorded by the flush that writes its
-/// answer, and gets one access-log event and (when the handler has an
-/// enabled span sink) one span tree.
+/// One keep-alive session: read a burst → respond → render, until
+/// close/error/timeout/shutdown.
 ///
-/// A rendered answer is written at once when no further request bytes
+/// A burst is the next request, read with a blocking read, plus every
+/// request behind it that is already whole in the read buffer
+/// ([`request_is_buffered`]), up to [`MAX_BURST`]; a request asking to
+/// close the connection, or one that does not parse, ends it. So no read
+/// blocks while a request of the burst waits for its answer, and the
+/// handler sees the burst at once: the router relays it as one run. A
+/// server that records span trees reads bursts of one, so each tree
+/// holds its own request's phases.
+///
+/// Bookkeeping stays per request: each gets its own trace context, is
+/// counted in the connection's [`RequestTally`] (recorded by the flush
+/// that writes its answer), and gets one access-log event and (when the
+/// handler has an enabled span sink) one span tree.
+///
+/// A burst's answers are written at once when no further request bytes
 /// are buffered, when the connection is about to close, or when
-/// [`MAX_PENDING_OUTPUT`] bytes are pending; otherwise it waits for the
-/// answers to the rest of the pipelined burst, and all of them leave in
-/// one write before the next blocking read.
+/// [`MAX_PENDING_OUTPUT`] bytes are pending; otherwise they wait for the
+/// answers to the next burst, and all of them leave in one write before
+/// the next blocking read.
 ///
-/// The request, its body and the output are one buffer each for the
-/// whole connection, so a steady run of requests allocates nothing;
-/// a buffer grown past [`MAX_RETAINED`] is released after its request.
+/// The burst's requests, bodies and the output are reused for the whole
+/// connection, so a steady run of bursts allocates nothing; a buffer
+/// grown past [`MAX_RETAINED`] is released after its request.
 fn serve_connection<H: Handler>(stream: TcpStream, handler: &H, read_timeout: Duration) {
     if stream.set_read_timeout(Some(read_timeout)).is_err()
         || stream.set_write_timeout(Some(REQUEST_DEADLINE)).is_err()
@@ -570,19 +623,22 @@ fn serve_connection<H: Handler>(stream: TcpStream, handler: &H, read_timeout: Du
     {
         return;
     }
-    let mut reader = BufReader::new(DeadlineReader {
-        handler,
-        stream,
-        idle: read_timeout,
-        timeout: read_timeout,
-        deadline: None,
-        expired: false,
-        out: Vec::new(),
-        tally: RequestTally::default(),
-        inflight: false,
-    });
-    let mut req = Request::default();
-    let mut body = String::new();
+    let mut reader = BufReader::with_capacity(
+        READ_BUFFER,
+        DeadlineReader {
+            handler,
+            stream,
+            idle: read_timeout,
+            timeout: read_timeout,
+            deadline: None,
+            expired: false,
+            out: Vec::new(),
+            tally: RequestTally::default(),
+            inflight: false,
+        },
+    );
+    let mut burst = vec![Exchange::default()];
+    let mut bytes = [0u64; MAX_BURST];
     loop {
         // On keep-alive connections the `accept` frame includes idle
         // time between requests — acceptable for a diagnostic span and
@@ -600,14 +656,14 @@ fn serve_connection<H: Handler>(stream: TcpStream, handler: &H, read_timeout: Du
             .is_some_and(SpanSink::enabled)
             .then(bikron_obs::attach_request);
         let accept_frame = bikron_obs::phase("accept");
-        let parsed = req.read_from(&mut reader);
+        let parsed = burst[0].req.read_from(&mut reader);
         drop(accept_frame);
         // `parse` is a zero-width marker: parsing happens inside the read.
         drop(bikron_obs::child_span(|| "parse".to_string()));
         // Parse failures and timeouts are answered, then the connection
         // is closed: after a framing error the byte stream can't be
         // trusted, and a client that missed the deadline gets no more.
-        let refused = match parsed {
+        let mut refused = match parsed {
             Ok(()) => None,
             // The flush before a read failed: the answers cannot go out.
             Err(HttpError::Io(e)) if !reader.get_ref().out.is_empty() => {
@@ -623,7 +679,28 @@ fn serve_connection<H: Handler>(stream: TcpStream, handler: &H, read_timeout: Du
             Err(HttpError::Closed) | Err(HttpError::Io(_)) => return,
             Err(e) => Some(Response::error(e.status(), &e.detail())),
         };
-        // The latency clock starts once a full request has been read, so
+        // Further requests join the burst only when already whole in the
+        // buffer; a traced request is read alone, so its span tree holds
+        // its own phases.
+        let cap = if request.is_some() { 1 } else { MAX_BURST };
+        let mut len = usize::from(refused.is_none());
+        while len > 0
+            && len < cap
+            && !burst[len - 1].req.wants_close()
+            && request_is_buffered(reader.buffer())
+        {
+            if burst.len() == len {
+                burst.push(Exchange::default());
+            }
+            match burst[len].req.read_from(&mut reader) {
+                Ok(()) => len += 1,
+                Err(e) => {
+                    refused = Some(Response::error(e.status(), &e.detail()));
+                    break;
+                }
+            }
+        }
+        // The latency clock starts once the burst has been read, so
         // keep-alive idle time between requests never pollutes the
         // windowed p99 the health endpoint alarms on (nor the slow-trace
         // capture decision, which uses the same total).
@@ -635,67 +712,94 @@ fn serve_connection<H: Handler>(stream: TcpStream, handler: &H, read_timeout: Du
             handler.transport().inflight.raise(1);
             conn.inflight = true;
         }
-        // Every request gets a trace identity, traced or not: adopt the
-        // client's `traceparent` when one parses (our root span becomes
-        // a child in the caller's trace), otherwise mint ids.
-        let parsed = refused.is_none().then_some(&req);
-        let (ctx, remote_parent) = match parsed
-            .and_then(|req| req.header("traceparent"))
-            .and_then(TraceContext::parse_traceparent)
-        {
-            Some(remote) => (TraceContext::child_of(remote), remote.span_id),
-            None => (TraceContext::generate(), 0),
-        };
-        let mut trace_buf = [0; 32];
-        let trace_hex = ctx.trace_id_hex_into(&mut trace_buf);
-        if let Some(request) = &request {
-            request.set_context(ctx, remote_parent);
-        }
-        body.clear();
-        let (answer, keep_alive) = match refused {
-            None => {
-                let evaluate_frame = bikron_obs::phase("evaluate");
-                let answer = handler.respond(&req, &ctx, &mut body);
-                drop(evaluate_frame);
-                (answer, !req.wants_close())
+        // Every request gets a trace identity, traced or not; a refused
+        // one, in the slot after the parsed ones, gets a new one.
+        let answered = len + usize::from(refused.is_some());
+        for (i, x) in burst[..answered].iter_mut().enumerate() {
+            let (ctx, remote_parent) = trace_context((i < len).then_some(&x.req));
+            x.ctx = ctx;
+            x.body.clear();
+            if let Some(request) = &request {
+                request.set_context(ctx, remote_parent);
             }
-            Some(resp) => (resp.into_answer(&mut body), false),
+        }
+        if len > 0 {
+            let evaluate_frame = bikron_obs::phase("evaluate");
+            handler.respond(&mut burst[..len]);
+            drop(evaluate_frame);
+        }
+        let keep_alive = match refused {
+            Some(resp) => {
+                let x = &mut burst[len];
+                x.answer = resp.into_answer(&mut x.body);
+                false
+            }
+            None => !burst[len - 1].req.wants_close(),
         };
-        // Error bodies carry the trace id so a client pasting a failure
-        // into a bug report hands over the lookup key; success bodies
-        // stay byte-identical to the untraced server (the id travels in
-        // the `x-bikron-trace-id` header instead).
-        stamp_trace_id(answer, &mut body, trace_hex);
-        let status = answer.status;
         let last = !keep_alive || handler.transport().shutdown_requested();
         let write_frame = bikron_obs::phase("write");
         let buffered = !reader.buffer().is_empty();
         let conn = reader.get_mut();
-        let bytes = render_answer(&mut conn.out, answer, &body, keep_alive, Some(trace_hex));
+        // Error bodies carry the trace id so a client pasting a failure
+        // into a bug report hands over the lookup key; success bodies
+        // stay byte-identical to the untraced server (the id travels in
+        // the `x-bikron-trace-id` header instead).
+        for (i, x) in burst[..answered].iter_mut().enumerate() {
+            let mut trace_buf = [0; 32];
+            let trace_hex = x.ctx.trace_id_hex_into(&mut trace_buf);
+            stamp_trace_id(x.answer, &mut x.body, trace_hex);
+            let closes = last && i + 1 == answered;
+            bytes[i] = render_answer(&mut conn.out, x.answer, &x.body, !closes, Some(trace_hex));
+        }
         let flush_now = last || conn.out.len() >= MAX_PENDING_OUTPUT || !buffered;
         let written = if flush_now { conn.write_out() } else { Ok(()) };
         drop(write_frame);
         let ns = started.elapsed().as_nanos() as u64;
-        conn.tally.add(status, bytes, ns);
+        for (x, &sent) in burst[..answered].iter().zip(&bytes) {
+            conn.tally.add(x.answer.status, sent, ns);
+        }
         if flush_now {
             conn.record();
         }
         if let Err(e) = written {
             return flush_failed(handler, &e);
         }
-        handler.log_access(parsed, status, ns, bytes, trace_hex);
+        for (i, (x, &sent)) in burst[..answered].iter().zip(&bytes).enumerate() {
+            let mut trace_buf = [0; 32];
+            let trace_hex = x.ctx.trace_id_hex_into(&mut trace_buf);
+            let parsed = (i < len).then_some(&x.req);
+            handler.log_access(parsed, x.answer.status, ns, sent, trace_hex);
+        }
         if let (Some(request), Some(sink)) = (request, handler.spans()) {
-            // Offer the finished tree for tail capture.
+            // Offer the finished tree for tail capture: a traced burst
+            // holds one request, answered or refused.
+            let (parsed, status) = ((len == 1).then_some(&burst[0].req), burst[0].answer.status);
             let (method, shape) = request_shape(parsed, status);
-            sink.offer(request.finish(), method, &shape, status, bytes, ns);
+            sink.offer(request.finish(), method, &shape, status, bytes[0], ns);
         }
         if last {
             return;
         }
-        if body.capacity() > MAX_RETAINED {
-            body = String::new();
+        for x in &mut burst[..len] {
+            if x.body.capacity() > MAX_RETAINED {
+                x.body = String::new();
+            }
+            x.req.release_over(MAX_RETAINED);
         }
-        req.release_over(MAX_RETAINED);
+    }
+}
+
+/// A request's trace context and its remote parent span id: adopted
+/// from the request's `traceparent` when one parses (our root span
+/// becomes a child in the caller's trace), otherwise minted, with
+/// remote parent 0.
+fn trace_context(req: Option<&Request>) -> (TraceContext, u64) {
+    match req
+        .and_then(|req| req.header("traceparent"))
+        .and_then(TraceContext::parse_traceparent)
+    {
+        Some(remote) => (TraceContext::child_of(remote), remote.span_id),
+        None => (TraceContext::generate(), 0),
     }
 }
 

@@ -33,10 +33,10 @@ use bikron_core::{
 };
 use bikron_graph::{bipartition, Graph};
 use bikron_obs::span::DEFAULT_TRACE_CAPACITY;
-use bikron_obs::{Counter, EventLogger, Histogram, JsonWriter, LogEvent, SpanSink, TraceContext};
+use bikron_obs::{Counter, EventLogger, Histogram, JsonWriter, LogEvent, SpanSink};
 
 use crate::http::{write_error, Answer, Request, Response};
-use crate::pool::{request_shape, Handler, Transport};
+use crate::pool::{request_shape, Exchange, Handler, Transport};
 
 /// Default page size for `/v1/neighbors` and `/v1/edges`.
 pub const DEFAULT_LIMIT: usize = 100;
@@ -1410,8 +1410,12 @@ pub fn profile_response(req: &Request) -> Response {
 /// The serve side of the transport loop: span trees and the access log
 /// are serve-only bookkeeping.
 impl Handler for ServeState {
-    fn respond(&self, req: &Request, _ctx: &TraceContext, body: &mut String) -> Answer {
-        self.answer(req, body)
+    /// Each request of the burst is answered on its own, as
+    /// [`ServeState::answer`] answers it.
+    fn respond(&self, burst: &mut [Exchange]) {
+        for x in burst {
+            x.answer = self.answer(&x.req, &mut x.body);
+        }
     }
 
     fn transport(&self) -> &Transport {

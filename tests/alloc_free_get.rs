@@ -10,6 +10,10 @@
 //! queries each, in the Table-I batch mix (vertex 60%, edge 25%,
 //! neighbors 15%).
 //!
+//! The same holds through the router: an in-process router over two
+//! in-process Table-I replicas relays 1,000 pipelined batches, each
+//! burst as one run, without an allocation in any of the three servers.
+//!
 //! A counting global allocator sees every thread, so the client side of
 //! the measured window allocates nothing either: the bursts are rendered
 //! in advance, and answers are read into one preallocated buffer and
@@ -17,12 +21,14 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 
 use bikron_core::SelfLoopMode;
 use bikron_generators::unicode_like::unicode_like;
+use bikron_router::{RouterOptions, RouterState};
 use bikron_serve::http::parse_request;
 use bikron_serve::{ServeState, Server, ServerConfig};
 
@@ -145,42 +151,34 @@ fn frame(bytes: &[u8]) -> Option<(usize, usize)> {
     Some((head_end, len))
 }
 
-/// Serve `requests` (rendered once each) on one keep-alive connection,
-/// pipelined `burst` at a time, and return how many allocations the
-/// process made over the `measured` requests that follow `warm_up`
-/// requests of the same cycle. Every body must equal the one
-/// `ServeState::handle` renders for the same request.
-fn count_allocations(
-    state: Arc<ServeState>,
-    requests: &[Vec<u8>],
-    burst: usize,
-    warm_up: usize,
-    measured: usize,
-) -> u64 {
-    let expected: Vec<Vec<u8>> = requests
+/// The body `ServeState::handle` renders for each of `requests`, all 200s.
+fn expected_bodies(state: &ServeState, requests: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    requests
         .iter()
         .map(|r| {
             let resp = state.handle(&parse_request(&mut &r[..]).expect("parse"));
             assert_eq!(resp.status, 200, "{}", resp.body);
             resp.body.into_bytes()
         })
-        .collect();
+        .collect()
+}
+
+/// Send `requests` (rendered once each) to `addr` on one keep-alive
+/// connection, pipelined `burst` at a time, and return how many
+/// allocations the process made over the `measured` requests that follow
+/// `warm_up` requests of the same cycle. Every body must equal its
+/// `expected` one.
+fn count_allocations(
+    addr: SocketAddr,
+    requests: &[Vec<u8>],
+    expected: &[Vec<u8>],
+    burst: usize,
+    warm_up: usize,
+    measured: usize,
+) -> u64 {
     let expected: Vec<&[u8]> = expected.iter().map(Vec::as_slice).collect();
     // Every burst of the cycle, rendered once.
     let bursts: Vec<Vec<u8>> = requests.chunks(burst).map(|c| c.concat()).collect();
-
-    let server = Server::bind(
-        ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            threads: 1,
-            ..ServerConfig::default()
-        },
-        Arc::clone(&state),
-    )
-    .expect("bind");
-    let addr = server.local_addr().expect("local addr");
-    let running = std::thread::spawn(move || server.run().expect("server run"));
-
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
     let mut buf = vec![0u8; 1 << 20];
@@ -194,9 +192,39 @@ fn count_allocations(
     send(&mut stream, warm_up);
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     send(&mut stream, measured);
-    let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    ALLOCATIONS.load(Ordering::SeqCst) - before
+}
 
-    drop(stream);
+/// Serve `state` on a one-worker server of its own: its address and the
+/// server thread, which ends after `state.request_shutdown()`.
+fn serve(state: &Arc<ServeState>, threads: usize) -> (SocketAddr, JoinHandle<()>) {
+    let server = Server::bind(
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            threads,
+            ..ServerConfig::default()
+        },
+        Arc::clone(state),
+    )
+    .expect("bind");
+    let addr = server.local_addr().expect("local addr");
+    (
+        addr,
+        std::thread::spawn(move || server.run().expect("server run")),
+    )
+}
+
+/// [`count_allocations`] against one node serving `state`.
+fn count_node_allocations(
+    state: Arc<ServeState>,
+    requests: &[Vec<u8>],
+    burst: usize,
+    warm_up: usize,
+    measured: usize,
+) -> u64 {
+    let expected = expected_bodies(&state, requests);
+    let (addr, running) = serve(&state, 1);
+    let allocations = count_allocations(addr, requests, &expected, burst, warm_up, measured);
     state.request_shutdown();
     running.join().expect("server thread");
     allocations
@@ -215,7 +243,7 @@ fn steady_state_pipelined_gets_allocate_nothing() {
         .iter()
         .map(|t| format!("GET {t} HTTP/1.1\r\nHost: bench\r\n\r\n").into_bytes())
         .collect();
-    let allocations = count_allocations(state, &requests, BURST, WARM_UP, MEASURED);
+    let allocations = count_node_allocations(state, &requests, BURST, WARM_UP, MEASURED);
     assert_eq!(
         allocations, 0,
         "{MEASURED} steady-state GETs allocated {allocations} times"
@@ -273,20 +301,81 @@ fn first_neighbor(state: &ServeState, p: usize) -> Option<usize> {
 fn steady_state_pipelined_batches_allocate_nothing() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let state = table1_state();
-    let requests: Vec<Vec<u8>> = (0..BATCHES)
+    let requests = batch_requests(&state, BATCHES);
+    let allocations =
+        count_node_allocations(state, &requests, BATCH_BURST, BATCH_WARM_UP, BATCH_MEASURED);
+    assert_eq!(
+        allocations, 0,
+        "{BATCH_MEASURED} steady-state batches of {BATCH_LINES} allocated {allocations} times"
+    );
+}
+
+/// The first `count` batch requests of the cycle, rendered.
+fn batch_requests(state: &ServeState, count: usize) -> Vec<Vec<u8>> {
+    (0..count)
         .map(|b| {
-            let body = batch_body(&state, b);
+            let body = batch_body(state, b);
             format!(
                 "POST /v1/batch HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{body}",
                 body.len()
             )
             .into_bytes()
         })
-        .collect();
-    let allocations =
-        count_allocations(state, &requests, BATCH_BURST, BATCH_WARM_UP, BATCH_MEASURED);
+        .collect()
+}
+
+/// Distinct batches the relay test cycles through: three bursts, so the
+/// round robin over two replicas sends each burst to both during the
+/// warm-up, and every buffer on either side has grown to its size.
+const RELAYED_BATCHES: usize = 12;
+
+/// The router relays each pipelined burst of batches as one run to one
+/// of two Table-I replicas, all in this process: after warm-up, neither
+/// the router nor the replicas allocate, and every body is the one
+/// `ServeState::handle` renders.
+#[test]
+fn steady_state_relayed_batches_allocate_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let replicas = [table1_state(), table1_state()];
+    let (urls, threads): (Vec<String>, Vec<_>) = replicas
+        .iter()
+        .map(|state| {
+            let (addr, thread) = serve(state, 2);
+            (addr.to_string(), thread)
+        })
+        .unzip();
+    let router = Arc::new(RouterState::connect(&urls, RouterOptions::default()).expect("router"));
+    let server = Server::bind(
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            threads: 1,
+            ..ServerConfig::default()
+        },
+        Arc::clone(&router),
+    )
+    .expect("bind router");
+    let addr = server.local_addr().expect("router addr");
+    let running = std::thread::spawn(move || server.run().expect("router run"));
+
+    let requests = batch_requests(&replicas[0], RELAYED_BATCHES);
+    let expected = expected_bodies(&replicas[0], &requests);
+    let allocations = count_allocations(
+        addr,
+        &requests,
+        &expected,
+        BATCH_BURST,
+        BATCH_WARM_UP,
+        BATCH_MEASURED,
+    );
+
+    router.request_shutdown();
+    running.join().expect("router thread");
+    for (state, thread) in replicas.iter().zip(threads) {
+        state.request_shutdown();
+        thread.join().expect("replica thread");
+    }
     assert_eq!(
         allocations, 0,
-        "{BATCH_MEASURED} steady-state batches of {BATCH_LINES} allocated {allocations} times"
+        "{BATCH_MEASURED} relayed batches of {BATCH_LINES} allocated {allocations} times"
     );
 }

@@ -8,7 +8,11 @@
 //! clusters (2 and 3 replicas, each a `Server` over a full `ServeState`,
 //! fronted by a `RouterServer`) and compares 100% of vertices, 100% of
 //! ordered pairs, every neighbors page, the partitioned edge stream, and
-//! relayed batch bodies against the in-process single-node answer.
+//! relayed batch bodies against the in-process single-node answer. It
+//! also writes pipelined bursts of 8 mixed requests in one write each
+//! (batches, GETs, `/v1/stats`, a 404 the router answers and a 400 a
+//! replica answers), whose every body, error bodies included, must
+//! match the single node's.
 //!
 //! A separate test kills one replica and asserts no request fails: the
 //! requests that pick the dead replica go to the next one, every key
@@ -23,7 +27,7 @@ use std::time::Duration;
 use bikron_core::SelfLoopMode;
 use bikron_generators::{complete_bipartite, cycle};
 use bikron_router::{RouterOptions, RouterState};
-use bikron_serve::http::parse_request;
+use bikron_serve::http::{parse_request, stamp_trace_id};
 use bikron_serve::pool::{Server, ServerConfig};
 use bikron_serve::pool::{Server as RouterServer, ServerConfig as RouterConfig};
 use bikron_serve::{ServeOptions, ServeState};
@@ -98,15 +102,25 @@ impl Client {
             "{method} {path} HTTP/1.1\r\nHost: t\r\n{extra}\r\n{body}"
         )
         .expect("send");
+        if self.reader.fill_buf().expect("read answer").is_empty() {
+            // Server closed the idle connection; redial and retry.
+            *self = Client::connect(self.addr);
+            return self.request(method, path, body);
+        }
+        let response = self.read_response();
+        if response.1.lines().any(|l| l == "Connection: close") {
+            *self = Client::connect(self.addr);
+        }
+        response
+    }
+
+    /// Read one Content-Length-framed response: `(status, head, body)`.
+    fn read_response(&mut self) -> (u16, String, String) {
+        use std::io::BufRead as _;
         let mut head = String::new();
         loop {
             let mut line = String::new();
             let n = self.reader.read_line(&mut line).expect("read header");
-            if n == 0 && head.is_empty() {
-                // Server closed the idle connection; redial and retry.
-                *self = Client::connect(self.addr);
-                return self.request(method, path, body);
-            }
             assert!(n > 0, "connection closed mid-response:\n{head}");
             if line == "\r\n" {
                 break;
@@ -128,15 +142,101 @@ impl Client {
             .expect("length");
         let mut buf = vec![0u8; len];
         self.reader.read_exact(&mut buf).expect("read body");
-        let closing = head.lines().any(|l| l == "Connection: close");
-        if closing {
-            *self = Client::connect(self.addr);
-        }
         (status, head, String::from_utf8(buf).expect("utf-8 body"))
     }
 
     fn get(&mut self, path: &str) -> (u16, String, String) {
         self.request("GET", path, "")
+    }
+
+    /// Send `requests` in one write and read their answers in order:
+    /// `(status, body)` each.
+    fn burst(&mut self, requests: &[Query]) -> Vec<(u16, String)> {
+        let raw: String = requests.iter().map(Query::render).collect();
+        self.writer.write_all(raw.as_bytes()).expect("send burst");
+        requests
+            .iter()
+            .map(|_| {
+                let (status, head, body) = self.read_response();
+                assert!(!head.contains("Connection: close"), "{head}");
+                (status, body)
+            })
+            .collect()
+    }
+}
+
+/// One request of a pipelined burst, with a `traceparent` of its own,
+/// so the trace id every error body carries is known in advance.
+struct Query {
+    method: &'static str,
+    path: String,
+    body: String,
+    trace_id: u128,
+}
+
+impl Query {
+    fn render(&self) -> String {
+        format!(
+            "{} {} HTTP/1.1\r\nHost: t\r\n\
+             traceparent: 00-{:032x}-00f067aa0ba902b7-01\r\n\
+             Content-Length: {}\r\n\r\n{}",
+            self.method,
+            self.path,
+            self.trace_id,
+            self.body.len(),
+            self.body
+        )
+    }
+
+    /// The single node's answer: its `handle()` body, with the trace id
+    /// stamped into an error body as the transport stamps it.
+    fn single_answer(&self, state: &ServeState) -> (u16, String) {
+        let req = parse_request(&mut self.render().as_bytes()).unwrap();
+        let resp = state.handle(&req);
+        let mut body = resp.body.clone();
+        stamp_trace_id(resp.answer(), &mut body, &format!("{:032x}", self.trace_id));
+        (resp.status, body)
+    }
+}
+
+/// Burst `k` of 8: two whole-space batches, vertex, edge and neighbors
+/// GETs, `/v1/stats`, a 404 the router answers itself and a 400 a
+/// replica answers.
+fn mixed_burst(k: usize) -> Vec<Query> {
+    let get = |path: String| ("GET", path, String::new());
+    let batch = ("POST", "/v1/batch".to_string(), whole_space_batch());
+    let p = k % N;
+    [
+        batch.clone(),
+        get(format!("/v1/vertex/{p}")),
+        get(format!("/v1/edge/{p}/{}", (p * 7 + 3) % N)),
+        get(format!("/v1/neighbors/{p}?offset=1&limit=3")),
+        get("/v1/stats".to_string()),
+        get(format!("/nope/{k}")),
+        batch,
+        get("/v1/vertex/banana".to_string()),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, (method, path, body))| Query {
+        method,
+        path,
+        body,
+        trace_id: (k * 8 + i + 1) as u128,
+    })
+    .collect()
+}
+
+/// Every answer to a pipelined burst through the router, error bodies
+/// included, is byte-identical to the single node's.
+fn assert_bursts_match(single: &ServeState, client: &mut Client, bursts: usize) {
+    for k in 0..bursts {
+        let queries = mixed_burst(k);
+        let got = client.burst(&queries);
+        for (query, got) in queries.iter().zip(got) {
+            let want = query.single_answer(single);
+            assert_eq!(got, want, "burst {k}: {} {}", query.method, query.path);
+        }
     }
 }
 
@@ -315,6 +415,10 @@ fn cluster_answers_byte_identical_to_single_node() {
             assert_eq!(got, want_body, "{count}-replica batch diverged");
         }
 
+        // Pipelined bursts of 8 in one write: each run of relayed
+        // requests goes to one replica, and every body matches.
+        assert_bursts_match(&single, &mut client, 2 * N);
+
         // Cluster health: ok verdict, one detail row per replica.
         let (status, _, health) = client.get("/v1/health");
         assert_eq!(status, 200);
@@ -366,6 +470,10 @@ fn killing_one_replica_fails_no_request() {
         assert_eq!(status, 200, "batch {turn}: {got}");
         assert_eq!(got, want, "batch {turn} diverged");
     }
+
+    // Pipelined bursts: the runs that pick the dead replica go whole to
+    // the next one.
+    assert_bursts_match(&single, &mut client, 2 * N);
 
     // Health degrades and names exactly the dead replica.
     let (status, _, health) = client.get("/v1/health");

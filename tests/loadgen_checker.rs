@@ -13,9 +13,7 @@ use std::thread::JoinHandle;
 use bikron_bench::check::{Outcome, Reference, Workload};
 use bikron_core::SelfLoopMode;
 use bikron_generators::{complete_bipartite, crown, cycle};
-use bikron_obs::TraceContext;
-use bikron_serve::http::{Answer, Request};
-use bikron_serve::{Handler, ServeOptions, ServeState, Server, ServerConfig, Transport};
+use bikron_serve::{Exchange, Handler, ServeOptions, ServeState, Server, ServerConfig, Transport};
 
 const EXPR: &str = "(A+I)⊗B⊗C";
 
@@ -49,12 +47,13 @@ fn bindings() -> Vec<(String, bikron_graph::Graph)> {
 struct InflatedSquares(ServeState);
 
 impl Handler for InflatedSquares {
-    fn respond(&self, req: &Request, ctx: &TraceContext, body: &mut String) -> Answer {
-        let answer = self.0.respond(req, ctx, body);
-        if req.path().starts_with("/v1/vertex/") || req.path() == "/v1/batch" {
-            *body = inflate_squares(body);
+    fn respond(&self, burst: &mut [Exchange]) {
+        self.0.respond(burst);
+        for x in burst {
+            if x.req.path().starts_with("/v1/vertex/") || x.req.path() == "/v1/batch" {
+                x.body = inflate_squares(&x.body);
+            }
         }
-        answer
     }
     fn transport(&self) -> &Transport {
         self.0.transport()

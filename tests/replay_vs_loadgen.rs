@@ -18,9 +18,7 @@ use std::time::Duration;
 use bikron_cli::replay::{parse_access_log, ReplayConfig};
 use bikron_core::SelfLoopMode;
 use bikron_generators::{complete_bipartite, cycle};
-use bikron_obs::TraceContext;
-use bikron_serve::http::{Answer, Request};
-use bikron_serve::{Handler, ServeOptions, ServeState, Server, ServerConfig, Transport};
+use bikron_serve::{Exchange, Handler, ServeOptions, ServeState, Server, ServerConfig, Transport};
 
 /// Minimal keep-alive HTTP client (same shape as the serve test suite's).
 struct Client {
@@ -258,9 +256,11 @@ struct Recording {
 }
 
 impl Handler for Recording {
-    fn respond(&self, req: &Request, ctx: &TraceContext, body: &mut String) -> Answer {
-        self.paths.lock().unwrap().push(req.path().to_string());
-        self.state.respond(req, ctx, body)
+    fn respond(&self, burst: &mut [Exchange]) {
+        let mut paths = self.paths.lock().unwrap();
+        paths.extend(burst.iter().map(|x| x.req.path().to_string()));
+        drop(paths);
+        self.state.respond(burst)
     }
     fn transport(&self) -> &Transport {
         self.state.transport()
