@@ -10,22 +10,7 @@ use rand::{Rng, SeedableRng};
 use bikron_graph::Graph;
 use bikron_sparse::Ix;
 
-#[inline]
-fn intersection_size(a: &[Ix], b: &[Ix]) -> u64 {
-    let (mut i, mut j, mut n) = (0usize, 0usize, 0u64);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    n
-}
+use crate::butterfly::intersection_size;
 
 /// Wedge-sampling estimator.
 ///

@@ -178,7 +178,7 @@ pub fn butterflies_global(g: &Graph) -> u64 {
 
 /// Sorted-slice intersection size.
 #[inline]
-fn intersection_size(a: &[Ix], b: &[Ix]) -> u64 {
+pub(crate) fn intersection_size(a: &[Ix], b: &[Ix]) -> u64 {
     let (mut i, mut j, mut n) = (0usize, 0usize, 0u64);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {

@@ -25,6 +25,14 @@
 //! - **`/v1/health`** probes all replicas; the cluster verdict is the
 //!   worst replica verdict, with a per-replica detail array.
 //!
+//! The route of a request is serve's [`Route`](bikron_serve::http::Route):
+//! the router relays exactly the [`Route::relayed`](bikron_serve::http::Route::relayed)
+//! routes, answers `/metrics`, `/v1/health` and `/v1/admin/profile`
+//! itself, and refuses the rest with a replica's own 404 and 405 bodies.
+//! A relayed answer keeps its replica's `Content-Type` when it is one of
+//! serve's [`CONTENT_TYPES`](bikron_serve::http::CONTENT_TYPES); any other
+//! is a 503 naming the replica and the type.
+//!
 //! The router runs on the serve transport loop: [`RouterState`]
 //! implements [`bikron_serve::Handler`], so `bikron_serve::Server`
 //! serves it, and its upstreams use the shared

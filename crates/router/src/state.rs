@@ -19,14 +19,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bikron_obs::{
-    flat_str_field, prom, Counter, Gauge, Histogram, JsonWriter, Registry, Report, TraceContext,
-};
+use bikron_obs::{flat_str_field, Counter, Gauge, Histogram, Registry, Report, TraceContext};
 use bikron_serve::client::{self, ClientError};
-use bikron_serve::http::{Request, Response};
-use bikron_serve::state::first_n;
+use bikron_serve::http::{json_answer, Answer, Refusal, Request, Response, Route};
 use bikron_serve::{
-    check_admin, profile_response, without_snapshot_field, Exchange, Handler, Transport,
+    check_admin, metrics_response, profile_response, without_snapshot_field, Exchange, Handler,
+    Transport,
 };
 
 use crate::upstream::Upstream;
@@ -276,32 +274,25 @@ impl RouterState {
         }
     }
 
-    /// Answer a request the router does not relay.
-    fn answer_locally(&self, req: &Request, traceparent: &str) -> Response {
-        if req.method() == "POST" {
-            return Response::error(405, "POST is only accepted on /v1/batch");
-        }
-        let (segs, len) = first_n::<5>(req.path().split('/').filter(|s| !s.is_empty()));
-        match &segs[..len] {
-            ["metrics"] => self.metrics_response(req, Some(traceparent)),
-            ["v1", "health"] => self.health_response(Some(traceparent)),
-            ["v1", "batch"] => Response::error(405, "batch requires POST"),
-            // The router answers this itself (it shares the process-wide
-            // profiler and the serve-side endpoint logic): a profile of
-            // the router process attributes relay and fan-out time, not
-            // replica-side evaluation.
-            ["v1", "admin", "profile"] => self.profile_endpoint(req),
-            _ => Response::error(404, &format!("no route for {}", req.path())),
-        }
-    }
-
-    /// `GET /v1/admin/profile` (token-gated): the router's own sampled
-    /// CPU profile. Same gate and contract as the serve-side endpoint
-    /// ([`bikron_serve::profile_response`]).
-    fn profile_endpoint(&self, req: &Request) -> Response {
-        match check_admin(self.admin_token.as_deref(), req) {
-            Ok(()) => profile_response(req),
-            Err(refused) => refused,
+    /// Answer a request the router does not relay: its own metrics,
+    /// health and profile, and for anything else the 404 or 405 a
+    /// replica would give. The router answers `/v1/admin/profile` itself
+    /// (it shares the process-wide profiler and the serve-side endpoint
+    /// logic): a profile of the router process attributes relay and
+    /// fan-out time, not replica-side evaluation.
+    fn answer_locally(&self, x: &mut Exchange) -> Answer {
+        let mut traceparent = [0; 55];
+        let traceparent = Some(x.ctx.traceparent_into(&mut traceparent));
+        let (req, body) = (&x.req, &mut x.body);
+        match Route::of(req) {
+            Ok(Route::Metrics) => self.metrics_endpoint(req, traceparent, body),
+            Ok(Route::Health) => self.health(traceparent, body),
+            Ok(Route::AdminProfile) => match check_admin(self.admin_token.as_deref(), req) {
+                Ok(()) => profile_response(req, body),
+                Err(refusal) => refusal.answer(body),
+            },
+            Ok(_) => Refusal::no_route(req.path()).answer(body),
+            Err(refusal) => refusal.answer(body),
         }
     }
 
@@ -348,46 +339,49 @@ impl RouterState {
             }
         }
         // The head of every 503 carries `Retry-After: 1`.
-        let refused = Response::error(503, &format!("no replica answered ({failures})"));
+        let refused = Refusal::new(503, format!("no replica answered ({failures})"));
         for x in &mut run[done..] {
             x.body.clear();
-            x.answer = refused.answer();
-            x.body.push_str(&refused.body);
+            x.answer = refused.answer(&mut x.body);
         }
     }
 
     /// `GET /v1/health`: cluster verdict = worst replica verdict, with a
     /// per-replica detail array naming each replica's address and
     /// verdict — a dead replica is identified, not averaged away.
-    fn health_response(&self, traceparent: Option<&str>) -> Response {
+    fn health(&self, traceparent: Option<&str>, body: &mut String) -> Answer {
         let verdicts = self.replica_verdicts(traceparent);
         let degraded = verdicts.iter().any(|&v| v != ReplicaHealth::Ok);
-        let mut w = JsonWriter::new();
-        w.open_object();
-        w.string_field("status", if degraded { "degraded" } else { "ok" });
-        w.string_field("role", "router");
-        w.u64_field("replicas", self.replicas.len() as u64);
-        w.u64_field("uptime_ms", self.started.elapsed().as_millis() as u64);
-        w.key("detail");
-        w.open_array();
-        for (index, (replica, verdict)) in self.replicas.iter().zip(&verdicts).enumerate() {
-            w.array_element();
+        json_answer(body, 200, |w| {
             w.open_object();
-            w.u64_field("replica", index as u64);
-            w.string_field("addr", replica.addr());
-            w.string_field("status", verdict.as_str());
+            w.string_field("status", if degraded { "degraded" } else { "ok" });
+            w.string_field("role", "router");
+            w.u64_field("replicas", self.replicas.len() as u64);
+            w.u64_field("uptime_ms", self.started.elapsed().as_millis() as u64);
+            w.key("detail");
+            w.open_array();
+            for (index, (replica, verdict)) in self.replicas.iter().zip(&verdicts).enumerate() {
+                w.array_element();
+                w.open_object();
+                w.u64_field("replica", index as u64);
+                w.string_field("addr", replica.addr());
+                w.string_field("status", verdict.as_str());
+                w.close_object();
+            }
+            w.close_array();
             w.close_object();
-        }
-        w.close_array();
-        w.close_object();
-        Response::json(200, w.finish())
+        })
     }
 
     /// `GET /metrics[?format=prometheus]`: the router's own series plus
-    /// every reachable replica's report — prefixed `shard{i}.` in the
-    /// JSON schema, re-emitted with a `shard="i"` label in the
-    /// Prometheus exposition. One scrape reads the whole cluster.
-    fn metrics_response(&self, req: &Request, traceparent: Option<&str>) -> Response {
+    /// every reachable replica's report ([`metrics_response`]). One
+    /// scrape reads the whole cluster.
+    fn metrics_endpoint(
+        &self,
+        req: &Request,
+        traceparent: Option<&str>,
+        body: &mut String,
+    ) -> Answer {
         // Scrape every replica's JSON report, then its health.
         let scrapes: Vec<Option<Report>> = gather(&self.replicas, "/metrics", traceparent)
             .into_iter()
@@ -416,39 +410,7 @@ impl RouterState {
         for (index, replica) in self.replicas.iter().enumerate() {
             report.set_meta(&format!("shard{index}.addr"), replica.addr());
         }
-        match req.query_param("format") {
-            None | Some("json") => {
-                for (index, scraped) in scrapes.iter().enumerate() {
-                    if let Some(r) = scraped {
-                        report.merge_prefixed(&format!("shard{index}."), r);
-                    }
-                }
-                Response::json(200, report.to_json())
-            }
-            Some("prometheus") => {
-                // Replica series (`bikron_serve_*`) are disjoint from
-                // the router's own (`bikron_router_*`), so the labelled
-                // families follow the router's without a second TYPE
-                // line; replica meta is dropped, since a second
-                // `bikron_report_info` would be one.
-                let mut out = prom::to_prometheus(&report);
-                let labelled: Vec<(String, &Report)> = scrapes
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, r)| Some((format!("shard=\"{i}\""), r.as_ref()?)))
-                    .collect();
-                prom::write_families(&mut out, &labelled);
-                Response {
-                    status: 200,
-                    content_type: "text/plain; version=0.0.4; charset=utf-8",
-                    body: out,
-                }
-            }
-            Some(other) => Response::error(
-                400,
-                &format!("unknown metrics format {other:?} (json|prometheus)"),
-            ),
-        }
+        metrics_response(req, report, &scrapes, body)
     }
 
     /// Every replica's `/v1/health` verdict, in replica order, also set
@@ -498,24 +460,23 @@ fn gather(
 
 impl Handler for RouterState {
     /// Answer the burst in order. Each maximal run of consecutive
-    /// relayed requests goes to one replica as one run ([`Self::relay`]);
-    /// `/metrics`, `/v1/health`, `/v1/admin/profile`, 404s and 405s are
-    /// answered here, in their place. Every request's own context travels
-    /// upstream as its `traceparent`, so replica spans join its trace.
+    /// [`Route::relayed`] requests goes to one replica as one run
+    /// ([`Self::relay`]); every other request is answered here, in its
+    /// place ([`Self::answer_locally`]). Every request's own context
+    /// travels upstream as its `traceparent`, so replica spans join its
+    /// trace.
     fn respond(&self, burst: &mut [Exchange]) {
         let mut rest = burst;
         while !rest.is_empty() {
-            let relayed = rest.iter().take_while(|x| relayed(&x.req)).count();
+            let relayed = rest
+                .iter()
+                .take_while(|x| Route::of(&x.req).is_ok_and(Route::relayed))
+                .count();
             let (now, later) = rest.split_at_mut(relayed.max(1));
             if relayed > 0 {
                 self.relay(now);
             } else {
-                let x = &mut now[0];
-                let mut traceparent = [0; 55];
-                let traceparent = x.ctx.traceparent_into(&mut traceparent);
-                x.answer = self
-                    .answer_locally(&x.req, traceparent)
-                    .into_answer(&mut x.body);
+                now[0].answer = self.answer_locally(&mut now[0]);
             }
             rest = later;
         }
@@ -523,24 +484,6 @@ impl Handler for RouterState {
 
     fn transport(&self) -> &Transport {
         &self.transport
-    }
-}
-
-/// Whether `req` is relayed to a replica: every query endpoint is, since
-/// every replica answers every query from the same factors.
-fn relayed(req: &Request) -> bool {
-    // The longest route has four segments; a fifth means no route.
-    let (segs, len) = first_n::<5>(req.path().split('/').filter(|s| !s.is_empty()));
-    match (req.method(), &segs[..len]) {
-        ("POST", segs) => segs == ["v1", "batch"],
-        (
-            _,
-            ["v1", "stats" | "community"]
-            | ["v1", "scatter", "degree-squares"]
-            | ["v1", "vertex" | "neighbors", _]
-            | ["v1", "edge" | "clustering" | "edges", _, _],
-        ) => true,
-        _ => false,
     }
 }
 
@@ -581,24 +524,5 @@ mod tests {
         assert!(parse_replica_url("http://h:1/path").is_err());
         assert!(parse_replica_url("h:notaport").is_err());
         assert!(parse_replica_url("").is_err());
-    }
-
-    fn get(target: &str) -> Request {
-        let raw = format!("GET {target} HTTP/1.1\r\n\r\n");
-        bikron_serve::http::parse_request(&mut raw.as_bytes()).unwrap()
-    }
-
-    /// A path one segment longer than the longest route is no route,
-    /// not a truncated match relayed upstream.
-    #[test]
-    fn an_overlong_path_is_no_route() {
-        let state = RouterState::new(vec![], Duration::from_secs(1), None);
-        let resp = state.handle(&get("/v1/edge/1/2/3"), None);
-        assert_eq!(resp.status, 404);
-        assert!(
-            resp.body.contains("no route for /v1/edge/1/2/3"),
-            "{}",
-            resp.body
-        );
     }
 }

@@ -11,7 +11,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use bikron_serve::client::{Client, ClientError, Conn, Pending, Response};
-use bikron_serve::http::{Answer, Request};
+use bikron_serve::http::{content_type, Answer, Request};
 use bikron_serve::Exchange;
 
 /// Idle connections pooled per replica; more concurrent checkouts than
@@ -79,7 +79,9 @@ impl Upstream {
     /// (else a fresh dial): each request whole, a `POST` body verbatim,
     /// with its trace context as `traceparent`. The answers are read in
     /// order straight into the exchanges, status, content type and body
-    /// verbatim, and `answered` runs as each answer is in. On a
+    /// verbatim, and `answered` runs as each answer is in. An answer
+    /// whose `Content-Type` is not one a bikron server emits is a replica
+    /// fault ([`ClientError::ContentType`]), never relabelled. On a
     /// failure, returns how many answers were read and the error; the
     /// exchanges from there on hold no answer.
     pub fn relay(
@@ -103,22 +105,28 @@ impl Upstream {
             .map_err(|e| (0, e))?;
         for (k, x) in run.iter_mut().enumerate() {
             x.body.clear();
-            let mut content_type = "application/json";
-            let head = self
+            // The type as sent, kept only when it is not in the table.
+            let mut sent = Err(String::new());
+            let answer = self
                 .client
                 .read_answer(&mut pending, &mut x.body, |name, value| {
                     if name.eq_ignore_ascii_case("content-type") {
-                        content_type = static_content_type(value);
+                        sent = content_type(value).ok_or_else(|| value.to_string());
                     }
                 })
-                .map_err(|e| {
+                .and_then(|head| {
+                    Ok(Answer {
+                        status: head.status,
+                        content_type: sent.map_err(ClientError::ContentType)?,
+                    })
+                });
+            match answer {
+                Ok(answer) => x.answer = answer,
+                Err(e) => {
                     x.body.clear();
-                    (k, e)
-                })?;
-            x.answer = Answer {
-                status: head.status,
-                content_type,
-            };
+                    return Err((k, e));
+                }
+            }
             answered();
         }
         self.checkin(pending.into_conn());
@@ -147,16 +155,6 @@ fn encode_component(out: &mut Vec<u8>, s: &str) {
             b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => out.push(b),
             _ => out.extend_from_slice(&[b'%', HEX[usize::from(b >> 4)], HEX[usize::from(b & 15)]]),
         }
-    }
-}
-
-/// Map an upstream `Content-Type` onto the static strings [`Answer`]
-/// carries. Replicas only emit these two; anything else degrades to JSON.
-fn static_content_type(ct: &str) -> &'static str {
-    if ct.starts_with("text/plain") {
-        "text/plain; version=0.0.4; charset=utf-8"
-    } else {
-        "application/json"
     }
 }
 

@@ -50,6 +50,9 @@ enum Mode {
     CloseAfterBatches(usize),
     /// Answer this many batches, then read requests and never answer.
     HangAfterBatches(usize),
+    /// Label every answer with this `Content-Type` (none when empty)
+    /// instead of `application/json`.
+    ContentType(&'static str),
 }
 
 struct FakeReplica {
@@ -214,7 +217,8 @@ fn serve(
             | Mode::Reset
             | Mode::ShortLengthOnBatch(_)
             | Mode::CloseAfterBatches(_)
-            | Mode::HangAfterBatches(_) => (body.len(), body.len()),
+            | Mode::HangAfterBatches(_)
+            | Mode::ContentType(_) => (body.len(), body.len()),
             Mode::Delay(d) => {
                 std::thread::sleep(d);
                 (body.len(), body.len())
@@ -230,10 +234,14 @@ fn serve(
             Mode::ShortLength => (body.len() - 5, body.len()),
         };
         // Head and body in one write, as a real server sends them.
-        let mut out = format!(
-            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {declared}\r\n\r\n"
-        )
-        .into_bytes();
+        let content_type = match current {
+            Mode::ContentType("") => String::new(),
+            Mode::ContentType(t) => format!("Content-Type: {t}\r\n"),
+            _ => "Content-Type: application/json\r\n".to_string(),
+        };
+        let mut out =
+            format!("HTTP/1.1 200 OK\r\n{content_type}Content-Length: {declared}\r\n\r\n")
+                .into_bytes();
         out.extend_from_slice(&body.as_bytes()[..sent]);
         if w.write_all(&out).is_err() {
             return;
@@ -397,6 +405,35 @@ fn a_truncated_or_mislabelled_answer_is_a_503_and_never_retried() {
             resp.body
         );
         assert_eq!((r0.batches(), r1.batches()), (1, 0), "{mode:?}");
+    }
+}
+
+/// A replica's answer under a `Content-Type` no bikron server emits, or
+/// under none, is a fault of that replica: a 503 naming the replica and
+/// the type, never a relabelled 200, and not retried (the replica did
+/// answer).
+#[test]
+fn an_answer_of_a_foreign_content_type_is_a_503_naming_it() {
+    for (sent, named) in [
+        (
+            "text/html",
+            "Content-Type \"text/html\" is not one a bikron server emits",
+        ),
+        ("", "no Content-Type"),
+    ] {
+        let r0 = FakeReplica::start(8);
+        let r1 = FakeReplica::start(16);
+        let router = router(&[&r0, &r1], Duration::from_secs(5));
+        r0.set_mode(Mode::ContentType(sent));
+        let resp = batch(&router);
+        assert_eq!(resp.status, 503, "{sent:?}: {}", resp.body);
+        let want = format!("no replica answered (replica 0 ({}): {named})", r0.addr);
+        assert!(
+            resp.body.contains(&want.replace('"', "\\\"")),
+            "{}",
+            resp.body
+        );
+        assert_eq!((r0.batches(), r1.batches()), (1, 0), "{sent:?}");
     }
 }
 

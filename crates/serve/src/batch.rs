@@ -35,8 +35,8 @@
 //! `White_Space` character, one leading `+` is accepted, and overflow
 //! is rejected.
 
-use crate::http::{Answer, Response};
-use crate::state::{first_n, ServeState, DEFAULT_LIMIT, MAX_LIMIT};
+use crate::http::{first_n, json_answer, status_text, write_error, write_json, Answer};
+use crate::state::{ServeState, DEFAULT_LIMIT, MAX_LIMIT};
 
 /// One parsed batch query line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,17 +78,18 @@ impl BatchParseError {
         }
     }
 
-    /// The structured 400 response for this failure, carrying the line
-    /// index as a machine-readable field.
-    pub fn response(&self) -> Response {
-        let mut w = bikron_obs::JsonWriter::new();
-        w.open_object();
-        w.u64_field("error", 400);
-        w.string_field("status", crate::http::status_text(400));
-        w.string_field("detail", &self.detail);
-        w.u64_field("line", self.line as u64);
-        w.close_object();
-        Response::json(400, w.finish())
+    /// Answer with the structured 400 for this failure, rendered onto
+    /// `body`: the error object with the line index as a
+    /// machine-readable field.
+    pub fn answer(&self, body: &mut String) -> Answer {
+        json_answer(body, 400, |w| {
+            w.open_object();
+            w.u64_field("error", 400);
+            w.string_field("status", status_text(400));
+            w.string_field("detail", &self.detail);
+            w.u64_field("line", self.line as u64);
+            w.close_object();
+        })
     }
 }
 
@@ -310,11 +311,14 @@ pub fn eval_batch(state: &ServeState, batch: &Batch<'_>, body: &mut String) -> A
 /// Render one query's answer onto `out` — exactly the single-endpoint
 /// body without its trailing newline.
 fn eval_into(state: &ServeState, out: &mut String, q: BatchQuery) {
-    match q {
+    let rendered = match q {
         BatchQuery::Vertex(p) => state.vertex_into(out, p),
         BatchQuery::Edge(p, q) => state.edge_into(out, p, q),
         BatchQuery::Neighbors(p, offset, limit) => state.neighbors_into(out, p, offset, limit),
     };
+    if let Err(refusal) = rendered {
+        write_json(out, |w| write_error(w, refusal.status, &refusal.detail));
+    }
 }
 
 #[cfg(test)]
@@ -370,9 +374,9 @@ mod tests {
         let err = parse_batch(&body, 3).unwrap_err();
         assert_eq!(err.line, 3);
         assert!(err.detail.contains("maximum of 3"));
-        let resp = err.response();
-        assert_eq!(resp.status, 400);
-        assert!(resp.body.contains("\"line\": 3"));
+        let mut body = String::new();
+        assert_eq!(err.answer(&mut body).status, 400);
+        assert!(body.contains("\"line\": 3"));
     }
 
     /// Every 400 body, byte for byte (`batch_max` = 3): the JSON-escaped
@@ -440,8 +444,9 @@ mod tests {
                 "{{\n  \"error\": 400,\n  \"status\": \"Bad Request\",\n  \
                  \"detail\": {detail},\n  \"line\": {line}\n}}\n"
             );
-            let err = parse_batch(body, 3).unwrap_err();
-            assert_eq!(err.response().body, expect, "{body:?}");
+            let mut got = String::new();
+            parse_batch(body, 3).unwrap_err().answer(&mut got);
+            assert_eq!(got, expect, "{body:?}");
         }
     }
 

@@ -80,6 +80,9 @@ pub enum ClientError {
         /// Body bytes received before EOF.
         got: usize,
     },
+    /// A relayed answer's `Content-Type` (empty when it had none) is not
+    /// one a bikron server emits ([`CONTENT_TYPES`](crate::http::CONTENT_TYPES)).
+    ContentType(String),
 }
 
 impl fmt::Display for ClientError {
@@ -97,6 +100,10 @@ impl fmt::Display for ClientError {
             ClientError::Malformed(what) => write!(f, "malformed response: {what}"),
             ClientError::Truncated { expected, got } => {
                 write!(f, "connection closed after {got} of {expected} body bytes")
+            }
+            ClientError::ContentType(t) if t.is_empty() => write!(f, "no Content-Type"),
+            ClientError::ContentType(t) => {
+                write!(f, "Content-Type {t:?} is not one a bikron server emits")
             }
         }
     }
@@ -136,7 +143,7 @@ impl From<io::Error> for ClientError {
 pub struct Response {
     /// HTTP status code.
     pub status: u16,
-    /// `Content-Type` value (defaults to `application/json`).
+    /// `Content-Type` value (defaults to [`JSON_TYPE`](crate::http::JSON_TYPE)).
     pub content_type: String,
     /// `x-bikron-trace-id` value, if sent.
     pub trace_id: Option<String>,
@@ -640,7 +647,7 @@ impl Client {
     pub fn finish(&self, mut pending: Pending) -> Result<(Response, Option<Conn>), ClientError> {
         let mut resp = Response {
             status: 0,
-            content_type: "application/json".to_string(),
+            content_type: crate::http::JSON_TYPE.to_string(),
             trace_id: None,
             close: false,
             body: String::new(),

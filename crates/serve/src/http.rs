@@ -15,11 +15,28 @@
 //! ([`Request::read_from`]) and renders every answer head with
 //! [`render_answer`]; neither allocates once the connection's buffers
 //! have grown to its requests' size.
+//!
+//! This module also holds what both bikron servers, `serve` and the
+//! router, agree on about answering:
+//!
+//! - **the route grammar**: [`Route::parse`] names the endpoint of a
+//!   method and path, or the 404/405 [`Refusal`] for it, and
+//!   [`Route::relayed`] names the queries a router relays to a replica;
+//! - **the answer form**: every endpoint renders its body onto the
+//!   exchange's `&mut String` and returns an [`Answer`] (status and
+//!   content type); a refusal is one [`Refusal`] value whose body
+//!   [`write_error`] renders;
+//! - **the content types** the servers emit ([`CONTENT_TYPES`]), so a
+//!   router passes on exactly the type a replica sent.
+//!
+//! [`Response`] is the owned form of an answer, for
+//! `ServeState::handle`-style wrappers and [`write_response`].
 
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
 use bikron_obs::json::escape_into;
+use bikron_obs::JsonWriter;
 
 /// Longest accepted request line (method + URI + version), bytes.
 pub const MAX_REQUEST_LINE: usize = 8192;
@@ -52,6 +69,23 @@ pub const STATUSES: [(u16, &str); 12] = [
 /// Position of `code` in [`STATUSES`].
 pub fn status_index(code: u16) -> Option<usize> {
     STATUSES.iter().position(|&(c, _)| c == code)
+}
+
+/// `Content-Type` of every JSON answer: all but the three below.
+pub const JSON_TYPE: &str = "application/json";
+/// `Content-Type` of a `?format=csv` scatter page.
+pub const CSV_TYPE: &str = "text/csv; charset=utf-8";
+/// `Content-Type` of the Prometheus text exposition of `/metrics`.
+pub const PROMETHEUS_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
+/// `Content-Type` of a `?format=folded` profile.
+pub const FOLDED_TYPE: &str = "text/plain; charset=utf-8";
+
+/// Every `Content-Type` a bikron server emits.
+pub const CONTENT_TYPES: [&str; 4] = [JSON_TYPE, CSV_TYPE, PROMETHEUS_TYPE, FOLDED_TYPE];
+
+/// The entry of [`CONTENT_TYPES`] equal to `value`, if there is one.
+pub fn content_type(value: &str) -> Option<&'static str> {
+    CONTENT_TYPES.iter().copied().find(|&t| t == value)
 }
 
 /// Everything that can go wrong while reading one request.
@@ -97,6 +131,114 @@ impl HttpError {
             HttpError::Io(e) => format!("io: {e}"),
         }
     }
+
+    /// The refusal that answers this error.
+    pub fn refusal(&self) -> Refusal {
+        Refusal::new(self.status(), self.detail())
+    }
+}
+
+/// What a request asks for, by method and path: one variant per
+/// endpoint, holding the path segments it takes as operands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route<'a> {
+    /// `POST /v1/batch`.
+    Batch,
+    /// `GET /v1/stats`.
+    Stats,
+    /// `GET /v1/vertex/{p}`.
+    Vertex(&'a str),
+    /// `GET /v1/edge/{p}/{q}`.
+    Edge(&'a str, &'a str),
+    /// `GET /v1/neighbors/{p}`.
+    Neighbors(&'a str),
+    /// `GET /v1/clustering/{p}/{q}`.
+    Clustering(&'a str, &'a str),
+    /// `GET /v1/edges/{part}/{parts}`.
+    Edges(&'a str, &'a str),
+    /// `GET /v1/community`.
+    Community,
+    /// `GET /v1/scatter/degree-squares`.
+    Scatter,
+    /// `GET /metrics`.
+    Metrics,
+    /// `GET /v1/health`.
+    Health,
+    /// `GET /v1/shutdown`.
+    Shutdown,
+    /// `GET /v1/admin/stall`.
+    AdminStall,
+    /// `GET /v1/admin/traces`.
+    AdminTraces,
+    /// `GET /v1/admin/profile`.
+    AdminProfile,
+}
+
+impl<'a> Route<'a> {
+    /// The route of `method` and `path`, or the refusal for a request
+    /// that has none: 405 for a `POST` anywhere but `/v1/batch` and for
+    /// a `GET` of `/v1/batch`, 404 for any other path. Empty segments
+    /// are skipped, and a path of more segments than the longest route
+    /// (four) matches nothing.
+    pub fn parse(method: &str, path: &'a str) -> Result<Route<'a>, Refusal> {
+        let (segs, len) = first_n::<5>(path.split('/').filter(|s| !s.is_empty()));
+        Ok(match (method, &segs[..len]) {
+            ("POST", ["v1", "batch"]) => Route::Batch,
+            ("POST", _) => return Err(Refusal::new(405, "POST is only accepted on /v1/batch")),
+            (_, ["v1", "batch"]) => return Err(Refusal::new(405, "batch requires POST")),
+            (_, ["v1", "stats"]) => Route::Stats,
+            (_, ["v1", "vertex", p]) => Route::Vertex(p),
+            (_, ["v1", "edge", p, q]) => Route::Edge(p, q),
+            (_, ["v1", "neighbors", p]) => Route::Neighbors(p),
+            (_, ["v1", "clustering", p, q]) => Route::Clustering(p, q),
+            (_, ["v1", "edges", part, parts]) => Route::Edges(part, parts),
+            (_, ["v1", "community"]) => Route::Community,
+            (_, ["v1", "scatter", "degree-squares"]) => Route::Scatter,
+            (_, ["metrics"]) => Route::Metrics,
+            (_, ["v1", "health"]) => Route::Health,
+            (_, ["v1", "shutdown"]) => Route::Shutdown,
+            (_, ["v1", "admin", "stall"]) => Route::AdminStall,
+            (_, ["v1", "admin", "traces"]) => Route::AdminTraces,
+            (_, ["v1", "admin", "profile"]) => Route::AdminProfile,
+            _ => return Err(Refusal::no_route(path)),
+        })
+    }
+
+    /// The route of `req` ([`Route::parse`]).
+    pub fn of(req: &'a Request) -> Result<Route<'a>, Refusal> {
+        Route::parse(req.method(), req.path())
+    }
+
+    /// Whether a router relays this route to a replica: every query is
+    /// relayed, since every replica answers every query from the same
+    /// factors. Metrics, health and the admin endpoints are each
+    /// process's own.
+    pub fn relayed(self) -> bool {
+        matches!(
+            self,
+            Route::Batch
+                | Route::Stats
+                | Route::Vertex(_)
+                | Route::Edge(..)
+                | Route::Neighbors(_)
+                | Route::Clustering(..)
+                | Route::Edges(..)
+                | Route::Community
+                | Route::Scatter
+        )
+    }
+}
+
+/// The first `N` items of `items` and how many there were (at most
+/// `N`) — path segments and batch tokens, split without a `Vec`.
+pub fn first_n<'a, const N: usize>(items: impl Iterator<Item = &'a str>) -> ([&'a str; N], usize) {
+    let mut out = [""; N];
+    let mut len = 0;
+    for (slot, item) in out.iter_mut().zip(items) {
+        *slot = item;
+        len += 1;
+    }
+    (out, len)
 }
 
 /// A byte range of [`Request`]'s text.
@@ -494,7 +636,7 @@ pub fn request_is_buffered(bytes: &[u8]) -> bool {
 pub struct Answer {
     /// HTTP status code.
     pub status: u16,
-    /// `Content-Type` header value.
+    /// `Content-Type` header value, one of [`CONTENT_TYPES`].
     pub content_type: &'static str,
 }
 
@@ -503,12 +645,64 @@ impl Answer {
     pub fn json(status: u16) -> Answer {
         Answer {
             status,
-            content_type: "application/json",
+            content_type: JSON_TYPE,
         }
     }
 }
 
-/// A response ready for serialisation.
+/// A JSON answer of `status` whose value `render` writes with a
+/// [`JsonWriter`] onto `body`, ended with the newline every body
+/// carries.
+pub fn json_answer(body: &mut String, status: u16, render: impl FnOnce(&mut JsonWriter)) -> Answer {
+    write_json(body, render);
+    body.push('\n');
+    Answer::json(status)
+}
+
+/// Run `render` on a [`JsonWriter`] that appends to `out`, and return
+/// what it returns. The writer borrows `out`'s buffer, so nothing is
+/// allocated once it has grown to the value's size.
+pub fn write_json<T>(out: &mut String, render: impl FnOnce(&mut JsonWriter) -> T) -> T {
+    let mut w = JsonWriter::with_buffer(std::mem::take(out));
+    let result = render(&mut w);
+    *out = w.into_buffer();
+    result
+}
+
+/// A refused request: the status and detail of its error body.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Refusal {
+    /// HTTP status code.
+    pub status: u16,
+    /// What was refused, and why.
+    pub detail: String,
+}
+
+impl Refusal {
+    /// A refusal with `status` and `detail`.
+    pub fn new(status: u16, detail: impl Into<String>) -> Refusal {
+        Refusal {
+            status,
+            detail: detail.into(),
+        }
+    }
+
+    /// The 404 for a path that names no endpoint.
+    pub fn no_route(path: &str) -> Refusal {
+        Refusal::new(404, format!("no route for {path}"))
+    }
+
+    /// Answer with the error body ([`write_error`]), rendered onto
+    /// `body`.
+    pub fn answer(&self, body: &mut String) -> Answer {
+        json_answer(body, self.status, |w| {
+            write_error(w, self.status, &self.detail)
+        })
+    }
+}
+
+/// An answer in one owned value: what `ServeState::handle` and
+/// `RouterState::handle` return and [`write_response`] writes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     /// HTTP status code.
@@ -524,16 +718,16 @@ impl Response {
     pub fn json(status: u16, body: String) -> Self {
         Response {
             status,
-            content_type: "application/json",
+            content_type: JSON_TYPE,
             body,
         }
     }
 
     /// A canned JSON error body `{"error": status, "detail": …}`.
     pub fn error(status: u16, detail: &str) -> Self {
-        let mut w = bikron_obs::JsonWriter::new();
-        write_error(&mut w, status, detail);
-        Response::json(status, w.finish())
+        let mut body = String::new();
+        let answer = Refusal::new(status, detail).answer(&mut body);
+        Response::json(answer.status, body)
     }
 
     /// Its status and content type.
@@ -542,13 +736,6 @@ impl Response {
             status: self.status,
             content_type: self.content_type,
         }
-    }
-
-    /// Append the body to `body` and return the head: a handler's way
-    /// to answer with a response built on its own.
-    pub fn into_answer(self, body: &mut String) -> Answer {
-        body.push_str(&self.body);
-        self.answer()
     }
 }
 
@@ -561,7 +748,7 @@ impl Response {
 /// already this trace id (an error a replica stamped, relayed by the
 /// router under the same trace) is left as it is.
 pub fn stamp_trace_id(answer: Answer, body: &mut String, trace_id: &str) {
-    if answer.status < 400 || answer.content_type != "application/json" {
+    if answer.status < 400 || answer.content_type != JSON_TYPE {
         return;
     }
     let Some(brace) = body.rfind('}') else {
@@ -583,9 +770,9 @@ pub fn stamp_trace_id(answer: Answer, body: &mut String, trace_id: &str) {
 }
 
 /// Write the error object `{"error": status, "status": text, "detail": …}`
-/// into `w` — the body of [`Response::error`], and of a failed batch
-/// item.
-pub fn write_error(w: &mut bikron_obs::JsonWriter, status: u16, detail: &str) {
+/// into `w`: the body of every [`Refusal`], a failed batch item's
+/// included.
+pub fn write_error(w: &mut JsonWriter, status: u16, detail: &str) {
     w.open_object();
     w.u64_field("error", status as u64);
     w.string_field("status", status_text(status));

@@ -35,6 +35,14 @@
 //! each endpoint to its theorem, the chain method that answers it, and
 //! the two-factor reference the tests compare it against.)
 //!
+//! Every endpoint is one variant of [`http::Route`], parsed once from
+//! the method and path, and renders its body into the connection's
+//! reused buffer, returning an [`http::Answer`]; a refusal is one
+//! [`http::Refusal`]. The router uses the same route table, answer form
+//! and content-type constants. [`http::Response`] is only the owned
+//! answer that [`ServeState::handle`] returns for tests and the
+//! benchmark.
+//!
 //! No answer is cached: every keyed answer is an O(1)–O(deg) closed form,
 //! cheaper to evaluate than to look up, so each request evaluates and
 //! renders its answer straight into the response body (DESIGN.md §10.1).
@@ -79,8 +87,8 @@ pub use cache::{CacheKey, ShardedCache};
 pub use pool::{Exchange, Handler, Server, ServerConfig, Transport};
 pub use snapshot::{Snapshot, SnapshotError};
 pub use state::{
-    check_admin, profile_response, without_snapshot_field, ServeOptions, ServeState, WarmInfo,
-    DEFAULT_BATCH_MAX, DEFAULT_LIMIT, MAX_LIMIT, MAX_PROFILE_SECONDS,
+    check_admin, metrics_response, profile_response, without_snapshot_field, ServeOptions,
+    ServeState, WarmInfo, DEFAULT_BATCH_MAX, DEFAULT_LIMIT, MAX_LIMIT, MAX_PROFILE_SECONDS,
 };
 
 /// Total capacity of a default-sized [`ShardedCache`], in entries.

@@ -29,7 +29,7 @@ use bikron_obs::{
 
 use crate::http::{
     render_answer, request_is_buffered, stamp_trace_id, status_index, write_response, Answer,
-    HttpError, Request, Response, STATUSES,
+    HttpError, Refusal, Request, Response, STATUSES,
 };
 use crate::state::{self, ServeState};
 
@@ -669,15 +669,15 @@ fn serve_connection<H: Handler>(stream: TcpStream, handler: &H, read_timeout: Du
             Err(HttpError::Io(e)) if !reader.get_ref().out.is_empty() => {
                 return flush_failed(handler, &e);
             }
-            Err(HttpError::Io(_)) if reader.get_ref().expired => Some(Response::error(
+            Err(HttpError::Io(_)) if reader.get_ref().expired => Some(Refusal::new(
                 408,
-                &format!(
+                format!(
                     "request not complete within {} s of its first byte",
                     REQUEST_DEADLINE.as_secs()
                 ),
             )),
             Err(HttpError::Closed) | Err(HttpError::Io(_)) => return,
-            Err(e) => Some(Response::error(e.status(), &e.detail())),
+            Err(e) => Some(e.refusal()),
         };
         // Further requests join the burst only when already whole in the
         // buffer; a traced request is read alone, so its span tree holds
@@ -695,7 +695,7 @@ fn serve_connection<H: Handler>(stream: TcpStream, handler: &H, read_timeout: Du
             match burst[len].req.read_from(&mut reader) {
                 Ok(()) => len += 1,
                 Err(e) => {
-                    refused = Some(Response::error(e.status(), &e.detail()));
+                    refused = Some(e.refusal());
                     break;
                 }
             }
@@ -729,9 +729,9 @@ fn serve_connection<H: Handler>(stream: TcpStream, handler: &H, read_timeout: Du
             drop(evaluate_frame);
         }
         let keep_alive = match refused {
-            Some(resp) => {
+            Some(refusal) => {
                 let x = &mut burst[len];
-                x.answer = resp.into_answer(&mut x.body);
+                x.answer = refusal.answer(&mut x.body);
                 false
             }
             None => !burst[len - 1].req.wants_close(),

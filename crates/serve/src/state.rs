@@ -33,9 +33,11 @@ use bikron_core::{
 };
 use bikron_graph::{bipartition, Graph};
 use bikron_obs::span::DEFAULT_TRACE_CAPACITY;
-use bikron_obs::{Counter, EventLogger, Histogram, JsonWriter, LogEvent, SpanSink};
+use bikron_obs::{Counter, EventLogger, Histogram, JsonWriter, LogEvent, Report, SpanSink};
 
-use crate::http::{write_error, Answer, Request, Response};
+use crate::http::{
+    json_answer, Answer, Refusal, Request, Response, Route, CSV_TYPE, FOLDED_TYPE, PROMETHEUS_TYPE,
+};
 use crate::pool::{request_shape, Exchange, Handler, Transport};
 
 /// Default page size for `/v1/neighbors` and `/v1/edges`.
@@ -432,73 +434,59 @@ impl ServeState {
     }
 
     /// Route and answer one request, rendering its body onto `body`.
-    /// The keyed queries, `/v1/stats` and batches render straight into
-    /// it; the rest build a [`Response`] and copy its body in.
     pub fn answer(&self, req: &Request, body: &mut String) -> Answer {
-        // The longest route has four segments; a fifth means no route.
-        let (segs, len) = first_n::<5>(req.path().split('/').filter(|s| !s.is_empty()));
-        let segs = &segs[..len];
-        if req.method() == "POST" {
-            return match segs {
-                ["v1", "batch"] => self.batch(req, body),
-                _ => Response::error(405, "POST is only accepted on /v1/batch").into_answer(body),
-            };
-        }
-        let resp = match segs {
-            ["v1", "stats"] => {
-                body.push_str(&self.stats_json);
-                return Answer::json(200);
-            }
-            ["v1", "vertex", p] => return self.vertex(p, body),
-            ["v1", "edge", p, q] => return self.edge(p, q, body),
-            ["v1", "neighbors", p] => return self.neighbors(p, req, body),
-            ["v1", "clustering", p, q] => return self.clustering(p, q, body),
-            ["metrics"] => self.metrics_response(req),
-            ["v1", "health"] => self.health_response(),
-            ["v1", "edges", part, parts] => self.edges(part, parts, req),
-            ["v1", "community"] => self.community(req),
-            ["v1", "scatter", "degree-squares"] => self.scatter_degree_squares(req),
-            ["v1", "batch"] => Response::error(405, "batch requires POST"),
-            ["v1", "shutdown"] => self.shutdown_endpoint(req),
-            ["v1", "admin", "stall"] => self.stall_endpoint(req),
-            ["v1", "admin", "traces"] => self.traces_endpoint(req),
-            ["v1", "admin", "profile"] => self.profile_endpoint(req),
-            _ => Response::error(404, &format!("no route for {}", req.path())),
+        let route = match Route::of(req) {
+            Ok(route) => route,
+            Err(refusal) => return refusal.answer(body),
         };
-        resp.into_answer(body)
+        match route {
+            Route::Batch => self.batch(req, body),
+            Route::Stats => {
+                body.push_str(&self.stats_json);
+                Answer::json(200)
+            }
+            Route::Vertex(p) => self.vertex(p, body),
+            Route::Edge(p, q) => self.edge(p, q, body),
+            Route::Neighbors(p) => self.neighbors(p, req, body),
+            Route::Clustering(p, q) => self.clustering(p, q, body),
+            Route::Edges(part, parts) => self.edges(part, parts, req, body),
+            Route::Community => self.community(req, body),
+            Route::Scatter => self.scatter_degree_squares(req, body),
+            Route::Metrics => self.metrics_endpoint(req, body),
+            Route::Health => self.health(body),
+            Route::Shutdown => self.shutdown_endpoint(req, body),
+            Route::AdminStall => self.stall_endpoint(req, body),
+            Route::AdminTraces => self.traces_endpoint(req, body),
+            Route::AdminProfile => self.profile_endpoint(req, body),
+        }
     }
 
     fn batch(&self, req: &Request, out: &mut String) -> Answer {
-        let body = match std::str::from_utf8(req.body()) {
-            Ok(s) => s,
-            Err(_) => {
-                return Response::error(400, "batch body is not valid UTF-8").into_answer(out)
-            }
+        let Ok(body) = std::str::from_utf8(req.body()) else {
+            return Refusal::new(400, "batch body is not valid UTF-8").answer(out);
         };
         let batch = match crate::batch::parse_batch(body, self.batch_max) {
             Ok(batch) => batch,
-            Err(e) => return e.response().into_answer(out),
+            Err(e) => return e.answer(out),
         };
         self.metrics.record_batch(batch.num_queries() as u64);
         crate::batch::eval_batch(self, &batch, out)
     }
 
     fn vertex(&self, raw: &str, body: &mut String) -> Answer {
-        match parse_index(raw, self.num_vertices()) {
-            Ok(p) => render(body, |out| self.vertex_into(out, p)),
-            Err(resp) => resp.into_answer(body),
-        }
+        let rendered =
+            parse_index(raw, self.num_vertices()).and_then(|p| self.vertex_into(body, p));
+        keyed_answer(body, rendered)
     }
 
     /// Render the `GET /v1/vertex/{p}` body for an already-parsed index
-    /// onto `out`, without its newline, and return its status (shared
-    /// with the batch evaluator — both produce identical bytes). Pair
+    /// onto `out`, without its newline, or refuse it before writing a
+    /// byte (shared with the batch evaluator — both produce identical
+    /// bytes). Pair
     /// servers report the two coordinates as `"alpha"`/`"beta"`;
     /// expression servers report the per-level `"coords"` array.
-    pub(crate) fn vertex_into(&self, out: &mut String, p: usize) -> u16 {
-        if let Err(refusal) = check_range(p, self.num_vertices()) {
-            return refusal.write_into(out);
-        }
+    pub(crate) fn vertex_into(&self, out: &mut String, p: usize) -> Result<(), Refusal> {
+        check_range(p, self.num_vertices())?;
         let truth = self.chain.vertex_at(p);
         out.push_str(first_member!("vertex"));
         push_u64(out, p as u64);
@@ -521,24 +509,23 @@ impl ServeState {
         out.push_str(member!("squares"));
         push_u64(out, truth.squares);
         out.push_str(CLOSE_OBJECT);
-        200
+        Ok(())
     }
 
     fn edge(&self, raw_p: &str, raw_q: &str, body: &mut String) -> Answer {
         let n = self.num_vertices();
-        match (parse_index(raw_p, n), parse_index(raw_q, n)) {
-            (Ok(p), Ok(q)) => render(body, |out| self.edge_into(out, p, q)),
-            (Err(resp), _) | (_, Err(resp)) => resp.into_answer(body),
-        }
+        let rendered = parse_index(raw_p, n)
+            .and_then(|p| Ok((p, parse_index(raw_q, n)?)))
+            .and_then(|(p, q)| self.edge_into(body, p, q));
+        keyed_answer(body, rendered)
     }
 
     /// Render the `GET /v1/edge/{p}/{q}` body for already-parsed indices
     /// onto `out`, without its newline.
-    pub(crate) fn edge_into(&self, out: &mut String, p: usize, q: usize) -> u16 {
+    pub(crate) fn edge_into(&self, out: &mut String, p: usize, q: usize) -> Result<(), Refusal> {
         let n = self.num_vertices();
-        if let Err(refusal) = check_range(p, n).and_then(|()| check_range(q, n)) {
-            return refusal.write_into(out);
-        }
+        check_range(p, n)?;
+        check_range(q, n)?;
         let edge = self.chain.edge_at(p, q);
         out.push_str(first_member!("p"));
         push_u64(out, p as u64);
@@ -555,18 +542,14 @@ impl ServeState {
         out.push_str(member!("squares"));
         push_u64_or_null(out, edge.squares);
         out.push_str(CLOSE_OBJECT);
-        200
+        Ok(())
     }
 
     fn neighbors(&self, raw: &str, req: &Request, body: &mut String) -> Answer {
-        let p = match parse_index(raw, self.num_vertices()) {
-            Ok(p) => p,
-            Err(resp) => return resp.into_answer(body),
-        };
-        match parse_page(req) {
-            Ok((offset, limit)) => render(body, |out| self.neighbors_into(out, p, offset, limit)),
-            Err(resp) => resp.into_answer(body),
-        }
+        let rendered = parse_index(raw, self.num_vertices())
+            .and_then(|p| Ok((p, parse_page(req)?)))
+            .and_then(|(p, (offset, limit))| self.neighbors_into(body, p, offset, limit));
+        keyed_answer(body, rendered)
     }
 
     /// Render the `GET /v1/neighbors/{p}?offset&limit` body for
@@ -579,10 +562,8 @@ impl ServeState {
         p: usize,
         offset: u64,
         limit: usize,
-    ) -> u16 {
-        if let Err(refusal) = check_range(p, self.num_vertices()) {
-            return refusal.write_into(out);
-        }
+    ) -> Result<(), Refusal> {
+        check_range(p, self.num_vertices())?;
         let degree = self.chain.degree(p);
         let count = degree.saturating_sub(offset).min(limit as u64);
         let next = offset + count;
@@ -602,77 +583,69 @@ impl ServeState {
             .for_each_neighbor(p, offset, limit, |q| page.push(q as u64));
         page.close();
         out.push_str(CLOSE_OBJECT);
-        200
+        Ok(())
     }
 
-    fn edges(&self, raw_part: &str, raw_parts: &str, req: &Request) -> Response {
+    fn edges(&self, raw_part: &str, raw_parts: &str, req: &Request, body: &mut String) -> Answer {
         let parts: usize = match raw_parts.parse() {
             Ok(v) if (1..=MAX_PARTS).contains(&v) => v,
             _ => {
-                return Response::error(
+                return Refusal::new(
                     400,
-                    &format!("parts must be an integer in 1..={MAX_PARTS}, got {raw_parts:?}"),
+                    format!("parts must be an integer in 1..={MAX_PARTS}, got {raw_parts:?}"),
                 )
+                .answer(body)
             }
         };
         let part: usize = match raw_part.parse() {
             Ok(v) if v < parts => v,
             _ => {
-                return Response::error(
+                return Refusal::new(
                     400,
-                    &format!("part must be an integer below parts={parts}, got {raw_part:?}"),
+                    format!("part must be an integer below parts={parts}, got {raw_part:?}"),
                 )
+                .answer(body)
             }
         };
         let (offset, limit) = match parse_page(req) {
             Ok(v) => v,
-            Err(resp) => return resp,
+            Err(refusal) => return refusal.answer(body),
         };
         let annotate = matches!(req.query_param("annotate"), Some("1") | Some("true"));
         let stream = EdgeStream::new(&self.chain, parts);
         let total = stream.part_len(part);
         let page = stream.edges_page(part, offset, limit);
-        let mut w = JsonWriter::new();
-        w.open_object();
-        w.u64_field("part", part as u64);
-        w.u64_field("parts", parts as u64);
-        w.u64_field("part_edges", total);
-        w.u64_field("offset", offset);
-        w.u64_field("count", page.len() as u64);
-        let next = offset + page.len() as u64;
-        if next < total && !page.is_empty() {
-            w.u64_field("next_offset", next);
-        } else {
-            w.null_field("next_offset");
-        }
-        w.key("edges");
-        w.open_array();
-        for &(p, q) in &page {
-            w.array_element();
+        json_answer(body, 200, |w| {
+            w.open_object();
+            w.u64_field("part", part as u64);
+            w.u64_field("parts", parts as u64);
+            w.u64_field("part_edges", total);
+            w.u64_field("offset", offset);
+            w.u64_field("count", page.len() as u64);
+            let next = offset + page.len() as u64;
+            if next < total && !page.is_empty() {
+                w.u64_field("next_offset", next);
+            } else {
+                w.null_field("next_offset");
+            }
+            w.key("edges");
             w.open_array();
-            w.u64_element(p as u64);
-            w.u64_element(q as u64);
-            if annotate {
-                let edge = self.chain.edge_at(p, q);
-                w.u64_element(edge.degree_p);
-                w.u64_element(edge.degree_q);
-                w.u64_element(edge.squares.expect("streamed pairs are edges"));
+            for &(p, q) in &page {
+                w.array_element();
+                w.open_array();
+                w.u64_element(p as u64);
+                w.u64_element(q as u64);
+                if annotate {
+                    let edge = self.chain.edge_at(p, q);
+                    w.u64_element(edge.degree_p);
+                    w.u64_element(edge.degree_q);
+                    w.u64_element(edge.squares.expect("streamed pairs are edges"));
+                }
+                w.close_array();
             }
             w.close_array();
-        }
-        w.close_array();
-        w.close_object();
-        Response::json(200, w.finish())
-    }
-
-    fn clustering(&self, raw_p: &str, raw_q: &str, body: &mut String) -> Answer {
-        let n = self.num_vertices();
-        match (parse_index(raw_p, n), parse_index(raw_q, n)) {
-            (Ok(p), Ok(q)) => render(body, |out| {
-                with_writer(out, |w| self.clustering_into(w, p, q))
-            }),
-            (Err(resp), _) | (_, Err(resp)) => resp.into_answer(body),
-        }
+            w.close_object();
+        })
     }
 
     /// `GET /v1/clustering/{p}/{q}`: the Thm 6 surface — exact edge
@@ -681,30 +654,32 @@ impl ServeState {
     /// for every served program; `bound`/`psi` are only defined on
     /// identity-free programs with all factor degrees ≥ 2 (the theorem's
     /// hypotheses), and are `null` otherwise.
-    fn clustering_into(&self, w: &mut JsonWriter, p: usize, q: usize) -> u16 {
+    fn clustering(&self, raw_p: &str, raw_q: &str, body: &mut String) -> Answer {
         let n = self.num_vertices();
-        if let Err(refusal) = check_range(p, n).and_then(|()| check_range(q, n)) {
-            return refusal.write(w);
-        }
+        let (p, q) = match (parse_index(raw_p, n), parse_index(raw_q, n)) {
+            (Ok(p), Ok(q)) => (p, q),
+            (Err(refusal), _) | (_, Err(refusal)) => return refusal.answer(body),
+        };
         let c = self.chain.clustering_at(p, q);
-        w.open_object();
-        w.u64_field("p", p as u64);
-        w.u64_field("q", q as u64);
-        w.bool_field("edge", c.squares.is_some());
-        w.u64_field("degree_p", c.degree_p);
-        w.u64_field("degree_q", c.degree_q);
-        match c.squares {
-            Some(s) => w.u64_field("squares", s),
-            None => w.null_field("squares"),
-        }
-        for (key, value) in [("gamma", c.gamma), ("bound", c.bound), ("psi", c.psi)] {
-            match value {
-                Some(v) => w.f64_field(key, v),
-                None => w.null_field(key),
+        json_answer(body, 200, |w| {
+            w.open_object();
+            w.u64_field("p", p as u64);
+            w.u64_field("q", q as u64);
+            w.bool_field("edge", c.squares.is_some());
+            w.u64_field("degree_p", c.degree_p);
+            w.u64_field("degree_q", c.degree_q);
+            match c.squares {
+                Some(s) => w.u64_field("squares", s),
+                None => w.null_field("squares"),
             }
-        }
-        w.close_object();
-        200
+            for (key, value) in [("gamma", c.gamma), ("bound", c.bound), ("psi", c.psi)] {
+                match value {
+                    Some(v) => w.f64_field(key, v),
+                    None => w.null_field(key),
+                }
+            }
+            w.close_object();
+        })
     }
 
     /// `GET /v1/community`: the Thm 7 / Cor 1–2 surface. Pair servers
@@ -714,7 +689,7 @@ impl ServeState {
     /// density fields `rho_in` / `rho_in_lower_bound` (Cor 1) /
     /// `rho_out_upper_bound` (Cor 2) are two-factor statements, reported
     /// on pair servers with bipartite factors and `null` otherwise.
-    fn community(&self, req: &Request) -> Response {
+    fn community(&self, req: &Request, body: &mut String) -> Answer {
         let levels = self.chain.num_levels();
         let set_name = |i: usize| {
             if self.pair_form {
@@ -736,23 +711,26 @@ impl ServeState {
                         levels - 1
                     )
                 };
-                return Response::error(400, &usage);
+                return Refusal::new(400, usage).answer(body);
             };
             match parse_id_list(&name, raw) {
                 Ok(set) => sets.push(set),
-                Err(resp) => return resp,
+                Err(refusal) => return refusal.answer(body),
             }
         }
         let truth = match self.chain.community(&sets) {
             Ok(t) => t,
             Err(ChainError::CommunityVertex { level, factor, .. }) if self.pair_form => {
                 let set = set_name(level);
-                return Response::error(
+                return Refusal::new(
                     404,
-                    &format!("{set} contains a vertex outside factor {factor}"),
-                );
+                    format!("{set} contains a vertex outside factor {factor}"),
+                )
+                .answer(body);
             }
-            Err(e) => return Response::error(404, &format!("community sets rejected: {e}")),
+            Err(e) => {
+                return Refusal::new(404, format!("community sets rejected: {e}")).answer(body)
+            }
         };
         let density = if self.pair_form {
             let prod = pair_product(&self.chain);
@@ -769,40 +747,40 @@ impl ServeState {
         } else {
             None
         };
-        let mut w = JsonWriter::new();
-        w.open_object();
-        w.string_field("theorem", "thm7");
-        w.u64_field("size", truth.size);
-        w.u64_field("m_in", truth.m_in);
-        w.u64_field("m_out", truth.m_out);
-        for (key, value) in [
-            ("rho_in", density.as_ref().and_then(|d| d.rho_in)),
-            (
-                "rho_in_lower_bound",
-                density.as_ref().and_then(|d| d.rho_in_lower_bound),
-            ),
-            (
-                "rho_out_upper_bound",
-                density.as_ref().and_then(|d| d.rho_out_upper_bound),
-            ),
-        ] {
-            match value {
-                Some(v) => w.f64_field(key, v),
-                None => w.null_field(key),
+        json_answer(body, 200, |w| {
+            w.open_object();
+            w.string_field("theorem", "thm7");
+            w.u64_field("size", truth.size);
+            w.u64_field("m_in", truth.m_in);
+            w.u64_field("m_out", truth.m_out);
+            for (key, value) in [
+                ("rho_in", density.as_ref().and_then(|d| d.rho_in)),
+                (
+                    "rho_in_lower_bound",
+                    density.as_ref().and_then(|d| d.rho_in_lower_bound),
+                ),
+                (
+                    "rho_out_upper_bound",
+                    density.as_ref().and_then(|d| d.rho_out_upper_bound),
+                ),
+            ] {
+                match value {
+                    Some(v) => w.f64_field(key, v),
+                    None => w.null_field(key),
+                }
             }
-        }
-        w.close_object();
-        Response::json(200, w.finish())
+            w.close_object();
+        })
     }
 
     /// `GET /v1/scatter/degree-squares?offset&limit&format=json|csv`: the
     /// Fig. 5 export — one `(vertex, degree, squares)` row per product
     /// vertex, paged under the same [`MAX_LIMIT`] bound as every other
     /// endpoint so the sublinear-memory contract holds.
-    fn scatter_degree_squares(&self, req: &Request) -> Response {
+    fn scatter_degree_squares(&self, req: &Request, body: &mut String) -> Answer {
         let (offset, limit) = match parse_page(req) {
             Ok(v) => v,
-            Err(resp) => return resp,
+            Err(refusal) => return refusal.answer(body),
         };
         let n = self.num_vertices() as u64;
         let start = offset.min(n);
@@ -812,8 +790,7 @@ impl ServeState {
             (truth.degree, truth.squares)
         };
         match req.query_param("format") {
-            None | Some("json") => {
-                let mut w = JsonWriter::new();
+            None | Some("json") => json_answer(body, 200, |w| {
                 w.open_object();
                 w.u64_field("offset", offset);
                 w.u64_field("count", end - start);
@@ -835,27 +812,29 @@ impl ServeState {
                 }
                 w.close_array();
                 w.close_object();
-                Response::json(200, w.finish())
-            }
+            }),
             Some("csv") => {
-                let mut body = String::from("vertex,degree,squares\n");
+                body.push_str("vertex,degree,squares\n");
                 for p in start..end {
                     let (d, s) = row(p);
-                    body.push_str(&format!("{p},{d},{s}\n"));
+                    for (value, sep) in [(p, ','), (d, ','), (s, '\n')] {
+                        push_u64(body, value);
+                        body.push(sep);
+                    }
                 }
-                Response {
+                Answer {
                     status: 200,
-                    content_type: "text/csv; charset=utf-8",
-                    body,
+                    content_type: CSV_TYPE,
                 }
             }
             Some(other) => {
-                Response::error(400, &format!("unknown scatter format {other:?} (json|csv)"))
+                Refusal::new(400, format!("unknown scatter format {other:?} (json|csv)"))
+                    .answer(body)
             }
         }
     }
 
-    fn metrics_response(&self, req: &Request) -> Response {
+    fn metrics_endpoint(&self, req: &Request, body: &mut String) -> Answer {
         // uptime_ms lets scrapers derive the cumulative (since-boot)
         // request rate without a second endpoint.
         let obs = bikron_obs::global();
@@ -879,23 +858,12 @@ impl ServeState {
         if prof.sampler_hz() > 0 {
             report.set_profile(prof.snapshot());
         }
-        match req.query_param("format") {
-            None | Some("json") => Response::json(200, report.to_json()),
-            Some("prometheus") => Response {
-                status: 200,
-                content_type: "text/plain; version=0.0.4; charset=utf-8",
-                body: bikron_obs::prom::to_prometheus(&report),
-            },
-            Some(other) => Response::error(
-                400,
-                &format!("unknown metrics format {other:?} (json|prometheus)"),
-            ),
-        }
+        metrics_response(req, report, &[], body)
     }
 
     /// `GET /v1/health`: readiness plus windowed SLO signals. `degraded`
     /// when any window that saw traffic violates either threshold.
-    fn health_response(&self) -> Response {
+    fn health(&self, body: &mut String) -> Answer {
         let requests = self.transport.requests().snapshot();
         let errors = self.transport.errors().snapshot();
         let latency = self.transport.request_ns().snapshot();
@@ -916,95 +884,95 @@ impl ServeState {
             .collect();
         let degraded = rows.iter().any(|&(.., ok)| !ok);
 
-        let mut w = JsonWriter::new();
-        w.open_object();
-        w.string_field("status", if degraded { "degraded" } else { "ok" });
-        w.u64_field("uptime_ms", self.started.elapsed().as_millis() as u64);
-        w.key("slo");
-        w.open_object();
-        w.u64_field("p99_ms", self.slo_p99_ms);
-        w.u64_field("err_pct", self.slo_err_pct);
-        w.close_object();
-        w.key("windows");
-        w.open_object();
-        for (label, req, err, err_pct, p99_ms, ok) in rows {
-            w.key(label);
+        json_answer(body, 200, |w| {
             w.open_object();
-            w.u64_field("requests", req.count);
-            w.u64_field("rate_per_sec", req.rate_per_sec);
-            w.u64_field("errors_5xx", err.count);
-            w.u64_field("err_pct", err_pct);
-            w.u64_field("p99_ms", p99_ms);
-            w.bool_field("ok", ok);
+            w.string_field("status", if degraded { "degraded" } else { "ok" });
+            w.u64_field("uptime_ms", self.started.elapsed().as_millis() as u64);
+            w.key("slo");
+            w.open_object();
+            w.u64_field("p99_ms", self.slo_p99_ms);
+            w.u64_field("err_pct", self.slo_err_pct);
             w.close_object();
-        }
-        w.close_object();
-        w.close_object();
-        Response::json(200, w.finish())
+            w.key("windows");
+            w.open_object();
+            for (label, req, err, err_pct, p99_ms, ok) in rows {
+                w.key(label);
+                w.open_object();
+                w.u64_field("requests", req.count);
+                w.u64_field("rate_per_sec", req.rate_per_sec);
+                w.u64_field("errors_5xx", err.count);
+                w.u64_field("err_pct", err_pct);
+                w.u64_field("p99_ms", p99_ms);
+                w.bool_field("ok", ok);
+                w.close_object();
+            }
+            w.close_object();
+            w.close_object();
+        })
     }
 
     /// `GET /v1/admin/stall?ms=N` (token-gated): sleep `N` ms inside the
     /// request path. The debug lever behind the ISSUE's injected-stall
     /// test — latency recorded for this request spikes the windowed p99
     /// so `/v1/health` demonstrably flips to `degraded`.
-    fn stall_endpoint(&self, req: &Request) -> Response {
-        if let Err(resp) = check_admin(self.admin_token.as_deref(), req) {
-            return resp;
+    fn stall_endpoint(&self, req: &Request, body: &mut String) -> Answer {
+        if let Err(refusal) = check_admin(self.admin_token.as_deref(), req) {
+            return refusal.answer(body);
         }
         let ms: u64 = match req.query_param("ms").map(str::parse) {
             Some(Ok(v)) => v,
-            _ => return Response::error(400, "stall requires ?ms=N"),
+            _ => return Refusal::new(400, "stall requires ?ms=N").answer(body),
         };
         let ms = ms.min(MAX_STALL_MS);
         std::thread::sleep(std::time::Duration::from_millis(ms));
-        let mut w = JsonWriter::new();
-        w.open_object();
-        w.u64_field("stalled_ms", ms);
-        w.close_object();
-        Response::json(200, w.finish())
+        json_answer(body, 200, |w| {
+            w.open_object();
+            w.u64_field("stalled_ms", ms);
+            w.close_object();
+        })
     }
 
     /// `GET /v1/admin/traces[?min_ms=N]` (token-gated): the captured
     /// span trees, newest first, plus the sink's policy and counters —
     /// what `bikron trace` renders as waterfalls.
-    fn traces_endpoint(&self, req: &Request) -> Response {
-        if let Err(resp) = check_admin(self.admin_token.as_deref(), req) {
-            return resp;
+    fn traces_endpoint(&self, req: &Request, body: &mut String) -> Answer {
+        if let Err(refusal) = check_admin(self.admin_token.as_deref(), req) {
+            return refusal.answer(body);
         }
         let min_ms: u64 = match req.query_param("min_ms").map(str::parse) {
             None => 0,
             Some(Ok(v)) => v,
-            Some(Err(_)) => return Response::error(400, "min_ms must be an integer"),
+            Some(Err(_)) => return Refusal::new(400, "min_ms must be an integer").answer(body),
         };
         let traces = self.spans.snapshot(min_ms.saturating_mul(1_000_000));
-        let mut w = JsonWriter::new();
-        w.open_object();
-        w.string_field("schema", "bikron-traces/1");
-        w.bool_field("enabled", self.spans.enabled());
-        w.u64_field("slow_ms", self.spans.slow_ms());
-        w.u64_field("seen", self.spans.seen());
-        w.u64_field("captured", self.spans.captured());
-        w.u64_field("dropped_spans", self.spans.dropped_spans());
-        w.u64_field("count", traces.len() as u64);
-        w.key("traces");
-        w.open_array();
-        for t in &traces {
-            w.array_element();
-            t.write_json(&mut w);
-        }
-        w.close_array();
-        w.close_object();
-        Response::json(200, w.finish())
+        json_answer(body, 200, |w| {
+            w.open_object();
+            w.string_field("schema", "bikron-traces/1");
+            w.bool_field("enabled", self.spans.enabled());
+            w.u64_field("slow_ms", self.spans.slow_ms());
+            w.u64_field("seen", self.spans.seen());
+            w.u64_field("captured", self.spans.captured());
+            w.u64_field("dropped_spans", self.spans.dropped_spans());
+            w.u64_field("count", traces.len() as u64);
+            w.key("traces");
+            w.open_array();
+            for t in &traces {
+                w.array_element();
+                t.write_json(w);
+            }
+            w.close_array();
+            w.close_object();
+        })
     }
 
     /// `GET /v1/admin/profile[?seconds=N][&format=folded]` (token-gated):
     /// a sample-on-demand window over the process-wide continuous
     /// profiler. See [`profile_response`] for the contract.
-    fn profile_endpoint(&self, req: &Request) -> Response {
-        if let Err(resp) = check_admin(self.admin_token.as_deref(), req) {
-            return resp;
+    fn profile_endpoint(&self, req: &Request, body: &mut String) -> Answer {
+        match check_admin(self.admin_token.as_deref(), req) {
+            Ok(()) => profile_response(req, body),
+            Err(refusal) => refusal.answer(body),
         }
-        profile_response(req)
     }
 
     /// Block until all published access-log events are on disk (tests
@@ -1015,47 +983,29 @@ impl ServeState {
         }
     }
 
-    fn shutdown_endpoint(&self, req: &Request) -> Response {
-        if let Err(resp) = check_admin(self.admin_token.as_deref(), req) {
-            return resp;
+    fn shutdown_endpoint(&self, req: &Request, body: &mut String) -> Answer {
+        if let Err(refusal) = check_admin(self.admin_token.as_deref(), req) {
+            return refusal.answer(body);
         }
         self.request_shutdown();
-        let mut w = JsonWriter::new();
-        w.open_object();
-        w.bool_field("shutting_down", true);
-        w.close_object();
-        Response::json(200, w.finish())
+        json_answer(body, 200, |w| {
+            w.open_object();
+            w.bool_field("shutting_down", true);
+            w.close_object();
+        })
     }
 }
 
-/// The first `N` items of `items` and how many there were (at most
-/// `N`) — path segments and batch tokens, split without a `Vec`.
-pub fn first_n<'a, const N: usize>(items: impl Iterator<Item = &'a str>) -> ([&'a str; N], usize) {
-    let mut out = [""; N];
-    let mut len = 0;
-    for (slot, item) in out.iter_mut().zip(items) {
-        *slot = item;
-        len += 1;
+/// Answer with the keyed body a `*_into` renderer wrote onto `body`,
+/// ended with its newline, or with the refusal it returned instead.
+fn keyed_answer(body: &mut String, rendered: Result<(), Refusal>) -> Answer {
+    match rendered {
+        Ok(()) => {
+            body.push('\n');
+            Answer::json(200)
+        }
+        Err(refusal) => refusal.answer(body),
     }
-    (out, len)
-}
-
-/// A JSON answer whose body `render` writes onto `body`, returning its
-/// status, ended with the newline every response body carries.
-fn render(body: &mut String, render: impl FnOnce(&mut String) -> u16) -> Answer {
-    let status = render(body);
-    body.push('\n');
-    Answer::json(status)
-}
-
-/// Run `render` on a [`JsonWriter`] that appends to `out` and return its
-/// status. The writer borrows `out`'s buffer, so nothing is allocated
-/// once it has grown to the answer's size.
-fn with_writer(out: &mut String, render: impl FnOnce(&mut JsonWriter) -> u16) -> u16 {
-    let mut w = JsonWriter::with_buffer(std::mem::take(out));
-    let status = render(&mut w);
-    *out = w.into_buffer();
-    status
 }
 
 /// Append the decimal digits of `value` to `out`.
@@ -1099,36 +1049,11 @@ impl<'a> IntArray<'a> {
     }
 }
 
-/// A refused keyed query: the status and detail of its error body.
-struct Refusal {
-    status: u16,
-    detail: String,
-}
-
-impl Refusal {
-    /// Write the error body into `w`; returns the status.
-    fn write(&self, w: &mut JsonWriter) -> u16 {
-        write_error(w, self.status, &self.detail);
-        self.status
-    }
-
-    /// Write the error body onto `out`; returns the status.
-    fn write_into(&self, out: &mut String) -> u16 {
-        with_writer(out, |w| self.write(w))
-    }
-}
-
-impl From<Refusal> for Response {
-    fn from(refusal: Refusal) -> Response {
-        Response::error(refusal.status, &refusal.detail)
-    }
-}
-
 /// Parse a vertex index; 400 on malformed input, 404 on out-of-range.
-fn parse_index(raw: &str, n: usize) -> Result<usize, Response> {
+fn parse_index(raw: &str, n: usize) -> Result<usize, Refusal> {
     let p: usize = raw
         .parse()
-        .map_err(|_| Response::error(400, &format!("not a vertex index: {raw:?}")))?;
+        .map_err(|_| Refusal::new(400, format!("not a vertex index: {raw:?}")))?;
     check_range(p, n)?;
     Ok(p)
 }
@@ -1137,33 +1062,33 @@ fn parse_index(raw: &str, n: usize) -> Result<usize, Response> {
 /// path-segment and batch entry points.
 fn check_range(p: usize, n: usize) -> Result<(), Refusal> {
     if p >= n {
-        return Err(Refusal {
-            status: 404,
-            detail: format!("vertex {p} out of range (product has {n} vertices)"),
-        });
+        return Err(Refusal::new(
+            404,
+            format!("vertex {p} out of range (product has {n} vertices)"),
+        ));
     }
     Ok(())
 }
 
 /// Parse `offset` / `limit` query params with defaults and the MAX_LIMIT
 /// cap.
-fn parse_page(req: &Request) -> Result<(u64, usize), Response> {
+fn parse_page(req: &Request) -> Result<(u64, usize), Refusal> {
     let offset = match req.query_param("offset") {
         None => 0,
         Some(raw) => raw
             .parse()
-            .map_err(|_| Response::error(400, &format!("bad offset {raw:?}")))?,
+            .map_err(|_| Refusal::new(400, format!("bad offset {raw:?}")))?,
     };
     let limit = match req.query_param("limit") {
         None => DEFAULT_LIMIT,
         Some(raw) => {
             let l: usize = raw
                 .parse()
-                .map_err(|_| Response::error(400, &format!("bad limit {raw:?}")))?;
+                .map_err(|_| Refusal::new(400, format!("bad limit {raw:?}")))?;
             if l > MAX_LIMIT {
-                return Err(Response::error(
+                return Err(Refusal::new(
                     400,
-                    &format!("limit {l} exceeds the cap of {MAX_LIMIT}"),
+                    format!("limit {l} exceeds the cap of {MAX_LIMIT}"),
                 ));
             }
             l
@@ -1175,22 +1100,22 @@ fn parse_page(req: &Request) -> Result<(u64, usize), Response> {
 /// Parse a comma-separated factor-vertex set (`?a=0,2,5`). Bounded at
 /// [`MAX_LIMIT`] members so a community query obeys the same per-request
 /// memory cap as a page. Sorted and deduplicated on return.
-fn parse_id_list(name: &str, raw: &str) -> Result<Vec<usize>, Response> {
+fn parse_id_list(name: &str, raw: &str) -> Result<Vec<usize>, Refusal> {
     let mut out = Vec::new();
     for piece in raw.split(',').filter(|s| !s.is_empty()) {
         let v: usize = piece
             .parse()
-            .map_err(|_| Response::error(400, &format!("{name} has a non-integer id {piece:?}")))?;
+            .map_err(|_| Refusal::new(400, format!("{name} has a non-integer id {piece:?}")))?;
         out.push(v);
         if out.len() > MAX_LIMIT {
-            return Err(Response::error(
+            return Err(Refusal::new(
                 400,
-                &format!("{name} exceeds the {MAX_LIMIT}-member cap"),
+                format!("{name} exceeds the {MAX_LIMIT}-member cap"),
             ));
         }
     }
     if out.is_empty() {
-        return Err(Response::error(400, &format!("{name} is an empty set")));
+        return Err(Refusal::new(400, format!("{name} is an empty set")));
     }
     out.sort_unstable();
     out.dedup();
@@ -1317,9 +1242,9 @@ fn stats_body_chain(chain: &KronChain) -> String {
 /// The admin gate of every bikron server: `req` must present `token`
 /// as `?token=` or `x-admin-token`. `None` (no `--admin-token`)
 /// disables the admin endpoints. The refusal is a 403 naming which.
-pub fn check_admin(token: Option<&str>, req: &Request) -> Result<(), Response> {
+pub fn check_admin(token: Option<&str>, req: &Request) -> Result<(), Refusal> {
     let Some(expected) = token else {
-        return Err(Response::error(
+        return Err(Refusal::new(
             403,
             "admin endpoints are disabled; restart with --admin-token",
         ));
@@ -1328,14 +1253,62 @@ pub fn check_admin(token: Option<&str>, req: &Request) -> Result<(), Response> {
         .query_param("token")
         .or_else(|| req.header("x-admin-token"));
     if presented != Some(expected) {
-        return Err(Response::error(403, "missing or invalid admin token"));
+        return Err(Refusal::new(403, "missing or invalid admin token"));
     }
     Ok(())
 }
 
+/// Answer `GET /metrics[?format=json|prometheus]` with `report` onto
+/// `body`: the one format switch of every bikron server. The router
+/// passes one scrape per replica in `shards` (`None` for a replica that
+/// gave none); each is merged under the prefix `shard{i}.` into the
+/// JSON report, or follows the server's own series in the Prometheus
+/// exposition with a `shard="i"` label. Replica series
+/// (`bikron_serve_*`) are disjoint from the router's own
+/// (`bikron_router_*`), so the labelled families need no second `TYPE`
+/// line; replica meta is dropped, since a second `bikron_report_info`
+/// would be one. Any other format is a 400 naming it.
+pub fn metrics_response(
+    req: &Request,
+    mut report: Report,
+    shards: &[Option<Report>],
+    body: &mut String,
+) -> Answer {
+    match req.query_param("format") {
+        None | Some("json") => {
+            for (index, shard) in shards.iter().enumerate() {
+                if let Some(shard) = shard {
+                    report.merge_prefixed(&format!("shard{index}."), shard);
+                }
+            }
+            body.push_str(&report.to_json());
+            Answer::json(200)
+        }
+        Some("prometheus") => {
+            body.push_str(&bikron_obs::prom::to_prometheus(&report));
+            let labelled: Vec<(String, &Report)> = shards
+                .iter()
+                .enumerate()
+                .filter_map(|(i, r)| Some((format!("shard=\"{i}\""), r.as_ref()?)))
+                .collect();
+            bikron_obs::prom::write_families(body, &labelled);
+            Answer {
+                status: 200,
+                content_type: PROMETHEUS_TYPE,
+            }
+        }
+        Some(other) => Refusal::new(
+            400,
+            format!("unknown metrics format {other:?} (json|prometheus)"),
+        )
+        .answer(body),
+    }
+}
+
 /// Answer a (pre-authorised) `/v1/admin/profile` request against the
-/// process-wide sampling profiler. Shared by the serve process and
-/// the cluster router, which gate it behind their own admin tokens.
+/// process-wide sampling profiler onto `body`. Shared by the serve
+/// process and the cluster router, which gate it behind their own admin
+/// tokens.
 ///
 /// `?seconds=N` (capped at [`MAX_PROFILE_SECONDS`], default 0) scopes
 /// the profile to an on-demand window: snapshot, sleep N seconds while
@@ -1345,18 +1318,19 @@ pub fn check_admin(token: Option<&str>, req: &Request) -> Result<(), Response> {
 /// `bikron-profile/1` JSON (collapsed stacks plus a per-frame
 /// self-vs-cumulative split). Answers 409 when no sampler is running —
 /// the process was started with `--profile-hz 0`.
-pub fn profile_response(req: &Request) -> Response {
+pub fn profile_response(req: &Request, body: &mut String) -> Answer {
     let prof = bikron_obs::profile::profiler();
     if prof.sampler_hz() == 0 {
-        return Response::error(
+        return Refusal::new(
             409,
             "profiling is disabled; restart with --profile-hz N (default 99)",
-        );
+        )
+        .answer(body);
     }
     let seconds: u64 = match req.query_param("seconds").map(str::parse) {
         None => 0,
         Some(Ok(v)) => v,
-        Some(Err(_)) => return Response::error(400, "seconds must be an integer"),
+        Some(Err(_)) => return Refusal::new(400, "seconds must be an integer").answer(body),
     };
     let seconds = seconds.min(MAX_PROFILE_SECONDS);
     let snap = if seconds == 0 {
@@ -1367,13 +1341,14 @@ pub fn profile_response(req: &Request) -> Response {
         prof.snapshot().since(&base)
     };
     match req.query_param("format") {
-        Some("folded") => Response {
-            status: 200,
-            content_type: "text/plain; charset=utf-8",
-            body: snap.to_folded(),
-        },
-        None | Some("json") => {
-            let mut w = JsonWriter::new();
+        Some("folded") => {
+            body.push_str(&snap.to_folded());
+            Answer {
+                status: 200,
+                content_type: FOLDED_TYPE,
+            }
+        }
+        None | Some("json") => json_answer(body, 200, |w| {
             w.open_object();
             w.string_field("schema", bikron_obs::profile::PROFILE_SCHEMA);
             w.u64_field("hz", snap.hz);
@@ -1398,12 +1373,12 @@ pub fn profile_response(req: &Request) -> Response {
             }
             w.close_object();
             w.close_object();
-            Response::json(200, w.finish())
-        }
-        Some(other) => Response::error(
+        }),
+        Some(other) => Refusal::new(
             400,
-            &format!("unknown profile format {other:?} (json|folded)"),
-        ),
+            format!("unknown profile format {other:?} (json|folded)"),
+        )
+        .answer(body),
     }
 }
 
@@ -1699,7 +1674,7 @@ mod tests {
         st.handle(&get("/v1/vertex/3"));
         let resp = st.handle(&get("/metrics?format=prometheus"));
         assert_eq!(resp.status, 200);
-        assert!(resp.content_type.starts_with("text/plain; version=0.0.4"));
+        assert_eq!(resp.content_type, PROMETHEUS_TYPE);
         bikron_obs::prom::check_exposition(&resp.body).expect("valid exposition");
         assert!(resp.body.contains("bikron_serve_requests"));
         // Satellite: live gauge and high-water mark export as distinct series.
@@ -1847,7 +1822,7 @@ mod tests {
                 assert!(resp.body.contains("\"frames\""));
                 let folded = st.handle(&get("/v1/admin/profile?token=sesame&format=folded"));
                 assert_eq!(folded.status, 200);
-                assert!(folded.content_type.starts_with("text/plain"));
+                assert_eq!(folded.content_type, FOLDED_TYPE);
                 assert_eq!(
                     st.handle(&get("/v1/admin/profile?token=sesame&format=svg"))
                         .status,
@@ -1959,22 +1934,6 @@ mod tests {
                 .join(",\n")
         );
         assert_eq!(resp.body, expected);
-    }
-
-    #[test]
-    fn routes_match_whole_paths_only() {
-        let st = state();
-        // Extra segments never match a shorter route.
-        assert_eq!(st.handle(&get("/v1/vertex/3/4")).status, 404);
-        assert_eq!(st.handle(&get("/v1/clustering/0/1/2")).status, 404);
-        assert_eq!(st.handle(&get("/v1/edge/0/1/2/3/4/5")).status, 404);
-        assert_eq!(st.handle(&post("/v1/batch/x", "vertex 1")).status, 405);
-        // Empty segments are skipped, as before.
-        assert_eq!(st.handle(&get("//v1//vertex/3")).status, 200);
-        assert_eq!(
-            st.handle(&get("/v1/a/b/c/d/e/f")).body,
-            Response::error(404, "no route for /v1/a/b/c/d/e/f").body
-        );
     }
 
     #[test]
@@ -2356,7 +2315,7 @@ mod tests {
 
         let csv = st.handle(&get("/v1/scatter/degree-squares?format=csv&limit=25"));
         assert_eq!(csv.status, 200);
-        assert!(csv.content_type.starts_with("text/csv"));
+        assert_eq!(csv.content_type, CSV_TYPE);
         let lines: Vec<&str> = csv.body.lines().collect();
         assert_eq!(lines[0], "vertex,degree,squares");
         assert_eq!(lines.len(), 26);

@@ -10,7 +10,7 @@
 //! the reference, or a 400 with the same body.
 
 use bikron_serve::batch::{parse_batch, BatchParseError, BatchQuery};
-use bikron_serve::state::first_n;
+use bikron_serve::http::first_n;
 use bikron_serve::{DEFAULT_LIMIT, MAX_LIMIT};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -98,7 +98,12 @@ fn agree(body: &str, batch_max: usize) {
         (Ok(got), Ok(want)) => assert_eq!(got, want, "{body:?} (batch_max {batch_max})"),
         (Err(got), Err(want)) => {
             assert_eq!(got, want, "{body:?} (batch_max {batch_max})");
-            assert_eq!(got.response().body, want.response().body, "{body:?}");
+            let render = |e: &BatchParseError| {
+                let mut out = String::new();
+                e.answer(&mut out);
+                out
+            };
+            assert_eq!(render(&got), render(&want), "{body:?}");
         }
         (got, want) => panic!("{body:?} (batch_max {batch_max}): got {got:?}, want {want:?}"),
     }

@@ -9,10 +9,11 @@
 //! fronted by a `RouterServer`) and compares 100% of vertices, 100% of
 //! ordered pairs, every neighbors page, the partitioned edge stream, and
 //! relayed batch bodies against the in-process single-node answer. It
-//! also writes pipelined bursts of 8 mixed requests in one write each
-//! (batches, GETs, `/v1/stats`, a 404 the router answers and a 400 a
-//! replica answers), whose every body, error bodies included, must
-//! match the single node's.
+//! also writes pipelined bursts of 10 mixed requests in one write each
+//! (batches, GETs, `/v1/stats`, JSON and CSV scatter pages, a 404 the
+//! router answers and a 400 a replica answers), whose every status,
+//! `Content-Type` and body, error bodies included, must match the
+//! single node's.
 //!
 //! A separate test kills one replica and asserts no request fails: the
 //! requests that pick the dead replica go to the next one, every key
@@ -150,8 +151,8 @@ impl Client {
     }
 
     /// Send `requests` in one write and read their answers in order:
-    /// `(status, body)` each.
-    fn burst(&mut self, requests: &[Query]) -> Vec<(u16, String)> {
+    /// `(status, content type, body)` each.
+    fn burst(&mut self, requests: &[Query]) -> Vec<(u16, String, String)> {
         let raw: String = requests.iter().map(Query::render).collect();
         self.writer.write_all(raw.as_bytes()).expect("send burst");
         requests
@@ -159,7 +160,11 @@ impl Client {
             .map(|_| {
                 let (status, head, body) = self.read_response();
                 assert!(!head.contains("Connection: close"), "{head}");
-                (status, body)
+                let content_type = head
+                    .lines()
+                    .find_map(|l| l.strip_prefix("Content-Type: "))
+                    .expect("Content-Type");
+                (status, content_type.to_string(), body)
             })
             .collect()
     }
@@ -188,20 +193,21 @@ impl Query {
         )
     }
 
-    /// The single node's answer: its `handle()` body, with the trace id
-    /// stamped into an error body as the transport stamps it.
-    fn single_answer(&self, state: &ServeState) -> (u16, String) {
+    /// The single node's answer: its `handle()` status, content type
+    /// and body, with the trace id stamped into an error body as the
+    /// transport stamps it.
+    fn single_answer(&self, state: &ServeState) -> (u16, String, String) {
         let req = parse_request(&mut self.render().as_bytes()).unwrap();
         let resp = state.handle(&req);
         let mut body = resp.body.clone();
         stamp_trace_id(resp.answer(), &mut body, &format!("{:032x}", self.trace_id));
-        (resp.status, body)
+        (resp.status, resp.content_type.to_string(), body)
     }
 }
 
-/// Burst `k` of 8: two whole-space batches, vertex, edge and neighbors
-/// GETs, `/v1/stats`, a 404 the router answers itself and a 400 a
-/// replica answers.
+/// Burst `k` of 10: two whole-space batches, vertex, edge and neighbors
+/// GETs, `/v1/stats`, a JSON and a CSV scatter page, a 404 the router
+/// answers itself and a 400 a replica answers.
 fn mixed_burst(k: usize) -> Vec<Query> {
     let get = |path: String| ("GET", path, String::new());
     let batch = ("POST", "/v1/batch".to_string(), whole_space_batch());
@@ -212,8 +218,12 @@ fn mixed_burst(k: usize) -> Vec<Query> {
         get(format!("/v1/edge/{p}/{}", (p * 7 + 3) % N)),
         get(format!("/v1/neighbors/{p}?offset=1&limit=3")),
         get("/v1/stats".to_string()),
+        get(format!("/v1/scatter/degree-squares?offset={p}&limit=4")),
         get(format!("/nope/{k}")),
         batch,
+        get(format!(
+            "/v1/scatter/degree-squares?format=csv&offset={p}&limit=4"
+        )),
         get("/v1/vertex/banana".to_string()),
     ]
     .into_iter()
@@ -222,13 +232,14 @@ fn mixed_burst(k: usize) -> Vec<Query> {
         method,
         path,
         body,
-        trace_id: (k * 8 + i + 1) as u128,
+        trace_id: (k * 10 + i + 1) as u128,
     })
     .collect()
 }
 
 /// Every answer to a pipelined burst through the router, error bodies
-/// included, is byte-identical to the single node's.
+/// included, is byte-identical to the single node's, under the same
+/// `Content-Type`.
 fn assert_bursts_match(single: &ServeState, client: &mut Client, bursts: usize) {
     for k in 0..bursts {
         let queries = mixed_burst(k);
@@ -415,8 +426,8 @@ fn cluster_answers_byte_identical_to_single_node() {
             assert_eq!(got, want_body, "{count}-replica batch diverged");
         }
 
-        // Pipelined bursts of 8 in one write: each run of relayed
-        // requests goes to one replica, and every body matches.
+        // Pipelined bursts of 10 in one write: each run of relayed
+        // requests goes to one replica, and every answer matches.
         assert_bursts_match(&single, &mut client, 2 * N);
 
         // Cluster health: ok verdict, one detail row per replica.
